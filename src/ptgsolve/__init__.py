@@ -15,10 +15,9 @@ from .priced_game import (
     PricedGame,
     Valuation,
     extended_dijkstra,
-    solve_priced,
     strategy_iteration,
 )
-from .sptg import Sptg, SptgSolution, TimedStrategyProfile, WAIT, solve_sptg
+from .sptg import Sptg, SptgSolution, TimedStrategyProfile, WAIT, solve_sptg, solve_untimed
 from .ptg import Ptg, PtgResult, TAction, solve_ptg
 from .oracle import (
     Play,
@@ -42,13 +41,13 @@ __all__ = [
     "PricedGame",
     "Valuation",
     "extended_dijkstra",
-    "solve_priced",
     "strategy_iteration",
     "Sptg",
     "SptgSolution",
     "TimedStrategyProfile",
     "WAIT",
     "solve_sptg",
+    "solve_untimed",
     "Ptg",
     "PtgResult",
     "TAction",

@@ -2,22 +2,16 @@
 benchmark instance families.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input or I/O error.
-Setting PTGSOLVE_FAST_FLOAT=1 rounds all input numbers through floating
-point (denominators capped at 10^6); output documents are then marked
-approximate and carry no exactness guarantee.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from fractions import Fraction
 
 from . import gamedoc
-from .gamedoc import DocumentError, GameDocument
-from .numerics import is_inf
+from .gamedoc import DocumentError
 from .oracle import (
     OracleError,
     brute_force_priced,
@@ -25,37 +19,9 @@ from .oracle import (
     generate_random,
     value_iteration_sptg,
 )
-from .priced_game import PricedGame, extended_dijkstra, strategy_iteration
-from .ptg import Ptg, PtgValidationError, solve_ptg
-from .sptg import Sptg, solve_sptg
-
-FAST_FLOAT_VAR = "PTGSOLVE_FAST_FLOAT"
-
-
-def _fast_float_enabled() -> bool:
-    return os.environ.get(FAST_FLOAT_VAR, "") not in ("", "0")
-
-
-def _approximate(value):
-    if is_inf(value):
-        return value
-    return Fraction(float(value)).limit_denominator(10**6)
-
-
-def _approximate_doc(doc: GameDocument) -> GameDocument:
-    states = tuple(
-        gamedoc.DocState(s.id, s.owner, _approximate(s.rate)) for s in doc.states
-    )
-    actions = []
-    for a in doc.actions:
-        interval = a.interval
-        if interval is not None:
-            lo, hi, lo_c, hi_c = interval
-            interval = (_approximate(lo), _approximate(hi), lo_c, hi_c)
-        actions.append(
-            gamedoc.DocAction(a.id, a.source, a.dest, _approximate(a.cost), interval, a.reset)
-        )
-    return GameDocument(doc.kind, states, tuple(actions))
+from .priced_game import extended_dijkstra, strategy_iteration
+from .ptg import PtgValidationError, solve_ptg
+from .sptg import solve_sptg
 
 
 def _write(path, text):
@@ -76,9 +42,6 @@ def _cmd_solve(args) -> int:
     except DocumentError as exc:
         print(f"input-error: {exc}", file=sys.stderr)
         return 2
-    approximate = _fast_float_enabled()
-    if approximate:
-        doc = _approximate_doc(doc)
     try:
         game = doc.to_game()
     except (PtgValidationError, ValueError) as exc:
@@ -87,7 +50,7 @@ def _cmd_solve(args) -> int:
 
     if doc.kind == "priced":
         values, profile = extended_dijkstra(game)
-        out = gamedoc.emit_priced_result(doc, values, approximate)
+        out = gamedoc.emit_priced_result(doc, values)
         plot = None
         verify_ok = True
         if args.verify:
@@ -100,18 +63,18 @@ def _cmd_solve(args) -> int:
                 pass
     elif doc.kind == "sptg":
         sol = solve_sptg(game)
-        out = gamedoc.emit_sptg_result(doc, sol, approximate)
+        out = gamedoc.emit_sptg_result(doc, sol)
         plot = gamedoc.emit_plot(doc, sol.values)
         verify_ok = True
         if args.verify:
             report = check_equilibrium(game, sol)
             verify_ok = report.passed
-            if verify_ok and not approximate:
+            if verify_ok:
                 vi = value_iteration_sptg(game)
                 verify_ok = vi.values == sol.values
     else:
         res = solve_ptg(game)
-        out = gamedoc.emit_ptg_result(doc, res, approximate)
+        out = gamedoc.emit_ptg_result(doc, res)
         plot = gamedoc.emit_plot(doc, res.values)
         verify_ok = True
         if args.verify:

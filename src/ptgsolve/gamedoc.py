@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .numerics import F0, F1, format_cost, is_inf, parse_cost
+from .numerics import F0, format_cost, is_inf, parse_cost
 from .priced_game import PAction, PricedGame
 from .ptg import Ptg, PtgResult, TAction
 from .sptg import WAIT, Sptg, SptgSolution
@@ -100,6 +100,13 @@ def _no_extras(obj, allowed, where):
             raise DocumentError("unknown-field", where, f"unexpected {key!r}")
 
 
+def _typed(value, kind, name, where):
+    """``value`` when it has the JSON type ``name`` (Python ``kind``)."""
+    if not isinstance(value, kind):
+        raise DocumentError("bad-type", where, f"expected {name}, got {value!r}")
+    return value
+
+
 def _number(raw, where, *, allow_inf=False):
     try:
         value = parse_cost(raw)
@@ -119,7 +126,7 @@ def parse(text: str) -> GameDocument:
         raise DocumentError("bad-json", "document", "expected an object")
     _no_extras(raw, {"format", "kind", "states", "actions"}, "document")
     version = _require(raw, "format", "document")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise DocumentError("bad-version", "document", f"unsupported format {version!r}")
     kind = _require(raw, "kind", "document")
     if kind not in ("priced", "sptg", "ptg"):
@@ -127,15 +134,17 @@ def parse(text: str) -> GameDocument:
 
     states = []
     ids = set()
-    for i, s in enumerate(_require(raw, "states", "document")):
+    raw_states = _typed(_require(raw, "states", "document"), list, "a list", "states")
+    for i, s in enumerate(raw_states):
         where = f"states[{i}]"
+        _typed(s, dict, "an object", where)
         _no_extras(s, {"id", "owner", "rate"}, where)
         sid = str(_require(s, "id", where))
         if sid in ids or sid == "bot":
             raise DocumentError("duplicate-id", where, sid)
         ids.add(sid)
         owner = _require(s, "owner", where)
-        if owner not in (1, 2):
+        if type(owner) is not int or owner not in (1, 2):
             raise DocumentError("bad-owner", where, f"owner {owner!r}")
         rate = F0
         if kind != "priced":
@@ -151,8 +160,10 @@ def parse(text: str) -> GameDocument:
     allowed = {"id", "from", "to", "cost"}
     if kind == "ptg":
         allowed |= {"interval", "reset"}
-    for i, a in enumerate(_require(raw, "actions", "document")):
+    raw_actions = _typed(_require(raw, "actions", "document"), list, "a list", "actions")
+    for i, a in enumerate(raw_actions):
         where = f"actions[{i}]"
+        _typed(a, dict, "an object", where)
         _no_extras(a, allowed, where)
         aid = str(_require(a, "id", where))
         if aid in aids:
@@ -171,16 +182,16 @@ def parse(text: str) -> GameDocument:
         interval = None
         reset = False
         if kind == "ptg":
-            iv = _require(a, "interval", where)
+            iv = _typed(_require(a, "interval", where), dict, "an object", where)
             _no_extras(iv, {"lo", "hi", "lo_closed", "hi_closed"}, where)
             lo = _number(_require(iv, "lo", where), where)
             hi = _number(_require(iv, "hi", where), where)
-            lo_c = bool(iv.get("lo_closed", True))
-            hi_c = bool(iv.get("hi_closed", True))
+            lo_c = _typed(iv.get("lo_closed", True), bool, "a boolean", where)
+            hi_c = _typed(iv.get("hi_closed", True), bool, "a boolean", where)
             if lo < 0 or lo > hi:
                 raise DocumentError("bad-interval", where, f"[{lo}, {hi}]")
             interval = (lo, hi, lo_c, hi_c)
-            reset = bool(a.get("reset", False))
+            reset = _typed(a.get("reset", False), bool, "a boolean", where)
             if reset and dest is None:
                 raise DocumentError("dangling-reference", where, "reset to bot")
         actions.append(DocAction(aid, src, dest, cost, interval, reset))
@@ -291,18 +302,16 @@ def _strategy_cells(doc: GameDocument, strategy) -> list:
     return cells
 
 
-def emit_priced_result(doc: GameDocument, values, approximate=False) -> str:
+def emit_priced_result(doc: GameDocument, values) -> str:
     body = {
         "format": FORMAT_VERSION,
         "kind": "priced",
         "values": {doc.states[k].id: format_cost(v) for k, v in enumerate(values)},
     }
-    if approximate:
-        body["approximate"] = True
     return _dump(body)
 
 
-def emit_sptg_result(doc: GameDocument, sol: SptgSolution, approximate=False) -> str:
+def emit_sptg_result(doc: GameDocument, sol: SptgSolution) -> str:
     body = {
         "format": FORMAT_VERSION,
         "kind": "sptg",
@@ -319,12 +328,10 @@ def emit_sptg_result(doc: GameDocument, sol: SptgSolution, approximate=False) ->
             "wall_time": "0",
         },
     }
-    if approximate:
-        body["approximate"] = True
     return _dump(body)
 
 
-def emit_ptg_result(doc: GameDocument, res: PtgResult, approximate=False) -> str:
+def emit_ptg_result(doc: GameDocument, res: PtgResult) -> str:
     interior = set()
     for f in res.values:
         interior.update(f.interior_breaks())
@@ -348,8 +355,6 @@ def emit_ptg_result(doc: GameDocument, res: PtgResult, approximate=False) -> str
             "wall_time": "0",
         },
     }
-    if approximate:
-        body["approximate"] = True
     return _dump(body)
 
 

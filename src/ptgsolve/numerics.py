@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 INF = math.inf
 
@@ -28,12 +28,14 @@ def frac(value) -> Fraction:
 
 
 def is_inf(value) -> bool:
-    return value == INF
+    # INF is the only float in the package, so a type test suffices and
+    # avoids the slow Fraction-against-float equality.
+    return value.__class__ is float
 
 
 def parse_cost(text):
     """Parse "p/q", an integer literal, or "inf" into an extended cost."""
-    if isinstance(text, int):
+    if type(text) is int:  # not bool: JSON true is no number
         return Fraction(text)
     if isinstance(text, str):
         if text.strip() == "inf":
@@ -48,7 +50,7 @@ def format_cost(value) -> str:
     return str(Fraction(value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class EpsCost:
     """Cost with an infinitesimal component, ordered lexicographically.
 
@@ -68,21 +70,6 @@ class EpsCost:
         if is_inf(self.base) or is_inf(other.base):
             return EPS_INF
         return EpsCost(self.base + other.base, self.eps + other.eps)
-
-    def _key(self):
-        return (self.base, self.eps)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
-
-    def __gt__(self, other):
-        return self._key() > other._key()
-
-    def __ge__(self, other):
-        return self._key() >= other._key()
 
 
 EPS_ZERO = EpsCost(F0)
@@ -252,6 +239,12 @@ class PwlFn:
             return self._interior(x)
         raise ValueError(f"unknown side {side!r}")
 
+    def _slope_at(self, x):
+        for lo, hi, val, slope in self.segments():
+            if lo <= x < hi or (x == hi == self.hi):
+                return slope
+        raise DomainError(str(x))
+
     def _interior(self, x):
         for lo, hi, val, slope in self.segments():
             if lo < x < hi:
@@ -329,16 +322,6 @@ def _envelope(fs: Sequence[PwlFn], pick) -> PwlFn:
                 chosen = v
         overrides[b] = chosen
     return PwlFn.from_segments(segs, overrides)
-
-
-def _slope_at(self: PwlFn, x):
-    for lo, hi, val, slope in self.segments():
-        if lo <= x < hi or (x == hi == self.hi):
-            return slope
-    raise DomainError(str(x))
-
-
-PwlFn._slope_at = _slope_at
 
 
 def min_envelope(fs: Sequence[PwlFn]) -> PwlFn:

@@ -10,7 +10,7 @@ an infinitesimal waiting-rate component.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
@@ -91,21 +91,12 @@ class PricedGame:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Valuation:
     """Payoff paired with path length, ordered lexicographically."""
 
     payoff: object
     hops: object  # int or INF
-
-    def _key(self):
-        return (self.payoff, self.hops)
-
-    def __lt__(self, other):
-        return self._key() < other._key()
-
-    def __le__(self, other):
-        return self._key() <= other._key()
 
 
 # A strategy profile is a tuple mapping each state to one of its actions.
@@ -270,7 +261,7 @@ def extended_dijkstra(game: PricedGame):
         for j in game.state_actions[k]:
             d = game.actions[j].dest
             inf_dest = (
-                d is not TERMINAL and (values[d] is None or values[d] == game.infinity)
+                d is not TERMINAL and (values[d] is None or game.cost_is_inf(values[d]))
             ) or game.cost_is_inf(game.actions[j].cost)
             if inf_dest:
                 pick = j
@@ -290,30 +281,46 @@ def _pick_switch_set(game: PricedGame, switches):
     return [j for j, _ in per_state.values()]
 
 
-def strategy_iteration(game: PricedGame, profile: Profile):
-    """Improve both players' choices until neither has an improving
-    switch; the resulting profile is optimal and its payoffs are the game
-    values.  Returns ``(values, profile, switch_count)``."""
-    budget = game.profile_bound() * (game.num_states + 1) + 1
+def _pick_lowest(game: PricedGame, switches):
+    """The single improving switch with the lowest action id."""
+    return [min(j for j, _ in switches)]
+
+
+def _iterate(game: PricedGame, profile: Profile, pick, on_switch=None):
+    """Apply the picked improving switches, the maximizer's first, until
+    neither player has one.  Each pass makes one switch step or returns.
+    ``on_switch`` sees the first picked switch, so only single-switch
+    callers pass one.
+
+    The budget allows P*(n+1)+1 minimizer steps, each preceded by fewer
+    than P maximizer steps, where P is :meth:`PricedGame.profile_bound`:
+    between two minimizer steps the maximizer's switches visit distinct
+    profiles.
+    """
+    bound = game.profile_bound()
+    budget = bound * (bound * (game.num_states + 1) + 1) + 1
     switch_count = 0
     for _ in range(budget):
-        inner_moved = False
-        while True:
-            sw = improving_switches(game, profile, 2)
-            if not sw:
-                break
-            picked = _pick_switch_set(game, sw)
-            profile = apply_switches(game, profile, picked)
-            switch_count += len(picked)
-            inner_moved = True
-        sw = improving_switches(game, profile, 1)
+        sw = improving_switches(game, profile, 2) or improving_switches(game, profile, 1)
         if not sw:
             vals, _ = evaluate_profile(game, profile)
             return [v.payoff for v in vals], profile, switch_count
-        picked = _pick_switch_set(game, sw)
-        profile = apply_switches(game, profile, picked)
+        picked = pick(game, sw)
+        nxt = apply_switches(game, profile, picked)
+        if on_switch is not None:
+            on_switch(game, profile, picked[0], nxt)
+        profile = nxt
         switch_count += len(picked)
     raise RuntimeError("strategy iteration exceeded its termination budget")
+
+
+def strategy_iteration(game: PricedGame, profile: Profile):
+    """Improve both players' choices until neither has an improving
+    switch; the resulting profile is optimal and its payoffs are the game
+    values.  Each step switches one action per state of one player, the
+    maximizer's while it has any.  Returns ``(values, profile,
+    switch_count)``."""
+    return _iterate(game, profile, _pick_switch_set)
 
 
 def single_switch_iteration(
@@ -321,43 +328,10 @@ def single_switch_iteration(
     profile: Profile,
     on_switch: Optional[Callable] = None,
 ):
-    """As :func:`strategy_iteration`, but one improving switch at a time:
-    the maximizer exhausts single switches, then the minimizer performs
-    one, repeatedly.  ``on_switch(game, before, action, after)`` fires at
-    every switch."""
-    budget = game.profile_bound() + 1
-    switch_count = 0
-    for _ in range(budget * (game.num_states + 1)):
-        sw = improving_switches(game, profile, 2)
-        if sw:
-            j = min(j for j, _ in sw)
-            nxt = apply_switches(game, profile, [j])
-            if on_switch is not None:
-                on_switch(game, profile, j, nxt)
-            profile = nxt
-            switch_count += 1
-            continue
-        sw = improving_switches(game, profile, 1)
-        if not sw:
-            vals, _ = evaluate_profile(game, profile)
-            return [v.payoff for v in vals], profile, switch_count
-        j = min(j for j, _ in sw)
-        nxt = apply_switches(game, profile, [j])
-        if on_switch is not None:
-            on_switch(game, profile, j, nxt)
-        profile = nxt
-        switch_count += 1
-    raise RuntimeError("single-switch iteration exceeded its termination budget")
-
-
-def solve_priced(game: PricedGame):
-    """Dijkstra values plus a fully stabilised profile (no improving
-    switch for either player, including the path-length tie-break)."""
-    values, profile = extended_dijkstra(game)
-    values2, profile, _ = strategy_iteration(game, profile)
-    if values2 != values:
-        raise AssertionError("strategy iteration disagreed with Dijkstra values")
-    return values, profile
+    """As :func:`strategy_iteration`, but one improving switch at a time,
+    the lowest action id first.  ``on_switch(game, before, action,
+    after)`` fires at every switch."""
+    return _iterate(game, profile, _pick_lowest, on_switch)
 
 
 # -- potential instrumentation ----------------------------------------------

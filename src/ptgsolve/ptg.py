@@ -10,12 +10,12 @@ whose waiting exits are rerouted through an auxiliary maximizer state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .numerics import F0, F1, INF, PwlFn, frac, is_inf
+from .numerics import F0, INF, PwlFn, frac, is_inf
 from .priced_game import PAction, PricedGame, extended_dijkstra
 from .sptg import Sptg, SptgSolution, solve_sptg
 
@@ -77,6 +77,8 @@ class Ptg:
                 raise PtgValidationError("bad-interval", f"action {i} is empty")
             if a.reset and a.dest is None:
                 raise PtgValidationError("reset-to-terminal", f"action {i}")
+        if not self.actions:
+            raise PtgValidationError("no-actions", "the game has no actions")
         if self.horizon == F0:
             raise PtgValidationError("degenerate-horizon", "no action extends past 0")
         for k in range(n):
@@ -205,55 +207,6 @@ def build_interval_sptg(game: Ptg, v_prime, x, width) -> Sptg:
         rates=tuple(r * width for r in game.rates) + (top_rate,),
         actions=tuple(actions),
     )
-
-
-def transform_endpoint_actions(game: Ptg) -> Sptg:
-    """Turn a [0,1]-normalised game whose only other intervals are the
-    point [1,1] into an SPTG: maximizer point exits widen to [0,1]
-    unchanged, minimizer point exits reroute through a fresh maximizer
-    state with the top rate and a free exit.  Adds exactly one state and
-    one action."""
-    n = game.num_states
-    max_state = n
-    actions = []
-    for i, a in enumerate(game.actions):
-        if a.reset:
-            raise PtgValidationError("reset-present", f"action {i}")
-        if (a.lo, a.hi) == (F0, F1):
-            actions.append(PAction(a.source, a.dest, a.cost, None, a.label))
-        elif (a.lo, a.hi) == (F1, F1):
-            if a.dest is not None:
-                raise PtgValidationError(
-                    "bad-interval", f"point action {i} must target the terminal"
-                )
-            dest = max_state if game.owners[a.source] == 1 else None
-            actions.append(PAction(a.source, dest, a.cost, None, a.label))
-        else:
-            raise PtgValidationError("bad-interval", f"action {i} is not [0,1] or [1,1]")
-    actions.append(PAction(max_state, None, F0, None, "exit-max"))
-    return Sptg(
-        owners=game.owners + (2,),
-        rates=game.rates + (max(game.rates, default=F0),),
-        actions=tuple(actions),
-    )
-
-
-def prune_dominated(sptg: Sptg) -> Sptg:
-    """Drop parallel actions: per source/destination pair keep only the
-    cost best for the source's owner."""
-    best = {}
-    for i, a in enumerate(sptg.actions):
-        key = (a.source, a.dest)
-        cur = best.get(key)
-        if cur is None:
-            best[key] = i
-            continue
-        c_cur = sptg.actions[cur].cost
-        prefer = a.cost < c_cur if sptg.owners[a.source] == 1 else a.cost > c_cur
-        if prefer:
-            best[key] = i
-    keep = sorted(best.values())
-    return Sptg(sptg.owners, sptg.rates, tuple(sptg.actions[i] for i in keep))
 
 
 def _remap(fn: PwlFn, lo, width) -> list:

@@ -12,7 +12,7 @@ choice changes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
@@ -21,7 +21,6 @@ from .numerics import EpsCost, F0, F1, INF, PwlFn, frac, is_inf
 from .priced_game import (
     PAction,
     PricedGame,
-    evaluate_profile,
     extended_dijkstra,
     potential_less,
     potential_matrix,
@@ -129,13 +128,27 @@ def build_eps_game(sptg: Sptg, wait_costs) -> PricedGame:
     return PricedGame(sptg.owners, tuple(actions))
 
 
+def solve_untimed(game: PricedGame, seed=None, on_switch: Optional[Callable] = None):
+    """Values and a fully stabilised profile (no improving switch for
+    either player, including the path-length tie-break) of an untimed
+    game.  Returns ``(values, profile, switch_count)``.
+
+    Without a seed: extended Dijkstra, then strategy iteration from its
+    profile, which must keep its values.  With a seed profile: single
+    switches from the seed, each reported to ``on_switch``.
+    """
+    if seed is not None:
+        return single_switch_iteration(game, seed, on_switch)
+    values, profile = extended_dijkstra(game)
+    values2, profile, switches = strategy_iteration(game, profile)
+    if values2 != values:
+        raise AssertionError("strategy iteration disagreed with Dijkstra values")
+    return values, profile, switches
+
+
 def solve_at_time_one(sptg: Sptg):
     """Values and a fully stabilised profile of the untimed game."""
-    values, profile = extended_dijkstra(sptg.core)
-    values2, profile, switches = strategy_iteration(sptg.core, profile)
-    if values2 != values:
-        raise AssertionError("normalisation changed the untimed game values")
-    return values, profile, switches
+    return solve_untimed(sptg.core)
 
 
 def _line(sptg: Sptg, eps_game: PricedGame, j: int, base, rate):
@@ -182,27 +195,23 @@ def next_event_point(sptg: Sptg, eps_game: PricedGame, profile, base, rate, x_hi
 
 def solve_sptg(
     sptg: Sptg,
-    inner: str = "dijkstra",
     instrument: bool = False,
     on_switch: Optional[Callable] = None,
 ) -> SptgSolution:
     """Exact value functions and optimal strategies on [0,1].
 
-    ``inner`` selects how each snapshot game is solved: ``"dijkstra"``
-    solves it from scratch, ``"iterate"`` improves the previous snapshot's
-    profile by strategy iteration.  ``instrument=True`` forces the
-    iterate path with one switch at a time and verifies that every switch
-    strictly decreases the potential matrix; ``on_switch(matrix_before,
-    matrix_after)`` additionally observes each recorded pair.
+    Each snapshot game is solved from scratch.  ``instrument=True``
+    instead improves the previous snapshot's profile one switch at a time
+    and verifies that every switch strictly decreases the potential
+    matrix; ``on_switch(matrix_before, matrix_after)`` additionally
+    observes each recorded pair.
     """
-    if inner not in ("dijkstra", "iterate"):
-        raise ValueError(f"unknown inner solver {inner!r}")
-    if instrument:
-        inner = "iterate"
     stats = SolveStats()
     n = sptg.num_states
     m = sptg.num_actions
-    ladder = rate_ladder_of(sptg.rates)
+    hook = None
+    if instrument:
+        hook = _potential_watcher(rate_ladder_of(sptg.rates), stats, on_switch)
 
     v1, profile, sw = solve_at_time_one(sptg)
     stats.switch_count += sw
@@ -217,31 +226,14 @@ def solve_sptg(
         if x == F0:
             break
         eps_game = build_eps_game(sptg, v_at_x)
+        seed = profile if instrument else None
+        values, eps_profile, sw = solve_untimed(eps_game, seed, hook)
+        stats.switch_count += sw
 
-        if inner == "dijkstra":
-            values, eps_profile = extended_dijkstra(eps_game)
-            values2, eps_profile, sw = strategy_iteration(eps_game, eps_profile)
-            if values2 != values:
-                raise AssertionError("snapshot normalisation changed values")
-            stats.switch_count += sw
-        else:
-            seed = tuple(profile)
-            if instrument:
-                hook = _potential_watcher(eps_game, ladder, stats, on_switch)
-            else:
-                hook = None
-            values, eps_profile, sw = single_switch_iteration(eps_game, seed, hook)
-            stats.switch_count += sw
-
-        base, rate = [], []
+        # snapshot values are EpsCost: base value plus the slope's rate
+        base = [v.base for v in values]
+        rate = [v.eps for v in values]
         for k in range(n):
-            vk = values[k]
-            if isinstance(vk, EpsCost):
-                base.append(vk.base)
-                rate.append(vk.eps)
-            else:
-                base.append(vk)
-                rate.append(F0)
             expect = v_at_x[k]
             if base[k] != expect and not (is_inf(base[k]) and is_inf(expect)):
                 raise AssertionError(
@@ -277,7 +269,7 @@ def solve_sptg(
     return SptgSolution(fns, strategy, stats, tuple(trace))
 
 
-def _potential_watcher(eps_game, ladder, stats, on_switch):
+def _potential_watcher(ladder, stats, on_switch):
     def watch(game, before, j, after):
         p_before = potential_matrix(game, before, ladder)
         p_after = potential_matrix(game, after, ladder)

@@ -125,6 +125,52 @@ class TestParsing:
         self.expect("bad-interval", json.dumps(body))
 
 
+def ptg_body():
+    # Value 5 at t=1 with a jump there, as the free exit is open at 1;
+    # reading "hi_closed": "false" as closed would give 0 and no jump.
+    return {
+        "format": 1,
+        "kind": "ptg",
+        "states": [{"id": "s0", "owner": 1, "rate": "1"}],
+        "actions": [
+            {"id": "free", "from": "s0", "to": "bot", "cost": "0",
+             "interval": {"lo": "0", "hi": "1", "hi_closed": False}},
+            {"id": "paid", "from": "s0", "to": "bot", "cost": "5",
+             "interval": {"lo": "0", "hi": "1"}},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "path, value, code",
+    [
+        (("actions", 0, "interval", "hi_closed"), "false", "bad-type"),
+        (("actions", 0, "interval", "lo_closed"), 0, "bad-type"),
+        (("actions", 0, "reset"), "true", "bad-type"),
+        (("states", 0, "owner"), True, "bad-owner"),
+        (("states", 0, "owner"), 1.0, "bad-owner"),
+        (("format",), True, "bad-version"),
+        (("states",), 5, "bad-type"),
+        (("states",), [5], "bad-type"),
+        (("actions",), {"free": {}}, "bad-type"),
+        (("actions",), ["free"], "bad-type"),
+        (("actions", 0, "interval"), "[0,1)", "bad-type"),
+        (("actions", 0, "cost"), True, "bad-number"),
+    ],
+)
+def test_mistyped_document_exits_two_with_code(tmp_path, capsys, path, value, code):
+    body = ptg_body()
+    *parents, last = path
+    target = body
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(body))
+    assert cli.main(["solve", str(game)]) == 2
+    assert capsys.readouterr().err.startswith(f"input-error: {code}")
+
+
 class TestEmission:
     def test_plot_matches_eval(self):
         fx = fixture_a()
@@ -204,13 +250,6 @@ class TestMain:
         assert cli.main(["bench", "--family", "random", "--count", "2", "--size", "4"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("seed\tseconds\tsize")
-
-    def test_fast_float_marks_output(self, tmp_path, monkeypatch, capsys):
-        path = self.write(tmp_path, doc_text(fixture_a().game, "sptg"))
-        monkeypatch.setenv(cli.FAST_FLOAT_VAR, "1")
-        assert cli.main(["solve", path]) == 0
-        body = json.loads(capsys.readouterr().out)
-        assert body["approximate"] is True
 
     def test_exact_output_carries_no_approximate_flag(self, tmp_path, capsys):
         path = self.write(tmp_path, doc_text(fixture_a().game, "sptg"))

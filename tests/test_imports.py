@@ -1,0 +1,35 @@
+"""Every name a ``ptgsolve`` module imports is used by that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import ptgsolve
+
+SOURCES = sorted(Path(ptgsolve.__file__).parent.glob("*.py"))
+
+
+def unused_imports(tree: ast.Module) -> list:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        # re-exports: names listed in a module-level __all__
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(name for name in imported if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text())) == []
+

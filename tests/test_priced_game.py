@@ -17,9 +17,9 @@ from ptgsolve.priced_game import (
     potential_matrix,
     rate_ladder_of,
     single_switch_iteration,
-    solve_priced,
     strategy_iteration,
 )
+from ptgsolve.sptg import solve_untimed
 
 
 def game(owners, *actions):
@@ -91,7 +91,7 @@ class TestImprovingSwitches:
 
     def test_optimal_profile_has_none(self):
         g = game([1, 2], (0, 1, Fr(0)), (0, None, Fr(3)), (1, None, Fr(1)))
-        _, profile = solve_priced(g)
+        _, profile, _ = solve_untimed(g)
         assert improving_switches(g, profile, 1) == []
         assert improving_switches(g, profile, 2) == []
 
@@ -155,7 +155,7 @@ class TestExtendedDijkstra:
 class TestStrategyIteration:
     def test_fixed_point_start(self):
         g = game([1, 2], (0, 1, Fr(0)), (0, None, Fr(3)), (1, None, Fr(1)))
-        values, profile = solve_priced(g)
+        values, profile, _ = solve_untimed(g)
         values2, profile2, switches = strategy_iteration(g, profile)
         assert values2 == values and profile2 == profile and switches == 0
 
@@ -171,14 +171,14 @@ class TestStrategyIteration:
 
     def test_minimizer_escapes_own_cycle(self):
         g = game([1, 1], (0, 1, Fr(1)), (1, 0, Fr(0)), (1, None, Fr(2)))
-        values, _ = solve_priced(g)
+        values, _, _ = solve_untimed(g)
         assert values == [Fr(3), Fr(2)]
         sv, _, _ = strategy_iteration(g, (0, 1))
         assert sv == values
 
     def test_maximizer_cycle_is_infinite(self):
         g = game([1, 2], (0, 1, Fr(1)), (1, 0, Fr(0)), (1, None, Fr(2)))
-        values, _ = solve_priced(g)
+        values, _, _ = solve_untimed(g)
         assert all(is_inf(v) for v in values)
 
 

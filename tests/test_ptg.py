@@ -11,11 +11,9 @@ from ptgsolve.ptg import (
     TAction,
     build_interval_sptg,
     build_moment_game,
-    prune_dominated,
     solve_ptg,
-    transform_endpoint_actions,
 )
-from ptgsolve.sptg import Sptg, solve_sptg
+from ptgsolve.sptg import solve_sptg
 
 
 def act(source, dest, cost, lo, hi, **kw):
@@ -62,6 +60,9 @@ class TestValidation:
 
     def test_reset_to_terminal(self):
         self.expect("reset-to-terminal", act(0, None, 0, 0, 1, reset=True))
+
+    def test_no_actions(self):
+        self.expect("no-actions")
 
     def test_degenerate_horizon(self):
         self.expect("degenerate-horizon", act(0, None, 0, 0, 0))
@@ -139,57 +140,17 @@ class TestIntervalSptg:
             build_interval_sptg(g, [F0], Fr(1, 2), F1)
         assert exc.value.code == "reset-present"
 
-
-class TestEndpointTransform:
-    def test_vacuous_when_everything_spans(self):
-        g = simple(act(0, None, 2, 0, 1))
-        s = transform_endpoint_actions(g)
-        assert s.num_states == g.num_states + 1
-        assert s.num_actions == len(g.actions) + 1
-        assert s.actions[0].dest is None and s.actions[0].cost == Fr(2)
-
     def test_minimizer_point_exit_prices_the_wait(self):
         g = simple(act(0, None, 0, 1, 1))
-        s = transform_endpoint_actions(g)
+        s = build_interval_sptg(g, [F0], Fr(1, 2), F1)
         sol = solve_sptg(s)
         assert sol.values[0] == PwlFn.affine(F0, F1, F1, Fr(-1))
 
     def test_maximizer_point_exit_stays_terminal(self):
         g = simple(act(0, None, 0, 1, 1), owners=(2,))
-        s = transform_endpoint_actions(g)
+        s = build_interval_sptg(g, [F0], Fr(1, 2), F1)
         assert s.actions[0].dest is None
         assert solve_sptg(s).values[0] == PwlFn.affine(F0, F1, F1, Fr(-1))
-
-    def test_point_action_to_state_rejected(self):
-        g = simple(act(0, 0, 0, 1, 1), act(0, None, 0, 0, 1))
-        with pytest.raises(PtgValidationError) as exc:
-            transform_endpoint_actions(g)
-        assert exc.value.code == "bad-interval"
-
-    def test_interior_interval_rejected(self):
-        g = simple(act(0, None, 0, 0, 1), act(0, None, 0, 1, 2, lo_closed=False))
-        with pytest.raises(PtgValidationError) as exc:
-            transform_endpoint_actions(g)
-        assert exc.value.code == "bad-interval"
-
-
-class TestPrune:
-    def test_keeps_owner_best_parallel_action(self):
-        from ptgsolve.priced_game import PAction
-
-        s = Sptg(
-            (1, 2),
-            (F0, F0),
-            (
-                PAction(0, None, Fr(3)),
-                PAction(0, None, Fr(1)),
-                PAction(1, None, Fr(3)),
-                PAction(1, None, Fr(1)),
-            ),
-        )
-        p = prune_dominated(s)
-        assert [a.cost for a in p.actions] == [Fr(1), Fr(3)]
-        assert solve_sptg(p).values == solve_sptg(s).values
 
 
 class TestSolvePtg:

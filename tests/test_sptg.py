@@ -121,15 +121,11 @@ class TestSweep:
         assert sol.values[0].is_constant_inf()
         assert sol.values[1] == PwlFn.constant(F0, F1, Fr(1))
 
-    def test_unknown_inner_rejected(self):
-        with pytest.raises(ValueError):
-            solve_sptg(fixture_a().game, inner="magic")
-
     def test_inner_solvers_agree(self):
         for seed in range(40):
             g = generate_random("sptg", 3, 3, seed, allow_inf=(seed % 3 == 0))
-            a = solve_sptg(g, inner="dijkstra")
-            b = solve_sptg(g, inner="iterate")
+            a = solve_sptg(g)
+            b = solve_sptg(g, instrument=True)
             assert a.values == b.values, seed
 
     def test_event_points_within_bound(self):
@@ -154,8 +150,8 @@ class TestSweep:
         for seed in range(20):
             g = generate_random("sptg", 4, 3, seed, one_player=True)
             sol = solve_sptg(g)
-            vi_free = solve_sptg(g, inner="iterate")
-            assert sol.values == vi_free.values
+            seeded = solve_sptg(g, instrument=True)
+            assert sol.values == seeded.values
 
 
 class TestInstrumented:
