@@ -1,7 +1,6 @@
 """Exact solver suite for one-clock priced timed games."""
 
 from .numerics import (
-    EpsCost,
     PwlFn,
     INF,
     frac,
@@ -29,7 +28,6 @@ from .oracle import (
 )
 
 __all__ = [
-    "EpsCost",
     "PwlFn",
     "INF",
     "frac",

@@ -20,7 +20,7 @@ from .oracle import (
     value_iteration_sptg,
 )
 from .priced_game import extended_dijkstra, strategy_iteration
-from .ptg import PtgValidationError, solve_ptg
+from .ptg import solve_ptg
 from .sptg import solve_sptg
 
 
@@ -44,7 +44,7 @@ def _cmd_solve(args) -> int:
         return 2
     try:
         game = doc.to_game()
-    except (PtgValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"input-error: {exc}", file=sys.stderr)
         return 2
 

@@ -56,9 +56,6 @@ class GameDocument:
     def state_ids(self):
         return [s.id for s in self.states]
 
-    def state_index(self, sid: str) -> int:
-        return self.state_ids.index(sid)
-
     def to_game(self):
         idx = {s.id: i for i, s in enumerate(self.states)}
         owners = tuple(s.owner for s in self.states)
@@ -80,7 +77,7 @@ class GameDocument:
             )
             return Ptg(owners, rates, actions)
         actions = tuple(
-            PAction(idx[a.source], None if a.dest is None else idx[a.dest], a.cost, None, a.id)
+            PAction(idx[a.source], None if a.dest is None else idx[a.dest], a.cost, label=a.id)
             for a in self.actions
         )
         if self.kind == "sptg":
@@ -139,7 +136,7 @@ def parse(text: str) -> GameDocument:
         where = f"states[{i}]"
         _typed(s, dict, "an object", where)
         _no_extras(s, {"id", "owner", "rate"}, where)
-        sid = str(_require(s, "id", where))
+        sid = _typed(_require(s, "id", where), str, "a string", where)
         if sid in ids or sid == "bot":
             raise DocumentError("duplicate-id", where, sid)
         ids.add(sid)
@@ -165,14 +162,14 @@ def parse(text: str) -> GameDocument:
         where = f"actions[{i}]"
         _typed(a, dict, "an object", where)
         _no_extras(a, allowed, where)
-        aid = str(_require(a, "id", where))
+        aid = _typed(_require(a, "id", where), str, "a string", where)
         if aid in aids:
             raise DocumentError("duplicate-id", where, aid)
         aids.add(aid)
-        src = str(_require(a, "from", where))
+        src = _typed(_require(a, "from", where), str, "a string", where)
         if src not in ids:
             raise DocumentError("dangling-reference", where, f"from {src!r}")
-        to = str(_require(a, "to", where))
+        to = _typed(_require(a, "to", where), str, "a string", where)
         dest = None if to == "bot" else to
         if dest is not None and dest not in ids:
             raise DocumentError("dangling-reference", where, f"to {to!r}")
@@ -195,6 +192,10 @@ def parse(text: str) -> GameDocument:
             if reset and dest is None:
                 raise DocumentError("dangling-reference", where, "reset to bot")
         actions.append(DocAction(aid, src, dest, cost, interval, reset))
+    sources = {a.source for a in actions}
+    for i, s in enumerate(states):
+        if s.id not in sources:
+            raise DocumentError("no-actions", f"states[{i}]", f"state {s.id!r} has no actions")
     return GameDocument(kind, tuple(states), tuple(actions))
 
 

@@ -50,32 +50,6 @@ def format_cost(value) -> str:
     return str(Fraction(value))
 
 
-@dataclass(frozen=True, order=True)
-class EpsCost:
-    """Cost with an infinitesimal component, ordered lexicographically.
-
-    ``base + eps*ε`` where ε is treated as an infinitesimal.  The eps
-    component is normalised to 0 whenever the base is infinite, so that
-    infinite costs compare equal regardless of rate history.
-    """
-
-    base: object  # Fraction or INF
-    eps: Fraction = F0
-
-    def __post_init__(self):
-        if is_inf(self.base):
-            object.__setattr__(self, "eps", F0)
-
-    def __add__(self, other: "EpsCost") -> "EpsCost":
-        if is_inf(self.base) or is_inf(other.base):
-            return EPS_INF
-        return EpsCost(self.base + other.base, self.eps + other.eps)
-
-
-EPS_ZERO = EpsCost(F0)
-EPS_INF = EpsCost(INF)
-
-
 class DomainError(ValueError):
     """Raised when an argument lies outside a function's domain."""
 
@@ -137,14 +111,6 @@ class PwlFn:
             if h1 != l2:
                 raise PwlError("segments do not tile the domain")
         overrides = dict(point_overrides or {})
-
-        def right_limit(i):
-            return segs[i][2]
-
-        def left_limit(i):
-            lo, hi, val, slope = segs[i]
-            return INF if is_inf(val) else val + slope * (hi - lo)
-
         # Merge collinear neighbours unless a jump or kink separates them.
         merged = [segs[0]]
         for i in range(1, len(segs)):

@@ -239,7 +239,7 @@ def brute_force_priced(game: PricedGame, budget: int = 10**6):
                 prof[k] = j
             for k, j in zip(p1_states, picks1):
                 prof[k] = j
-            vals, _ = evaluate_profile(game, tuple(prof))
+            vals = evaluate_profile(game, tuple(prof))
             for k in range(n):
                 u = vals[k].payoff
                 if inner[k] is None or u < inner[k]:

@@ -2,9 +2,10 @@
 
 A priced game is a finite graph game where the minimizer steers play to
 the terminal state as cheaply as possible while the maximizer obstructs.
-Costs live in an ordered domain with an absorbing infinity: either plain
-extended rationals or :class:`~ptgsolve.numerics.EpsCost` pairs carrying
-an infinitesimal waiting-rate component.
+Costs are extended rationals with an absorbing infinity.  A play that
+ends in a waiting action of a snapshot game (see
+:func:`~ptgsolve.sptg.build_eps_game`) also pays an infinitesimal charge,
+that action's ``wait_rate``; valuations compare it after the payoff.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
-from .numerics import EPS_INF, EPS_ZERO, EpsCost, F0, INF, is_inf
+from .numerics import F0, INF, is_inf
 
 TERMINAL = None  # destination sentinel for the terminal state
 
@@ -24,8 +25,8 @@ TERMINAL = None  # destination sentinel for the terminal state
 class PAction:
     source: int
     dest: Optional[int]  # None = terminal
-    cost: object  # Fraction | INF | EpsCost
-    wait_rate: Optional[Fraction] = None  # set only on waiting actions
+    cost: object  # Fraction | INF
+    wait_rate: Fraction = F0  # infinitesimal charge; nonzero only on waiting exits
     label: Optional[str] = None
 
 
@@ -45,17 +46,11 @@ class PricedGame:
                 raise ValueError(f"action {j} has bad source")
             if a.dest is not None and not 0 <= a.dest < self.num_states:
                 raise ValueError(f"action {j} has bad destination")
-            if self._cost_negative(a.cost):
+            if not is_inf(a.cost) and a.cost < 0:
                 raise ValueError(f"action {j} has negative cost")
         for k in range(self.num_states):
             if not self.state_actions[k]:
                 raise ValueError(f"state {k} has no actions")
-
-    @staticmethod
-    def _cost_negative(c) -> bool:
-        if isinstance(c, EpsCost):
-            return not is_inf(c.base) and c.base < 0
-        return not is_inf(c) and c < 0
 
     @property
     def num_states(self) -> int:
@@ -68,21 +63,6 @@ class PricedGame:
             per[a.source].append(j)
         return tuple(tuple(js) for js in per)
 
-    @cached_property
-    def eps_domain(self) -> bool:
-        return isinstance(self.actions[0].cost, EpsCost)
-
-    @property
-    def zero(self):
-        return EPS_ZERO if self.eps_domain else F0
-
-    @property
-    def infinity(self):
-        return EPS_INF if self.eps_domain else INF
-
-    def cost_is_inf(self, c) -> bool:
-        return is_inf(c.base) if isinstance(c, EpsCost) else is_inf(c)
-
     def profile_bound(self) -> int:
         """Product over states of (action count + 1); iteration budget."""
         out = 1
@@ -93,70 +73,66 @@ class PricedGame:
 
 @dataclass(frozen=True, order=True)
 class Valuation:
-    """Payoff paired with path length, ordered lexicographically."""
+    """Payoff, the waiting rate of the exit reached, and path length,
+    ordered lexicographically."""
 
-    payoff: object
+    payoff: object  # Fraction or INF
+    rate: Fraction
     hops: object  # int or INF
 
+
+# Every play of infinite cost, whatever its rate and length.
+INFINITE = Valuation(INF, F0, INF)
 
 # A strategy profile is a tuple mapping each state to one of its actions.
 Profile = tuple
 
 
-def evaluate_profile(game: PricedGame, profile: Profile):
-    """Payoff, path length, and final waiting rate of every state under
-    the profile.  States on or leading into a cycle get infinite payoff
-    and length.  Returns ``(valuations, rates)`` lists."""
+def _through(game: PricedGame, j: int, vals) -> Valuation:
+    """Valuation of taking action ``j``, then following ``vals``."""
+    a = game.actions[j]
+    if is_inf(a.cost):
+        return INFINITE
+    if a.dest is TERMINAL:
+        return Valuation(a.cost, a.wait_rate, 1)
+    nxt = vals[a.dest]
+    if is_inf(nxt.hops):
+        return INFINITE
+    return Valuation(a.cost + nxt.payoff, nxt.rate, nxt.hops + 1)
+
+
+def evaluate_profile(game: PricedGame, profile: Profile) -> list:
+    """Valuation of every state under the profile.  States on or leading
+    into a cycle are :data:`INFINITE`."""
     n = game.num_states
     for k in range(n):
         if profile[k] not in game.state_actions[k]:
             raise ValueError(f"profile picks a foreign action at state {k}")
     vals: list = [None] * n
-    rates: list = [None] * n
     for start in range(n):
-        if vals[start] is not None:
-            continue
         chain = []
         pos = {}
         k = start
-        while True:
-            if k is TERMINAL or vals[k] is not None:
-                break
+        while k is not TERMINAL and vals[k] is None:
             if k in pos:
                 for c in chain[pos[k] :]:
-                    vals[c] = Valuation(game.infinity, INF)
-                    rates[c] = F0
-                chain = chain[: pos[k]]
+                    vals[c] = INFINITE
+                del chain[pos[k] :]
                 break
             pos[k] = len(chain)
             chain.append(k)
             k = game.actions[profile[k]].dest
         # resolve the remaining prefix backwards
         for c in reversed(chain):
-            if vals[c] is not None:
-                continue
-            act = game.actions[profile[c]]
-            d = act.dest
-            if d is TERMINAL:
-                payoff, hops = act.cost, 1
-                rate = act.wait_rate if act.wait_rate is not None else F0
-            else:
-                nxt, nrate = vals[d], rates[d]
-                if is_inf(nxt.hops):
-                    payoff, hops, rate = game.infinity, INF, F0
-                else:
-                    payoff, hops, rate = act.cost + nxt.payoff, nxt.hops + 1, nrate
-            if game.cost_is_inf(payoff):
-                payoff, hops, rate = game.infinity, INF, F0
-            vals[c] = Valuation(payoff, hops)
-            rates[c] = rate
-    return vals, rates
+            vals[c] = _through(game, profile[c], vals)
+    return vals
 
 
 def improving_switches(game: PricedGame, profile: Profile, player: int):
     """Actions whose one-step deviation lexicographically improves the
-    owner's valuation.  Returns ``[(action, strongly_improving)]``."""
-    vals, _ = evaluate_profile(game, profile)
+    owner's valuation.  Returns ``[(action, strongly_improving)]``, where
+    a strong switch improves the payoff or, at equal payoff, the rate."""
+    vals = evaluate_profile(game, profile)
     out = []
     for k in range(game.num_states):
         if game.owners[k] != player:
@@ -165,21 +141,10 @@ def improving_switches(game: PricedGame, profile: Profile, player: int):
         for j in game.state_actions[k]:
             if j == profile[k]:
                 continue
-            act = game.actions[j]
-            if act.dest is TERMINAL:
-                cand = Valuation(act.cost, 1)
-            else:
-                nxt = vals[act.dest]
-                if is_inf(nxt.hops):
-                    cand = Valuation(game.infinity, INF)
-                else:
-                    cand = Valuation(act.cost + nxt.payoff, nxt.hops + 1)
-            if game.cost_is_inf(cand.payoff):
-                cand = Valuation(game.infinity, INF)
-            if player == 1 and cand < cur:
-                out.append((j, cand.payoff < cur.payoff))
-            elif player == 2 and cur < cand:
-                out.append((j, cur.payoff < cand.payoff))
+            cand = _through(game, j, vals)
+            lo, hi = (cand, cur) if player == 1 else (cur, cand)
+            if lo < hi:
+                out.append((j, (lo.payoff, lo.rate) < (hi.payoff, hi.rate)))
     return out
 
 
@@ -198,45 +163,40 @@ def extended_dijkstra(game: PricedGame):
     """Values and an attaining profile via the adversarial Dijkstra scan.
 
     Minimizer candidates enter a priority queue keyed by
-    ``(cost, state, action)``; a maximizer state is settled only once all
-    of its successors are, taking the most expensive option.  States that
-    are never settled keep value infinity.
+    ``(payoff, rate, state, action)``; a maximizer state is settled only
+    once all of its successors are, taking the most expensive option.
+    States that are never settled keep value infinity.
     """
     n = game.num_states
     values: list = [None] * n
     profile: list = [None] * n
     pending = [len(game.state_actions[k]) if game.owners[k] == 2 else -1 for k in range(n)]
-    best_max: list = [None] * n  # (valuation key, action) for maximizer states
+    best_max: list = [None] * n  # (payoff, rate, -action) for maximizer states
     preds: list = [[] for _ in range(n)]  # incoming action ids per destination
     heap = []
 
-    def value_of(dest):
-        return game.zero if dest is TERMINAL else values[dest]
-
-    for j, a in enumerate(game.actions):
-        if a.dest is not None:
-            preds[a.dest].append(j)
-    for j, a in enumerate(game.actions):
-        if game.owners[a.source] == 1 and a.dest is TERMINAL:
-            heapq.heappush(heap, (a.cost, a.source, j))
-
-    def offer_max(k, j, dest_value):
-        cost = game.actions[j].cost + dest_value
+    def offer(k, j, payoff, rate):
+        if is_inf(payoff):
+            payoff, rate = INF, F0
+        if game.owners[k] == 1:
+            heapq.heappush(heap, (payoff, rate, k, j))
+            return
         pending[k] -= 1
-        if best_max[k] is None or (cost, -j) > (best_max[k][0], -best_max[k][1]):
-            best_max[k] = (cost, j)
+        if best_max[k] is None or (payoff, rate, -j) > best_max[k]:
+            best_max[k] = (payoff, rate, -j)
         if pending[k] == 0:
-            heapq.heappush(heap, (best_max[k][0], k, best_max[k][1]))
+            payoff, rate, neg_j = best_max[k]
+            heapq.heappush(heap, (payoff, rate, k, -neg_j))
 
-    # Seed maximizer states whose actions all go straight to the terminal.
-    for k in range(n):
-        if game.owners[k] == 2:
-            for j in game.state_actions[k]:
-                if game.actions[j].dest is TERMINAL:
-                    offer_max(k, j, game.zero)
+    # Exits seed the queue, and maximizer states whose actions all exit.
+    for j, a in enumerate(game.actions):
+        if a.dest is TERMINAL:
+            offer(a.source, j, a.cost, a.wait_rate)
+        else:
+            preds[a.dest].append(j)
 
     while heap:
-        val, k, j = heapq.heappop(heap)
+        val, rate, k, j = heapq.heappop(heap)
         if values[k] is not None:
             continue
         values[k] = val
@@ -245,10 +205,7 @@ def extended_dijkstra(game: PricedGame):
             src = game.actions[pj].source
             if values[src] is not None and game.owners[src] == 1:
                 continue
-            if game.owners[src] == 1:
-                heapq.heappush(heap, (game.actions[pj].cost + val, src, pj))
-            else:
-                offer_max(src, pj, val)
+            offer(src, pj, game.actions[pj].cost + val, rate)
 
     # Unsettled states have value infinity; give them a deterministic
     # choice that attains it (an action towards an unsettled/infinite
@@ -256,13 +213,13 @@ def extended_dijkstra(game: PricedGame):
     for k in range(n):
         if values[k] is not None:
             continue
-        values[k] = game.infinity
+        values[k] = INF
         pick = None
         for j in game.state_actions[k]:
             d = game.actions[j].dest
             inf_dest = (
-                d is not TERMINAL and (values[d] is None or game.cost_is_inf(values[d]))
-            ) or game.cost_is_inf(game.actions[j].cost)
+                d is not TERMINAL and (values[d] is None or is_inf(values[d]))
+            ) or is_inf(game.actions[j].cost)
             if inf_dest:
                 pick = j
                 break
@@ -303,8 +260,7 @@ def _iterate(game: PricedGame, profile: Profile, pick, on_switch=None):
     for _ in range(budget):
         sw = improving_switches(game, profile, 2) or improving_switches(game, profile, 1)
         if not sw:
-            vals, _ = evaluate_profile(game, profile)
-            return [v.payoff for v in vals], profile, switch_count
+            return [v.payoff for v in evaluate_profile(game, profile)], profile, switch_count
         picked = pick(game, sw)
         nxt = apply_switches(game, profile, picked)
         if on_switch is not None:
@@ -356,15 +312,12 @@ def rate_ladder_of(rates: Sequence[Fraction]) -> tuple:
 
 def potential_matrix(game: PricedGame, profile: Profile, ladder: tuple) -> PotentialMatrix:
     n = game.num_states
-    vals, rates = evaluate_profile(game, profile)
     rank = {r: i for i, r in enumerate(ladder)}
     rows = [[0] * len(ladder) for _ in range(n)]
-    for k in range(n):
-        if is_inf(vals[k].hops):
+    for k, v in enumerate(evaluate_profile(game, profile)):
+        if is_inf(v.hops):
             continue
-        col = rank[rates[k]]
-        row = vals[k].hops - 1
-        rows[row][col] += 1 if game.owners[k] == 2 else -1
+        rows[v.hops - 1][rank[v.rate]] += 1 if game.owners[k] == 2 else -1
     return PotentialMatrix(tuple(tuple(r) for r in rows), ladder)
 
 

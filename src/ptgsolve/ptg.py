@@ -170,9 +170,9 @@ def build_moment_game(game: Ptg, v, x) -> PricedGame:
     actions = []
     for i in game.available(x):
         a = game.actions[i]
-        actions.append(PAction(a.source, a.dest, a.cost, None, a.label))
+        actions.append(PAction(a.source, a.dest, a.cost, label=a.label))
     for k in range(game.num_states):
-        actions.append(PAction(k, None, v[k], None, f"stop{k}"))
+        actions.append(PAction(k, None, v[k], label=f"stop{k}"))
     return PricedGame(game.owners, tuple(actions))
 
 
@@ -197,11 +197,11 @@ def build_interval_sptg(game: Ptg, v_prime, x, width) -> Sptg:
         a = game.actions[i]
         if a.reset:
             raise PtgValidationError("reset-present", f"action {i}")
-        actions.append(PAction(a.source, a.dest, a.cost, None, a.label))
+        actions.append(PAction(a.source, a.dest, a.cost, label=a.label))
     for k in range(n):
         dest = max_state if game.owners[k] == 1 else None
-        actions.append(PAction(k, dest, v_prime[k], None, f"stop{k}"))
-    actions.append(PAction(max_state, None, F0, None, "exit-max"))
+        actions.append(PAction(k, dest, v_prime[k], label=f"stop{k}"))
+    actions.append(PAction(max_state, None, F0, label="exit-max"))
     return Sptg(
         owners=game.owners + (2,),
         rates=tuple(r * width for r in game.rates) + (top_rate,),
@@ -242,7 +242,7 @@ def _solve_reset_free(game: Ptg, stats: PtgStats) -> PtgResult:
     avail_top = [game.actions[i] for i in game.available(top)]
     top_game = PricedGame(
         game.owners,
-        tuple(PAction(a.source, a.dest, a.cost, None, a.label) for a in avail_top),
+        tuple(PAction(a.source, a.dest, a.cost, label=a.label) for a in avail_top),
     )
     point_vals = {top: list(extended_dijkstra(top_game)[0])}
     stats.priced_solves += 1

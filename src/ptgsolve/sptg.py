@@ -17,10 +17,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
-from .numerics import EpsCost, F0, F1, INF, PwlFn, frac, is_inf
+from .numerics import F0, F1, INF, PwlFn, frac, is_inf
 from .priced_game import (
     PAction,
     PricedGame,
+    evaluate_profile,
     extended_dijkstra,
     potential_less,
     potential_matrix,
@@ -113,58 +114,56 @@ class SptgSolution:
 
 def build_eps_game(sptg: Sptg, wait_costs) -> PricedGame:
     """Snapshot game at a clock value: the untimed game extended with a
-    waiting action per state whose cost is the state's current value plus
-    an infinitesimal charge proportional to its rate."""
-    actions = [
-        PAction(a.source, a.dest, EpsCost(a.cost, F0), None, a.label)
-        for a in sptg.actions
-    ]
-    for k in range(sptg.num_states):
-        wc = wait_costs[k]
-        base = wc if not isinstance(wc, EpsCost) else wc.base
-        actions.append(
-            PAction(k, None, EpsCost(base, sptg.rates[k]), sptg.rates[k], f"wait{k}")
-        )
-    return PricedGame(sptg.owners, tuple(actions))
+    waiting exit per state whose cost is the state's current value and
+    whose infinitesimal charge (``wait_rate``) is the state's rate."""
+    waits = tuple(
+        PAction(k, None, wait_costs[k], sptg.rates[k], f"wait{k}")
+        for k in range(sptg.num_states)
+    )
+    return PricedGame(sptg.owners, sptg.actions + waits)
 
 
 def solve_untimed(game: PricedGame, seed=None, on_switch: Optional[Callable] = None):
-    """Values and a fully stabilised profile (no improving switch for
+    """Valuations and a fully stabilised profile (no improving switch for
     either player, including the path-length tie-break) of an untimed
-    game.  Returns ``(values, profile, switch_count)``.
+    game.  Returns ``(valuations, profile, switch_count)``.
 
     Without a seed: extended Dijkstra, then strategy iteration from its
-    profile, which must keep its values.  With a seed profile: single
+    profile, which must keep Dijkstra's values and, state by state, the
+    payoff and rate its profile attains.  With a seed profile: single
     switches from the seed, each reported to ``on_switch``.
     """
     if seed is not None:
-        return single_switch_iteration(game, seed, on_switch)
-    values, profile = extended_dijkstra(game)
-    values2, profile, switches = strategy_iteration(game, profile)
-    if values2 != values:
-        raise AssertionError("strategy iteration disagreed with Dijkstra values")
-    return values, profile, switches
+        _, profile, switches = single_switch_iteration(game, seed, on_switch)
+        return evaluate_profile(game, profile), profile, switches
+    values, start = extended_dijkstra(game)
+    payoffs, profile, switches = strategy_iteration(game, start)
+    vals = evaluate_profile(game, profile)
+    start_vals = vals if profile == start else evaluate_profile(game, start)
+    if payoffs != values or any(
+        (a.payoff, a.rate) != (b.payoff, b.rate) for a, b in zip(start_vals, vals)
+    ):
+        raise AssertionError("strategy iteration disagreed with Dijkstra's solution")
+    return vals, profile, switches
 
 
 def solve_at_time_one(sptg: Sptg):
-    """Values and a fully stabilised profile of the untimed game."""
+    """Valuations and a fully stabilised profile of the untimed game."""
     return solve_untimed(sptg.core)
 
 
-def _line(sptg: Sptg, eps_game: PricedGame, j: int, base, rate):
+def _line(eps_game: PricedGame, j: int, base, rate):
     """Coefficients (A, S) of the snapshot-optimal line of action ``j``:
     its value at clock x'' is A + S*(x_hi - x'').  Returns None when the
     line is infinite."""
     a = eps_game.actions[j]
-    if a.dest is None:
-        da, dr = F0, F0
-    else:
-        da, dr = base[a.dest], rate[a.dest]
-        if is_inf(da):
-            return None
-    if is_inf(a.cost.base):
+    if is_inf(a.cost):
         return None
-    return (a.cost.base + da, a.cost.eps + dr)
+    if a.dest is None:
+        return (a.cost, a.wait_rate)
+    if is_inf(base[a.dest]):
+        return None
+    return (a.cost + base[a.dest], rate[a.dest])
 
 
 def next_event_point(sptg: Sptg, eps_game: PricedGame, profile, base, rate, x_hi):
@@ -175,13 +174,13 @@ def next_event_point(sptg: Sptg, eps_game: PricedGame, profile, base, rate, x_hi
     for k in range(sptg.num_states):
         if is_inf(base[k]):
             continue
-        sigma = _line(sptg, eps_game, profile[k], base, rate)
+        sigma = _line(eps_game, profile[k], base, rate)
         if sigma is None:
             continue
         for j in eps_game.state_actions[k]:
             if j == profile[k]:
                 continue
-            cand = _line(sptg, eps_game, j, base, rate)
+            cand = _line(eps_game, j, base, rate)
             if cand is None or cand[1] == sigma[1]:
                 continue
             # A_j + d*S_j = A_s + d*S_s with d = x_hi - x''; lines tied
@@ -220,19 +219,19 @@ def solve_sptg(
     trace = []
 
     x = F1
-    v_at_x = list(v1)
+    v_at_x = [v.payoff for v in v1]
     budget = sptg.event_bound() + 2
     for _ in range(budget):
         if x == F0:
             break
         eps_game = build_eps_game(sptg, v_at_x)
         seed = profile if instrument else None
-        values, eps_profile, sw = solve_untimed(eps_game, seed, hook)
+        vals, eps_profile, sw = solve_untimed(eps_game, seed, hook)
         stats.switch_count += sw
 
-        # snapshot values are EpsCost: base value plus the slope's rate
-        base = [v.base for v in values]
-        rate = [v.eps for v in values]
+        # a snapshot valuation is the value at x plus its slope's rate
+        base = [v.payoff for v in vals]
+        rate = [v.rate for v in vals]
         for k in range(n):
             expect = v_at_x[k]
             if base[k] != expect and not (is_inf(base[k]) and is_inf(expect)):

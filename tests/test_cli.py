@@ -156,6 +156,10 @@ def ptg_body():
         (("actions",), ["free"], "bad-type"),
         (("actions", 0, "interval"), "[0,1)", "bad-type"),
         (("actions", 0, "cost"), True, "bad-number"),
+        (("states", 0, "id"), 0, "bad-type"),
+        (("actions", 0, "id"), 0, "bad-type"),
+        (("actions", 0, "from"), ["s0"], "bad-type"),
+        (("actions", 0, "to"), None, "bad-type"),
     ],
 )
 def test_mistyped_document_exits_two_with_code(tmp_path, capsys, path, value, code):
@@ -169,6 +173,23 @@ def test_mistyped_document_exits_two_with_code(tmp_path, capsys, path, value, co
     game.write_text(json.dumps(body))
     assert cli.main(["solve", str(game)]) == 2
     assert capsys.readouterr().err.startswith(f"input-error: {code}")
+
+
+@pytest.mark.parametrize("kind", ["priced", "sptg", "ptg"])
+def test_state_without_actions_exits_two_with_code(tmp_path, capsys, kind):
+    body = ptg_body()
+    body["kind"] = kind
+    body["states"].append({"id": "s1", "owner": 2, "rate": "1"})
+    if kind != "ptg":
+        for a in body["actions"]:
+            del a["interval"]
+    if kind == "priced":
+        for s in body["states"]:
+            del s["rate"]
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(body))
+    assert cli.main(["solve", str(game)]) == 2
+    assert capsys.readouterr().err.startswith("input-error: no-actions at states[1]")
 
 
 class TestEmission:

@@ -1,4 +1,5 @@
-"""Every name a ``ptgsolve`` module imports is used by that module."""
+"""Every name a ``ptgsolve`` module imports, and every function it
+defines inside another, is used by that module."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,24 @@ def unused_imports(tree: ast.Module) -> list:
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def unused_local_functions(tree: ast.Module) -> list:
+    """Nested ``def``s never referenced inside their enclosing function."""
+    out = []
+    for outer in ast.walk(tree):
+        if not isinstance(outer, FUNCTIONS):
+            continue
+        used = {node.id for node in ast.walk(outer) if isinstance(node, ast.Name)}
+        for inner in ast.walk(outer):
+            if inner is not outer and isinstance(inner, FUNCTIONS) and inner.name not in used:
+                out.append(f"{outer.name}.{inner.name}")
+    return sorted(set(out))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_local_functions(path):
+    assert unused_local_functions(ast.parse(path.read_text())) == []

@@ -2,7 +2,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from ptgsolve.numerics import EpsCost, is_inf
+from ptgsolve.numerics import is_inf
 from ptgsolve.oracle import generate_random
 from ptgsolve.priced_game import (
     PAction,
@@ -43,40 +43,38 @@ class TestValidation:
 class TestEvaluateProfile:
     def test_single_exit(self):
         g = game([1], (0, None, Fr(5)))
-        vals, rates = evaluate_profile(g, (0,))
-        assert vals[0] == Valuation(Fr(5), 1)
-        assert rates[0] == 0
+        vals = evaluate_profile(g, (0,))
+        assert vals[0] == Valuation(Fr(5), Fr(0), 1)
 
     def test_self_loop_is_infinite(self):
         g = game([2], (0, 0, Fr(0)), (0, None, Fr(1)))
-        vals, _ = evaluate_profile(g, (0,))
+        vals = evaluate_profile(g, (0,))
         assert is_inf(vals[0].payoff) and is_inf(vals[0].hops)
 
     def test_chain_sums(self):
         g = game([1, 1], (0, 1, Fr(1)), (1, None, Fr(2)))
-        vals, _ = evaluate_profile(g, (0, 1))
-        assert vals[0] == Valuation(Fr(3), 2)
-        assert vals[1] == Valuation(Fr(2), 1)
+        vals = evaluate_profile(g, (0, 1))
+        assert vals[0] == Valuation(Fr(3), Fr(0), 2)
+        assert vals[1] == Valuation(Fr(2), Fr(0), 1)
 
     def test_waiting_rate_tracks_last_wait(self):
         g = PricedGame(
             (1, 2),
             (
-                PAction(0, 1, EpsCost(Fr(1))),
-                PAction(1, None, EpsCost(Fr(0), Fr(3)), wait_rate=Fr(3)),
+                PAction(0, 1, Fr(1)),
+                PAction(1, None, Fr(0), wait_rate=Fr(3)),
             ),
         )
-        vals, rates = evaluate_profile(g, (0, 1))
-        assert rates[0] == Fr(3) and rates[1] == Fr(3)
-        assert vals[0].payoff == EpsCost(Fr(1), Fr(3))
+        vals = evaluate_profile(g, (0, 1))
+        assert vals[0].rate == Fr(3) and vals[1].rate == Fr(3)
+        assert vals[0] == Valuation(Fr(1), Fr(3), 2)
 
     def test_infinite_payoff_iff_infinite_hops(self):
         for seed in range(40):
             g = generate_random("priced", 3, 3, seed, allow_inf=True)
             profile = tuple(js[0] for js in g.state_actions)
-            vals, _ = evaluate_profile(g, profile)
-            for v in vals:
-                assert g.cost_is_inf(v.payoff) == is_inf(v.hops)
+            for v in evaluate_profile(g, profile):
+                assert is_inf(v.payoff) == is_inf(v.hops)
 
 
 class TestImprovingSwitches:
@@ -145,19 +143,20 @@ class TestExtendedDijkstra:
         for seed in range(60):
             g = generate_random("priced", 4, 3, seed, allow_inf=(seed % 2 == 0))
             values, profile = extended_dijkstra(g)
-            vals, _ = evaluate_profile(g, profile)
+            vals = evaluate_profile(g, profile)
             for k in range(4):
                 assert vals[k].payoff == values[k] or (
-                    g.cost_is_inf(vals[k].payoff) and g.cost_is_inf(values[k])
+                    is_inf(vals[k].payoff) and is_inf(values[k])
                 )
 
 
 class TestStrategyIteration:
     def test_fixed_point_start(self):
         g = game([1, 2], (0, 1, Fr(0)), (0, None, Fr(3)), (1, None, Fr(1)))
-        values, profile, _ = solve_untimed(g)
+        vals, profile, _ = solve_untimed(g)
         values2, profile2, switches = strategy_iteration(g, profile)
-        assert values2 == values and profile2 == profile and switches == 0
+        assert values2 == [v.payoff for v in vals]
+        assert profile2 == profile and switches == 0
 
     def test_matches_dijkstra_on_randoms(self):
         for seed in range(80):
@@ -171,15 +170,15 @@ class TestStrategyIteration:
 
     def test_minimizer_escapes_own_cycle(self):
         g = game([1, 1], (0, 1, Fr(1)), (1, 0, Fr(0)), (1, None, Fr(2)))
-        values, _, _ = solve_untimed(g)
-        assert values == [Fr(3), Fr(2)]
+        vals, _, _ = solve_untimed(g)
+        assert [v.payoff for v in vals] == [Fr(3), Fr(2)]
         sv, _, _ = strategy_iteration(g, (0, 1))
-        assert sv == values
+        assert sv == [Fr(3), Fr(2)]
 
     def test_maximizer_cycle_is_infinite(self):
         g = game([1, 2], (0, 1, Fr(1)), (1, 0, Fr(0)), (1, None, Fr(2)))
-        values, _, _ = solve_untimed(g)
-        assert all(is_inf(v) for v in values)
+        vals, _, _ = solve_untimed(g)
+        assert all(is_inf(v.payoff) for v in vals)
 
 
 class TestSingleSwitchIteration:
@@ -224,8 +223,8 @@ class TestImprovingSetMonotonicity:
             for j, _ in sw:
                 picked.setdefault(g.actions[j].source, j)
             after = apply_switches(g, profile, list(picked.values()))
-            before_v, _ = evaluate_profile(g, profile)
-            after_v, _ = evaluate_profile(g, after)
+            before_v = evaluate_profile(g, profile)
+            after_v = evaluate_profile(g, after)
             for k in range(g.num_states):
                 assert not before_v[k] < after_v[k], (seed, k)
                 if k in picked:
@@ -236,7 +235,7 @@ class TestPotential:
     def test_all_maximizer_one_hop(self):
         g = PricedGame(
             (2, 2, 2),
-            tuple(PAction(k, None, EpsCost(Fr(0), Fr(1)), wait_rate=Fr(1)) for k in range(3)),
+            tuple(PAction(k, None, Fr(0), wait_rate=Fr(1)) for k in range(3)),
         )
         ladder = rate_ladder_of([Fr(1)] * 3)
         p = potential_matrix(g, (0, 1, 2), ladder)
@@ -245,7 +244,7 @@ class TestPotential:
         assert all(row == (0, 0) for row in p.entries[1:])
 
     def test_all_cycles_give_zero_matrix(self):
-        g = PricedGame((1, 2), (PAction(0, 1, EpsCost(Fr(0))), PAction(1, 0, EpsCost(Fr(0)))))
+        g = PricedGame((1, 2), (PAction(0, 1, Fr(0)), PAction(1, 0, Fr(0))))
         p = potential_matrix(g, (0, 1), rate_ladder_of([Fr(0)]))
         assert all(all(e == 0 for e in row) for row in p.entries)
 

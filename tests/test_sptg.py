@@ -3,7 +3,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from ptgsolve.fixtures import fixture_a
-from ptgsolve.numerics import EPS_INF, F0, F1, INF, EpsCost, PwlFn, is_inf
+from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
 from ptgsolve.oracle import generate_random
 from ptgsolve.priced_game import PAction
 from ptgsolve.sptg import (
@@ -48,31 +48,33 @@ class TestEpsGame:
         eg = build_eps_game(g, [Fr(1, 2), Fr(3), INF])
         m = g.num_actions
         assert len(eg.actions) == m + g.num_states
-        assert eg.actions[m + 0].cost == EpsCost(Fr(1, 2), Fr(5))
-        assert eg.actions[m + 1].cost == EpsCost(Fr(3), Fr(2))
-        assert eg.actions[m + 2].cost == EPS_INF
-        assert eg.actions[m + 1].wait_rate == Fr(2)
+        waits = [(a.source, a.dest, a.cost, a.wait_rate) for a in eg.actions[m:]]
+        assert waits == [
+            (0, None, Fr(1, 2), Fr(5)),
+            (1, None, Fr(3), Fr(2)),
+            (2, None, INF, Fr(1)),
+        ]
 
     def test_original_actions_are_eps_free(self):
         g = fixture_a().game
         eg = build_eps_game(g, [F0] * 3)
+        assert eg.actions[: g.num_actions] == g.actions
         for j in range(g.num_actions):
-            assert eg.actions[j].cost == EpsCost(g.actions[j].cost, F0)
-            assert eg.actions[j].wait_rate is None
+            assert eg.actions[j].wait_rate == F0
 
 
 class TestTimeOne:
     def test_fixture_a_all_zero_at_horizon(self):
         g = fixture_a().game
-        values, profile, _ = solve_at_time_one(g)
-        assert values == [F0, F0, F0]
+        vals, profile, _ = solve_at_time_one(g)
+        assert [v.payoff for v in vals] == [F0, F0, F0]
         # minimizer takes the free move, both maximizer states exit
         assert g.actions[profile[0]].label == "a1"
 
     def test_trapped_state_is_infinite(self):
         g = sptg([1, 1], [1, 1], (0, 0, Fr(0)), (1, None, Fr(1)))
-        values, _, _ = solve_at_time_one(g)
-        assert is_inf(values[0]) and values[1] == Fr(1)
+        vals, _, _ = solve_at_time_one(g)
+        assert is_inf(vals[0].payoff) and vals[1].payoff == Fr(1)
 
 
 class TestSweep:
