@@ -8,6 +8,7 @@ absorbs under addition, so finite arithmetic never touches floating point.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -171,9 +172,6 @@ class PwlFn:
                 return False
         return True
 
-    def _right_limit_at(self, i):
-        return self.seg_vals[i]
-
     def _left_limit_at(self, i):
         lo, hi = self.breaks[i - 1], self.breaks[i]
         val, slope = self.seg_vals[i - 1], self.slopes[i - 1]
@@ -184,38 +182,32 @@ class PwlFn:
         x = frac(x)
         if x < self.lo or x > self.hi:
             raise DomainError(f"{x} outside domain [{self.lo}, {self.hi}]")
+        # breaks[i] <= x < breaks[i+1], or i is the last index at x == hi
+        i = bisect_right(self.breaks, x) - 1
+        at_break = self.breaks[i] == x
         if side == "at":
-            for i, b in enumerate(self.breaks):
-                if b == x:
-                    return self.point_vals[i]
-            return self._interior(x)
-        if side == "left":
+            if at_break:
+                return self.point_vals[i]
+        elif side == "left":
             if x == self.lo:
                 raise DomainError("no left limit at the lower endpoint")
-            for i, b in enumerate(self.breaks):
-                if b == x:
-                    return self._left_limit_at(i)
-            return self._interior(x)
-        if side == "right":
+            if at_break:
+                return self._left_limit_at(i)
+        elif side == "right":
             if x == self.hi:
                 raise DomainError("no right limit at the upper endpoint")
-            for i, b in enumerate(self.breaks):
-                if b == x:
-                    return self._right_limit_at(i)
-            return self._interior(x)
-        raise ValueError(f"unknown side {side!r}")
+            if at_break:
+                return self.seg_vals[i]
+        else:
+            raise ValueError(f"unknown side {side!r}")
+        val = self.seg_vals[i]
+        return INF if is_inf(val) else val + self.slopes[i] * (x - self.breaks[i])
 
     def _slope_at(self, x):
-        for lo, hi, val, slope in self.segments():
-            if lo <= x < hi or (x == hi == self.hi):
-                return slope
-        raise DomainError(str(x))
-
-    def _interior(self, x):
-        for lo, hi, val, slope in self.segments():
-            if lo < x < hi:
-                return INF if is_inf(val) else val + slope * (x - lo)
-        raise DomainError(f"{x} not interior to any segment")
+        if x < self.lo or x > self.hi:
+            raise DomainError(str(x))
+        i = bisect_right(self.breaks, x) - 1
+        return self.slopes[min(i, len(self.slopes) - 1)]  # hi lies in the last segment
 
     # -- arithmetic ------------------------------------------------------
 

@@ -25,7 +25,7 @@ from .numerics import (
     min_envelope,
     wait_closure,
 )
-from .priced_game import PAction, PricedGame, evaluate_profile, improving_switches
+from .priced_game import PAction, PricedGame, improving_switches
 from .ptg import Ptg, TAction
 from .sptg import WAIT, Sptg, SptgSolution, TimedStrategyProfile, build_eps_game
 
@@ -97,6 +97,22 @@ class Play:
     cost: object  # Fraction | INF
 
 
+def _step(sptg: Sptg, profile: TimedStrategyProfile, k: int, x: Fraction):
+    """One move of the profile's play from ``(k, x)``: waiting runs to the
+    end of the clock's cell.  Returns ``(choice, delay, cost, k', x')``."""
+    _, hi, choices = profile.cell_at(x)
+    choice = choices[k]
+    if choice is WAIT:
+        if x == F1:
+            raise OracleError(f"profile waits at the horizon in state {k}")
+        delay = hi - x
+        return choice, delay, sptg.rates[k] * delay, k, hi
+    a = sptg.actions[choice]
+    if a.source != k:
+        raise OracleError(f"profile picks a foreign action at state {k}")
+    return choice, F0, a.cost, a.dest, x
+
+
 def simulate(sptg: Sptg, profile: TimedStrategyProfile, start) -> Play:
     """Deterministic play of both players following the profile from a
     (state, time) configuration.  A configuration revisit at equal time
@@ -110,23 +126,30 @@ def simulate(sptg: Sptg, profile: TimedStrategyProfile, start) -> Play:
         if (k, x) in seen:
             return Play(tuple(steps), False, INF)
         seen.add((k, x))
-        choice = profile.choice_at(k, x)
-        if choice is WAIT:
-            if x == F1:
-                raise OracleError(f"profile waits at the horizon in state {k}")
-            hi = min(c_hi for lo, c_hi, _ in profile.cells if lo <= x < c_hi)
-            delay = hi - x
-            cost = cost + sptg.rates[k] * delay
-            steps.append(PlayStep(k, x, None, delay))
-            x = hi
-        else:
-            a = sptg.actions[choice]
-            if a.source != k:
-                raise OracleError(f"profile picks a foreign action at state {k}")
-            cost = cost + a.cost
-            steps.append(PlayStep(k, x, choice, F0))
-            k = a.dest
+        choice, delay, c, nk, nx = _step(sptg, profile, k, x)
+        steps.append(PlayStep(k, x, choice, delay))
+        cost = cost + c
+        k, x = nk, nx
     return Play(tuple(steps), True, cost if not is_inf(cost) else INF)
+
+
+def play_cost(sptg: Sptg, profile: TimedStrategyProfile, start, memo: dict):
+    """``simulate(sptg, profile, start).cost``, memoised per (state, clock)
+    configuration in ``memo``, which calls on one game and profile share.
+    Each configuration is stepped at most once per memo."""
+    k, x = start
+    x = frac(x)
+    chain = {}  # configuration -> step cost, in play order
+    while k is not None and (k, x) not in memo and (k, x) not in chain:
+        _, _, c, nk, nx = _step(sptg, profile, k, x)
+        chain[k, x] = c
+        k, x = nk, nx
+    # a revisit makes every configuration of the play infinite
+    acc = F0 if k is None else memo.get((k, x), INF)
+    for conf, c in reversed(chain.items()):
+        acc = INF if is_inf(c) or is_inf(acc) else c + acc
+        memo[conf] = acc
+    return acc
 
 
 def simulate_ptg(game: Ptg, chooser, start, max_steps: int = 10_000) -> Play:
@@ -187,14 +210,11 @@ class EquilibriumReport:
         self.cell_failures.append((idx, player, action))
 
 
-def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> EquilibriumReport:
-    """Certify a solved game two ways: simulated play cost must equal the
-    value function at every probed time, and the recorded snapshot game
-    of every sweep step must admit no improving switch for either
-    player."""
-    report = EquilibriumReport()
+def probe_times(strategy: TimedStrategyProfile, samples: int = 50) -> list:
+    """Clock values the equilibrium check probes, ascending: every cell's
+    start and midpoint, and a grid of ``samples + 2`` points on [0,1]."""
     times = set()
-    for lo, hi, _ in sol.strategy.cells:
+    for lo, hi, _ in strategy.cells:
         times.add(lo)
         if lo < hi:
             times.add((lo + hi) / 2)
@@ -202,9 +222,20 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
     grid = samples + 1
     for i in range(grid + 1):
         times.add(Fraction(i, grid))
+    return sorted(times)
+
+
+def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> EquilibriumReport:
+    """Certify a solved game two ways: simulated play cost must equal the
+    value function at every probed time, and the recorded snapshot game
+    of every sweep step must admit no improving switch for either
+    player."""
+    report = EquilibriumReport()
+    times = probe_times(sol.strategy, samples)
+    memo = {}
     for k in range(sptg.num_states):
-        for t in sorted(times):
-            got = simulate(sptg, sol.strategy, (k, t)).cost
+        for t in times:
+            got = play_cost(sptg, sol.strategy, (k, t), memo)
             want = sol.values[k].eval(t)
             if got != want and not (is_inf(got) and is_inf(want)):
                 report.fail_probe(k, t, got, want)
@@ -217,6 +248,27 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
 
 
 # -- brute force ------------------------------------------------------------
+
+
+def profile_payoffs(game: PricedGame, profile) -> list:
+    """Payoff of every state when both players follow the profile: the
+    summed action costs of its play, infinite when the play cycles or
+    takes an infinite-cost action."""
+    n = game.num_states
+    pay = {}
+    for start in range(n):
+        chain = {}  # state -> its action's cost, in play order
+        k = start
+        while k is not None and k not in pay and k not in chain:
+            a = game.actions[profile[k]]
+            chain[k] = a.cost
+            k = a.dest
+        # a state met again on its own chain lies on a cycle
+        acc = F0 if k is None else pay.get(k, INF)
+        for c, cost in reversed(chain.items()):
+            acc = INF if is_inf(cost) or is_inf(acc) else cost + acc
+            pay[c] = acc
+    return [pay[k] for k in range(n)]
 
 
 def brute_force_priced(game: PricedGame, budget: int = 10**6):
@@ -239,9 +291,9 @@ def brute_force_priced(game: PricedGame, budget: int = 10**6):
                 prof[k] = j
             for k, j in zip(p1_states, picks1):
                 prof[k] = j
-            vals = evaluate_profile(game, tuple(prof))
+            pay = profile_payoffs(game, prof)
             for k in range(n):
-                u = vals[k].payoff
+                u = pay[k]
                 if inner[k] is None or u < inner[k]:
                     inner[k] = u
         for k in range(n):

@@ -132,7 +132,11 @@ def improving_switches(game: PricedGame, profile: Profile, player: int):
     """Actions whose one-step deviation lexicographically improves the
     owner's valuation.  Returns ``[(action, strongly_improving)]``, where
     a strong switch improves the payoff or, at equal payoff, the rate."""
-    vals = evaluate_profile(game, profile)
+    return _switches(game, profile, evaluate_profile(game, profile), player)
+
+
+def _switches(game: PricedGame, profile: Profile, vals, player: int):
+    """:func:`improving_switches` given the profile's valuations."""
     out = []
     for k in range(game.num_states):
         if game.owners[k] != player:
@@ -258,9 +262,10 @@ def _iterate(game: PricedGame, profile: Profile, pick, on_switch=None):
     budget = bound * (bound * (game.num_states + 1) + 1) + 1
     switch_count = 0
     for _ in range(budget):
-        sw = improving_switches(game, profile, 2) or improving_switches(game, profile, 1)
+        vals = evaluate_profile(game, profile)
+        sw = _switches(game, profile, vals, 2) or _switches(game, profile, vals, 1)
         if not sw:
-            return [v.payoff for v in evaluate_profile(game, profile)], profile, switch_count
+            return [v.payoff for v in vals], profile, switch_count
         picked = pick(game, sw)
         nxt = apply_switches(game, profile, picked)
         if on_switch is not None:

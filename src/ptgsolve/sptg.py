@@ -12,6 +12,7 @@ choice changes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -80,19 +81,38 @@ class SweepStep:
 
 @dataclass(frozen=True)
 class TimedStrategyProfile:
-    """Choices per clock region: cells [lo, hi) plus the point cell at 1.
+    """Choices per clock region: cells [lo, hi) that tile [0,1) from left
+    to right, then the point cell at 1.
 
     Each cell maps every state to an action index or WAIT.
     """
 
     cells: tuple  # (lo, hi, choices); lo == hi == 1 for the point cell
 
-    def choice_at(self, state: int, x):
+    def __post_init__(self):
+        if len(self.cells) < 2 or self.cells[-1][:2] != (F1, F1):
+            raise ValueError("strategy cells must end in the point cell (1, 1)")
+        x = F0
+        for lo, hi, _ in self.cells[:-1]:
+            if lo != x or not lo < hi:
+                raise ValueError(f"strategy cells do not tile [0,1] at {x}")
+            x = hi
+        if x != F1:
+            raise ValueError("strategy cells do not reach 1")
+
+    @cached_property
+    def _los(self) -> tuple:
+        return tuple(lo for lo, _, _ in self.cells)
+
+    def cell_at(self, x):
+        """The cell ``(lo, hi, choices)`` holding clock value ``x``."""
         x = frac(x)
-        for lo, hi, choices in self.cells:
-            if lo <= x < hi or (x == hi == F1 and lo == hi):
-                return choices[state]
-        raise ValueError(f"clock value {x} outside [0,1]")
+        if not F0 <= x <= F1:
+            raise ValueError(f"clock value {x} outside [0,1]")
+        return self.cells[bisect_right(self._los, x) - 1]
+
+    def choice_at(self, state: int, x):
+        return self.cell_at(x)[2][state]
 
 
 @dataclass

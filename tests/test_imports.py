@@ -55,3 +55,27 @@ def unused_local_functions(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_local_functions(path):
     assert unused_local_functions(ast.parse(path.read_text())) == []
+
+
+# What the oracle may still take from the solver modules.  ROADMAP item 4
+# shrinks this list to data types; a new solver routine fails the test.
+ORACLE_SOLVER_IMPORTS = {
+    "priced_game": {"PAction", "PricedGame", "improving_switches"},
+    "sptg": {"WAIT", "Sptg", "SptgSolution", "TimedStrategyProfile", "build_eps_game"},
+}
+
+
+def test_oracle_solver_imports_within_allow_list():
+    tree = ast.parse((Path(ptgsolve.__file__).parent / "oracle.py").read_text())
+    imported = {module: set() for module in ORACLE_SOLVER_IMPORTS}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        names = {alias.name.rpartition(".")[2] for alias in node.names}
+        assert not names & imported.keys(), f"whole solver module imported: {names}"
+        module = (getattr(node, "module", None) or "").rpartition(".")[2]
+        if module in imported:
+            imported[module] |= names
+    for module, names in imported.items():
+        assert not names - ORACLE_SOLVER_IMPORTS[module], module
+

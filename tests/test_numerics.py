@@ -127,6 +127,34 @@ class TestPwlEval:
         with pytest.raises(DomainError):
             f.eval(F0, side="left")
 
+    def test_lookup_matches_a_segment_scan(self):
+        f = PwlFn.from_segments(
+            [
+                (F0, Fr(1, 4), F1, F0),
+                (Fr(1, 4), Fr(1, 2), Fr(2), Fr(-1)),
+                (Fr(1, 2), Fr(3, 4), INF, F0),
+                (Fr(3, 4), F1, F0, Fr(3)),
+            ],
+            point_overrides={Fr(1, 4): Fr(7), F1: Fr(9)},
+        )
+        segs = list(f.segments())
+
+        def scan(x, side):
+            if side == "at" and x in f.breaks:
+                return f.point_vals[f.breaks.index(x)]
+            for lo, hi, v, s in segs:
+                if (lo < x <= hi) if side == "left" else (lo <= x < hi):
+                    return INF if is_inf(v) else v + s * (x - lo)
+
+        xs = sorted(set(f.breaks) | {Fr(i, 16) for i in range(17)})
+        for x in xs:
+            sides = ["at"] + (["left"] if x > F0 else []) + (["right"] if x < F1 else [])
+            for side in sides:
+                assert f.eval(x, side) == scan(x, side), (x, side)
+            assert f._slope_at(x) == next(s for lo, hi, _, s in segs if lo <= x < hi or x == hi == F1)
+        with pytest.raises(DomainError):
+            f._slope_at(Fr(-1, 2))
+
     def test_collinear_segments_merge(self):
         f = PwlFn.from_segments([(F0, Fr(1, 2), F0, F1), (Fr(1, 2), F1, Fr(1, 2), F1)])
         assert f == affine(0, 1, 0, 1)

@@ -1,19 +1,24 @@
 import dataclasses
+import random
 from fractions import Fraction as Fr
 
 import pytest
 
-from ptgsolve.fixtures import fixture_a
+from ptgsolve.fixtures import ALL_FIXTURES, fixture_a
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
 from ptgsolve.oracle import (
     OracleError,
     brute_force_priced,
     check_equilibrium,
     generate_random,
+    play_cost,
+    probe_times,
+    profile_payoffs,
     simulate,
     value_iteration_sptg,
 )
-from ptgsolve.priced_game import PAction, PricedGame, extended_dijkstra
+from ptgsolve.priced_game import PAction, PricedGame, evaluate_profile, extended_dijkstra
+from ptgsolve.ptg import Ptg, solve_ptg
 from ptgsolve.sptg import Sptg, TimedStrategyProfile, WAIT, solve_sptg
 
 
@@ -23,6 +28,42 @@ def sptg(owners, rates, *actions):
         tuple(Fr(r) for r in rates),
         tuple(PAction(*a) for a in actions),
     )
+
+
+def fan(k):
+    """fan(k): a minimizer of rate k+1 with free moves to k maximizers;
+    maximizer i has rate i and an exit of cost (k+1-i)^2/(2k)."""
+    return sptg(
+        [1] + [2] * k,
+        [k + 1] + list(range(1, k + 1)),
+        *[(0, i, Fr(0)) for i in range(1, k + 1)],
+        *[(i, None, Fr((k + 1 - i) ** 2, 2 * k)) for i in range(1, k + 1)],
+    )
+
+
+def solved_sptgs():
+    """(game, solution) for random SPTGs and every fixture's SPTG pieces."""
+    for seed in range(40):
+        g = generate_random("sptg", 3, 3, seed, allow_inf=(seed % 4 == 0))
+        yield g, solve_sptg(g)
+    for make in ALL_FIXTURES:
+        game = make().game
+        if isinstance(game, Ptg):
+            for cert in solve_ptg(game).trace:
+                yield cert.sptg, cert.solution
+        else:
+            yield game, solve_sptg(game)
+
+
+# the profiles of TestSimulate that break the rules of play
+HORIZON_WAIT = (
+    sptg([1], [0], (0, None, Fr(1))),
+    TimedStrategyProfile(((F0, F1, (WAIT,)), (F1, F1, (WAIT,)))),
+)
+FOREIGN_ACTION = (
+    sptg([1, 1], [0, 0], (0, None, Fr(1)), (1, None, Fr(1))),
+    TimedStrategyProfile(((F0, F1, (1, 1)), (F1, F1, (1, 1)))),
+)
 
 
 class TestValueIteration:
@@ -78,16 +119,32 @@ class TestSimulate:
         assert not play.terminal and is_inf(play.cost)
 
     def test_waiting_at_the_horizon_rejected(self):
-        g = sptg([1], [0], (0, None, Fr(1)))
-        stuck = TimedStrategyProfile(((F0, F1, (WAIT,)), (F1, F1, (WAIT,))))
+        g, stuck = HORIZON_WAIT
         with pytest.raises(OracleError):
             simulate(g, stuck, (0, F1))
 
     def test_foreign_action_rejected(self):
-        g = sptg([1, 1], [0, 0], (0, None, Fr(1)), (1, None, Fr(1)))
-        bad = TimedStrategyProfile(((F0, F1, (1, 1)), (F1, F1, (1, 1))))
+        g, bad = FOREIGN_ACTION
         with pytest.raises(OracleError):
             simulate(g, bad, (0, F0))
+
+
+class TestPlayCost:
+    def test_memoised_cost_equals_simulation(self):
+        for g, sol in solved_sptgs():
+            memo = {}
+            for k in range(g.num_states):
+                for t in probe_times(sol.strategy):
+                    want = simulate(g, sol.strategy, (k, t)).cost
+                    assert play_cost(g, sol.strategy, (k, t), memo) == want, (k, t)
+
+    def test_revisit_is_infinite_on_every_configuration(self):
+        g = sptg([1, 1], [0, 0], (0, 1, Fr(1)), (1, 0, Fr(1)))
+        loop = TimedStrategyProfile(((F0, F1, (0, 1)), (F1, F1, (0, 1))))
+        memo = {}
+        assert is_inf(play_cost(g, loop, (0, F0), memo))
+        assert set(memo) == {(0, F0), (1, F0)} and all(map(is_inf, memo.values()))
+        assert is_inf(play_cost(g, loop, (1, F0), memo))
 
 
 class TestCheckEquilibrium:
@@ -122,6 +179,31 @@ class TestCheckEquilibrium:
         assert sol.stats.event_points == 0
         assert check_equilibrium(g, sol).passed
 
+    @pytest.mark.parametrize(
+        "case", [HORIZON_WAIT, FOREIGN_ACTION], ids=["horizon-wait", "foreign-action"]
+    )
+    def test_rules_of_play_enforced(self, case):
+        g, profile = case
+        sol = dataclasses.replace(solve_sptg(g), strategy=profile)
+        with pytest.raises(OracleError):
+            check_equilibrium(g, sol)
+
+    def test_one_cell_lookup_per_configuration(self, monkeypatch):
+        g = fan(24)
+        sol = solve_sptg(g)
+        assert sol.stats.event_points == 23
+        calls = []
+        cell_at = TimedStrategyProfile.cell_at
+
+        def counted(self, x):
+            calls.append(x)
+            return cell_at(self, x)
+
+        monkeypatch.setattr(TimedStrategyProfile, "cell_at", counted)
+        assert check_equilibrium(g, sol).passed
+        bound = g.num_states * (len(probe_times(sol.strategy)) + len(sol.strategy.cells))
+        assert 0 < len(calls) <= bound
+
 
 class TestBruteForce:
     def test_single_minimizer(self):
@@ -143,6 +225,32 @@ class TestBruteForce:
             bf = brute_force_priced(g)
             dv, _ = extended_dijkstra(g)
             assert bf == dv, seed
+
+
+class TestProfilePayoffs:
+    def test_matches_evaluate_profile(self):
+        cycles = 0
+        for seed in range(60):
+            g = generate_random("priced", 5, 3, seed, allow_inf=(seed % 2 == 0))
+            rng = random.Random(seed)
+            for _ in range(10):
+                prof = tuple(rng.choice(js) for js in g.state_actions)
+                vals = evaluate_profile(g, prof)
+                cycles += any(is_inf(v.hops) for v in vals)
+                assert profile_payoffs(g, prof) == [v.payoff for v in vals], (seed, prof)
+        assert cycles > 0
+
+    def test_cycle_and_infinite_action(self):
+        g = PricedGame(
+            (1, 2, 1, 1),
+            (
+                PAction(0, 1, Fr(1)),
+                PAction(1, 0, Fr(2)),
+                PAction(2, 0, Fr(0)),
+                PAction(3, None, INF),
+            ),
+        )
+        assert all(map(is_inf, profile_payoffs(g, (0, 1, 2, 3))))
 
 
 class TestGenerateRandom:

@@ -2,6 +2,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from ptgsolve import priced_game
 from ptgsolve.numerics import is_inf
 from ptgsolve.oracle import generate_random
 from ptgsolve.priced_game import (
@@ -207,6 +208,29 @@ class TestSingleSwitchIteration:
             start = tuple(js[0] for js in g.state_actions)
             sv, _, _ = single_switch_iteration(g, start)
             assert sv == dv
+
+    def test_one_evaluation_per_pass(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            priced_game, "evaluate_profile", lambda g, p: calls.append(p) or evaluate_profile(g, p)
+        )
+        switched = 0
+        for seed in range(40):
+            g = generate_random("priced", 4, 3, seed, allow_inf=(seed % 2 == 1))
+            start = tuple(js[0] for js in g.state_actions)
+            # the switch sequence of the public improving_switches
+            want, p = [], start
+            while sw := improving_switches(g, p, 2) or improving_switches(g, p, 1):
+                want.append(min(j for j, _ in sw))
+                p = apply_switches(g, p, want[-1:])
+            seen = []
+            calls.clear()
+            hook = lambda game, before, j, after: seen.append(j)
+            _, prof, switches = single_switch_iteration(g, start, hook)
+            assert seen == want and switches == len(want) and prof == p, seed
+            assert len(calls) == switches + 1, seed
+            switched += switches
+        assert switched > 0
 
 
 class TestImprovingSetMonotonicity:

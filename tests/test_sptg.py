@@ -182,6 +182,35 @@ class TestStrategyProfile:
         with pytest.raises(ValueError):
             sol.strategy.choice_at(0, Fr(3, 2))
 
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            (),
+            ((F0, F1, (0,)),),
+            ((F0, Fr(1, 2), (0,)), (F1, F1, (0,))),
+            ((F0, Fr(1, 2), (0,)), (Fr(1, 3), F1, (0,)), (F1, F1, (0,))),
+            ((Fr(1, 2), F1, (0,)), (F1, F1, (0,))),
+            ((F0, F0, (0,)), (F0, F1, (0,)), (F1, F1, (0,))),
+            ((F0, F1, (0,)), (F1, F1, (0,)), (F1, F1, (0,))),
+            ((F1, F1, (0,)), (F0, F1, (0,))),
+        ],
+        ids=["empty", "no-point-cell", "gap", "overlap", "late-start", "empty-cell",
+             "two-point-cells", "point-cell-first"],
+    )
+    def test_cells_must_tile(self, cells):
+        with pytest.raises(ValueError):
+            TimedStrategyProfile(cells)
+
+    def test_cell_at_matches_a_scan(self):
+        for seed in range(20):
+            cells = solve_sptg(generate_random("sptg", 3, 3, seed)).strategy.cells
+            profile = TimedStrategyProfile(cells)
+            probes = {Fr(i, 24) for i in range(25)}
+            probes.update(c[0] for c in cells)
+            for x in probes:
+                want = next(c for c in cells if c[0] <= x < c[1] or c[:2] == (x, x))
+                assert profile.cell_at(x) == want, (seed, x)
+
     def test_cells_tile_the_interval(self):
         for seed in range(20):
             g = generate_random("sptg", 3, 3, seed)
