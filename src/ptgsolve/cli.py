@@ -11,7 +11,6 @@ import sys
 import time
 
 from . import gamedoc
-from .gamedoc import DocumentError
 from .oracle import (
     OracleError,
     brute_force_priced,
@@ -32,19 +31,17 @@ def _write(path, text):
             fh.write(text)
 
 
+def _sptg_verified(game, sol) -> bool:
+    """The equilibrium check, then value iteration if that passed."""
+    return check_equilibrium(game, sol).passed and value_iteration_sptg(game).values == sol.values
+
+
 def _cmd_solve(args) -> int:
     try:
-        with open(args.file) as fh:
+        with open(args.file, "rb") as fh:
             doc = gamedoc.parse(fh.read())
-    except OSError as exc:
-        print(f"input-error: {exc}", file=sys.stderr)
-        return 2
-    except DocumentError as exc:
-        print(f"input-error: {exc}", file=sys.stderr)
-        return 2
-    try:
         game = doc.to_game()
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # DocumentError is a ValueError
         print(f"input-error: {exc}", file=sys.stderr)
         return 2
 
@@ -65,13 +62,7 @@ def _cmd_solve(args) -> int:
         sol = solve_sptg(game)
         out = gamedoc.emit_sptg_result(doc, sol)
         plot = gamedoc.emit_plot(doc, sol.values)
-        verify_ok = True
-        if args.verify:
-            report = check_equilibrium(game, sol)
-            verify_ok = report.passed
-            if verify_ok:
-                vi = value_iteration_sptg(game)
-                verify_ok = vi.values == sol.values
+        verify_ok = not args.verify or _sptg_verified(game, sol)
     else:
         res = solve_ptg(game)
         out = gamedoc.emit_ptg_result(doc, res)
@@ -97,9 +88,7 @@ def _cmd_fuzz(args) -> int:
         seed = args.seed + i
         game = generate_random("sptg", args.size, 3, seed, allow_inf=(i % 4 == 0))
         sol = solve_sptg(game)
-        vi = value_iteration_sptg(game)
-        ok = vi.values == sol.values and check_equilibrium(game, sol).passed
-        if not ok:
+        if not _sptg_verified(game, sol):
             disagreements += 1
             print(f"seed {seed}: disagreement", file=sys.stderr)
     print(f"fuzz: {args.count - disagreements}/{args.count} agree")

@@ -114,11 +114,19 @@ def _number(raw, where, *, allow_inf=False):
     return value
 
 
-def parse(text: str) -> GameDocument:
+def parse(text: str | bytes) -> GameDocument:
+    """The document in ``text``: a str, or UTF-8 bytes whose line ends
+    are read as a text-mode file reads them."""
     try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError("bad-json", f"line {exc.lineno}", exc.msg)
+    except (ValueError, RecursionError) as exc:
+        # undecodable bytes, an integer literal past Python's digit limit,
+        # nesting past the recursion limit
+        raise DocumentError("bad-json", "document", str(exc))
     if not isinstance(raw, dict):
         raise DocumentError("bad-json", "document", "expected an object")
     _no_extras(raw, {"format", "kind", "states", "actions"}, "document")

@@ -199,7 +199,7 @@ def simulate_ptg(game: Ptg, chooser, start, max_steps: int = 10_000) -> Play:
 class EquilibriumReport:
     passed: bool = True
     probe_failures: list = field(default_factory=list)  # (state, time, got, want)
-    cell_failures: list = field(default_factory=list)  # (step_index, player, action)
+    cell_failures: list = field(default_factory=list)  # (cell_index, player, action)
 
     def fail_probe(self, state, t, got, want):
         self.passed = False
@@ -226,10 +226,13 @@ def probe_times(strategy: TimedStrategyProfile, samples: int = 50) -> list:
 
 
 def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> EquilibriumReport:
-    """Certify a solved game two ways: simulated play cost must equal the
-    value function at every probed time, and the recorded snapshot game
-    of every sweep step must admit no improving switch for either
-    player."""
+    """Certify what a solve ships two ways: simulated play cost must equal
+    the value function at every probed time, and no cell of the strategy
+    may admit an improving switch for either player.  An interval cell
+    [lo, hi) is played in the snapshot game whose waits cost the values
+    at hi, with WAIT as the wait exit m + k; the point cell at 1 in the
+    untimed game.  A cell failure names the cell by its index in
+    ``sol.strategy.cells``."""
     report = EquilibriumReport()
     times = probe_times(sol.strategy, samples)
     memo = {}
@@ -239,10 +242,15 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
             want = sol.values[k].eval(t)
             if got != want and not (is_inf(got) and is_inf(want)):
                 report.fail_probe(k, t, got, want)
-    for idx, step in enumerate(sol.trace):
-        eps_game = build_eps_game(sptg, step.base)
+    m = sptg.num_actions
+    for idx, (lo, hi, choices) in enumerate(sol.strategy.cells):
+        if lo == hi:
+            game, profile = sptg.core, choices
+        else:
+            game = build_eps_game(sptg, [f.eval(hi) for f in sol.values])
+            profile = tuple(m + k if j is WAIT else j for k, j in enumerate(choices))
         for player in (1, 2):
-            for j, _ in improving_switches(eps_game, step.profile, player):
+            for j, _ in improving_switches(game, profile, player):
                 report.fail_cell(idx, player, j)
     return report
 

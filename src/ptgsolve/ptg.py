@@ -122,7 +122,6 @@ class IntervalCert:
 
     lo: Fraction
     hi: Fraction
-    sample: Fraction  # interior clock value fixing availability
     sptg: Sptg
     solution: SptgSolution
 
@@ -259,7 +258,7 @@ def _solve_reset_free(game: Ptg, stats: PtgStats) -> PtgResult:
         sptg = build_interval_sptg(game, v_prime, x, width)
         sol = solve_sptg(sptg)
         stats.oracle_calls += 1
-        trace.append(IntervalCert(lo, hi, x, sptg, sol))
+        trace.append(IntervalCert(lo, hi, sptg, sol))
         for k in range(n):
             segments[k].append(_remap(sol.values[k], lo, width))
         zero_vals = [sol.values[k].eval(F0) for k in range(n)]

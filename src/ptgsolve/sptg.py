@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -69,17 +68,6 @@ class Sptg:
 
 
 @dataclass(frozen=True)
-class SweepStep:
-    """One snapshot solve: values are affine on [x_lo, x_hi)."""
-
-    x_hi: Fraction
-    x_lo: Fraction
-    base: tuple  # value at x_hi per state
-    rate: tuple  # slope coefficient: v_k(x) = base + rate*(x_hi - x)
-    profile: tuple  # optimal snapshot-game profile (index >= m means wait)
-
-
-@dataclass(frozen=True)
 class TimedStrategyProfile:
     """Choices per clock region: cells [lo, hi) that tile [0,1) from left
     to right, then the point cell at 1.
@@ -129,7 +117,6 @@ class SptgSolution:
     values: tuple  # PwlFn per state on [0,1]
     strategy: TimedStrategyProfile
     stats: SolveStats
-    trace: tuple  # SweepStep, right to left
 
 
 def build_eps_game(sptg: Sptg, wait_costs) -> PricedGame:
@@ -236,7 +223,6 @@ def solve_sptg(
     stats.switch_count += sw
     segments = [[] for _ in range(n)]
     cells = [(F1, F1, tuple(profile))]
-    trace = []
 
     x = F1
     v_at_x = [v.payoff for v in v1]
@@ -253,27 +239,19 @@ def solve_sptg(
         base = [v.payoff for v in vals]
         rate = [v.rate for v in vals]
         for k in range(n):
-            expect = v_at_x[k]
-            if base[k] != expect and not (is_inf(base[k]) and is_inf(expect)):
+            if base[k] != v_at_x[k]:  # INF == INF
                 raise AssertionError(
                     f"snapshot value at state {k} broke continuity: "
-                    f"{base[k]} != {expect}"
+                    f"{base[k]} != {v_at_x[k]}"
                 )
 
+        # each value at x_lo closes this segment and prices the next waits
         x_lo = next_event_point(sptg, eps_game, eps_profile, base, rate, x)
-        for k in range(n):
-            if is_inf(base[k]):
-                segments[k].append((x_lo, x, INF, F0))
-            else:
-                segments[k].append((x_lo, x, base[k] + rate[k] * (x - x_lo), -rate[k]))
-        cells.append(
-            (x_lo, x, tuple(WAIT if j >= m else j for j in eps_profile))
-        )
-        trace.append(SweepStep(x, x_lo, tuple(base), tuple(rate), eps_profile))
+        v_at_x = [INF if is_inf(b) else b + r * (x - x_lo) for b, r in zip(base, rate)]
+        for seg, b, r, v in zip(segments, base, rate, v_at_x):
+            seg.append((x_lo, x, v, F0 if is_inf(b) else -r))
+        cells.append((x_lo, x, tuple(WAIT if j >= m else j for j in eps_profile)))
         stats.sweep_steps += 1
-        v_at_x = [
-            INF if is_inf(base[k]) else base[k] + rate[k] * (x - x_lo) for k in range(n)
-        ]
         profile = eps_profile
         x = x_lo
     else:
@@ -285,7 +263,7 @@ def solve_sptg(
         interior.update(f.interior_breaks())
     stats.event_points = len(interior)
     strategy = TimedStrategyProfile(tuple(reversed(cells)))
-    return SptgSolution(fns, strategy, stats, tuple(trace))
+    return SptgSolution(fns, strategy, stats)
 
 
 def _potential_watcher(ladder, stats, on_switch):

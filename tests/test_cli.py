@@ -192,6 +192,22 @@ def test_state_without_actions_exits_two_with_code(tmp_path, capsys, kind):
     assert capsys.readouterr().err.startswith("input-error: no-actions at states[1]")
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        json.dumps(ptg_body()).replace('"s0"', '"s\xe9"').encode("latin-1"),
+        b"[" * 100_000 + b"]" * 100_000,
+        json.dumps(ptg_body()).replace('"format": 1', '"format": 1' + "0" * 4400).encode(),
+    ],
+    ids=["non-utf8", "deep-nesting", "long-integer"],
+)
+def test_undecodable_document_exits_two_with_code(tmp_path, capsys, data):
+    game = tmp_path / "game.json"
+    game.write_bytes(data)
+    assert cli.main(["solve", str(game)]) == 2
+    assert capsys.readouterr().err.startswith("input-error: bad-json at document: ")
+
+
 class TestEmission:
     def test_plot_matches_eval(self):
         fx = fixture_a()

@@ -173,6 +173,20 @@ class TestCheckEquilibrium:
         bad = dataclasses.replace(sol, strategy=TimedStrategyProfile(cells))
         assert not check_equilibrium(fx.game, bad).passed
 
+    def test_detects_longer_equal_cost_route_in_every_cell(self):
+        # both states exit at cost 1; state 0 may also move freely to state 1
+        g = sptg([1, 1], [1, 1], (0, None, Fr(1)), (0, 1, Fr(0)), (1, None, Fr(1)))
+        sol = solve_sptg(g)
+        assert check_equilibrium(g, sol).passed
+        assert [choices[0] for _, _, choices in sol.strategy.cells] == [0, 0]
+        cells = tuple((lo, hi, (1,) + choices[1:]) for lo, hi, choices in sol.strategy.cells)
+        bad = dataclasses.replace(sol, strategy=TimedStrategyProfile(cells))
+        report = check_equilibrium(g, bad)
+        # the detour costs the same, so only the snapshot re-check sees it,
+        # on the interval cell and on the point cell at 1
+        assert not report.passed and not report.probe_failures
+        assert sorted(report.cell_failures) == [(0, 1, 0), (1, 1, 0)]
+
     def test_passes_without_event_points(self):
         g = sptg([2], [1], (0, None, Fr(0)))
         sol = solve_sptg(g)

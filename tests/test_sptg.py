@@ -89,7 +89,7 @@ class TestSweep:
         assert sol.values[0].interior_breaks() == (fx.expected["event_point_at"],)
         assert sol.stats.event_points == fx.expected["event_points"]
         # the sweep stops exactly at the switch point before reaching 0
-        assert [s.x_lo for s in sol.trace] == [Fr(1, 2), F0]
+        assert [lo for lo, _, _ in sol.strategy.cells] == [F0, Fr(1, 2), F1]
 
     def test_fixture_a_strategy_cells(self):
         g = fixture_a().game
