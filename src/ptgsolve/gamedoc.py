@@ -159,6 +159,8 @@ def parse(text: str | bytes) -> GameDocument:
         elif "rate" in s:
             raise DocumentError("unknown-field", where, "rate on a priced game")
         states.append(DocState(sid, owner, rate))
+    if not states:
+        raise DocumentError("no-states", "states", "a game needs at least one state")
 
     actions = []
     aids = set()

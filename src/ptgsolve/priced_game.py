@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .numerics import F0, INF, is_inf
 
@@ -71,8 +71,7 @@ class PricedGame:
         return out
 
 
-@dataclass(frozen=True, order=True)
-class Valuation:
+class Valuation(NamedTuple):
     """Payoff, the waiting rate of the exit reached, and path length,
     ordered lexicographically."""
 
@@ -86,6 +85,17 @@ INFINITE = Valuation(INF, F0, INF)
 
 # A strategy profile is a tuple mapping each state to one of its actions.
 Profile = tuple
+
+
+class Payoffs(list):
+    """The payoff of every state, as a list; ``valuations`` keeps the
+    valuations they were read from."""
+
+    __slots__ = ("valuations",)
+
+    def __init__(self, valuations):
+        super().__init__(v.payoff for v in valuations)
+        self.valuations = valuations
 
 
 def _through(game: PricedGame, j: int, vals) -> Valuation:
@@ -249,9 +259,9 @@ def _pick_lowest(game: PricedGame, switches):
 
 def _iterate(game: PricedGame, profile: Profile, pick, on_switch=None):
     """Apply the picked improving switches, the maximizer's first, until
-    neither player has one.  Each pass makes one switch step or returns.
-    ``on_switch`` sees the first picked switch, so only single-switch
-    callers pass one.
+    neither player has one.  Each pass makes one switch step or returns
+    the :class:`Payoffs` of its evaluation.  ``on_switch`` sees the first
+    picked switch, so only single-switch callers pass one.
 
     The budget allows P*(n+1)+1 minimizer steps, each preceded by fewer
     than P maximizer steps, where P is :meth:`PricedGame.profile_bound`:
@@ -265,7 +275,7 @@ def _iterate(game: PricedGame, profile: Profile, pick, on_switch=None):
         vals = evaluate_profile(game, profile)
         sw = _switches(game, profile, vals, 2) or _switches(game, profile, vals, 1)
         if not sw:
-            return [v.payoff for v in vals], profile, switch_count
+            return Payoffs(vals), profile, switch_count
         picked = pick(game, sw)
         nxt = apply_switches(game, profile, picked)
         if on_switch is not None:
@@ -280,7 +290,8 @@ def strategy_iteration(game: PricedGame, profile: Profile):
     switch; the resulting profile is optimal and its payoffs are the game
     values.  Each step switches one action per state of one player, the
     maximizer's while it has any.  Returns ``(values, profile,
-    switch_count)``."""
+    switch_count)``; ``values`` is a :class:`Payoffs`, so the final
+    profile's valuations come with it."""
     return _iterate(game, profile, _pick_switch_set)
 
 

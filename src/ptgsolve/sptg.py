@@ -8,6 +8,17 @@ time 1, then repeatedly solve a snapshot game whose waiting option costs
 the current value plus an infinitesimal rate charge, and extend the
 value functions linearly down to the next point where some state's best
 choice changes.
+
+Each step solves its snapshot game in full, but keeps the bookkeeping
+around it proportional to what changed.  Every snapshot game shares one
+layout, cached on the Sptg, and only gets new waiting exits.  Every state
+keeps a certificate, its largest crossing below the current clock value,
+and only states whose certificate may have moved are rescanned: their
+choice changed, an action of theirs leads to a state whose rate changed,
+or their crossing fixed the current clock value.  Waiting actions are
+never scanned, as their line meets the chosen one at the current clock
+value itself.  A value function gets a new segment only where its state's
+rate changes.
 """
 
 from __future__ import annotations
@@ -60,6 +71,13 @@ class Sptg:
     def core(self) -> PricedGame:
         """The untimed game played when no time remains."""
         return PricedGame(self.owners, self.actions)
+
+    @cached_property
+    def snapshot_layout(self) -> tuple:
+        """``state_actions`` of every snapshot game: the core's, then the
+        state's waiting exit, numbered after the Sptg's own actions."""
+        m = self.num_actions
+        return tuple(js + (m + k,) for k, js in enumerate(self.core.state_actions))
 
     def event_bound(self) -> int:
         """Bound on the number of event points of the value functions."""
@@ -122,12 +140,28 @@ class SptgSolution:
 def build_eps_game(sptg: Sptg, wait_costs) -> PricedGame:
     """Snapshot game at a clock value: the untimed game extended with a
     waiting exit per state whose cost is the state's current value and
-    whose infinitesimal charge (``wait_rate``) is the state's rate."""
-    waits = tuple(
-        PAction(k, None, wait_costs[k], sptg.rates[k], f"wait{k}")
-        for k in range(sptg.num_states)
+    whose infinitesimal charge (``wait_rate``) is the state's rate.
+
+    Only the waiting exits are new: the rest was validated with the
+    Sptg's core, so only their costs are checked, and the layout comes
+    from :attr:`Sptg.snapshot_layout`.
+    """
+    m = sptg.num_actions
+    waits = []
+    for k in range(sptg.num_states):
+        cost = wait_costs[k]
+        if not is_inf(cost) and cost < 0:
+            raise ValueError(f"action {m + k} has negative cost")
+        waits.append(PAction(k, None, cost, sptg.rates[k], f"wait{k}"))
+    # set the fields and the cached ``state_actions`` as PricedGame's own
+    # constructor and cached_property would, without re-checking the core
+    game = object.__new__(PricedGame)
+    game.__dict__.update(
+        owners=sptg.owners,
+        actions=sptg.actions + tuple(waits),
+        state_actions=sptg.snapshot_layout,
     )
-    return PricedGame(sptg.owners, sptg.actions + waits)
+    return game
 
 
 def solve_untimed(game: PricedGame, seed=None, on_switch: Optional[Callable] = None):
@@ -138,14 +172,15 @@ def solve_untimed(game: PricedGame, seed=None, on_switch: Optional[Callable] = N
     Without a seed: extended Dijkstra, then strategy iteration from its
     profile, which must keep Dijkstra's values and, state by state, the
     payoff and rate its profile attains.  With a seed profile: single
-    switches from the seed, each reported to ``on_switch``.
+    switches from the seed, each reported to ``on_switch``.  Either way
+    the valuations are those of the iteration's final, switch-free pass.
     """
     if seed is not None:
-        _, profile, switches = single_switch_iteration(game, seed, on_switch)
-        return evaluate_profile(game, profile), profile, switches
+        payoffs, profile, switches = single_switch_iteration(game, seed, on_switch)
+        return payoffs.valuations, profile, switches
     values, start = extended_dijkstra(game)
     payoffs, profile, switches = strategy_iteration(game, start)
-    vals = evaluate_profile(game, profile)
+    vals = payoffs.valuations
     start_vals = vals if profile == start else evaluate_profile(game, start)
     if payoffs != values or any(
         (a.payoff, a.rate) != (b.payoff, b.rate) for a, b in zip(start_vals, vals)
@@ -173,30 +208,47 @@ def _line(eps_game: PricedGame, j: int, base, rate):
     return (a.cost + base[a.dest], rate[a.dest])
 
 
-def next_event_point(sptg: Sptg, eps_game: PricedGame, profile, base, rate, x_hi):
+def _crossing(sptg: Sptg, eps_game: PricedGame, k: int, chosen: int, base, rate, x_hi):
+    """Largest clock value in [0, x_hi) where the line of one of state
+    ``k``'s own (non-waiting) actions meets the line of ``chosen``; 0 when
+    there is none."""
+    if is_inf(base[k]):
+        return F0
+    sigma = _line(eps_game, chosen, base, rate)
+    if sigma is None:
+        return F0
+    span = x_hi  # distance from x_hi to the largest crossing so far
+    for j in sptg.core.state_actions[k]:
+        if j == chosen:
+            continue
+        cand = _line(eps_game, j, base, rate)
+        if cand is None or cand[1] == sigma[1]:
+            continue
+        # A_j + d*S_j = A_s + d*S_s with d = x_hi - x''; lines tied
+        # at x_hi cross at d = 0 and fall to the strict inequality
+        d = (sigma[0] - cand[0]) / (cand[1] - sigma[1])
+        if F0 < d < span:
+            span = d
+    return x_hi - span
+
+
+def next_event_point(sptg: Sptg, eps_game: PricedGame, profile, base, rate, x_hi, certs, dirty):
     """Largest clock value strictly below ``x_hi`` where some available
     action's line meets the chosen action's line, given they differ at
-    ``x_hi`` itself; 0 when no such crossing exists."""
-    best = F0
-    for k in range(sptg.num_states):
-        if is_inf(base[k]):
-            continue
-        sigma = _line(eps_game, profile[k], base, rate)
-        if sigma is None:
-            continue
-        for j in eps_game.state_actions[k]:
-            if j == profile[k]:
-                continue
-            cand = _line(eps_game, j, base, rate)
-            if cand is None or cand[1] == sigma[1]:
-                continue
-            # A_j + d*S_j = A_s + d*S_s with d = x_hi - x''; lines tied
-            # at x_hi cross at d = 0 and fall to the strict inequality
-            d = (sigma[0] - cand[0]) / (cand[1] - sigma[1])
-            xx = x_hi - d
-            if F0 <= xx < x_hi and xx > best:
-                best = xx
-    return best
+    ``x_hi`` itself; 0 when no such crossing exists.
+
+    ``certs[k]`` caches state ``k``'s own largest such crossing, from an
+    earlier step; only the states in ``dirty`` are rescanned, and the
+    result is the largest certificate.  A cached crossing stays valid
+    while the lines it compared stay put: values are continuous, so a
+    line through a destination moves only when that destination's rate
+    changes.  A waiting action is never scanned: its line starts at the
+    state's value at ``x_hi``, which the chosen line also attains, so
+    the two meet at ``x_hi`` itself or not at all.
+    """
+    for k in dirty:
+        certs[k] = _crossing(sptg, eps_game, k, profile[k], base, rate, x_hi)
+    return max(certs, default=F0)
 
 
 def solve_sptg(
@@ -206,11 +258,20 @@ def solve_sptg(
 ) -> SptgSolution:
     """Exact value functions and optimal strategies on [0,1].
 
-    Each snapshot game is solved from scratch.  ``instrument=True``
-    instead improves the previous snapshot's profile one switch at a time
-    and verifies that every switch strictly decreases the potential
-    matrix; ``on_switch(matrix_before, matrix_after)`` additionally
-    observes each recorded pair.
+    Each snapshot game is solved in full: extended Dijkstra, then
+    stabilisation.  It shares its layout with every other snapshot game
+    and gets new waiting exits.  The next event point rescans only the
+    states whose crossing certificate may have moved (see
+    :func:`next_event_point`): those whose choice changed, those with an
+    action into a state whose rate changed, and those whose certificate
+    fixed the current clock value.
+    A state's value function gets a new segment only where its rate
+    changes.
+
+    ``instrument=True`` instead improves the previous snapshot's profile
+    one switch at a time and verifies that every switch strictly
+    decreases the potential matrix; ``on_switch(matrix_before,
+    matrix_after)`` additionally observes each recorded pair.
     """
     stats = SolveStats()
     n = sptg.num_states
@@ -221,11 +282,21 @@ def solve_sptg(
 
     v1, profile, sw = solve_at_time_one(sptg)
     stats.switch_count += sw
-    segments = [[] for _ in range(n)]
     cells = [(F1, F1, tuple(profile))]
+    # states with a non-waiting action into each state
+    preds = [set() for _ in range(n)]
+    for a in sptg.actions:
+        if a.dest is not None:
+            preds[a.dest].add(a.source)
 
     x = F1
     v_at_x = [v.payoff for v in v1]
+    # each state's segments so far, right to left, and its open piece's
+    # right end and rate
+    segments = [[] for _ in range(n)]
+    top = [F1] * n
+    piece_rate = None
+    certs = [F0] * n
     budget = sptg.event_bound() + 2
     for _ in range(budget):
         if x == F0:
@@ -245,11 +316,19 @@ def solve_sptg(
                     f"{base[k]} != {v_at_x[k]}"
                 )
 
-        # each value at x_lo closes this segment and prices the next waits
-        x_lo = next_event_point(sptg, eps_game, eps_profile, base, rate, x)
-        v_at_x = [INF if is_inf(b) else b + r * (x - x_lo) for b, r in zip(base, rate)]
-        for seg, b, r, v in zip(segments, base, rate, v_at_x):
-            seg.append((x_lo, x, v, F0 if is_inf(b) else -r))
+        if piece_rate is None:
+            dirty = range(n)
+        else:
+            dirty = {k for k in range(n) if eps_profile[k] != profile[k] or certs[k] >= x}
+            for k in range(n):
+                if rate[k] != piece_rate[k]:
+                    dirty.update(preds[k])
+                    segments[k].append((x, top[k], v_at_x[k], -piece_rate[k]))
+                    top[k] = x
+        piece_rate = rate
+        x_lo = next_event_point(sptg, eps_game, eps_profile, base, rate, x, certs, dirty)
+        dx = x - x_lo
+        v_at_x = [INF if is_inf(b) else b + r * dx for b, r in zip(base, rate)]
         cells.append((x_lo, x, tuple(WAIT if j >= m else j for j in eps_profile)))
         stats.sweep_steps += 1
         profile = eps_profile
@@ -257,6 +336,8 @@ def solve_sptg(
     else:
         raise RuntimeError("sweep exceeded its event-point budget")
 
+    for seg, hi, v, r in zip(segments, top, v_at_x, piece_rate):
+        seg.append((F0, hi, v, -r))
     fns = tuple(PwlFn.from_segments(list(reversed(segs))) for segs in segments)
     interior = set()
     for f in fns:

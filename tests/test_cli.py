@@ -192,6 +192,14 @@ def test_state_without_actions_exits_two_with_code(tmp_path, capsys, kind):
     assert capsys.readouterr().err.startswith("input-error: no-actions at states[1]")
 
 
+@pytest.mark.parametrize("kind", ["priced", "sptg", "ptg"])
+def test_game_without_states_exits_two_with_code(tmp_path, capsys, kind):
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps({"format": 1, "kind": kind, "states": [], "actions": []}))
+    assert cli.main(["solve", str(game)]) == 2
+    assert capsys.readouterr().err.startswith("input-error: no-states at states")
+
+
 @pytest.mark.parametrize(
     "data",
     [

@@ -2,7 +2,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from ptgsolve import priced_game
+from ptgsolve import priced_game, sptg
 from ptgsolve.numerics import is_inf
 from ptgsolve.oracle import generate_random
 from ptgsolve.priced_game import (
@@ -231,6 +231,19 @@ class TestSingleSwitchIteration:
             assert len(calls) == switches + 1, seed
             switched += switches
         assert switched > 0
+
+    def test_untimed_solve_evaluates_the_final_profile_once(self, monkeypatch):
+        calls = []
+        counted = lambda g, p: calls.append(p) or evaluate_profile(g, p)
+        monkeypatch.setattr(priced_game, "evaluate_profile", counted)
+        monkeypatch.setattr(sptg, "evaluate_profile", counted)
+        for seed in range(40):
+            g = generate_random("priced", 4, 3, seed, allow_inf=(seed % 2 == 1))
+            for seed_profile in (None, tuple(js[0] for js in g.state_actions)):
+                calls.clear()
+                vals, profile, _ = solve_untimed(g, seed_profile)
+                assert calls.count(profile) == 1, seed
+                assert vals == evaluate_profile(g, profile), seed
 
 
 class TestImprovingSetMonotonicity:

@@ -5,7 +5,7 @@ import pytest
 from ptgsolve.fixtures import fixture_a
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
 from ptgsolve.oracle import generate_random
-from ptgsolve.priced_game import PAction
+from ptgsolve.priced_game import PAction, PricedGame
 from ptgsolve.sptg import (
     Sptg,
     TimedStrategyProfile,
@@ -55,6 +55,18 @@ class TestEpsGame:
             (2, None, INF, Fr(1)),
         ]
 
+    def test_layout_matches_a_validated_build(self):
+        g = fixture_a().game
+        eg = build_eps_game(g, [Fr(1, 2), Fr(3), INF])
+        fresh = PricedGame(g.owners, eg.actions)
+        assert eg == fresh
+        assert eg.state_actions == fresh.state_actions
+
+    def test_negative_wait_cost_rejected(self):
+        g = fixture_a().game
+        with pytest.raises(ValueError, match="negative cost"):
+            build_eps_game(g, [F0, Fr(-1), F0])
+
     def test_original_actions_are_eps_free(self):
         g = fixture_a().game
         eg = build_eps_game(g, [F0] * 3)
@@ -78,6 +90,13 @@ class TestTimeOne:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("instrument", [False, True])
+    def test_game_without_states_solves_to_nothing(self, instrument):
+        sol = solve_sptg(Sptg((), (), ()), instrument=instrument)
+        assert sol.values == ()
+        assert sol.strategy.cells == ((F0, F1, ()), (F1, F1, ()))
+        assert sol.stats.sweep_steps == 1
+
     def test_fixture_a_values(self):
         fx = fixture_a()
         sol = solve_sptg(fx.game)
