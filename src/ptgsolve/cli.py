@@ -1,5 +1,4 @@
-"""Command-line driver: solve game files, fuzz against the oracle, and
-benchmark instance families.
+"""Command-line driver: solve game files and fuzz against the oracle.
 
 Exit codes: 0 success, 1 verification failure, 2 bad input or I/O error.
 """
@@ -8,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 
 from . import gamedoc
 from .oracle import (
@@ -73,9 +71,13 @@ def _cmd_solve(args) -> int:
                 report = check_equilibrium(cert.sptg, cert.solution)
                 verify_ok = verify_ok and report.passed
 
-    _write(args.out, out)
-    if args.plot is not None and plot is not None:
-        _write(args.plot, plot)
+    try:
+        _write(args.out, out)
+        if args.plot is not None and plot is not None:
+            _write(args.plot, plot)
+    except OSError as exc:
+        print(f"output-error: {exc}", file=sys.stderr)
+        return 2
     if not verify_ok:
         print('{"verify": "failed"}', file=sys.stderr)
         return 1
@@ -95,33 +97,11 @@ def _cmd_fuzz(args) -> int:
     return 0 if disagreements == 0 else 1
 
 
-def _cmd_bench(args) -> int:
-    rows = []
-    for i in range(args.count):
-        seed = args.seed + i
-        if args.family == "reach":
-            game = generate_random("ptg", args.size, 3, seed, rate_one_cost_zero=True)
-            t0 = time.perf_counter()
-            res = solve_ptg(game)
-            dt = time.perf_counter() - t0
-            rows.append((seed, dt, res.stats.oracle_calls))
-        elif args.family == "automata":
-            game = generate_random("sptg", args.size, 3, seed, one_player=True)
-            t0 = time.perf_counter()
-            sol = solve_sptg(game)
-            dt = time.perf_counter() - t0
-            rows.append((seed, dt, sol.stats.event_points))
-        else:
-            game = generate_random("sptg", args.size, 4, seed)
-            t0 = time.perf_counter()
-            sol = solve_sptg(game)
-            dt = time.perf_counter() - t0
-            rows.append((seed, dt, sol.stats.event_points))
-    print("seed\tseconds\tsize")
-    for seed, dt, size in rows:
-        print(f"{seed}\t{dt:.4f}\t{size}")
-    print(f"total\t{sum(dt for _, dt, _ in rows):.4f}\t-")
-    return 0
+def _positive_int(text) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not a positive integer")
+    return n
 
 
 def main(argv=None) -> int:
@@ -139,16 +119,9 @@ def main(argv=None) -> int:
 
     p_fuzz = sub.add_parser("fuzz", help="random games checked against the oracle")
     p_fuzz.add_argument("--seed", type=int, default=0)
-    p_fuzz.add_argument("--count", type=int, default=20)
-    p_fuzz.add_argument("--size", type=int, default=4)
+    p_fuzz.add_argument("--count", type=_positive_int, default=20)
+    p_fuzz.add_argument("--size", type=_positive_int, default=4)
     p_fuzz.set_defaults(func=_cmd_fuzz)
-
-    p_bench = sub.add_parser("bench", help="time an instance family")
-    p_bench.add_argument("--family", choices=("reach", "automata", "random"), default="random")
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--count", type=int, default=5)
-    p_bench.add_argument("--size", type=int, default=20)
-    p_bench.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -335,8 +335,6 @@ def emit_sptg_result(doc: GameDocument, sol: SptgSolution) -> str:
             "L": sol.stats.event_points,
             "sweep_steps": sol.stats.sweep_steps,
             "switch_count": sol.stats.switch_count,
-            "oracle_calls": 0,
-            "wall_time": "0",
         },
     }
     return _dump(body)
@@ -357,13 +355,11 @@ def emit_ptg_result(doc: GameDocument, res: PtgResult) -> str:
             doc.states[k].id: [format_cost(t) for t in res.jump_points(k)]
             for k in range(len(doc.states))
         },
-        "note": res.optimality_note,
         "stats": {
             "L": len(interior),
             "sweep_steps": sum(c.solution.stats.sweep_steps for c in res.trace),
             "switch_count": sum(c.solution.stats.switch_count for c in res.trace),
             "oracle_calls": res.stats.oracle_calls,
-            "wall_time": "0",
         },
     }
     return _dump(body)

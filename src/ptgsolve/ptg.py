@@ -6,6 +6,9 @@ reductions: resets are unfolded into layers counted by reset uses,
 the time axis is cut at the interval endpoints into homogeneous pieces,
 and each piece is rescaled to a simple priced timed game over [0,1]
 whose waiting exits are rerouted through an auxiliary maximizer state.
+All layers share the one game: a reset is priced where its action is
+converted to an untimed one, as a terminal exit worth the next layer's
+clock-0 value at its destination.
 """
 
 from __future__ import annotations
@@ -111,10 +114,6 @@ class Ptg:
         """Distinct states that reset actions lead to."""
         return len({a.dest for a in self.actions if a.reset})
 
-    def available(self, x):
-        """Indices of actions whose interval contains x."""
-        return [i for i, a in enumerate(self.actions) if a.available_at(x)]
-
 
 @dataclass(frozen=True)
 class IntervalCert:
@@ -139,10 +138,6 @@ class PtgResult:
     ladder: tuple  # descending
     trace: tuple  # IntervalCert, right to left
     stats: PtgStats
-    # Only epsilon-optimal strategies are guaranteed to exist: at a jump
-    # of the value function the optimum may be a limit of ever-shorter
-    # waits and never attained.
-    optimality_note: str = "values are exact; strategies epsilon-optimal"
 
     def jump_points(self, state: int):
         """Ladder points where the value differs from a one-sided limit."""
@@ -163,27 +158,43 @@ class PtgResult:
         return out
 
 
-def build_moment_game(game: Ptg, v, x) -> PricedGame:
+def _actions_at(game: Ptg, x, reset_values) -> list:
+    """The actions available at clock x as untimed actions.  A reset is a
+    terminal exit costing its cost plus its destination's entry of
+    ``reset_values``, the next layer's clock-0 values; in the deepest
+    layer, where ``reset_values`` is None, it costs infinity."""
+    actions = []
+    for a in game.actions:
+        if not a.available_at(x):
+            continue
+        dest, cost = a.dest, a.cost
+        if a.reset:
+            extra = INF if reset_values is None else reset_values[a.dest]
+            dest = None
+            cost = INF if (is_inf(cost) or is_inf(extra)) else cost + extra
+        actions.append(PAction(a.source, dest, cost, label=a.label))
+    return actions
+
+
+def build_moment_game(game: Ptg, v, x, reset_values) -> PricedGame:
     """Snapshot priced game at clock x: the actions available at x plus
     a stop action per state collecting that state's entry of ``v``."""
-    actions = []
-    for i in game.available(x):
-        a = game.actions[i]
-        actions.append(PAction(a.source, a.dest, a.cost, label=a.label))
+    actions = _actions_at(game, x, reset_values)
     for k in range(game.num_states):
         actions.append(PAction(k, None, v[k], label=f"stop{k}"))
     return PricedGame(game.owners, tuple(actions))
 
 
-def build_interval_sptg(game: Ptg, v_prime, x, width) -> Sptg:
+def build_interval_sptg(game: Ptg, v_prime, x, width, reset_values) -> Sptg:
     """Rescale one homogeneous availability interval to an SPTG on [0,1].
 
     Actions available at the interior point x survive with their original
-    destinations; each state gains a stop action worth that state's entry
-    of ``v_prime``, usable only at time 1.  For minimizer states the stop
-    action routes through a fresh maximizer state with the top rate and a
-    free exit, which prices early stopping out of the optimum; maximizer
-    stop actions go to the terminal directly.  Rates scale by the width.
+    destinations, resets priced as in ``_actions_at``; each state gains a
+    stop action worth that state's entry of ``v_prime``, usable only at
+    time 1.  For minimizer states the stop action routes through a fresh
+    maximizer state with the top rate and a free exit, which prices early
+    stopping out of the optimum; maximizer stop actions go to the terminal
+    directly.  Rates scale by the width.
     """
     width = frac(width)
     if width <= 0:
@@ -191,12 +202,7 @@ def build_interval_sptg(game: Ptg, v_prime, x, width) -> Sptg:
     n = game.num_states
     max_state = n
     top_rate = max(game.rates, default=F0) * width
-    actions = []
-    for i in game.available(x):
-        a = game.actions[i]
-        if a.reset:
-            raise PtgValidationError("reset-present", f"action {i}")
-        actions.append(PAction(a.source, a.dest, a.cost, label=a.label))
+    actions = _actions_at(game, x, reset_values)
     for k in range(n):
         dest = max_state if game.owners[k] == 1 else None
         actions.append(PAction(k, dest, v_prime[k], label=f"stop{k}"))
@@ -216,33 +222,12 @@ def _remap(fn: PwlFn, lo, width) -> list:
     ]
 
 
-def _strip_resets(game: Ptg, reset_zero_values) -> Ptg:
-    """Replace reset actions by terminal exits priced at the action cost
-    plus the destination's clock-0 value in the next layer (infinite in
-    the deepest layer)."""
-    actions = []
-    for a in game.actions:
-        if not a.reset:
-            actions.append(a)
-            continue
-        extra = INF if reset_zero_values is None else reset_zero_values[a.dest]
-        cost = INF if (is_inf(a.cost) or is_inf(extra)) else a.cost + extra
-        actions.append(
-            TAction(a.source, None, cost, a.lo, a.hi, a.lo_closed, a.hi_closed,
-                    False, a.label)
-        )
-    return Ptg(game.owners, game.rates, tuple(actions))
-
-
-def _solve_reset_free(game: Ptg, stats: PtgStats) -> PtgResult:
+def _solve_layer(game: Ptg, reset_values, stats: PtgStats) -> PtgResult:
+    """One reset layer, its resets priced by ``reset_values``."""
     n = game.num_states
     ladder = game.ladder
     top = ladder[0]
-    avail_top = [game.actions[i] for i in game.available(top)]
-    top_game = PricedGame(
-        game.owners,
-        tuple(PAction(a.source, a.dest, a.cost, label=a.label) for a in avail_top),
-    )
+    top_game = PricedGame(game.owners, tuple(_actions_at(game, top, reset_values)))
     point_vals = {top: list(extended_dijkstra(top_game)[0])}
     stats.priced_solves += 1
 
@@ -252,17 +237,17 @@ def _solve_reset_free(game: Ptg, stats: PtgStats) -> PtgResult:
         hi, lo = ladder[i - 1], ladder[i]
         width = hi - lo
         x = (hi + lo) / 2
-        moment = build_moment_game(game, point_vals[hi], x)
+        moment = build_moment_game(game, point_vals[hi], x, reset_values)
         v_prime = extended_dijkstra(moment)[0]
         stats.priced_solves += 1
-        sptg = build_interval_sptg(game, v_prime, x, width)
+        sptg = build_interval_sptg(game, v_prime, x, width, reset_values)
         sol = solve_sptg(sptg)
         stats.oracle_calls += 1
         trace.append(IntervalCert(lo, hi, sptg, sol))
         for k in range(n):
             segments[k].append(_remap(sol.values[k], lo, width))
         zero_vals = [sol.values[k].eval(F0) for k in range(n)]
-        moment0 = build_moment_game(game, zero_vals, lo)
+        moment0 = build_moment_game(game, zero_vals, lo, reset_values)
         point_vals[lo] = list(extended_dijkstra(moment0)[0])
         stats.priced_solves += 1
 
@@ -277,14 +262,13 @@ def _solve_reset_free(game: Ptg, stats: PtgStats) -> PtgResult:
 def solve_ptg(game: Ptg) -> PtgResult:
     """Exact value functions over [0, horizon].
 
-    Reset layers are solved deepest first; each layer's clock-0 values
-    price the previous layer's reset actions as terminal exits.
+    Reset layers are solved deepest first, all on the one game: each
+    layer's clock-0 values price the previous layer's resets where its
+    actions are converted to untimed ones.
     """
     stats = PtgStats(layers=game.reset_depth + 1)
-    result = None
-    zero_values = None
-    for _ in range(game.reset_depth, -1, -1):
-        layer = _strip_resets(game, zero_values) if game.reset_depth else game
-        result = _solve_reset_free(layer, stats)
-        zero_values = [f.eval(F0) for f in result.values]
+    reset_values = None
+    for _ in range(stats.layers):
+        result = _solve_layer(game, reset_values, stats)
+        reset_values = [f.eval(F0) for f in result.values]
     return result

@@ -291,12 +291,47 @@ class TestMain:
         assert cli.main(["fuzz", "--count", "5", "--size", "3"]) == 0
         assert "fuzz: 5/5 agree" in capsys.readouterr().out
 
-    def test_bench_prints_table(self, capsys):
-        assert cli.main(["bench", "--family", "random", "--count", "2", "--size", "4"]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("seed\tseconds\tsize")
+    @pytest.mark.parametrize("flag", ["--count", "--size"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_fuzz_rejects_nonpositive(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fuzz", flag, value])
+        assert exc.value.code == 2
+        assert "is not a positive integer" in capsys.readouterr().err
+
+    def test_subcommands_are_solve_and_fuzz(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert "{solve,fuzz}" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "--count", "2"])
+        assert exc.value.code == 2
+
+    def test_sptg_stats_are_computed_counts(self, tmp_path, capsys):
+        path = self.write(tmp_path, doc_text(fixture_a().game, "sptg"))
+        assert cli.main(["solve", path]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert set(body["stats"]) == {"L", "sweep_steps", "switch_count"}
+
+    def test_ptg_stats_are_computed_counts(self, tmp_path, capsys):
+        path = self.write(tmp_path, doc_text(delayed_exit_jump().game, "ptg"))
+        assert cli.main(["solve", path]) == 0
+        body = json.loads(capsys.readouterr().out)
+        assert set(body["stats"]) == {"L", "sweep_steps", "switch_count", "oracle_calls"}
+        assert "note" not in body
 
     def test_exact_output_carries_no_approximate_flag(self, tmp_path, capsys):
         path = self.write(tmp_path, doc_text(fixture_a().game, "sptg"))
         assert cli.main(["solve", path]) == 0
         assert "approximate" not in json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--plot"])
+@pytest.mark.parametrize("target", ["missing-dir", "dir"])
+def test_unwritable_output_exits_two(tmp_path, capsys, flag, target):
+    game = tmp_path / "game.json"
+    game.write_text(doc_text(fixture_a().game, "sptg"))
+    path = tmp_path / "missing" / "x.out" if target == "missing-dir" else tmp_path
+    assert cli.main(["solve", str(game), flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("output-error: ")

@@ -88,10 +88,10 @@ class TestMomentGame:
             act(0, None, 3, 0, 1),
             act(0, None, 7, 1, 1),
         )
-        m = build_moment_game(g, [Fr(9)], Fr(1, 2))
+        m = build_moment_game(g, [Fr(9)], Fr(1, 2), None)
         assert [a.cost for a in m.actions] == [Fr(3), Fr(9)]
         assert m.actions[-1].label == "stop0"
-        m1 = build_moment_game(g, [Fr(9)], F1)
+        m1 = build_moment_game(g, [Fr(9)], F1, None)
         assert [a.cost for a in m1.actions] == [Fr(3), Fr(7), Fr(9)]
 
 
@@ -109,7 +109,7 @@ class TestIntervalSptg:
 
     def test_width_one_fields(self):
         g = self.game()
-        s = build_interval_sptg(g, [Fr(4), Fr(6)], Fr(1, 2), F1)
+        s = build_interval_sptg(g, [Fr(4), Fr(6)], Fr(1, 2), F1, None)
         assert s.owners == (1, 2, 2)
         assert s.rates == (Fr(2), Fr(3), Fr(3))
         # available actions survive; the point-[1,1] exit does not
@@ -122,33 +122,39 @@ class TestIntervalSptg:
         assert s.actions[4].cost == F0
 
     def test_rates_scale_with_width(self):
-        s = build_interval_sptg(self.game(), [F0, F0], Fr(1, 2), Fr(1, 3))
+        s = build_interval_sptg(self.game(), [F0, F0], Fr(1, 2), Fr(1, 3), None)
         assert s.rates == (Fr(2, 3), F1, F1)
 
     def test_nonpositive_width_rejected(self):
         with pytest.raises(PtgValidationError) as exc:
-            build_interval_sptg(self.game(), [F0, F0], Fr(1, 2), F0)
+            build_interval_sptg(self.game(), [F0, F0], Fr(1, 2), F0, None)
         assert exc.value.code == "bad-interval"
 
-    def test_reset_rejected(self):
+    def test_reset_priced_as_exit(self):
         g = Ptg(
             (1,),
             (F1,),
-            (act(0, 0, 0, 0, 1, reset=True), act(0, None, 0, 0, 1)),
+            (act(0, 0, 2, 0, 1, reset=True, label="loop"), act(0, None, 0, 0, 1)),
         )
-        with pytest.raises(PtgValidationError) as exc:
-            build_interval_sptg(g, [F0], Fr(1, 2), F1)
-        assert exc.value.code == "reset-present"
+        deepest = build_interval_sptg(g, [F0], Fr(1, 2), F1, None).actions[0]
+        assert deepest.label == "loop" and deepest.dest is None
+        assert is_inf(deepest.cost)
+        priced = build_interval_sptg(g, [F0], Fr(1, 2), F1, [Fr(3)]).actions[0]
+        assert priced.label == "loop" and priced.dest is None
+        assert priced.cost == Fr(5)
+        res = solve_ptg(maximizer_reset_loop().game)
+        assert res.stats.layers == 2
+        assert res.values == (PwlFn.constant(F0, F1, INF),)
 
     def test_minimizer_point_exit_prices_the_wait(self):
         g = simple(act(0, None, 0, 1, 1))
-        s = build_interval_sptg(g, [F0], Fr(1, 2), F1)
+        s = build_interval_sptg(g, [F0], Fr(1, 2), F1, None)
         sol = solve_sptg(s)
         assert sol.values[0] == PwlFn.affine(F0, F1, F1, Fr(-1))
 
     def test_maximizer_point_exit_stays_terminal(self):
         g = simple(act(0, None, 0, 1, 1), owners=(2,))
-        s = build_interval_sptg(g, [F0], Fr(1, 2), F1)
+        s = build_interval_sptg(g, [F0], Fr(1, 2), F1, None)
         assert s.actions[0].dest is None
         assert solve_sptg(s).values[0] == PwlFn.affine(F0, F1, F1, Fr(-1))
 
