@@ -8,7 +8,11 @@ and each piece is rescaled to a simple priced timed game over [0,1]
 whose waiting exits are rerouted through an auxiliary maximizer state.
 All layers share the one game: a reset is priced where its action is
 converted to an untimed one, as a terminal exit worth the next layer's
-clock-0 value at its destination.
+clock-0 value at its destination.  A layer's result depends only on the
+game and those clock-0 values, so the layer loop stops at the first
+layer that reproduces its input; and the game converts the actions
+available at each clock value once, leaving each layer to price only
+its resets.
 """
 
 from __future__ import annotations
@@ -114,6 +118,13 @@ class Ptg:
         """Distinct states that reset actions lead to."""
         return len({a.dest for a in self.actions if a.reset})
 
+    @cached_property
+    def _untimed_at(self) -> dict:
+        """Clock value -> the actions available there, in ``actions``
+        order, as ``(TAction, PAction)`` pairs; a reset's ``PAction`` is
+        None, as its price depends on the layer.  Filled by ``_actions_at``."""
+        return {}
+
 
 @dataclass(frozen=True)
 class IntervalCert:
@@ -129,7 +140,8 @@ class IntervalCert:
 class PtgStats:
     oracle_calls: int = 0  # interval-game solves
     priced_solves: int = 0
-    layers: int = 1
+    layers: int = 1  # layers of the unfolding: reset_depth + 1
+    solved_layers: int = 0  # layers solved, up to the first that repeats its input
 
 
 @dataclass(frozen=True)
@@ -163,16 +175,20 @@ def _actions_at(game: Ptg, x, reset_values) -> list:
     terminal exit costing its cost plus its destination's entry of
     ``reset_values``, the next layer's clock-0 values; in the deepest
     layer, where ``reset_values`` is None, it costs infinity."""
+    available = game._untimed_at.get(x)
+    if available is None:
+        available = game._untimed_at[x] = [
+            (a, None if a.reset else PAction(a.source, a.dest, a.cost, label=a.label))
+            for a in game.actions
+            if a.available_at(x)
+        ]
     actions = []
-    for a in game.actions:
-        if not a.available_at(x):
-            continue
-        dest, cost = a.dest, a.cost
-        if a.reset:
+    for a, untimed in available:
+        if untimed is None:
             extra = INF if reset_values is None else reset_values[a.dest]
-            dest = None
-            cost = INF if (is_inf(cost) or is_inf(extra)) else cost + extra
-        actions.append(PAction(a.source, dest, cost, label=a.label))
+            cost = INF if (is_inf(a.cost) or is_inf(extra)) else a.cost + extra
+            untimed = PAction(a.source, None, cost, label=a.label)
+        actions.append(untimed)
     return actions
 
 
@@ -264,11 +280,18 @@ def solve_ptg(game: Ptg) -> PtgResult:
 
     Reset layers are solved deepest first, all on the one game: each
     layer's clock-0 values price the previous layer's resets where its
-    actions are converted to untimed ones.
+    actions are converted to untimed ones.  A layer whose clock-0 values
+    equal the ones it was priced with would be repeated by every later
+    layer, so the loop returns it; ``stats.solved_layers`` counts the
+    layers solved, out of ``stats.layers``.
     """
     stats = PtgStats(layers=game.reset_depth + 1)
     reset_values = None
     for _ in range(stats.layers):
         result = _solve_layer(game, reset_values, stats)
-        reset_values = [f.eval(F0) for f in result.values]
+        stats.solved_layers += 1
+        zero_vals = [f.eval(F0) for f in result.values]
+        if zero_vals == reset_values:
+            break
+        reset_values = zero_vals
     return result

@@ -1,19 +1,27 @@
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
+from ptgsolve import gamedoc
 from ptgsolve.fixtures import delayed_exit_jump, maximizer_reset_loop
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
 from ptgsolve.oracle import generate_random, simulate_ptg
+from ptgsolve.priced_game import PAction
 from ptgsolve.ptg import (
     Ptg,
+    PtgStats,
     PtgValidationError,
     TAction,
+    _actions_at,
+    _solve_layer,
     build_interval_sptg,
     build_moment_game,
     solve_ptg,
 )
 from ptgsolve.sptg import solve_sptg
+
+GOLDEN_RESETS = Path(__file__).parent / "golden" / "ptg-resets.json"
 
 
 def act(source, dest, cost, lo, hi, **kw):
@@ -238,6 +246,101 @@ class TestSolvePtg:
             res = solve_ptg(g)
             d = len(g.ladder) - 1
             assert res.stats.oracle_calls <= (g.reset_depth + 1) * d
+            assert res.stats.oracle_calls == res.stats.solved_layers * d
+            assert 1 <= res.stats.solved_layers <= res.stats.layers
+
+
+def full_unfolding(game):
+    """All ``reset_depth + 1`` layers, deepest first, with no early stop."""
+    stats = PtgStats(layers=game.reset_depth + 1)
+    reset_values = None
+    for _ in range(stats.layers):
+        result = _solve_layer(game, reset_values, stats)
+        reset_values = [f.eval(F0) for f in result.values]
+    return result
+
+
+def reset_chain():
+    """State 0 resets into 1, which resets into 2, which exits: the
+    value 3 at state 0 appears only in the third layer."""
+    return Ptg(
+        (1, 1, 1),
+        (F1, F1, F1),
+        (
+            act(0, 1, 1, 0, 1, reset=True),
+            act(1, 2, 1, 0, 1, reset=True),
+            act(2, None, 1, 0, 1),
+        ),
+    )
+
+
+def fixpoint_games():
+    games = [generate_random("ptg", 3, 3, seed) for seed in range(40)]
+    games += [delayed_exit_jump().game, maximizer_reset_loop().game, reset_chain()]
+    games.append(gamedoc.parse(GOLDEN_RESETS.read_text()).to_game())
+    return games
+
+
+class TestLayerFixpoint:
+    def test_stopping_at_the_fixpoint_is_exact(self):
+        stopped_early = 0
+        for g in fixpoint_games():
+            res, full = solve_ptg(g), full_unfolding(g)
+            assert res.values == full.values
+            for k in range(g.num_states):
+                assert res.jump_points(k) == full.jump_points(k)
+            assert len(res.trace) == len(full.trace)
+            for a, b in zip(res.trace, full.trace):
+                assert (a.lo, a.hi) == (b.lo, b.hi)
+                assert a.solution.values == b.solution.values
+                assert a.solution.strategy.cells == b.solution.strategy.cells
+            assert full.stats.oracle_calls == res.stats.layers * (len(g.ladder) - 1)
+            stopped_early += res.stats.solved_layers < res.stats.layers
+        assert stopped_early > 0
+        chain = solve_ptg(reset_chain())
+        assert chain.stats.solved_layers == chain.stats.layers == 3
+        assert [f.eval(F0) for f in chain.values] == [3, 2, 1]
+
+
+def scan(game, x, reset_values):
+    """The untimed actions at x, converted afresh from ``game.actions``."""
+    out = []
+    for a in game.actions:
+        if not a.available_at(x):
+            continue
+        if not a.reset:
+            out.append(PAction(a.source, a.dest, a.cost, label=a.label))
+            continue
+        extra = INF if reset_values is None else reset_values[a.dest]
+        cost = INF if is_inf(a.cost) or is_inf(extra) else a.cost + extra
+        out.append(PAction(a.source, None, cost, label=a.label))
+    return out
+
+
+class TestActionMemo:
+    def test_memo_equals_a_scan_in_every_layer(self):
+        resets_seen = 0
+        for seed in range(20):
+            g = generate_random("ptg", 3, 3, seed)
+            if not g.reset_depth:
+                continue
+            ladder = g.ladder
+            points = list(ladder) + [(hi + lo) / 2 for hi, lo in zip(ladder, ladder[1:])]
+            n = g.num_states
+            layers = (
+                None,
+                [Fr(k + 1) for k in range(n)],
+                [INF] + [Fr(7, k + 2) for k in range(1, n)],
+                None,
+            )
+            for reset_values in layers:
+                for x in points:
+                    got = _actions_at(g, x, reset_values)
+                    assert got == scan(g, x, reset_values), (seed, x, reset_values)
+                    resets_seen += sum(
+                        a.reset and a.available_at(x) for a in g.actions
+                    )
+        assert resets_seen > 0
 
 
 class TestEpsilonOptimalPlay:
