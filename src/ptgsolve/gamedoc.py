@@ -10,9 +10,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from dataclasses import dataclass, replace
 
 from .numerics import F0, format_cost, is_inf, parse_cost
 from .priced_game import PAction, PricedGame
@@ -30,59 +28,26 @@ class DocumentError(ValueError):
 
 
 @dataclass(frozen=True)
-class DocState:
-    id: str
-    owner: int
-    rate: Fraction
-
-
-@dataclass(frozen=True)
-class DocAction:
-    id: str
-    source: str
-    dest: Optional[str]  # None = terminal ("bot")
-    cost: object
-    interval: Optional[tuple] = None  # (lo, hi, lo_closed, hi_closed)
-    reset: bool = False
-
-
-@dataclass(frozen=True)
 class GameDocument:
+    """A parsed game: the solver's own parts, and the document's ids.
+
+    ``actions`` are ``TAction`` for a ptg and ``PAction`` otherwise, each
+    labelled with its document id; ``rates`` are all 0 for a priced game.
+    """
+
     kind: str  # priced | sptg | ptg
-    states: tuple
+    state_ids: tuple
+    action_ids: tuple
+    owners: tuple
+    rates: tuple
     actions: tuple
 
-    @property
-    def state_ids(self):
-        return [s.id for s in self.states]
-
     def to_game(self):
-        idx = {s.id: i for i, s in enumerate(self.states)}
-        owners = tuple(s.owner for s in self.states)
-        rates = tuple(s.rate for s in self.states)
         if self.kind == "ptg":
-            actions = tuple(
-                TAction(
-                    idx[a.source],
-                    None if a.dest is None else idx[a.dest],
-                    a.cost,
-                    a.interval[0],
-                    a.interval[1],
-                    a.interval[2],
-                    a.interval[3],
-                    a.reset,
-                    a.id,
-                )
-                for a in self.actions
-            )
-            return Ptg(owners, rates, actions)
-        actions = tuple(
-            PAction(idx[a.source], None if a.dest is None else idx[a.dest], a.cost, label=a.id)
-            for a in self.actions
-        )
+            return Ptg(self.owners, self.rates, self.actions)
         if self.kind == "sptg":
-            return Sptg(owners, rates, actions)
-        return PricedGame(owners, actions)
+            return Sptg(self.owners, self.rates, self.actions)
+        return PricedGame(self.owners, self.actions)
 
 
 def _require(obj, field, where):
@@ -137,17 +102,18 @@ def parse(text: str | bytes) -> GameDocument:
     if kind not in ("priced", "sptg", "ptg"):
         raise DocumentError("bad-kind", "document", f"unknown kind {kind!r}")
 
-    states = []
-    ids = set()
+    index = {}  # state id -> state number
+    owners = []
+    rates = []
     raw_states = _typed(_require(raw, "states", "document"), list, "a list", "states")
     for i, s in enumerate(raw_states):
         where = f"states[{i}]"
         _typed(s, dict, "an object", where)
         _no_extras(s, {"id", "owner", "rate"}, where)
         sid = _typed(_require(s, "id", where), str, "a string", where)
-        if sid in ids or sid == "bot":
+        if sid in index or sid == "bot":
             raise DocumentError("duplicate-id", where, sid)
-        ids.add(sid)
+        index[sid] = i
         owner = _require(s, "owner", where)
         if type(owner) is not int or owner not in (1, 2):
             raise DocumentError("bad-owner", where, f"owner {owner!r}")
@@ -158,12 +124,13 @@ def parse(text: str | bytes) -> GameDocument:
                 raise DocumentError("negative-rate", where, str(rate))
         elif "rate" in s:
             raise DocumentError("unknown-field", where, "rate on a priced game")
-        states.append(DocState(sid, owner, rate))
-    if not states:
+        owners.append(owner)
+        rates.append(rate)
+    if not index:
         raise DocumentError("no-states", "states", "a game needs at least one state")
 
+    action_ids = {}
     actions = []
-    aids = set()
     allowed = {"id", "from", "to", "cost"}
     if kind == "ptg":
         allowed |= {"interval", "reset"}
@@ -173,40 +140,41 @@ def parse(text: str | bytes) -> GameDocument:
         _typed(a, dict, "an object", where)
         _no_extras(a, allowed, where)
         aid = _typed(_require(a, "id", where), str, "a string", where)
-        if aid in aids:
+        if aid in action_ids:
             raise DocumentError("duplicate-id", where, aid)
-        aids.add(aid)
+        action_ids[aid] = i
         src = _typed(_require(a, "from", where), str, "a string", where)
-        if src not in ids:
+        if src not in index:
             raise DocumentError("dangling-reference", where, f"from {src!r}")
         to = _typed(_require(a, "to", where), str, "a string", where)
-        dest = None if to == "bot" else to
-        if dest is not None and dest not in ids:
+        if to != "bot" and to not in index:
             raise DocumentError("dangling-reference", where, f"to {to!r}")
+        dest = index.get(to)  # None for "bot", the terminal
         cost = _number(_require(a, "cost", where), where, allow_inf=True)
         if not is_inf(cost) and cost < 0:
             raise DocumentError("negative-cost", where, str(cost))
-        interval = None
-        reset = False
-        if kind == "ptg":
-            iv = _typed(_require(a, "interval", where), dict, "an object", where)
-            _no_extras(iv, {"lo", "hi", "lo_closed", "hi_closed"}, where)
-            lo = _number(_require(iv, "lo", where), where)
-            hi = _number(_require(iv, "hi", where), where)
-            lo_c = _typed(iv.get("lo_closed", True), bool, "a boolean", where)
-            hi_c = _typed(iv.get("hi_closed", True), bool, "a boolean", where)
-            if lo < 0 or lo > hi:
-                raise DocumentError("bad-interval", where, f"[{lo}, {hi}]")
-            interval = (lo, hi, lo_c, hi_c)
-            reset = _typed(a.get("reset", False), bool, "a boolean", where)
-            if reset and dest is None:
-                raise DocumentError("dangling-reference", where, "reset to bot")
-        actions.append(DocAction(aid, src, dest, cost, interval, reset))
+        if kind != "ptg":
+            actions.append(PAction(index[src], dest, cost, label=aid))
+            continue
+        iv = _typed(_require(a, "interval", where), dict, "an object", where)
+        _no_extras(iv, {"lo", "hi", "lo_closed", "hi_closed"}, where)
+        lo = _number(_require(iv, "lo", where), where)
+        hi = _number(_require(iv, "hi", where), where)
+        lo_c = _typed(iv.get("lo_closed", True), bool, "a boolean", where)
+        hi_c = _typed(iv.get("hi_closed", True), bool, "a boolean", where)
+        if lo < 0 or lo > hi:
+            raise DocumentError("bad-interval", where, f"[{lo}, {hi}]")
+        reset = _typed(a.get("reset", False), bool, "a boolean", where)
+        if reset and dest is None:
+            raise DocumentError("dangling-reference", where, "reset to bot")
+        actions.append(TAction(index[src], dest, cost, lo, hi, lo_c, hi_c, reset, aid))
     sources = {a.source for a in actions}
-    for i, s in enumerate(states):
-        if s.id not in sources:
-            raise DocumentError("no-actions", f"states[{i}]", f"state {s.id!r} has no actions")
-    return GameDocument(kind, tuple(states), tuple(actions))
+    for sid, k in index.items():
+        if k not in sources:
+            raise DocumentError("no-actions", f"states[{k}]", f"state {sid!r} has no actions")
+    return GameDocument(
+        kind, tuple(index), tuple(action_ids), tuple(owners), tuple(rates), tuple(actions)
+    )
 
 
 # -- serialization ----------------------------------------------------------
@@ -218,25 +186,24 @@ def _dump(obj) -> str:
 
 def emit_game(doc: GameDocument) -> str:
     states = [
-        {"id": s.id, "owner": s.owner}
-        | ({} if doc.kind == "priced" else {"rate": format_cost(s.rate)})
-        for s in doc.states
+        {"id": sid, "owner": owner}
+        | ({} if doc.kind == "priced" else {"rate": format_cost(rate)})
+        for sid, owner, rate in zip(doc.state_ids, doc.owners, doc.rates)
     ]
     actions = []
-    for a in doc.actions:
+    for aid, a in zip(doc.action_ids, doc.actions):
         entry = {
-            "id": a.id,
-            "from": a.source,
-            "to": "bot" if a.dest is None else a.dest,
+            "id": aid,
+            "from": doc.state_ids[a.source],
+            "to": "bot" if a.dest is None else doc.state_ids[a.dest],
             "cost": format_cost(a.cost),
         }
         if doc.kind == "ptg":
-            lo, hi, lo_c, hi_c = a.interval
             entry["interval"] = {
-                "lo": format_cost(lo),
-                "hi": format_cost(hi),
-                "lo_closed": lo_c,
-                "hi_closed": hi_c,
+                "lo": format_cost(a.lo),
+                "hi": format_cost(a.hi),
+                "lo_closed": a.lo_closed,
+                "hi_closed": a.hi_closed,
             }
             entry["reset"] = a.reset
         actions.append(entry)
@@ -245,33 +212,19 @@ def emit_game(doc: GameDocument) -> str:
     )
 
 
-def document_for(game, kind: str, state_ids=None, action_ids=None) -> GameDocument:
-    """Wrap an in-memory game back into a document."""
+def document_for(game, kind: str) -> GameDocument:
+    """Wrap an in-memory game back into a document with state ids ``s{k}``
+    and action ids ``a{i}``."""
     n = game.num_states
-    state_ids = state_ids or [f"s{k}" for k in range(n)]
-    action_ids = action_ids or [f"a{i}" for i in range(len(game.actions))]
-    rates = game.rates if kind != "priced" else (F0,) * n
-    states = tuple(
-        DocState(state_ids[k], game.owners[k], rates[k]) for k in range(n)
+    action_ids = tuple(f"a{i}" for i in range(len(game.actions)))
+    return GameDocument(
+        kind,
+        tuple(f"s{k}" for k in range(n)),
+        action_ids,
+        game.owners,
+        game.rates if kind != "priced" else (F0,) * n,
+        tuple(replace(a, label=aid) for aid, a in zip(action_ids, game.actions)),
     )
-    actions = []
-    for i, a in enumerate(game.actions):
-        interval = None
-        reset = False
-        if kind == "ptg":
-            interval = (a.lo, a.hi, a.lo_closed, a.hi_closed)
-            reset = a.reset
-        actions.append(
-            DocAction(
-                action_ids[i],
-                state_ids[a.source],
-                None if a.dest is None else state_ids[a.dest],
-                a.cost,
-                interval,
-                reset,
-            )
-        )
-    return GameDocument(kind, states, tuple(actions))
 
 
 def _fn_segments(fn):
@@ -281,7 +234,7 @@ def _fn_segments(fn):
             "left": format_cost(lo),
             "right": format_cost(hi),
             "value_at_left": format_cost(val),
-            "slope": format_cost(F0 if is_inf(val) else slope),
+            "slope": format_cost(slope),
         }
         pv = fn.point_vals[i]
         if pv != val and not (is_inf(pv) and is_inf(val)):
@@ -289,7 +242,7 @@ def _fn_segments(fn):
             row["point_value_at_left"] = format_cost(pv)
         rows.append(row)
     last = fn.point_vals[-1]
-    end = fn.eval(fn.hi, side="left") if fn.num_segments else last
+    end = fn.eval(fn.hi, side="left")
     final = {"at": format_cost(fn.hi), "value": format_cost(last)}
     if last != end and not (is_inf(last) and is_inf(end)):
         final["jump"] = True
@@ -305,8 +258,8 @@ def _strategy_cells(doc: GameDocument, strategy) -> list:
                 "left": format_cost(lo),
                 "right": format_cost(hi),
                 "choices": {
-                    doc.states[k].id: ("wait" if j is WAIT else doc.actions[j].id)
-                    for k, j in enumerate(choices)
+                    sid: ("wait" if j is WAIT else doc.action_ids[j])
+                    for sid, j in zip(doc.state_ids, choices)
                 },
             }
         )
@@ -317,7 +270,7 @@ def emit_priced_result(doc: GameDocument, values) -> str:
     body = {
         "format": FORMAT_VERSION,
         "kind": "priced",
-        "values": {doc.states[k].id: format_cost(v) for k, v in enumerate(values)},
+        "values": {sid: format_cost(v) for sid, v in zip(doc.state_ids, values)},
     }
     return _dump(body)
 
@@ -326,10 +279,7 @@ def emit_sptg_result(doc: GameDocument, sol: SptgSolution) -> str:
     body = {
         "format": FORMAT_VERSION,
         "kind": "sptg",
-        "values": {
-            doc.states[k].id: _fn_segments(sol.values[k])
-            for k in range(len(doc.states))
-        },
+        "values": {sid: _fn_segments(f) for sid, f in zip(doc.state_ids, sol.values)},
         "strategy": _strategy_cells(doc, sol.strategy),
         "stats": {
             "L": sol.stats.event_points,
@@ -347,13 +297,10 @@ def emit_ptg_result(doc: GameDocument, res: PtgResult) -> str:
     body = {
         "format": FORMAT_VERSION,
         "kind": "ptg",
-        "values": {
-            doc.states[k].id: _fn_segments(res.values[k])
-            for k in range(len(doc.states))
-        },
+        "values": {sid: _fn_segments(f) for sid, f in zip(doc.state_ids, res.values)},
         "jumps": {
-            doc.states[k].id: [format_cost(t) for t in res.jump_points(k)]
-            for k in range(len(doc.states))
+            sid: [format_cost(t) for t in res.jump_points(k)]
+            for k, sid in enumerate(doc.state_ids)
         },
         "stats": {
             "L": len(interior),
@@ -368,8 +315,7 @@ def emit_ptg_result(doc: GameDocument, res: PtgResult) -> str:
 def emit_plot(doc: GameDocument, values) -> str:
     """Tab-separated segment table: state, x_left, x_right, v_left, v_right."""
     lines = ["state\tx_left\tx_right\tv_left\tv_right"]
-    for k, fn in enumerate(values):
-        sid = doc.states[k].id
+    for sid, fn in zip(doc.state_ids, values):
         for lo, hi, val, slope in fn.segments():
             v_right = val if is_inf(val) else val + slope * (hi - lo)
             lines.append(

@@ -35,12 +35,16 @@ def is_inf(value) -> bool:
 
 
 def parse_cost(text):
-    """Parse "p/q", an integer literal, or "inf" into an extended cost."""
+    """Parse "p/q", an integer literal, a decimal, or "inf" into an
+    extended cost.  Exponents are refused: ``Fraction("1eN")`` computes
+    ``10**N``, so a short string could take unbounded time."""
     if type(text) is int:  # not bool: JSON true is no number
         return Fraction(text)
     if isinstance(text, str):
         if text.strip() == "inf":
             return INF
+        if "e" in text or "E" in text:
+            raise ValueError(f"exponent in cost {text!r}")
         return Fraction(text)
     raise ValueError(f"cannot parse cost {text!r}")
 

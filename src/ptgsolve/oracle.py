@@ -357,19 +357,15 @@ def generate_random(
     owners = tuple(owner() for _ in range(n))
     rates = tuple(rate() for _ in range(n))
 
-    if kind == "priced":
-        actions = []
-        for k in range(n):
-            for _ in range(rng.randint(1, max_actions)):
-                actions.append(PAction(k, dest(), cost()))
-        return PricedGame(owners, tuple(actions))
-
-    if kind == "sptg":
-        actions = []
-        for k in range(n):
-            for _ in range(rng.randint(1, max_actions)):
-                actions.append(PAction(k, dest(), cost()))
-        return Sptg(owners, rates, tuple(actions))
+    if kind in ("priced", "sptg"):
+        actions = tuple(
+            PAction(k, dest(), cost())
+            for k in range(n)
+            for _ in range(rng.randint(1, max_actions))
+        )
+        if kind == "priced":
+            return PricedGame(owners, actions)
+        return Sptg(owners, rates, actions)
 
     if kind == "ptg":
         horizon = Fraction(rng.choice((1, 2)))

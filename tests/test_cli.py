@@ -1,5 +1,10 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +40,10 @@ class TestParsing:
             text = gamedoc.emit_game(doc)
             assert gamedoc.parse(text) == doc
             assert gamedoc.emit_game(gamedoc.parse(text)) == text
+            labelled = tuple(
+                dataclasses.replace(a, label=f"a{i}") for i, a in enumerate(game.actions)
+            )
+            assert gamedoc.parse(text).to_game() == dataclasses.replace(game, actions=labelled)
 
     def test_reconstructed_game_solves_identically(self):
         fx = fixture_a()
@@ -107,6 +116,16 @@ class TestParsing:
             self.base(actions=[{"id": "a0", "from": "s0", "to": "bot", "cost": "1/0"}]),
         )
 
+    @pytest.mark.parametrize("cost", ["1e3", "2E-1"])
+    def test_exponent_is_bad_number(self, cost):
+        actions = [
+            {"id": "a0", "from": "s0", "to": "bot", "cost": "2.5"},
+            {"id": "a1", "from": "s0", "to": "bot", "cost": cost},
+        ]
+        with pytest.raises(DocumentError) as exc:
+            gamedoc.parse(self.base(actions=actions))
+        assert (exc.value.code, exc.value.where) == ("bad-number", "actions[1]")
+
     def test_negative_cost(self):
         self.expect(
             "negative-cost",
@@ -160,6 +179,8 @@ def ptg_body():
         (("actions", 0, "id"), 0, "bad-type"),
         (("actions", 0, "from"), ["s0"], "bad-type"),
         (("actions", 0, "to"), None, "bad-type"),
+        (("actions", 0, "cost"), "1e3", "bad-number"),
+        (("actions", 1, "cost"), "2E-1", "bad-number"),
     ],
 )
 def test_mistyped_document_exits_two_with_code(tmp_path, capsys, path, value, code):
@@ -335,3 +356,24 @@ def test_unwritable_output_exits_two(tmp_path, capsys, flag, target):
     path = tmp_path / "missing" / "x.out" if target == "missing-dir" else tmp_path
     assert cli.main(["solve", str(game), flag, str(path)]) == 2
     assert capsys.readouterr().err.startswith("output-error: ")
+
+
+def test_module_runs_as_a_script(tmp_path):
+    good = tmp_path / "good.json"
+    good.write_text(priced_doc())
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+    def run(path):
+        return subprocess.run(
+            [sys.executable, "-m", "ptgsolve.cli", "solve", str(path), "--verify"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    ok = run(good)
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout)["values"] == {"s0": "1", "s1": "1"}
+    failed = run(bad)
+    assert failed.returncode == 2
+    assert failed.stderr.startswith("input-error: bad-json")
