@@ -9,6 +9,7 @@ import argparse
 import sys
 
 from . import gamedoc
+from .numerics import DigitLimitError
 from .oracle import (
     OracleError,
     brute_force_priced,
@@ -43,33 +44,37 @@ def _cmd_solve(args) -> int:
         print(f"input-error: {exc}", file=sys.stderr)
         return 2
 
-    if doc.kind == "priced":
-        values, profile = extended_dijkstra(game)
-        out = gamedoc.emit_priced_result(doc, values)
-        plot = None
-        verify_ok = True
-        if args.verify:
-            si_values, _, _ = strategy_iteration(game, profile)
-            verify_ok = si_values == values
-            try:
-                bf = brute_force_priced(game)
-                verify_ok = verify_ok and bf == values
-            except OracleError:
-                pass
-    elif doc.kind == "sptg":
-        sol = solve_sptg(game)
-        out = gamedoc.emit_sptg_result(doc, sol)
-        plot = gamedoc.emit_plot(doc, sol.values)
-        verify_ok = not args.verify or _sptg_verified(game, sol)
-    else:
-        res = solve_ptg(game)
-        out = gamedoc.emit_ptg_result(doc, res)
-        plot = gamedoc.emit_plot(doc, res.values)
-        verify_ok = True
-        if args.verify:
-            for cert in res.trace:
-                report = check_equilibrium(cert.sptg, cert.solution)
-                verify_ok = verify_ok and report.passed
+    try:
+        if doc.kind == "priced":
+            values, profile = extended_dijkstra(game)
+            out = gamedoc.emit_priced_result(doc, values)
+            plot = None
+            verify_ok = True
+            if args.verify:
+                si_values, _, _ = strategy_iteration(game, profile)
+                verify_ok = si_values == values
+                try:
+                    bf = brute_force_priced(game)
+                    verify_ok = verify_ok and bf == values
+                except OracleError:
+                    pass
+        elif doc.kind == "sptg":
+            sol = solve_sptg(game)
+            out = gamedoc.emit_sptg_result(doc, sol)
+            plot = gamedoc.emit_plot(doc, sol.values)
+            verify_ok = not args.verify or _sptg_verified(game, sol)
+        else:
+            res = solve_ptg(game)
+            out = gamedoc.emit_ptg_result(doc, res)
+            plot = gamedoc.emit_plot(doc, res.values)
+            verify_ok = True
+            if args.verify:
+                for cert in res.trace:
+                    report = check_equilibrium(cert.sptg, cert.solution)
+                    verify_ok = verify_ok and report.passed
+    except DigitLimitError as exc:
+        print(f"output-error: {exc}", file=sys.stderr)
+        return 2
 
     try:
         _write(args.out, out)

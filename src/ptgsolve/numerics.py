@@ -8,6 +8,7 @@ absorbs under addition, so finite arithmetic never touches floating point.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,10 +50,22 @@ def parse_cost(text):
     raise ValueError(f"cannot parse cost {text!r}")
 
 
+class DigitLimitError(ValueError):
+    """A number whose numerator or denominator has more digits than the
+    interpreter converts to a string (``sys.get_int_max_str_digits``)."""
+
+
 def format_cost(value) -> str:
     if is_inf(value):
         return "inf"
-    return str(Fraction(value))
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        raise DigitLimitError(
+            "too-many-digits: a result number has more than "
+            f"{sys.get_int_max_str_digits()} digits in its numerator or denominator"
+        ) from None
 
 
 class DomainError(ValueError):

@@ -12,7 +12,12 @@ clock-0 value at its destination.  A layer's result depends only on the
 game and those clock-0 values, so the layer loop stops at the first
 layer that reproduces its input; and the game converts the actions
 available at each clock value once, leaving each layer to price only
-its resets.
+its resets.  Each step of a layer (the top game, an interval game, a
+lower ladder point) depends only on its clock value, the values it
+starts from and the prices of the resets available there, so one memo
+keyed by those inputs serves the whole solve, and a layer solves only
+the steps whose inputs changed.  The piecewise-linear value functions
+are assembled once, for the layer returned.
 """
 
 from __future__ import annotations
@@ -122,7 +127,7 @@ class Ptg:
     def _untimed_at(self) -> dict:
         """Clock value -> the actions available there, in ``actions``
         order, as ``(TAction, PAction)`` pairs; a reset's ``PAction`` is
-        None, as its price depends on the layer.  Filled by ``_actions_at``."""
+        None, as its price depends on the layer.  Filled by ``_available``."""
         return {}
 
 
@@ -138,7 +143,8 @@ class IntervalCert:
 
 @dataclass
 class PtgStats:
-    oracle_calls: int = 0  # interval-game solves
+    oracle_calls: int = 0  # interval games solved
+    reused_intervals: int = 0  # interval games taken from a deeper layer
     priced_solves: int = 0
     layers: int = 1  # layers of the unfolding: reset_depth + 1
     solved_layers: int = 0  # layers solved, up to the first that repeats its input
@@ -170,11 +176,9 @@ class PtgResult:
         return out
 
 
-def _actions_at(game: Ptg, x, reset_values) -> list:
-    """The actions available at clock x as untimed actions.  A reset is a
-    terminal exit costing its cost plus its destination's entry of
-    ``reset_values``, the next layer's clock-0 values; in the deepest
-    layer, where ``reset_values`` is None, it costs infinity."""
+def _available(game: Ptg, x) -> list:
+    """The ``(TAction, PAction)`` pairs of ``Ptg._untimed_at`` at x,
+    converted on first use."""
     available = game._untimed_at.get(x)
     if available is None:
         available = game._untimed_at[x] = [
@@ -182,14 +186,34 @@ def _actions_at(game: Ptg, x, reset_values) -> list:
             for a in game.actions
             if a.available_at(x)
         ]
-    actions = []
-    for a, untimed in available:
-        if untimed is None:
-            extra = INF if reset_values is None else reset_values[a.dest]
-            cost = INF if (is_inf(a.cost) or is_inf(extra)) else a.cost + extra
-            untimed = PAction(a.source, None, cost, label=a.label)
-        actions.append(untimed)
-    return actions
+    return available
+
+
+def _reset_price(a: TAction, reset_values):
+    """A reset's cost plus its destination's entry of ``reset_values``,
+    the next layer's clock-0 values; infinite in the deepest layer, where
+    ``reset_values`` is None."""
+    extra = INF if reset_values is None else reset_values[a.dest]
+    return INF if (is_inf(a.cost) or is_inf(extra)) else a.cost + extra
+
+
+def _actions_at(game: Ptg, x, reset_values) -> list:
+    """The actions available at clock x as untimed actions, a reset
+    being a terminal exit at its ``_reset_price``."""
+    return [
+        PAction(a.source, None, _reset_price(a, reset_values), label=a.label)
+        if untimed is None
+        else untimed
+        for a, untimed in _available(game, x)
+    ]
+
+
+def _reset_prices(game: Ptg, x, reset_values) -> tuple:
+    """The prices of the resets available at x: all a layer's untimed
+    actions at x depend on."""
+    return tuple(
+        _reset_price(a, reset_values) for a, untimed in _available(game, x) if untimed is None
+    )
 
 
 def build_moment_game(game: Ptg, v, x, reset_values) -> PricedGame:
@@ -238,41 +262,66 @@ def _remap(fn: PwlFn, lo, width) -> list:
     ]
 
 
-def _solve_layer(game: Ptg, reset_values, stats: PtgStats) -> PtgResult:
-    """One reset layer, its resets priced by ``reset_values``."""
+def _point_values(game: Ptg, v, x, reset_values, stats: PtgStats, memo: dict) -> tuple:
+    """Values at ladder point x: of the moment game with stops worth
+    ``v``, or, where ``v`` is None (the top), of the actions at x alone."""
+    key = (x, v, _reset_prices(game, x, reset_values))
+    vals = memo.get(key)
+    if vals is None:
+        if v is None:
+            priced = PricedGame(game.owners, tuple(_actions_at(game, x, reset_values)))
+        else:
+            priced = build_moment_game(game, v, x, reset_values)
+        vals = memo[key] = tuple(extended_dijkstra(priced)[0])
+        stats.priced_solves += 1
+    return vals
+
+
+def _solve_layer(game: Ptg, reset_values, stats: PtgStats, memo: dict) -> tuple:
+    """One reset layer, its resets priced by ``reset_values``: the values
+    at the ladder points (clock value -> tuple per state) and the
+    interval certificates, right to left.
+
+    Each step is looked up in ``memo`` under its exact inputs, solved
+    only on a miss: ``(x, v, prices)`` is the ladder point or open
+    interval at x entered with values ``v`` (None at the top) and the
+    prices of the resets available at x.
+    """
     n = game.num_states
     ladder = game.ladder
-    top = ladder[0]
-    top_game = PricedGame(game.owners, tuple(_actions_at(game, top, reset_values)))
-    point_vals = {top: list(extended_dijkstra(top_game)[0])}
-    stats.priced_solves += 1
-
-    segments = [[] for _ in range(n)]
+    point_vals = {ladder[0]: _point_values(game, None, ladder[0], reset_values, stats, memo)}
     trace = []
-    for i in range(1, len(ladder)):
-        hi, lo = ladder[i - 1], ladder[i]
-        width = hi - lo
+    for hi, lo in zip(ladder, ladder[1:]):
         x = (hi + lo) / 2
-        moment = build_moment_game(game, point_vals[hi], x, reset_values)
-        v_prime = extended_dijkstra(moment)[0]
-        stats.priced_solves += 1
-        sptg = build_interval_sptg(game, v_prime, x, width, reset_values)
-        sol = solve_sptg(sptg)
-        stats.oracle_calls += 1
-        trace.append(IntervalCert(lo, hi, sptg, sol))
-        for k in range(n):
-            segments[k].append(_remap(sol.values[k], lo, width))
-        zero_vals = [sol.values[k].eval(F0) for k in range(n)]
-        moment0 = build_moment_game(game, zero_vals, lo, reset_values)
-        point_vals[lo] = list(extended_dijkstra(moment0)[0])
-        stats.priced_solves += 1
+        key = (x, point_vals[hi], _reset_prices(game, x, reset_values))
+        cert = memo.get(key)
+        if cert is None:
+            moment = build_moment_game(game, point_vals[hi], x, reset_values)
+            v_prime = extended_dijkstra(moment)[0]
+            stats.priced_solves += 1
+            sptg = build_interval_sptg(game, v_prime, x, hi - lo, reset_values)
+            cert = memo[key] = IntervalCert(lo, hi, sptg, solve_sptg(sptg))
+            stats.oracle_calls += 1
+        else:
+            stats.reused_intervals += 1
+        trace.append(cert)
+        zero_vals = tuple(cert.solution.values[k].eval(F0) for k in range(n))
+        point_vals[lo] = _point_values(game, zero_vals, lo, reset_values, stats, memo)
+    return point_vals, trace
 
+
+def _assemble(game: Ptg, point_vals: dict, trace) -> tuple:
+    """Each state's value function over [0, horizon]: the interval
+    solutions rescaled and spliced, with the ladder-point values."""
     fns = []
-    for k in range(n):
-        overrides = {t: vs[k] for t, vs in point_vals.items()}
-        flat = [seg for block in reversed(segments[k]) for seg in block]
-        fns.append(PwlFn.from_segments(flat, overrides))
-    return PtgResult(tuple(fns), ladder, tuple(trace), stats)
+    for k in range(game.num_states):
+        flat = [
+            seg
+            for cert in reversed(trace)
+            for seg in _remap(cert.solution.values[k], cert.lo, cert.hi - cert.lo)
+        ]
+        fns.append(PwlFn.from_segments(flat, {t: vs[k] for t, vs in point_vals.items()}))
+    return tuple(fns)
 
 
 def solve_ptg(game: Ptg) -> PtgResult:
@@ -283,15 +332,20 @@ def solve_ptg(game: Ptg) -> PtgResult:
     actions are converted to untimed ones.  A layer whose clock-0 values
     equal the ones it was priced with would be repeated by every later
     layer, so the loop returns it; ``stats.solved_layers`` counts the
-    layers solved, out of ``stats.layers``.
+    layers solved, out of ``stats.layers``.  One memo serves every layer:
+    a step whose inputs a deeper layer already met (its reset prices
+    unchanged) reuses that layer's solution, counted in
+    ``stats.reused_intervals`` for interval games and not in
+    ``stats.oracle_calls``.  The value functions are assembled once, for
+    the layer returned.
     """
     stats = PtgStats(layers=game.reset_depth + 1)
+    memo = {}
     reset_values = None
     for _ in range(stats.layers):
-        result = _solve_layer(game, reset_values, stats)
+        point_vals, trace = _solve_layer(game, reset_values, stats, memo)
         stats.solved_layers += 1
-        zero_vals = [f.eval(F0) for f in result.values]
-        if zero_vals == reset_values:
+        if point_vals[F0] == reset_values:
             break
-        reset_values = zero_vals
-    return result
+        reset_values = point_vals[F0]
+    return PtgResult(_assemble(game, point_vals, trace), game.ladder, tuple(trace), stats)

@@ -12,8 +12,9 @@ from ptgsolve import cli, gamedoc
 from ptgsolve.fixtures import delayed_exit_jump, fixture_a
 from ptgsolve.gamedoc import DocumentError
 from ptgsolve.numerics import F0, F1
-from ptgsolve.oracle import EquilibriumReport, generate_random
+from ptgsolve.oracle import EquilibriumReport, check_equilibrium, generate_random
 from ptgsolve.priced_game import PAction, PricedGame
+from ptgsolve.ptg import solve_ptg
 from ptgsolve.sptg import solve_sptg
 
 
@@ -258,8 +259,6 @@ class TestEmission:
         assert a == b
 
     def test_jump_reported_in_ptg_result(self):
-        from ptgsolve.ptg import solve_ptg
-
         fx = delayed_exit_jump()
         doc = gamedoc.document_for(fx.game, "ptg")
         out = json.loads(gamedoc.emit_ptg_result(doc, solve_ptg(fx.game)))
@@ -356,6 +355,49 @@ def test_unwritable_output_exits_two(tmp_path, capsys, flag, target):
     path = tmp_path / "missing" / "x.out" if target == "missing-dir" else tmp_path
     assert cli.main(["solve", str(game), flag, str(path)]) == 2
     assert capsys.readouterr().err.startswith("output-error: ")
+
+
+def test_too_long_result_number_exits_two_with_code(tmp_path, capsys):
+    # Each cost parses, but the value of s0, their sum, has an
+    # 8000-digit denominator: past the interpreter's string-conversion limit.
+    big = 10**3999
+    body = {
+        "format": 1,
+        "kind": "sptg",
+        "states": [{"id": "s0", "owner": 1, "rate": "1"}, {"id": "s1", "owner": 1, "rate": "1"}],
+        "actions": [
+            {"id": "a0", "from": "s0", "to": "s1", "cost": f"1/{big + 1}"},
+            {"id": "a1", "from": "s1", "to": "bot", "cost": f"1/{big + 3}"},
+        ],
+    }
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(body))
+    out, plot = tmp_path / "out.json", tmp_path / "plot.tsv"
+    assert cli.main(["solve", str(game), "--out", str(out), "--plot", str(plot)]) == 2
+    assert capsys.readouterr().err.startswith("output-error: too-many-digits: ")
+    assert not out.exists() and not plot.exists()
+
+
+def test_verify_checks_every_reused_interval_certificate(tmp_path, monkeypatch, capsys):
+    game = Path(__file__).parent / "golden" / "ptg-resets.json"
+    results, checked = [], []
+
+    def solve(g):
+        results.append(solve_ptg(g))
+        return results[-1]
+
+    def check(sptg, solution):
+        checked.append((sptg, solution))
+        return check_equilibrium(sptg, solution)
+
+    monkeypatch.setattr(cli, "solve_ptg", solve)
+    monkeypatch.setattr(cli, "check_equilibrium", check)
+    assert cli.main(["solve", str(game), "--verify", "--out", str(tmp_path / "out.json")]) == 0
+    assert capsys.readouterr() == ("", "")
+    (res,) = results
+    assert res.stats.reused_intervals > 0
+    assert len(res.trace) == len(res.ladder) - 1
+    assert [(c.sptg, c.solution) for c in res.trace] == checked
 
 
 def test_module_runs_as_a_script(tmp_path):

@@ -10,10 +10,12 @@ from ptgsolve.oracle import generate_random, simulate_ptg
 from ptgsolve.priced_game import PAction
 from ptgsolve.ptg import (
     Ptg,
+    PtgResult,
     PtgStats,
     PtgValidationError,
     TAction,
     _actions_at,
+    _assemble,
     _solve_layer,
     build_interval_sptg,
     build_moment_game,
@@ -246,18 +248,19 @@ class TestSolvePtg:
             res = solve_ptg(g)
             d = len(g.ladder) - 1
             assert res.stats.oracle_calls <= (g.reset_depth + 1) * d
-            assert res.stats.oracle_calls == res.stats.solved_layers * d
+            assert res.stats.oracle_calls + res.stats.reused_intervals == res.stats.solved_layers * d
             assert 1 <= res.stats.solved_layers <= res.stats.layers
 
 
 def full_unfolding(game):
-    """All ``reset_depth + 1`` layers, deepest first, with no early stop."""
+    """All ``reset_depth + 1`` layers, deepest first, with no early stop
+    and no reuse: each layer gets a fresh memo."""
     stats = PtgStats(layers=game.reset_depth + 1)
     reset_values = None
     for _ in range(stats.layers):
-        result = _solve_layer(game, reset_values, stats)
-        reset_values = [f.eval(F0) for f in result.values]
-    return result
+        point_vals, trace = _solve_layer(game, reset_values, stats, {})
+        reset_values = point_vals[F0]
+    return PtgResult(_assemble(game, point_vals, trace), game.ladder, tuple(trace), stats)
 
 
 def reset_chain():
@@ -283,7 +286,7 @@ def fixpoint_games():
 
 class TestLayerFixpoint:
     def test_stopping_at_the_fixpoint_is_exact(self):
-        stopped_early = 0
+        stopped_early = reused = 0
         for g in fixpoint_games():
             res, full = solve_ptg(g), full_unfolding(g)
             assert res.values == full.values
@@ -292,14 +295,24 @@ class TestLayerFixpoint:
             assert len(res.trace) == len(full.trace)
             for a, b in zip(res.trace, full.trace):
                 assert (a.lo, a.hi) == (b.lo, b.hi)
+                assert a.sptg == b.sptg
                 assert a.solution.values == b.solution.values
                 assert a.solution.strategy.cells == b.solution.strategy.cells
             assert full.stats.oracle_calls == res.stats.layers * (len(g.ladder) - 1)
+            assert full.stats.reused_intervals == 0
             stopped_early += res.stats.solved_layers < res.stats.layers
-        assert stopped_early > 0
+            reused += res.stats.reused_intervals > 0
+        assert stopped_early > 0 and reused > 0
         chain = solve_ptg(reset_chain())
         assert chain.stats.solved_layers == chain.stats.layers == 3
         assert [f.eval(F0) for f in chain.values] == [3, 2, 1]
+
+    def test_golden_resets_game_reuses_intervals(self):
+        g = gamedoc.parse(GOLDEN_RESETS.read_text()).to_game()
+        res = solve_ptg(g)
+        assert res.stats.reused_intervals > 0
+        d = len(g.ladder) - 1
+        assert res.stats.oracle_calls + res.stats.reused_intervals == res.stats.solved_layers * d
 
 
 def scan(game, x, reset_values):
