@@ -284,7 +284,6 @@ def emit_sptg_result(doc: GameDocument, sol: SptgSolution) -> str:
         "stats": {
             "L": sol.stats.event_points,
             "sweep_steps": sol.stats.sweep_steps,
-            "switch_count": sol.stats.switch_count,
         },
     }
     return _dump(body)
@@ -305,7 +304,6 @@ def emit_ptg_result(doc: GameDocument, res: PtgResult) -> str:
         "stats": {
             "L": len(interior),
             "sweep_steps": sum(c.solution.stats.sweep_steps for c in res.trace),
-            "switch_count": sum(c.solution.stats.switch_count for c in res.trace),
             "oracle_calls": res.stats.oracle_calls,
         },
     }

@@ -5,7 +5,13 @@ the terminal state as cheaply as possible while the maximizer obstructs.
 Costs are extended rationals with an absorbing infinity.  A play that
 ends in a waiting action of a snapshot game (see
 :func:`~ptgsolve.sptg.build_eps_game`) also pays an infinitesimal charge,
-that action's ``wait_rate``; valuations compare it after the payoff.
+that action's ``wait_rate``; valuations compare it after the payoff,
+and the path length after that.
+
+One lexicographic extended Dijkstra scan (:func:`extended_dijkstra`)
+solves a game and yields a profile that neither player can improve.
+Strategy iteration improves a given profile instead; the instrumented
+sweep and priced ``--verify`` use it.
 """
 
 from __future__ import annotations
@@ -174,71 +180,75 @@ def apply_switches(game: PricedGame, profile: Profile, switches) -> Profile:
 
 
 def extended_dijkstra(game: PricedGame):
-    """Values and an attaining profile via the adversarial Dijkstra scan.
+    """Values and an optimal profile via the adversarial Dijkstra scan.
 
-    Minimizer candidates enter a priority queue keyed by
-    ``(payoff, rate, state, action)``; a maximizer state is settled only
-    once all of its successors are, taking the most expensive option.
-    States that are never settled keep value infinity.
+    The scan is keyed by the whole :class:`Valuation` ``(payoff, rate,
+    hops)``.  Minimizer candidates enter a priority queue keyed by
+    ``(payoff, rate, hops, state, action)``; a maximizer state is settled
+    only once all of its successors are, taking the greatest valuation.
+    Ties go to the lowest action id.  Keys grow strictly along every
+    action (costs are nonnegative and hops grow by one), so every state
+    with a finite value settles on the lowest-id action that attains its
+    lexicographic optimum, and neither player has an improving switch.
+    States that are never settled keep value infinity.  Returns
+    ``(values, profile)``; ``values`` is a :class:`Payoffs`.
     """
     n = game.num_states
-    values: list = [None] * n
+    vals: list = [None] * n
     profile: list = [None] * n
     pending = [len(game.state_actions[k]) if game.owners[k] == 2 else -1 for k in range(n)]
-    best_max: list = [None] * n  # (payoff, rate, -action) for maximizer states
+    best_max: list = [None] * n  # (payoff, rate, hops, -action) for maximizer states
     preds: list = [[] for _ in range(n)]  # incoming action ids per destination
     heap = []
 
-    def offer(k, j, payoff, rate):
+    def offer(k, j, payoff, rate, hops):
         if is_inf(payoff):
-            payoff, rate = INF, F0
+            payoff, rate, hops = INFINITE
         if game.owners[k] == 1:
-            heapq.heappush(heap, (payoff, rate, k, j))
+            heapq.heappush(heap, (payoff, rate, hops, k, j))
             return
         pending[k] -= 1
-        if best_max[k] is None or (payoff, rate, -j) > best_max[k]:
-            best_max[k] = (payoff, rate, -j)
+        if best_max[k] is None or (payoff, rate, hops, -j) > best_max[k]:
+            best_max[k] = (payoff, rate, hops, -j)
         if pending[k] == 0:
-            payoff, rate, neg_j = best_max[k]
-            heapq.heappush(heap, (payoff, rate, k, -neg_j))
+            payoff, rate, hops, neg_j = best_max[k]
+            heapq.heappush(heap, (payoff, rate, hops, k, -neg_j))
 
     # Exits seed the queue, and maximizer states whose actions all exit.
     for j, a in enumerate(game.actions):
         if a.dest is TERMINAL:
-            offer(a.source, j, a.cost, a.wait_rate)
+            offer(a.source, j, a.cost, a.wait_rate, 1)
         else:
             preds[a.dest].append(j)
 
     while heap:
-        val, rate, k, j = heapq.heappop(heap)
-        if values[k] is not None:
+        val, rate, hops, k, j = heapq.heappop(heap)
+        if vals[k] is not None:
             continue
-        values[k] = val
+        vals[k] = Valuation(val, rate, hops)
         profile[k] = j
         for pj in preds[k]:
             src = game.actions[pj].source
-            if values[src] is not None and game.owners[src] == 1:
+            if vals[src] is not None and game.owners[src] == 1:
                 continue
-            offer(src, pj, game.actions[pj].cost + val, rate)
+            offer(src, pj, game.actions[pj].cost + val, rate, hops + 1)
 
-    # Unsettled states have value infinity; give them a deterministic
-    # choice that attains it (an action towards an unsettled/infinite
-    # destination, or any action when everything is infinite).
+    # Unsettled states have value infinity.  Each takes its first action
+    # that attains it: one of infinite cost or towards an unsettled or
+    # infinite destination.  An unsettled minimizer has only actions into
+    # unsettled states, and an unsettled maximizer at least one.
     for k in range(n):
-        if values[k] is not None:
+        if vals[k] is not None:
             continue
-        values[k] = INF
-        pick = None
+        vals[k] = INFINITE
         for j in game.state_actions[k]:
-            d = game.actions[j].dest
-            inf_dest = (
-                d is not TERMINAL and (values[d] is None or is_inf(values[d]))
-            ) or is_inf(game.actions[j].cost)
-            if inf_dest:
-                pick = j
+            a = game.actions[j]
+            if is_inf(a.cost) or (
+                a.dest is not TERMINAL and (vals[a.dest] is None or is_inf(vals[a.dest].payoff))
+            ):
+                profile[k] = j
                 break
-        profile[k] = pick if pick is not None else game.state_actions[k][0]
-    return values, tuple(profile)
+    return Payoffs(vals), tuple(profile)
 
 
 def _pick_switch_set(game: PricedGame, switches):

@@ -7,7 +7,8 @@ computed exactly by a right-to-left sweep: solve the untimed game at
 time 1, then repeatedly solve a snapshot game whose waiting option costs
 the current value plus an infinitesimal rate charge, and extend the
 value functions linearly down to the next point where some state's best
-choice changes.
+choice changes.  Every untimed solve is one lexicographic extended
+Dijkstra scan, whose choices are switch-free by construction.
 
 Each step solves its snapshot game in full, but keeps the bookkeeping
 around it proportional to what changed.  Every snapshot game shares one
@@ -32,13 +33,11 @@ from .numerics import F0, F1, INF, PwlFn, frac, is_inf
 from .priced_game import (
     PAction,
     PricedGame,
-    evaluate_profile,
     extended_dijkstra,
     potential_less,
     potential_matrix,
     rate_ladder_of,
     single_switch_iteration,
-    strategy_iteration,
 )
 
 WAIT = None  # strategy-cell marker for the waiting choice
@@ -125,7 +124,6 @@ class TimedStrategyProfile:
 class SolveStats:
     sweep_steps: int = 0
     event_points: int = 0  # distinct interior breakpoints across all states
-    switch_count: int = 0
     potential_checks: int = 0
     potential_violations: int = 0
 
@@ -165,32 +163,24 @@ def build_eps_game(sptg: Sptg, wait_costs) -> PricedGame:
 
 
 def solve_untimed(game: PricedGame, seed=None, on_switch: Optional[Callable] = None):
-    """Valuations and a fully stabilised profile (no improving switch for
+    """Valuations and a switch-free profile (no improving switch for
     either player, including the path-length tie-break) of an untimed
-    game.  Returns ``(valuations, profile, switch_count)``.
+    game.  Returns ``(valuations, profile)``.
 
-    Without a seed: extended Dijkstra, then strategy iteration from its
-    profile, which must keep Dijkstra's values and, state by state, the
-    payoff and rate its profile attains.  With a seed profile: single
-    switches from the seed, each reported to ``on_switch``.  Either way
-    the valuations are those of the iteration's final, switch-free pass.
+    Without a seed: one lexicographic extended Dijkstra scan, whose
+    choices are stable by construction.  With a seed profile: single
+    switches from the seed, each reported to ``on_switch``, and the
+    valuations of the iteration's final, switch-free pass.
     """
     if seed is not None:
-        payoffs, profile, switches = single_switch_iteration(game, seed, on_switch)
-        return payoffs.valuations, profile, switches
-    values, start = extended_dijkstra(game)
-    payoffs, profile, switches = strategy_iteration(game, start)
-    vals = payoffs.valuations
-    start_vals = vals if profile == start else evaluate_profile(game, start)
-    if payoffs != values or any(
-        (a.payoff, a.rate) != (b.payoff, b.rate) for a, b in zip(start_vals, vals)
-    ):
-        raise AssertionError("strategy iteration disagreed with Dijkstra's solution")
-    return vals, profile, switches
+        payoffs, profile, _ = single_switch_iteration(game, seed, on_switch)
+    else:
+        payoffs, profile = extended_dijkstra(game)
+    return payoffs.valuations, profile
 
 
 def solve_at_time_one(sptg: Sptg):
-    """Valuations and a fully stabilised profile of the untimed game."""
+    """Valuations and a switch-free profile of the untimed game."""
     return solve_untimed(sptg.core)
 
 
@@ -258,8 +248,8 @@ def solve_sptg(
 ) -> SptgSolution:
     """Exact value functions and optimal strategies on [0,1].
 
-    Each snapshot game is solved in full: extended Dijkstra, then
-    stabilisation.  It shares its layout with every other snapshot game
+    Each snapshot game is solved in full by one lexicographic extended
+    Dijkstra scan.  It shares its layout with every other snapshot game
     and gets new waiting exits.  The next event point rescans only the
     states whose crossing certificate may have moved (see
     :func:`next_event_point`): those whose choice changed, those with an
@@ -280,8 +270,7 @@ def solve_sptg(
     if instrument:
         hook = _potential_watcher(rate_ladder_of(sptg.rates), stats, on_switch)
 
-    v1, profile, sw = solve_at_time_one(sptg)
-    stats.switch_count += sw
+    v1, profile = solve_at_time_one(sptg)
     cells = [(F1, F1, tuple(profile))]
     # states with a non-waiting action into each state
     preds = [set() for _ in range(n)]
@@ -303,8 +292,7 @@ def solve_sptg(
             break
         eps_game = build_eps_game(sptg, v_at_x)
         seed = profile if instrument else None
-        vals, eps_profile, sw = solve_untimed(eps_game, seed, hook)
-        stats.switch_count += sw
+        vals, eps_profile = solve_untimed(eps_game, seed, hook)
 
         # a snapshot valuation is the value at x plus its slope's rate
         base = [v.payoff for v in vals]

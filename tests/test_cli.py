@@ -332,13 +332,13 @@ class TestMain:
         path = self.write(tmp_path, doc_text(fixture_a().game, "sptg"))
         assert cli.main(["solve", path]) == 0
         body = json.loads(capsys.readouterr().out)
-        assert set(body["stats"]) == {"L", "sweep_steps", "switch_count"}
+        assert set(body["stats"]) == {"L", "sweep_steps"}
 
     def test_ptg_stats_are_computed_counts(self, tmp_path, capsys):
         path = self.write(tmp_path, doc_text(delayed_exit_jump().game, "ptg"))
         assert cli.main(["solve", path]) == 0
         body = json.loads(capsys.readouterr().out)
-        assert set(body["stats"]) == {"L", "sweep_steps", "switch_count", "oracle_calls"}
+        assert set(body["stats"]) == {"L", "sweep_steps", "oracle_calls"}
         assert "note" not in body
 
     def test_exact_output_carries_no_approximate_flag(self, tmp_path, capsys):

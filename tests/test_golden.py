@@ -6,11 +6,15 @@ A change that means to alter the documents rewrites the expected files
 with ``python tests/test_golden.py`` and commits the diff.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
 
-from ptgsolve import cli
+from ptgsolve import cli, priced_game
+from ptgsolve.oracle import generate_random
+from ptgsolve.ptg import solve_ptg
+from ptgsolve.sptg import solve_sptg
 
 GOLDEN = Path(__file__).parent / "golden"
 GAMES = sorted(p for p in GOLDEN.glob("*.json") if not p.name.endswith(".out.json"))
@@ -46,6 +50,35 @@ def test_verify_accepts(game, tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr() == ("", "")
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+class IterationCalled(Exception):
+    pass
+
+
+def test_plain_solves_run_no_strategy_iteration(tmp_path, monkeypatch, capsys):
+    """Only ``--verify`` and the instrumented sweep improve profiles by
+    strategy iteration; every plain solve is one scan per untimed game."""
+
+    def refuse(*args, **kwargs):
+        raise IterationCalled
+
+    for name in ("strategy_iteration", "single_switch_iteration"):
+        original = getattr(priced_game, name)
+        for module in list(sys.modules.values()):
+            if module and module.__name__.startswith("ptgsolve"):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, refuse)
+    for game in GAMES:
+        code, out, plot = solve(game, tmp_path)
+        assert code == 0, game.stem
+        assert out.read_bytes() == (GOLDEN / out.name).read_bytes(), game.stem
+    assert capsys.readouterr() == ("", "")
+    solve_ptg(generate_random("ptg", 3, 3, 0))
+    sptg = generate_random("sptg", 3, 3, 0)
+    solve_sptg(sptg)
+    with pytest.raises(IterationCalled):
+        solve_sptg(sptg, instrument=True)
 
 
 if __name__ == "__main__":

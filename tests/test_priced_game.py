@@ -1,11 +1,13 @@
 from fractions import Fraction as Fr
+from itertools import product
 
 import pytest
 
 from ptgsolve import priced_game, sptg
-from ptgsolve.numerics import is_inf
+from ptgsolve.numerics import INF, is_inf
 from ptgsolve.oracle import generate_random
 from ptgsolve.priced_game import (
+    INFINITE,
     PAction,
     PotentialMatrix,
     PricedGame,
@@ -90,7 +92,7 @@ class TestImprovingSwitches:
 
     def test_optimal_profile_has_none(self):
         g = game([1, 2], (0, 1, Fr(0)), (0, None, Fr(3)), (1, None, Fr(1)))
-        _, profile, _ = solve_untimed(g)
+        _, profile = solve_untimed(g)
         assert improving_switches(g, profile, 1) == []
         assert improving_switches(g, profile, 2) == []
 
@@ -140,6 +142,33 @@ class TestExtendedDijkstra:
             _, profile = extended_dijkstra(g)
             assert profile == (0,)
 
+    def test_minimizer_prefers_the_shorter_of_equal_routes(self):
+        # state 1 reaches payoff 1 through state 0 (action 1, two hops) or
+        # by its own exit (action 2, one hop)
+        g = game([1, 1], (0, None, Fr(1)), (1, 0, Fr(0)), (1, None, Fr(1)))
+        values, profile = extended_dijkstra(g)
+        assert values == [Fr(1), Fr(1)] and profile == (0, 2)
+        assert values.valuations[1] == Valuation(Fr(1), Fr(0), 1)
+
+    def test_maximizer_prefers_the_longer_of_equal_routes(self):
+        g = game([1, 2], (0, None, Fr(1)), (1, None, Fr(1)), (1, 0, Fr(0)))
+        values, profile = extended_dijkstra(g)
+        assert values == [Fr(1), Fr(1)] and profile == (0, 2)
+        assert values.valuations[1] == Valuation(Fr(1), Fr(0), 2)
+
+    def test_equal_valuations_resolve_to_the_lowest_id(self):
+        # state 1's actions lead through states 2 and 0 to equal exits;
+        # state 0 settles first, but action 1 attains the same valuation
+        g = game(
+            [1, 1, 1],
+            (0, None, Fr(1)),
+            (1, 2, Fr(0)),
+            (1, 0, Fr(0)),
+            (2, None, Fr(1)),
+        )
+        _, profile = extended_dijkstra(g)
+        assert profile == (0, 1, 3)
+
     def test_profile_attains_values(self):
         for seed in range(60):
             g = generate_random("priced", 4, 3, seed, allow_inf=(seed % 2 == 0))
@@ -154,7 +183,7 @@ class TestExtendedDijkstra:
 class TestStrategyIteration:
     def test_fixed_point_start(self):
         g = game([1, 2], (0, 1, Fr(0)), (0, None, Fr(3)), (1, None, Fr(1)))
-        vals, profile, _ = solve_untimed(g)
+        vals, profile = solve_untimed(g)
         values2, profile2, switches = strategy_iteration(g, profile)
         assert values2 == [v.payoff for v in vals]
         assert profile2 == profile and switches == 0
@@ -171,14 +200,14 @@ class TestStrategyIteration:
 
     def test_minimizer_escapes_own_cycle(self):
         g = game([1, 1], (0, 1, Fr(1)), (1, 0, Fr(0)), (1, None, Fr(2)))
-        vals, _, _ = solve_untimed(g)
+        vals, _ = solve_untimed(g)
         assert [v.payoff for v in vals] == [Fr(3), Fr(2)]
         sv, _, _ = strategy_iteration(g, (0, 1))
         assert sv == [Fr(3), Fr(2)]
 
     def test_maximizer_cycle_is_infinite(self):
         g = game([1, 2], (0, 1, Fr(1)), (1, 0, Fr(0)), (1, None, Fr(2)))
-        vals, _, _ = solve_untimed(g)
+        vals, _ = solve_untimed(g)
         assert all(is_inf(v.payoff) for v in vals)
 
 
@@ -236,14 +265,17 @@ class TestSingleSwitchIteration:
         calls = []
         counted = lambda g, p: calls.append(p) or evaluate_profile(g, p)
         monkeypatch.setattr(priced_game, "evaluate_profile", counted)
-        monkeypatch.setattr(sptg, "evaluate_profile", counted)
         for seed in range(40):
             g = generate_random("priced", 4, 3, seed, allow_inf=(seed % 2 == 1))
-            for seed_profile in (None, tuple(js[0] for js in g.state_actions)):
-                calls.clear()
-                vals, profile, _ = solve_untimed(g, seed_profile)
-                assert calls.count(profile) == 1, seed
-                assert vals == evaluate_profile(g, profile), seed
+            calls.clear()
+            vals, profile = solve_untimed(g, tuple(js[0] for js in g.state_actions))
+            assert calls.count(profile) == 1, seed
+            assert vals == evaluate_profile(g, profile), seed
+            # without a seed the scan's valuations are read off the scan
+            calls.clear()
+            vals, profile = solve_untimed(g)
+            assert calls == [], seed
+            assert vals == evaluate_profile(g, profile), seed
 
 
 class TestImprovingSetMonotonicity:
@@ -266,6 +298,63 @@ class TestImprovingSetMonotonicity:
                 assert not before_v[k] < after_v[k], (seed, k)
                 if k in picked:
                     assert after_v[k] < before_v[k], (seed, k)
+
+
+def _through(g, j, vals):
+    """Valuation of taking action ``j``, then following ``vals``."""
+    a = g.actions[j]
+    if is_inf(a.cost):
+        return INFINITE
+    if a.dest is None:
+        return Valuation(a.cost, a.wait_rate, 1)
+    nxt = vals[a.dest]
+    return INFINITE if is_inf(nxt.hops) else Valuation(a.cost + nxt.payoff, nxt.rate, nxt.hops + 1)
+
+
+def assert_canonical(g, why):
+    """The unseeded untimed solve leaves no improving switch, reports its
+    profile's valuations, and picks the lowest-id optimal action at every
+    finite-valued state."""
+    vals, profile = solve_untimed(g)
+    assert vals == evaluate_profile(g, profile), why
+    assert improving_switches(g, profile, 1) == [], why
+    assert improving_switches(g, profile, 2) == [], why
+    for k, v in enumerate(vals):
+        if not is_inf(v.payoff):
+            attaining = [j for j in g.state_actions[k] if _through(g, j, vals) == v]
+            assert profile[k] == min(attaining), (why, k)
+
+
+class TestCanonicalProfile:
+    def test_every_small_two_state_game(self):
+        outcomes = list(product((None, 0, 1), (Fr(0), Fr(1), INF)))
+        per_state = [(o,) for o in outcomes] + list(product(outcomes, repeat=2))
+        count = 0
+        for owners in product((1, 2), repeat=2):
+            for acts0, acts1 in product(per_state, repeat=2):
+                actions = [(0, d, c) for d, c in acts0] + [(1, d, c) for d, c in acts1]
+                assert_canonical(game(owners, *actions), (owners, actions))
+                count += 1
+        assert count == 32_400
+
+    def test_random_priced_games(self):
+        # free games tie every payoff, so path lengths decide
+        variants = ({}, {"allow_inf": True}, {"rate_one_cost_zero": True})
+        for n in range(3, 9):
+            for seed in range(20):
+                for kw in variants:
+                    assert_canonical(generate_random("priced", n, 3, seed, **kw), (n, seed, kw))
+
+    def test_sweep_snapshot_games(self, monkeypatch):
+        games = []
+        build = sptg.build_eps_game
+        monkeypatch.setattr(sptg, "build_eps_game", lambda *a: games.append(build(*a)) or games[-1])
+        for n in range(2, 6):
+            for seed in range(50):
+                sptg.solve_sptg(generate_random("sptg", n, 3, seed, allow_inf=seed % 2 == 0))
+        assert len(games) > 200
+        for i, g in enumerate(games):
+            assert_canonical(g, i)
 
 
 class TestPotential:

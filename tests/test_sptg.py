@@ -78,14 +78,14 @@ class TestEpsGame:
 class TestTimeOne:
     def test_fixture_a_all_zero_at_horizon(self):
         g = fixture_a().game
-        vals, profile, _ = solve_at_time_one(g)
+        vals, profile = solve_at_time_one(g)
         assert [v.payoff for v in vals] == [F0, F0, F0]
         # minimizer takes the free move, both maximizer states exit
         assert g.actions[profile[0]].label == "a1"
 
     def test_trapped_state_is_infinite(self):
         g = sptg([1, 1], [1, 1], (0, 0, Fr(0)), (1, None, Fr(1)))
-        vals, _, _ = solve_at_time_one(g)
+        vals, _ = solve_at_time_one(g)
         assert is_inf(vals[0].payoff) and vals[1].payoff == Fr(1)
 
 

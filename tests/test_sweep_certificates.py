@@ -58,15 +58,14 @@ def reference_sweep(sptg, instrument=False):
         if not potential_less(p_after, p_before):
             stats.potential_violations += 1
 
-    v1, profile, stats.switch_count = solve_untimed(sptg.core)
+    v1, profile = solve_untimed(sptg.core)
     segments = [[] for _ in range(n)]
     cells = [(F1, F1, tuple(profile))]
     x, v_at_x = F1, [v.payoff for v in v1]
     while x != F0:
         assert stats.sweep_steps <= sptg.event_bound()
         game = build_eps_game(sptg, v_at_x)
-        vals, eps_profile, sw = solve_untimed(game, profile if instrument else None, watch)
-        stats.switch_count += sw
+        vals, eps_profile = solve_untimed(game, profile if instrument else None, watch)
         base, rate = [v.payoff for v in vals], [v.rate for v in vals]
         assert base == v_at_x
         x_lo = _rescan(game, eps_profile, base, rate, x)
