@@ -56,8 +56,8 @@ def _cmd_solve(args) -> int:
                 try:
                     bf = brute_force_priced(game)
                     verify_ok = verify_ok and bf == values
-                except OracleError:
-                    pass
+                except OracleError as exc:
+                    print(f"verify: brute-force skipped: {exc}", file=sys.stderr)
         elif doc.kind == "sptg":
             sol = solve_sptg(game)
             out = gamedoc.emit_sptg_result(doc, sol)

@@ -286,7 +286,7 @@ def brute_force_priced(game: PricedGame, budget: int = 10**6):
     for js in game.state_actions:
         total *= len(js)
     if total > budget:
-        raise OracleError(f"{total} profiles exceed the enumeration budget {budget}")
+        raise OracleError(f"{total} profiles exceed the budget {budget}")
     n = game.num_states
     p1_states = [k for k in range(n) if game.owners[k] == 1]
     p2_states = [k for k in range(n) if game.owners[k] == 2]

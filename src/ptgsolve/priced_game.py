@@ -197,41 +197,14 @@ def extended_dijkstra(game: PricedGame):
     vals: list = [None] * n
     profile: list = [None] * n
     pending = [len(game.state_actions[k]) if game.owners[k] == 2 else -1 for k in range(n)]
-    best_max: list = [None] * n  # (payoff, rate, hops, -action) for maximizer states
     preds: list = [[] for _ in range(n)]  # incoming action ids per destination
-    heap = []
-
-    def offer(k, j, payoff, rate, hops):
-        if is_inf(payoff):
-            payoff, rate, hops = INFINITE
-        if game.owners[k] == 1:
-            heapq.heappush(heap, (payoff, rate, hops, k, j))
-            return
-        pending[k] -= 1
-        if best_max[k] is None or (payoff, rate, hops, -j) > best_max[k]:
-            best_max[k] = (payoff, rate, hops, -j)
-        if pending[k] == 0:
-            payoff, rate, hops, neg_j = best_max[k]
-            heapq.heappush(heap, (payoff, rate, hops, k, -neg_j))
-
-    # Exits seed the queue, and maximizer states whose actions all exit.
+    exits = []
     for j, a in enumerate(game.actions):
         if a.dest is TERMINAL:
-            offer(a.source, j, a.cost, a.wait_rate, 1)
+            exits.append((a.source, j, a.cost, a.wait_rate, 1))
         else:
             preds[a.dest].append(j)
-
-    while heap:
-        val, rate, hops, k, j = heapq.heappop(heap)
-        if vals[k] is not None:
-            continue
-        vals[k] = Valuation(val, rate, hops)
-        profile[k] = j
-        for pj in preds[k]:
-            src = game.actions[pj].source
-            if vals[src] is not None and game.owners[src] == 1:
-                continue
-            offer(src, pj, game.actions[pj].cost + val, rate, hops + 1)
+    _settle(game.owners, game.actions, preds, exits, pending, vals, profile)
 
     # Unsettled states have value infinity.  Each takes its first action
     # that attains it: one of infinite cost or towards an unsettled or
@@ -249,6 +222,49 @@ def extended_dijkstra(game: PricedGame):
                 profile[k] = j
                 break
     return Payoffs(vals), tuple(profile)
+
+
+def _settle(owners, actions, preds, offers, pending, vals, profile):
+    """The scan of :func:`extended_dijkstra`, also run by the SPTG sweep
+    on the states it repairs: settle the states whose ``vals`` entry is
+    None, writing their valuations into ``vals`` and their choices into
+    ``profile``.
+
+    ``offers`` holds the candidates ``(state, action, payoff, rate,
+    hops)`` known up front; ``preds[d]`` lists the actions offered when
+    state ``d`` settles, each to its source unless that is settled
+    already.  ``pending[k]`` counts the candidates maximizer ``k`` still
+    awaits: it settles when the last one arrives.
+    """
+    heap = []
+    best_max = {}  # (payoff, rate, hops, -action) per maximizer state
+
+    def offer(k, j, payoff, rate, hops):
+        if is_inf(payoff):
+            payoff, rate, hops = INFINITE
+        if owners[k] == 1:
+            heapq.heappush(heap, (payoff, rate, hops, k, j))
+            return
+        pending[k] -= 1
+        best = best_max.get(k)
+        if best is None or (payoff, rate, hops, -j) > best:
+            best = best_max[k] = (payoff, rate, hops, -j)
+        if pending[k] == 0:
+            payoff, rate, hops, neg_j = best
+            heapq.heappush(heap, (payoff, rate, hops, k, -neg_j))
+
+    for cand in offers:
+        offer(*cand)
+    while heap:
+        val, rate, hops, k, j = heapq.heappop(heap)
+        if vals[k] is not None:
+            continue
+        vals[k] = Valuation(val, rate, hops)
+        profile[k] = j
+        for pj in preds[k]:
+            a = actions[pj]
+            if vals[a.source] is None:
+                offer(a.source, pj, a.cost + val, rate, hops + 1)
 
 
 def _pick_switch_set(game: PricedGame, switches):

@@ -10,29 +10,37 @@ value functions linearly down to the next point where some state's best
 choice changes.  Every untimed solve is one lexicographic extended
 Dijkstra scan, whose choices are switch-free by construction.
 
-Each step solves its snapshot game in full, but keeps the bookkeeping
-around it proportional to what changed.  Every snapshot game shares one
-layout, cached on the Sptg, and only gets new waiting exits.  Every state
-keeps a certificate, its largest crossing below the current clock value,
-and only states whose certificate may have moved are rescanned: their
-choice changed, an action of theirs leads to a state whose rate changed,
-or their crossing fixed the current clock value.  Waiting actions are
-never scanned, as their line meets the chosen one at the current clock
-value itself.  A value function gets a new segment only where its state's
-rate changes.
+Only the snapshot game at 1 is solved in full.  At each later event
+point the sweep repairs the previous solve instead: the scan re-solves
+the states whose crossing fixed the event point and the states upstream
+of them, each offered only the candidates that can still be optimal
+there, and every other state keeps its choice.  Each state's current
+piece is a line ``c - rate*t`` in absolute clock coordinates, and each
+action caches the line it offers, refreshed only when its destination
+starts a new piece, so no value is updated per step.  Every snapshot
+game the sweep does build shares one layout, cached on the Sptg, and
+only gets new waiting exits.  Every state keeps a certificate, its
+largest crossing below the current clock value, and only states whose
+certificate may have moved are rescanned: their choice changed, an
+action of theirs leads to a state whose rate changed, or their crossing
+fixed the current clock value.  Waiting actions are never scanned, as
+their line meets the chosen one at the current clock value itself.  A
+value function gets a new segment only where its state's rate changes.
 """
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
-from .numerics import F0, F1, INF, PwlFn, frac, is_inf
+from .numerics import F0, F1, PwlFn, frac, is_inf
 from .priced_game import (
     PAction,
     PricedGame,
+    _settle,
     extended_dijkstra,
     potential_less,
     potential_matrix,
@@ -77,6 +85,15 @@ class Sptg:
         state's waiting exit, numbered after the Sptg's own actions."""
         m = self.num_actions
         return tuple(js + (m + k,) for k, js in enumerate(self.core.state_actions))
+
+    @cached_property
+    def incoming(self) -> tuple:
+        """The non-waiting actions into each state."""
+        into = [[] for _ in range(self.num_states)]
+        for j, a in enumerate(self.actions):
+            if a.dest is not None:
+                into[a.dest].append(j)
+        return tuple(tuple(js) for js in into)
 
     def event_bound(self) -> int:
         """Bound on the number of event points of the value functions."""
@@ -184,61 +201,168 @@ def solve_at_time_one(sptg: Sptg):
     return solve_untimed(sptg.core)
 
 
-def _line(eps_game: PricedGame, j: int, base, rate):
-    """Coefficients (A, S) of the snapshot-optimal line of action ``j``:
-    its value at clock x'' is A + S*(x_hi - x'').  Returns None when the
-    line is infinite."""
-    a = eps_game.actions[j]
+def _line(a: PAction, c, rate):
+    """``(C, S)`` of the line ``C - S*t`` that action ``a`` offers at
+    clock ``t``: its cost plus its destination's piece.  None when that
+    is infinite."""
     if is_inf(a.cost):
         return None
     if a.dest is None:
         return (a.cost, a.wait_rate)
-    if is_inf(base[a.dest]):
+    if is_inf(c[a.dest]):
         return None
-    return (a.cost + base[a.dest], rate[a.dest])
+    return (a.cost + c[a.dest], rate[a.dest])
 
 
-def _crossing(sptg: Sptg, eps_game: PricedGame, k: int, chosen: int, base, rate, x_hi):
-    """Largest clock value in [0, x_hi) where the line of one of state
-    ``k``'s own (non-waiting) actions meets the line of ``chosen``; 0 when
-    there is none."""
-    if is_inf(base[k]):
-        return F0
-    sigma = _line(eps_game, chosen, base, rate)
-    if sigma is None:
-        return F0
-    span = x_hi  # distance from x_hi to the largest crossing so far
-    for j in sptg.core.state_actions[k]:
-        if j == chosen:
-            continue
-        cand = _line(eps_game, j, base, rate)
-        if cand is None or cand[1] == sigma[1]:
-            continue
-        # A_j + d*S_j = A_s + d*S_s with d = x_hi - x''; lines tied
-        # at x_hi cross at d = 0 and fall to the strict inequality
-        d = (sigma[0] - cand[0]) / (cand[1] - sigma[1])
-        if F0 < d < span:
-            span = d
-    return x_hi - span
+class _Pieces:
+    """The sweep's state between two event points, in absolute clock
+    coordinates.
+
+    State ``k``'s open piece is ``v_k(t) = c[k] - rate[k]*t``, reached in
+    ``hops[k]`` hops through ``choice[k]`` (``m + k`` is its waiting
+    exit).  ``lines[j]`` caches :func:`_line` of action ``j``; it changes
+    only when the action's destination starts a new piece.  ``certs[k]``
+    is state ``k``'s crossing certificate (see :func:`next_event_point`)
+    and ``tight[k]`` the actions that its last crossing scan found
+    coinciding with the chosen line and crossing it at the certificate.
+    ``heap`` holds ``(-certificate, state)`` entries, some outdated.
+    ``vals``, ``picked`` and ``pending`` are the repair scan's working
+    lists: only the entries of the states it settles are current.
+    """
+
+    def __init__(self, sptg: Sptg, v1, profile):
+        n = sptg.num_states
+        # a flat piece through the values at 1, which the snapshot at 1
+        # replaces
+        self.c = [v.payoff for v in v1]
+        self.rate = [F0] * n
+        self.hops = [v.hops for v in v1]
+        self.choice = list(profile)
+        self.lines = [_line(a, self.c, self.rate) for a in sptg.actions]
+        self.certs = [F0] * n
+        self.tight = [((), ())] * n
+        self.heap = []
+        self.vals = list(v1)
+        self.picked = list(profile)
+        self.pending = [-1] * n
+
+    def at(self, k, x):
+        """State ``k``'s value at ``x`` on its open piece."""
+        c = self.c[k]
+        return c if is_inf(c) else c - self.rate[k] * x
 
 
-def next_event_point(sptg: Sptg, eps_game: PricedGame, profile, base, rate, x_hi, certs, dirty):
+def _crossing(sptg: Sptg, pieces: _Pieces, k: int, x_hi):
+    """Largest clock value in (0, x_hi) where the line of one of state
+    ``k``'s own (non-waiting) actions crosses its chosen line; 0 when
+    there is none.  Records the coinciding and crossing actions in
+    ``pieces.tight[k]``."""
+    c, s = pieces.c[k], pieces.rate[k]
+    chosen, lines = pieces.choice[k], pieces.lines
+    best, coinciding, crossing = F0, [], []
+    minimizer = sptg.owners[k] == 1
+    if not is_inf(c):
+        for j in sptg.core.state_actions[k]:
+            line = lines[j]
+            if line is None or j == chosen:
+                continue
+            cj, sj = line
+            if sj == s:
+                if cj == c:
+                    coinciding.append(j)
+                continue
+            # the chosen line is optimal at x_hi, so a line can overtake
+            # it to the left only by rising more slowly for a minimizer,
+            # or faster for a maximizer
+            if (sj > s) == minimizer:
+                continue
+            t = (c - cj) / (s - sj)
+            if F0 < t < x_hi:
+                if t > best:
+                    best, crossing = t, [j]
+                elif t == best:
+                    crossing.append(j)
+    pieces.tight[k] = (coinciding, crossing)
+    return best
+
+
+def next_event_point(sptg: Sptg, pieces: _Pieces, dirty, x_hi):
     """Largest clock value strictly below ``x_hi`` where some available
     action's line meets the chosen action's line, given they differ at
     ``x_hi`` itself; 0 when no such crossing exists.
 
-    ``certs[k]`` caches state ``k``'s own largest such crossing, from an
-    earlier step; only the states in ``dirty`` are rescanned, and the
-    result is the largest certificate.  A cached crossing stays valid
-    while the lines it compared stay put: values are continuous, so a
-    line through a destination moves only when that destination's rate
-    changes.  A waiting action is never scanned: its line starts at the
-    state's value at ``x_hi``, which the chosen line also attains, so
-    the two meet at ``x_hi`` itself or not at all.
+    ``pieces.certs[k]`` caches state ``k``'s own largest such crossing,
+    from an earlier step; only the states in ``dirty`` are rescanned, and
+    the result is the largest certificate, kept on a heap.  A cached
+    crossing stays valid while the lines it compared stay put: values
+    are continuous, so a line through a destination moves only when that
+    destination's rate changes.  A waiting action is never scanned: its
+    line starts at the state's value at ``x_hi``, which the chosen line
+    also attains, so the two meet at ``x_hi`` itself or not at all.
     """
+    certs, heap = pieces.certs, pieces.heap
     for k in dirty:
-        certs[k] = _crossing(sptg, eps_game, k, profile[k], base, rate, x_hi)
-    return max(certs, default=F0)
+        cert = certs[k] = _crossing(sptg, pieces, k, x_hi)
+        if cert:
+            heapq.heappush(heap, (-cert, k))
+    while heap and certs[heap[0][1]] != -heap[0][0]:
+        heapq.heappop(heap)
+    return -heap[0][0] if heap else F0
+
+
+def _events(pieces: _Pieces, x):
+    """The states whose certificate is ``x``, taken off the heap."""
+    heap, certs, top = pieces.heap, pieces.certs, -x
+    events = set()
+    while heap and heap[0][0] == top:
+        _, k = heapq.heappop(heap)
+        if certs[k] == x:
+            events.add(k)
+    return events
+
+
+def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> set:
+    """Re-solve the snapshot game at ``x`` on the repaired set R alone,
+    into ``pieces.vals`` and ``pieces.picked``; returns R.
+
+    R is ``events`` plus every finite-valued state with any action into
+    R.  Outside R each state keeps its choice, rate and hop count, and
+    its payoff is its value at ``x``.  A state in R is offered its
+    waiting exit, its actions into R through the scan, and, among its
+    other actions, only those whose lines meet its chosen line at ``x``:
+    the chosen action, the actions coinciding with it and, for an event
+    state, those crossing it there.  Every other candidate is strictly
+    worse at ``x``, so the scan settles R as the full scan would.
+    """
+    c, lines, m = pieces.c, pieces.lines, sptg.num_actions
+    actions, incoming = sptg.actions, sptg.incoming
+    repaired = set(events)
+    todo = list(events)
+    while todo:
+        for j in incoming[todo.pop()]:
+            k = actions[j].source
+            if k not in repaired and not is_inf(c[k]):
+                repaired.add(k)
+                todo.append(k)
+    vals, pending, offers = pieces.vals, pieces.pending, []
+    for k in repaired:
+        vals[k] = None
+        first = len(offers)
+        offers.append((k, m + k, pieces.at(k, x), sptg.rates[k], 1))
+        coinciding, crossing = pieces.tight[k]
+        for j in (pieces.choice[k], *coinciding, *(crossing if k in events else ())):
+            if j >= m:
+                continue  # the old waiting exit
+            d = actions[j].dest
+            if d not in repaired:
+                cj, sj = lines[j]
+                hops = 1 if d is None else pieces.hops[d] + 1
+                offers.append((k, j, cj - sj * x, sj, hops))
+        if sptg.owners[k] == 2:
+            inside = sum(actions[j].dest in repaired for j in sptg.core.state_actions[k])
+            pending[k] = len(offers) - first + inside
+    _settle(sptg.owners, actions, incoming, offers, pending, vals, pieces.picked)
+    return repaired
 
 
 def solve_sptg(
@@ -248,20 +372,22 @@ def solve_sptg(
 ) -> SptgSolution:
     """Exact value functions and optimal strategies on [0,1].
 
-    Each snapshot game is solved in full by one lexicographic extended
-    Dijkstra scan.  It shares its layout with every other snapshot game
-    and gets new waiting exits.  The next event point rescans only the
-    states whose crossing certificate may have moved (see
+    The snapshot game at 1 is solved in full by one lexicographic
+    extended Dijkstra scan.  At every later event point only the states
+    whose certificate fixed it, and the states upstream of them, are
+    re-solved (see :func:`_repair`); the scan's result is canonical, so
+    this gives what a full scan would.  The next event point rescans
+    only the states whose crossing certificate may have moved (see
     :func:`next_event_point`): those whose choice changed, those with an
     action into a state whose rate changed, and those whose certificate
-    fixed the current clock value.
-    A state's value function gets a new segment only where its rate
-    changes.
+    fixed the current clock value.  A state's value function gets a new
+    segment only where its rate changes.
 
-    ``instrument=True`` instead improves the previous snapshot's profile
-    one switch at a time and verifies that every switch strictly
-    decreases the potential matrix; ``on_switch(matrix_before,
-    matrix_after)`` additionally observes each recorded pair.
+    ``instrument=True`` instead solves every snapshot game in full,
+    improving the previous snapshot's profile one switch at a time, and
+    verifies that every switch strictly decreases the potential matrix;
+    ``on_switch(matrix_before, matrix_after)`` additionally observes each
+    recorded pair.
     """
     stats = SolveStats()
     n = sptg.num_states
@@ -272,60 +398,58 @@ def solve_sptg(
 
     v1, profile = solve_at_time_one(sptg)
     cells = [(F1, F1, tuple(profile))]
-    # states with a non-waiting action into each state
-    preds = [set() for _ in range(n)]
-    for a in sptg.actions:
-        if a.dest is not None:
-            preds[a.dest].add(a.source)
-
-    x = F1
-    v_at_x = [v.payoff for v in v1]
+    pieces = _Pieces(sptg, v1, profile)
+    c, rate, choice, lines = pieces.c, pieces.rate, pieces.choice, pieces.lines
     # each state's segments so far, right to left, and its open piece's
-    # right end and rate
+    # right end
     segments = [[] for _ in range(n)]
     top = [F1] * n
-    piece_rate = None
-    certs = [F0] * n
-    budget = sptg.event_bound() + 2
-    for _ in range(budget):
+    x = F1
+    events = set()
+    budget = sptg.event_bound() + 1
+    for step in range(budget):
+        if step == 0 or instrument:
+            game = build_eps_game(sptg, [pieces.at(k, x) for k in range(n)])
+            vals, picked = solve_untimed(game, tuple(choice) if instrument else None, hook)
+            touched = range(n)
+        else:
+            touched = _repair(sptg, pieces, x, events)
+            vals, picked = pieces.vals, pieces.picked
+
+        dirty = set(range(n)) if step == 0 else events
+        for k in touched:
+            val = vals[k]
+            at_x = pieces.at(k, x)
+            if val.payoff != at_x:  # INF == INF
+                raise AssertionError(
+                    f"snapshot value at state {k} broke continuity: {val.payoff} != {at_x}"
+                )
+            if picked[k] != choice[k]:
+                choice[k] = picked[k]
+                dirty.add(k)
+            pieces.hops[k] = val.hops
+            if val.rate != rate[k]:
+                if top[k] != x:
+                    segments[k].append((x, top[k], at_x, -rate[k]))
+                    top[k] = x
+                rate[k] = val.rate
+                c[k] = at_x + val.rate * x
+                for j in sptg.incoming[k]:
+                    lines[j] = _line(sptg.actions[j], c, rate)
+                    dirty.add(sptg.actions[j].source)
+
+        x_lo = next_event_point(sptg, pieces, dirty, x)
+        cells.append((x_lo, x, tuple(WAIT if j >= m else j for j in choice)))
+        stats.sweep_steps += 1
+        x = x_lo
         if x == F0:
             break
-        eps_game = build_eps_game(sptg, v_at_x)
-        seed = profile if instrument else None
-        vals, eps_profile = solve_untimed(eps_game, seed, hook)
-
-        # a snapshot valuation is the value at x plus its slope's rate
-        base = [v.payoff for v in vals]
-        rate = [v.rate for v in vals]
-        for k in range(n):
-            if base[k] != v_at_x[k]:  # INF == INF
-                raise AssertionError(
-                    f"snapshot value at state {k} broke continuity: "
-                    f"{base[k]} != {v_at_x[k]}"
-                )
-
-        if piece_rate is None:
-            dirty = range(n)
-        else:
-            dirty = {k for k in range(n) if eps_profile[k] != profile[k] or certs[k] >= x}
-            for k in range(n):
-                if rate[k] != piece_rate[k]:
-                    dirty.update(preds[k])
-                    segments[k].append((x, top[k], v_at_x[k], -piece_rate[k]))
-                    top[k] = x
-        piece_rate = rate
-        x_lo = next_event_point(sptg, eps_game, eps_profile, base, rate, x, certs, dirty)
-        dx = x - x_lo
-        v_at_x = [INF if is_inf(b) else b + r * dx for b, r in zip(base, rate)]
-        cells.append((x_lo, x, tuple(WAIT if j >= m else j for j in eps_profile)))
-        stats.sweep_steps += 1
-        profile = eps_profile
-        x = x_lo
+        events = _events(pieces, x)
     else:
         raise RuntimeError("sweep exceeded its event-point budget")
 
-    for seg, hi, v, r in zip(segments, top, v_at_x, piece_rate):
-        seg.append((F0, hi, v, -r))
+    for seg, hi, c_k, r in zip(segments, top, c, rate):
+        seg.append((F0, hi, c_k, -r))
     fns = tuple(PwlFn.from_segments(list(reversed(segs))) for segs in segments)
     interior = set()
     for f in fns:

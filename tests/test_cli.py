@@ -278,6 +278,19 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert out["values"] == {"s0": "1", "s1": "1"}
 
+    def test_priced_verify_says_when_brute_force_is_skipped(self, tmp_path, capsys):
+        # 13 states with 3 actions each: 3**13 profiles, past the budget
+        actions = []
+        for k in range(13):
+            actions += [PAction(k, None, Fr(k)), PAction(k, (k + 1) % 13, F1), PAction(k, k, F1)]
+        g = PricedGame((1, 2) * 6 + (1,), tuple(actions))
+        path = self.write(tmp_path, doc_text(g, "priced"))
+        assert cli.main(["solve", path, "--verify"]) == 0
+        captured = capsys.readouterr()
+        skipped = "verify: brute-force skipped: 1594323 profiles exceed the budget 1000000\n"
+        assert captured.err == skipped
+        assert json.loads(captured.out)["values"]["s0"] == "0"
+
     def test_solve_sptg_writes_outputs(self, tmp_path):
         path = self.write(tmp_path, doc_text(fixture_a().game, "sptg"))
         out = tmp_path / "result.json"

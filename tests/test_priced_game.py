@@ -345,13 +345,16 @@ class TestCanonicalProfile:
                 for kw in variants:
                     assert_canonical(generate_random("priced", n, 3, seed, **kw), (n, seed, kw))
 
-    def test_sweep_snapshot_games(self, monkeypatch):
+    def test_sweep_snapshot_games(self):
+        # each interval cell [lo, hi) was chosen in the snapshot game
+        # whose waits cost the values at hi
         games = []
-        build = sptg.build_eps_game
-        monkeypatch.setattr(sptg, "build_eps_game", lambda *a: games.append(build(*a)) or games[-1])
         for n in range(2, 6):
             for seed in range(50):
-                sptg.solve_sptg(generate_random("sptg", n, 3, seed, allow_inf=seed % 2 == 0))
+                g = generate_random("sptg", n, 3, seed, allow_inf=seed % 2 == 0)
+                sol = sptg.solve_sptg(g)
+                for _, hi, _ in sol.strategy.cells[:-1]:
+                    games.append(sptg.build_eps_game(g, [f.eval(hi) for f in sol.values]))
         assert len(games) > 200
         for i, g in enumerate(games):
             assert_canonical(g, i)

@@ -12,6 +12,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
+from ptgsolve import sptg as sptg_module
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
 from ptgsolve.priced_game import PAction, potential_less, potential_matrix, rate_ladder_of
 from ptgsolve.sptg import WAIT, SolveStats, Sptg, build_eps_game, solve_sptg, solve_untimed
@@ -98,27 +99,76 @@ def fan(k):
     return Sptg((1,) + (2,) * k, rates, tuple(actions))
 
 
-def nested_fan(centers, spokes, seed):
-    """A minimizer hub moving to minimizer fan centers, each moving to
-    its own maximizer spokes.  A center's event points change its rate
-    and so the lines of the hub's actions, whether or not the hub's own
-    choice changes."""
+def nested_fan(centers, spokes, seed, hub=1, center=1):
+    """A hub moving to fan centers, each moving to its own maximizer
+    spokes; ``hub`` and ``center`` are the owners.  A center's event
+    points change its rate and so the lines of the hub's actions,
+    whether or not the hub's own choice changes.  A minimizer center
+    follows the lower envelope of its spokes' lines, a maximizer center
+    the upper one, so the exit costs are convex or concave in the spoke
+    index accordingly."""
     rng = random.Random(seed)
-    owners, rates, actions = [1], [Fr(spokes + 2)], []
+    # a minimizer never waits at the top rate, a maximizer never at rate 0
+    owners, rates, actions = [hub], [Fr(spokes + 2) if hub == 1 else F0], []
     for c in range(centers):
-        center = len(owners)
-        owners.append(1)
-        rates.append(Fr(spokes + 1))
-        actions.append(PAction(0, center, Fr(rng.randint(0, 3), 4)))
+        c_state = len(owners)
+        owners.append(center)
+        rates.append(Fr(spokes + 1) if center == 1 else F0)
+        actions.append(PAction(0, c_state, Fr(rng.randint(0, 3), 4)))
         scale, offset = Fr(rng.randint(1, 4), 2), Fr(rng.randint(0, 3), 4)
         for i in range(1, spokes + 1):
             spoke = len(owners)
             owners.append(2)
             rates.append(Fr(i))
-            actions.append(PAction(center, spoke, F0))
-            exit_cost = offset + scale * Fr((spokes + 1 - i) ** 2, 2 * spokes)
-            actions.append(PAction(spoke, None, exit_cost))
+            actions.append(PAction(c_state, spoke, F0))
+            if center == 1:
+                shape = Fr((spokes + 1 - i) ** 2, 2 * spokes)
+            else:
+                shape = Fr(spokes, 2) - Fr(i * (i - 1), 2 * spokes)
+            actions.append(PAction(spoke, None, offset + scale * shape))
     return Sptg(tuple(owners), tuple(rates), tuple(actions))
+
+
+def coinciding_fan(seed):
+    """Nested fans whose hub also reaches each center, and the spoke
+    that center takes at 1, through relays and direct actions priced
+    like the route through the center.  Several of the hub's actions
+    then offer the same line: path length, then the lowest id, decides
+    among them.  When the center leaves that spoke, a hub that had
+    chosen the center may have to switch to one of the other routes.
+    Owners are random, and the action order is shuffled."""
+    rng = random.Random(seed)
+    spokes, center = 3, rng.choice((1, 2))
+    g = nested_fan(2, spokes, seed, hub=rng.choice((1, 2)), center=center)
+    owners, rates, actions = list(g.owners), list(g.rates), list(g.actions)
+    for a in g.actions:
+        if a.source != 0:
+            continue
+        top = a.dest + (spokes if center == 1 else 1)
+        for d in (a.dest, top):
+            if rng.random() < 0.5:
+                relay = len(owners)
+                owners.append(rng.choice((1, 2)))
+                rates.append(Fr(9) if owners[-1] == 1 else F0)
+                actions.append(PAction(relay, d, F0))
+                actions.append(PAction(0, relay, a.cost))
+            if rng.random() < 0.5:
+                actions.append(PAction(0, d, a.cost))
+    rng.shuffle(actions)
+    return Sptg(tuple(owners), tuple(rates), tuple(actions))
+
+
+def fan_with_infinite_states(k):
+    """fan(k) plus two infinite-valued states with actions into its hub:
+    a minimizer whose only action costs infinity, and a maximizer that
+    may also take an exit of infinite cost."""
+    g = fan(k)
+    actions = g.actions + (
+        PAction(k + 1, 0, INF),
+        PAction(k + 2, 0, F0),
+        PAction(k + 2, None, INF),
+    )
+    return Sptg(g.owners + (1, 2), g.rates + (F1, F1), actions)
 
 
 def random_event_rich(seed):
@@ -157,6 +207,25 @@ def test_nested_fans(centers, spokes):
         assert_same_sweep(nested_fan(centers, spokes, seed))
 
 
+@pytest.mark.parametrize("hub, center", [(1, 2), (2, 1), (2, 2)])
+def test_nested_fans_with_maximizers(hub, center):
+    """A maximizer center is re-solved at its own event points, and a
+    maximizer hub together with the centers it has actions into."""
+    for centers, spokes in [(2, 3), (3, 4), (4, 5)]:
+        for seed in range(6):
+            assert_same_sweep(nested_fan(centers, spokes, seed, hub, center))
+
+
+def test_coinciding_lines():
+    for seed in range(60):
+        assert_same_sweep(coinciding_fan(seed))
+
+
+@pytest.mark.parametrize("k", [2, 5, 12])
+def test_infinite_states_upstream_of_events(k):
+    assert_same_sweep(fan_with_infinite_states(k))
+
+
 def test_nested_fans_keep_the_hub_choice_where_a_center_rate_changes():
     """The nested fans above exercise what plain fans do not: a step at
     which the hub keeps its choice while one of its destinations changes
@@ -175,7 +244,7 @@ def test_nested_fans_keep_the_hub_choice_where_a_center_rate_changes():
     assert any(hub_kept(nested_fan(3, 4, seed)) for seed in range(6))
 
 
-@pytest.mark.parametrize("k", range(1, 25))
+@pytest.mark.parametrize("k", [*range(1, 25), 32, 40])
 def test_fans(k):
     assert_same_sweep(fan(k))
 
@@ -187,3 +256,26 @@ def test_random_event_rich():
         assert_same_sweep(g)
         events += solve_sptg(g).stats.event_points
     assert events >= 200
+
+
+def test_fan_steps_re_solve_only_the_hub(monkeypatch):
+    """The plain sweep of fan(40) builds one snapshot game, at 1; each
+    later step re-solves the hub alone, the one state whose certificate
+    fixed the event point."""
+    builds, settled = [], []
+    build, settle = sptg_module.build_eps_game, sptg_module._settle
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def watched_settle(owners, actions, preds, offers, pending, vals, profile):
+        settled.append([k for k, v in enumerate(vals) if v is None])
+        settle(owners, actions, preds, offers, pending, vals, profile)
+
+    monkeypatch.setattr(sptg_module, "build_eps_game", counted_build)
+    monkeypatch.setattr(sptg_module, "_settle", watched_settle)
+    sol = solve_sptg(fan(40))
+    assert sol.stats.sweep_steps == 40
+    assert len(builds) == 1
+    assert settled == [[0]] * 39
