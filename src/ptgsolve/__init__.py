@@ -16,7 +16,7 @@ from .priced_game import (
     extended_dijkstra,
     strategy_iteration,
 )
-from .sptg import Sptg, SptgSolution, TimedStrategyProfile, WAIT, solve_sptg, solve_untimed
+from .sptg import Sptg, SptgSolution, TimedStrategyProfile, WAIT, solve_sptg
 from .ptg import Ptg, PtgResult, TAction, solve_ptg
 from .oracle import (
     Play,
@@ -45,7 +45,6 @@ __all__ = [
     "TimedStrategyProfile",
     "WAIT",
     "solve_sptg",
-    "solve_untimed",
     "Ptg",
     "PtgResult",
     "TAction",

@@ -190,8 +190,10 @@ def extended_dijkstra(game: PricedGame):
     action (costs are nonnegative and hops grow by one), so every state
     with a finite value settles on the lowest-id action that attains its
     lexicographic optimum, and neither player has an improving switch.
-    States that are never settled keep value infinity.  Returns
-    ``(values, profile)``; ``values`` is a :class:`Payoffs`.
+    No state settles on an infinite candidate: every infinite-valued
+    state stays unsettled and takes its first action that attains
+    infinity.  Returns ``(values, profile)``; ``values`` is a
+    :class:`Payoffs`.
     """
     n = game.num_states
     vals: list = [None] * n
@@ -234,14 +236,17 @@ def _settle(owners, actions, preds, offers, pending, vals, profile):
     hops)`` known up front; ``preds[d]`` lists the actions offered when
     state ``d`` settles, each to its source unless that is settled
     already.  ``pending[k]`` counts the candidates maximizer ``k`` still
-    awaits: it settles when the last one arrives.
+    awaits: it settles when the last one arrives.  An infinite
+    candidate is dropped uncounted, so a minimizer ignores it and a
+    maximizer that receives one never settles: a state settles only on
+    a finite value.
     """
     heap = []
     best_max = {}  # (payoff, rate, hops, -action) per maximizer state
 
     def offer(k, j, payoff, rate, hops):
         if is_inf(payoff):
-            payoff, rate, hops = INFINITE
+            return
         if owners[k] == 1:
             heapq.heappush(heap, (payoff, rate, hops, k, j))
             return
@@ -283,10 +288,10 @@ def _pick_lowest(game: PricedGame, switches):
     return [min(j for j, _ in switches)]
 
 
-def _iterate(game: PricedGame, profile: Profile, pick, on_switch=None):
+def _iterate(game: PricedGame, profile: Profile, pick, hook=None):
     """Apply the picked improving switches, the maximizer's first, until
     neither player has one.  Each pass makes one switch step or returns
-    the :class:`Payoffs` of its evaluation.  ``on_switch`` sees the first
+    the :class:`Payoffs` of its evaluation.  ``hook`` sees the first
     picked switch, so only single-switch callers pass one.
 
     The budget allows P*(n+1)+1 minimizer steps, each preceded by fewer
@@ -304,8 +309,8 @@ def _iterate(game: PricedGame, profile: Profile, pick, on_switch=None):
             return Payoffs(vals), profile, switch_count
         picked = pick(game, sw)
         nxt = apply_switches(game, profile, picked)
-        if on_switch is not None:
-            on_switch(game, profile, picked[0], nxt)
+        if hook is not None:
+            hook(game, profile, picked[0], nxt)
         profile = nxt
         switch_count += len(picked)
     raise RuntimeError("strategy iteration exceeded its termination budget")
@@ -321,15 +326,11 @@ def strategy_iteration(game: PricedGame, profile: Profile):
     return _iterate(game, profile, _pick_switch_set)
 
 
-def single_switch_iteration(
-    game: PricedGame,
-    profile: Profile,
-    on_switch: Optional[Callable] = None,
-):
+def single_switch_iteration(game: PricedGame, profile: Profile, hook: Optional[Callable] = None):
     """As :func:`strategy_iteration`, but one improving switch at a time,
-    the lowest action id first.  ``on_switch(game, before, action,
-    after)`` fires at every switch."""
-    return _iterate(game, profile, _pick_lowest, on_switch)
+    the lowest action id first.  ``hook(game, before, action, after)``
+    fires at every switch."""
+    return _iterate(game, profile, _pick_lowest, hook)
 
 
 # -- potential instrumentation ----------------------------------------------

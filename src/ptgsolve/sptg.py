@@ -7,25 +7,26 @@ computed exactly by a right-to-left sweep: solve the untimed game at
 time 1, then repeatedly solve a snapshot game whose waiting option costs
 the current value plus an infinitesimal rate charge, and extend the
 value functions linearly down to the next point where some state's best
-choice changes.  Every untimed solve is one lexicographic extended
-Dijkstra scan, whose choices are switch-free by construction.
+choice changes.  The untimed game is solved by one lexicographic
+extended Dijkstra scan, whose choices are switch-free by construction.
 
-Only the snapshot game at 1 is solved in full.  At each later event
-point the sweep repairs the previous solve instead: the scan re-solves
-the states whose crossing fixed the event point and the states upstream
-of them, each offered only the candidates that can still be optimal
-there, and every other state keeps its choice.  Each state's current
+The sweep builds no snapshot game.  Each step repairs the previous
+solve instead: the scan re-solves the states whose crossing fixed the
+event point and the states upstream of them, each offered only the
+candidates that can still be optimal there, and every other state keeps
+its choice.  The step at 1 repairs flat pieces through the values at 1,
+with every finite-valued state as an event; an infinite-valued state
+keeps the untimed solve's choice throughout.  Each state's current
 piece is a line ``c - rate*t`` in absolute clock coordinates, and each
 action caches the line it offers, refreshed only when its destination
-starts a new piece, so no value is updated per step.  Every snapshot
-game the sweep does build shares one layout, cached on the Sptg, and
-only gets new waiting exits.  Every state keeps a certificate, its
-largest crossing below the current clock value, and only states whose
-certificate may have moved are rescanned: their choice changed, an
-action of theirs leads to a state whose rate changed, or their crossing
-fixed the current clock value.  Waiting actions are never scanned, as
-their line meets the chosen one at the current clock value itself.  A
-value function gets a new segment only where its state's rate changes.
+starts a new piece, so no value is updated per step.  Every state keeps
+a certificate, its largest crossing below the current clock value, and
+only states whose certificate may have moved are rescanned: their
+choice changed, an action of theirs leads to a state whose rate
+changed, or their crossing fixed the current clock value.  Waiting
+actions are never scanned, as their line meets the chosen one at the
+current clock value itself.  A value function gets a new segment only
+where its state's rate changes.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
 
 from .numerics import F0, F1, PwlFn, frac, is_inf
 from .priced_game import (
@@ -78,13 +78,6 @@ class Sptg:
     def core(self) -> PricedGame:
         """The untimed game played when no time remains."""
         return PricedGame(self.owners, self.actions)
-
-    @cached_property
-    def snapshot_layout(self) -> tuple:
-        """``state_actions`` of every snapshot game: the core's, then the
-        state's waiting exit, numbered after the Sptg's own actions."""
-        m = self.num_actions
-        return tuple(js + (m + k,) for k, js in enumerate(self.core.state_actions))
 
     @cached_property
     def incoming(self) -> tuple:
@@ -155,50 +148,18 @@ class SptgSolution:
 def build_eps_game(sptg: Sptg, wait_costs) -> PricedGame:
     """Snapshot game at a clock value: the untimed game extended with a
     waiting exit per state whose cost is the state's current value and
-    whose infinitesimal charge (``wait_rate``) is the state's rate.
-
-    Only the waiting exits are new: the rest was validated with the
-    Sptg's core, so only their costs are checked, and the layout comes
-    from :attr:`Sptg.snapshot_layout`.
-    """
-    m = sptg.num_actions
-    waits = []
-    for k in range(sptg.num_states):
-        cost = wait_costs[k]
-        if not is_inf(cost) and cost < 0:
-            raise ValueError(f"action {m + k} has negative cost")
-        waits.append(PAction(k, None, cost, sptg.rates[k], f"wait{k}"))
-    # set the fields and the cached ``state_actions`` as PricedGame's own
-    # constructor and cached_property would, without re-checking the core
-    game = object.__new__(PricedGame)
-    game.__dict__.update(
-        owners=sptg.owners,
-        actions=sptg.actions + tuple(waits),
-        state_actions=sptg.snapshot_layout,
+    whose infinitesimal charge (``wait_rate``) is the state's rate.  The
+    sweep never builds one; its instrumented run and
+    :func:`~ptgsolve.oracle.check_equilibrium` do."""
+    waits = tuple(
+        PAction(k, None, cost, sptg.rates[k], f"wait{k}") for k, cost in enumerate(wait_costs)
     )
-    return game
-
-
-def solve_untimed(game: PricedGame, seed=None, on_switch: Optional[Callable] = None):
-    """Valuations and a switch-free profile (no improving switch for
-    either player, including the path-length tie-break) of an untimed
-    game.  Returns ``(valuations, profile)``.
-
-    Without a seed: one lexicographic extended Dijkstra scan, whose
-    choices are stable by construction.  With a seed profile: single
-    switches from the seed, each reported to ``on_switch``, and the
-    valuations of the iteration's final, switch-free pass.
-    """
-    if seed is not None:
-        payoffs, profile, _ = single_switch_iteration(game, seed, on_switch)
-    else:
-        payoffs, profile = extended_dijkstra(game)
-    return payoffs.valuations, profile
+    return PricedGame(sptg.owners, sptg.actions + waits)
 
 
 def solve_at_time_one(sptg: Sptg):
-    """Valuations and a switch-free profile of the untimed game."""
-    return solve_untimed(sptg.core)
+    """Values and a switch-free profile of the untimed game."""
+    return extended_dijkstra(sptg.core)
 
 
 def _line(a: PAction, c, rate):
@@ -228,12 +189,14 @@ class _Pieces:
     ``heap`` holds ``(-certificate, state)`` entries, some outdated.
     ``vals``, ``picked`` and ``pending`` are the repair scan's working
     lists: only the entries of the states it settles are current.
+
+    The pieces start flat through the values ``v1`` at 1, with the
+    untimed solve's choices and hop counts; the repair at 1 gives every
+    finite-valued state its first sloped piece.
     """
 
     def __init__(self, sptg: Sptg, v1, profile):
         n = sptg.num_states
-        # a flat piece through the values at 1, which the snapshot at 1
-        # replaces
         self.c = [v.payoff for v in v1]
         self.rate = [F0] * n
         self.hops = [v.hops for v in v1]
@@ -365,67 +328,62 @@ def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> set:
     return repaired
 
 
-def solve_sptg(
-    sptg: Sptg,
-    instrument: bool = False,
-    on_switch: Optional[Callable] = None,
-) -> SptgSolution:
+def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
     """Exact value functions and optimal strategies on [0,1].
 
-    The snapshot game at 1 is solved in full by one lexicographic
-    extended Dijkstra scan.  At every later event point only the states
-    whose certificate fixed it, and the states upstream of them, are
-    re-solved (see :func:`_repair`); the scan's result is canonical, so
-    this gives what a full scan would.  The next event point rescans
-    only the states whose crossing certificate may have moved (see
-    :func:`next_event_point`): those whose choice changed, those with an
-    action into a state whose rate changed, and those whose certificate
-    fixed the current clock value.  A state's value function gets a new
-    segment only where its rate changes.
+    The untimed game at 1 is solved by one lexicographic extended
+    Dijkstra scan.  Every sweep step, the one at 1 included, then
+    re-solves only the states whose certificate fixed its clock value,
+    and the states upstream of them (see :func:`_repair`); the scan's
+    result is canonical, so this gives what a full scan of the snapshot
+    game would.  At 1 every finite-valued state is such an event state,
+    offered the actions worth its value at 1.  The next event point
+    rescans only the states whose crossing certificate may have moved
+    (see :func:`next_event_point`): those whose choice changed, those
+    with an action into a state whose rate changed, and those whose
+    certificate fixed the current clock value.  A state's value function
+    gets a new segment only where its rate changes.
 
-    ``instrument=True`` instead solves every snapshot game in full,
-    improving the previous snapshot's profile one switch at a time, and
-    verifies that every switch strictly decreases the potential matrix;
-    ``on_switch(matrix_before, matrix_after)`` additionally observes each
-    recorded pair.
+    ``instrument=True`` observes the same sweep: at every step it also
+    builds the snapshot game, improves the current choices in it one
+    switch at a time, checks that every switch strictly decreases the
+    potential matrix (``stats.potential_checks`` and
+    ``potential_violations``), and raises AssertionError unless the
+    iteration's payoffs are the sweep's values.
     """
     stats = SolveStats()
     n = sptg.num_states
     m = sptg.num_actions
-    hook = None
-    if instrument:
-        hook = _potential_watcher(rate_ladder_of(sptg.rates), stats, on_switch)
+    observe = _observer(sptg, stats) if instrument else None
 
     v1, profile = solve_at_time_one(sptg)
-    cells = [(F1, F1, tuple(profile))]
-    pieces = _Pieces(sptg, v1, profile)
+    cells = [(F1, F1, profile)]
+    pieces = _Pieces(sptg, v1.valuations, profile)
     c, rate, choice, lines = pieces.c, pieces.rate, pieces.choice, pieces.lines
+    # the pieces are flat, so this only records each state's tight
+    # candidates: the actions worth its value at 1
+    next_event_point(sptg, pieces, range(n), F1)
+    events = {k for k in range(n) if not is_inf(c[k])}
     # each state's segments so far, right to left, and its open piece's
     # right end
     segments = [[] for _ in range(n)]
     top = [F1] * n
     x = F1
-    events = set()
     budget = sptg.event_bound() + 1
-    for step in range(budget):
-        if step == 0 or instrument:
-            game = build_eps_game(sptg, [pieces.at(k, x) for k in range(n)])
-            vals, picked = solve_untimed(game, tuple(choice) if instrument else None, hook)
-            touched = range(n)
-        else:
-            touched = _repair(sptg, pieces, x, events)
-            vals, picked = pieces.vals, pieces.picked
-
-        dirty = set(range(n)) if step == 0 else events
-        for k in touched:
-            val = vals[k]
+    for _ in range(budget):
+        if observe:
+            observe(pieces, x)
+        repaired = _repair(sptg, pieces, x, events)
+        dirty = events
+        for k in repaired:
+            val = pieces.vals[k]
             at_x = pieces.at(k, x)
-            if val.payoff != at_x:  # INF == INF
+            if val.payoff != at_x:
                 raise AssertionError(
                     f"snapshot value at state {k} broke continuity: {val.payoff} != {at_x}"
                 )
-            if picked[k] != choice[k]:
-                choice[k] = picked[k]
+            if pieces.picked[k] != choice[k]:
+                choice[k] = pieces.picked[k]
                 dirty.add(k)
             pieces.hops[k] = val.hops
             if val.rate != rate[k]:
@@ -459,14 +417,25 @@ def solve_sptg(
     return SptgSolution(fns, strategy, stats)
 
 
-def _potential_watcher(ladder, stats, on_switch):
+def _observer(sptg: Sptg, stats: SolveStats):
+    """The instrumented sweep's check of each step at clock ``x``: single
+    switches from the current choices in the snapshot game, each counted
+    in ``stats`` and checked to decrease the potential matrix, must end
+    on the sweep's values at ``x``."""
+    ladder = rate_ladder_of(sptg.rates)
+
     def watch(game, before, j, after):
         p_before = potential_matrix(game, before, ladder)
         p_after = potential_matrix(game, after, ladder)
         stats.potential_checks += 1
         if not potential_less(p_after, p_before):
             stats.potential_violations += 1
-        if on_switch is not None:
-            on_switch(p_before, p_after)
 
-    return watch
+    def observe(pieces: _Pieces, x):
+        at_x = [pieces.at(k, x) for k in range(sptg.num_states)]
+        game = build_eps_game(sptg, at_x)
+        payoffs, _, _ = single_switch_iteration(game, tuple(pieces.choice), watch)
+        if payoffs != at_x:
+            raise AssertionError(f"snapshot solve at {x} disagrees with the sweep: {payoffs}")
+
+    return observe

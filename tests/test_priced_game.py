@@ -22,7 +22,6 @@ from ptgsolve.priced_game import (
     single_switch_iteration,
     strategy_iteration,
 )
-from ptgsolve.sptg import solve_untimed
 
 
 def game(owners, *actions):
@@ -92,7 +91,7 @@ class TestImprovingSwitches:
 
     def test_optimal_profile_has_none(self):
         g = game([1, 2], (0, 1, Fr(0)), (0, None, Fr(3)), (1, None, Fr(1)))
-        _, profile = solve_untimed(g)
+        _, profile = extended_dijkstra(g)
         assert improving_switches(g, profile, 1) == []
         assert improving_switches(g, profile, 2) == []
 
@@ -183,9 +182,9 @@ class TestExtendedDijkstra:
 class TestStrategyIteration:
     def test_fixed_point_start(self):
         g = game([1, 2], (0, 1, Fr(0)), (0, None, Fr(3)), (1, None, Fr(1)))
-        vals, profile = solve_untimed(g)
+        values, profile = extended_dijkstra(g)
         values2, profile2, switches = strategy_iteration(g, profile)
-        assert values2 == [v.payoff for v in vals]
+        assert values2 == values
         assert profile2 == profile and switches == 0
 
     def test_matches_dijkstra_on_randoms(self):
@@ -200,15 +199,24 @@ class TestStrategyIteration:
 
     def test_minimizer_escapes_own_cycle(self):
         g = game([1, 1], (0, 1, Fr(1)), (1, 0, Fr(0)), (1, None, Fr(2)))
-        vals, _ = solve_untimed(g)
-        assert [v.payoff for v in vals] == [Fr(3), Fr(2)]
+        values, _ = extended_dijkstra(g)
+        assert values == [Fr(3), Fr(2)]
         sv, _, _ = strategy_iteration(g, (0, 1))
         assert sv == [Fr(3), Fr(2)]
 
     def test_maximizer_cycle_is_infinite(self):
         g = game([1, 2], (0, 1, Fr(1)), (1, 0, Fr(0)), (1, None, Fr(2)))
-        vals, _ = solve_untimed(g)
-        assert all(is_inf(v.payoff) for v in vals)
+        values, _ = extended_dijkstra(g)
+        assert all(is_inf(v) for v in values)
+
+    def test_infinite_minimizer_takes_its_first_infinite_action(self):
+        # the exit of infinite cost does not settle state 0: like every
+        # infinite-valued state, it takes its first action attaining
+        # infinity, here the move to the maximizer's self-loop
+        g = game([1, 2], (0, 1, Fr(0)), (0, None, INF), (1, 1, Fr(0)))
+        values, profile = extended_dijkstra(g)
+        assert all(is_inf(v) for v in values)
+        assert profile == (0, 2)
 
 
 class TestSingleSwitchIteration:
@@ -268,14 +276,15 @@ class TestSingleSwitchIteration:
         for seed in range(40):
             g = generate_random("priced", 4, 3, seed, allow_inf=(seed % 2 == 1))
             calls.clear()
-            vals, profile = solve_untimed(g, tuple(js[0] for js in g.state_actions))
+            start = tuple(js[0] for js in g.state_actions)
+            payoffs, profile, _ = single_switch_iteration(g, start)
             assert calls.count(profile) == 1, seed
-            assert vals == evaluate_profile(g, profile), seed
-            # without a seed the scan's valuations are read off the scan
+            assert payoffs.valuations == evaluate_profile(g, profile), seed
+            # the scan's valuations are read off the scan
             calls.clear()
-            vals, profile = solve_untimed(g)
+            payoffs, profile = extended_dijkstra(g)
             assert calls == [], seed
-            assert vals == evaluate_profile(g, profile), seed
+            assert payoffs.valuations == evaluate_profile(g, profile), seed
 
 
 class TestImprovingSetMonotonicity:
@@ -312,17 +321,18 @@ def _through(g, j, vals):
 
 
 def assert_canonical(g, why):
-    """The unseeded untimed solve leaves no improving switch, reports its
+    """The extended Dijkstra scan leaves no improving switch, reports its
     profile's valuations, and picks the lowest-id optimal action at every
-    finite-valued state."""
-    vals, profile = solve_untimed(g)
+    state: an infinite-valued one takes its first action that attains
+    infinity."""
+    payoffs, profile = extended_dijkstra(g)
+    vals = payoffs.valuations
     assert vals == evaluate_profile(g, profile), why
     assert improving_switches(g, profile, 1) == [], why
     assert improving_switches(g, profile, 2) == [], why
     for k, v in enumerate(vals):
-        if not is_inf(v.payoff):
-            attaining = [j for j in g.state_actions[k] if _through(g, j, vals) == v]
-            assert profile[k] == min(attaining), (why, k)
+        attaining = [j for j in g.state_actions[k] if _through(g, j, vals) == v]
+        assert profile[k] == min(attaining), (why, k)
 
 
 class TestCanonicalProfile:

@@ -14,8 +14,16 @@ import pytest
 
 from ptgsolve import sptg as sptg_module
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
-from ptgsolve.priced_game import PAction, potential_less, potential_matrix, rate_ladder_of
-from ptgsolve.sptg import WAIT, SolveStats, Sptg, build_eps_game, solve_sptg, solve_untimed
+from ptgsolve.oracle import generate_random
+from ptgsolve.priced_game import (
+    PAction,
+    extended_dijkstra,
+    potential_less,
+    potential_matrix,
+    rate_ladder_of,
+    single_switch_iteration,
+)
+from ptgsolve.sptg import WAIT, SolveStats, Sptg, build_eps_game, solve_sptg
 
 
 def _rescan(game, profile, base, rate, x_hi):
@@ -48,7 +56,10 @@ def _rescan(game, profile, base, rate, x_hi):
 
 
 def reference_sweep(sptg, instrument=False):
-    """``(values, cells, stats)`` of the full-rescan sweep."""
+    """``(values, cells, stats)`` of the full-rescan sweep.  Instrumented,
+    each step also improves the previous step's profile one switch at a
+    time, counting the potential checks, and must reach the values at
+    the step's clock value."""
     stats = SolveStats()
     n, m = sptg.num_states, sptg.num_actions
     ladder = rate_ladder_of(sptg.rates)
@@ -59,15 +70,18 @@ def reference_sweep(sptg, instrument=False):
         if not potential_less(p_after, p_before):
             stats.potential_violations += 1
 
-    v1, profile = solve_untimed(sptg.core)
+    v1, profile = extended_dijkstra(sptg.core)
     segments = [[] for _ in range(n)]
-    cells = [(F1, F1, tuple(profile))]
-    x, v_at_x = F1, [v.payoff for v in v1]
+    cells = [(F1, F1, profile)]
+    x, v_at_x = F1, list(v1)
     while x != F0:
         assert stats.sweep_steps <= sptg.event_bound()
         game = build_eps_game(sptg, v_at_x)
-        vals, eps_profile = solve_untimed(game, profile if instrument else None, watch)
-        base, rate = [v.payoff for v in vals], [v.rate for v in vals]
+        if instrument:
+            payoffs, _, _ = single_switch_iteration(game, profile, watch)
+            assert payoffs == v_at_x
+        vals, eps_profile = extended_dijkstra(game)
+        base, rate = list(vals), [v.rate for v in vals.valuations]
         assert base == v_at_x
         x_lo = _rescan(game, eps_profile, base, rate, x)
         v_at_x = [INF if is_inf(b) else b + r * (x - x_lo) for b, r in zip(base, rate)]
@@ -244,6 +258,15 @@ def test_nested_fans_keep_the_hub_choice_where_a_center_rate_changes():
     assert any(hub_kept(nested_fan(3, 4, seed)) for seed in range(6))
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_random_with_infinite_costs(n):
+    """Random games, every other one with infinite costs: the repair at 1
+    leaves each infinite-valued state on the choice a full scan gives
+    it, its first action that attains infinity."""
+    for seed in range(150):
+        assert_same_sweep(generate_random("sptg", n, 3, seed, allow_inf=seed % 2 == 0))
+
+
 @pytest.mark.parametrize("k", [*range(1, 25), 32, 40])
 def test_fans(k):
     assert_same_sweep(fan(k))
@@ -259,11 +282,16 @@ def test_random_event_rich():
 
 
 def test_fan_steps_re_solve_only_the_hub(monkeypatch):
-    """The plain sweep of fan(40) builds one snapshot game, at 1; each
-    later step re-solves the hub alone, the one state whose certificate
-    fixed the event point."""
-    builds, settled = [], []
-    build, settle = sptg_module.build_eps_game, sptg_module._settle
+    """The plain sweep of fan(40) builds no snapshot game and scans
+    only the untimed game in full: the step at 1 repairs every state,
+    and each later step re-solves the hub alone, the one state whose
+    certificate fixed the event point."""
+    builds, scans, settled = [], [], []
+    build, scan, settle = (
+        sptg_module.build_eps_game,
+        sptg_module.extended_dijkstra,
+        sptg_module._settle,
+    )
 
     def counted_build(*args):
         builds.append(args)
@@ -274,8 +302,9 @@ def test_fan_steps_re_solve_only_the_hub(monkeypatch):
         settle(owners, actions, preds, offers, pending, vals, profile)
 
     monkeypatch.setattr(sptg_module, "build_eps_game", counted_build)
+    monkeypatch.setattr(sptg_module, "extended_dijkstra", lambda g: scans.append(g) or scan(g))
     monkeypatch.setattr(sptg_module, "_settle", watched_settle)
     sol = solve_sptg(fan(40))
     assert sol.stats.sweep_steps == 40
-    assert len(builds) == 1
-    assert settled == [[0]] * 39
+    assert builds == [] and len(scans) == 1
+    assert settled == [list(range(41))] + [[0]] * 39
