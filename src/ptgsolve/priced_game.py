@@ -69,6 +69,15 @@ class PricedGame:
             per[a.source].append(j)
         return tuple(tuple(js) for js in per)
 
+    @cached_property
+    def incoming(self) -> tuple:
+        """The actions into each state."""
+        into = [[] for _ in range(self.num_states)]
+        for j, a in enumerate(self.actions):
+            if a.dest is not TERMINAL:
+                into[a.dest].append(j)
+        return tuple(tuple(js) for js in into)
+
     def profile_bound(self) -> int:
         """Product over states of (action count + 1); iteration budget."""
         out = 1
@@ -199,14 +208,12 @@ def extended_dijkstra(game: PricedGame):
     vals: list = [None] * n
     profile: list = [None] * n
     pending = [len(game.state_actions[k]) if game.owners[k] == 2 else -1 for k in range(n)]
-    preds: list = [[] for _ in range(n)]  # incoming action ids per destination
-    exits = []
-    for j, a in enumerate(game.actions):
-        if a.dest is TERMINAL:
-            exits.append((a.source, j, a.cost, a.wait_rate, 1))
-        else:
-            preds[a.dest].append(j)
-    _settle(game.owners, game.actions, preds, exits, pending, vals, profile)
+    exits = [
+        (a.source, j, a.cost, a.wait_rate, 1)
+        for j, a in enumerate(game.actions)
+        if a.dest is TERMINAL
+    ]
+    _settle(game.owners, game.actions, game.incoming, exits, pending, vals, profile)
 
     # Unsettled states have value infinity.  Each takes its first action
     # that attains it: one of infinite cost or towards an unsettled or
@@ -233,13 +240,13 @@ def _settle(owners, actions, preds, offers, pending, vals, profile):
     ``profile``.
 
     ``offers`` holds the candidates ``(state, action, payoff, rate,
-    hops)`` known up front; ``preds[d]`` lists the actions offered when
-    state ``d`` settles, each to its source unless that is settled
-    already.  ``pending[k]`` counts the candidates maximizer ``k`` still
-    awaits: it settles when the last one arrives.  An infinite
-    candidate is dropped uncounted, so a minimizer ignores it and a
-    maximizer that receives one never settles: a state settles only on
-    a finite value.
+    hops)`` known up front; ``preds[d]`` (the game's ``incoming``) lists
+    the actions offered when state ``d`` settles, each to its source
+    unless that is settled already.  ``pending[k]`` counts the
+    candidates maximizer ``k`` still awaits: it settles when the last
+    one arrives.  An infinite candidate is dropped uncounted, so a
+    minimizer ignores it and a maximizer that receives one never
+    settles: a state settles only on a finite value.
     """
     heap = []
     best_max = {}  # (payoff, rate, hops, -action) per maximizer state

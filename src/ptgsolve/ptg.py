@@ -5,7 +5,9 @@ endpoints, and may reset the clock to 0.  Solving proceeds by three
 reductions: resets are unfolded into layers counted by reset uses,
 the time axis is cut at the interval endpoints into homogeneous pieces,
 and each piece is rescaled to a simple priced timed game over [0,1]
-whose waiting exits are rerouted through an auxiliary maximizer state.
+whose waiting exits are rerouted through an auxiliary maximizer state,
+with stops worth the values at its right end; its sweep's untimed solve
+at 1 is then the piece's moment game, so each piece is solved once.
 All layers share the one game: a reset is priced where its action is
 converted to an untimed one, as a terminal exit worth the next layer's
 clock-0 value at its destination.  A layer's result depends only on the
@@ -145,7 +147,7 @@ class IntervalCert:
 class PtgStats:
     oracle_calls: int = 0  # interval games solved
     reused_intervals: int = 0  # interval games taken from a deeper layer
-    priced_solves: int = 0
+    priced_solves: int = 0  # ladder-point games solved: the top game and the moment games
     layers: int = 1  # layers of the unfolding: reset_depth + 1
     solved_layers: int = 0  # layers solved, up to the first that repeats its input
 
@@ -225,16 +227,17 @@ def build_moment_game(game: Ptg, v, x, reset_values) -> PricedGame:
     return PricedGame(game.owners, tuple(actions))
 
 
-def build_interval_sptg(game: Ptg, v_prime, x, width, reset_values) -> Sptg:
+def build_interval_sptg(game: Ptg, v_hi, x, width, reset_values) -> Sptg:
     """Rescale one homogeneous availability interval to an SPTG on [0,1].
 
     Actions available at the interior point x survive with their original
     destinations, resets priced as in ``_actions_at``; each state gains a
-    stop action worth that state's entry of ``v_prime``, usable only at
-    time 1.  For minimizer states the stop action routes through a fresh
-    maximizer state with the top rate and a free exit, which prices early
-    stopping out of the optimum; maximizer stop actions go to the terminal
-    directly.  Rates scale by the width.
+    stop action worth its entry of ``v_hi``, the values at the interval's
+    right end, so the untimed game at 1 is the moment game at x.  For
+    minimizer states the stop action routes through a fresh maximizer
+    state with the top rate and a free exit, which prices early stopping
+    out of the optimum; maximizer stop actions go to the terminal directly
+    and pay no more than waiting until 1.  Rates scale by the width.
     """
     width = frac(width)
     if width <= 0:
@@ -245,7 +248,7 @@ def build_interval_sptg(game: Ptg, v_prime, x, width, reset_values) -> Sptg:
     actions = _actions_at(game, x, reset_values)
     for k in range(n):
         dest = max_state if game.owners[k] == 1 else None
-        actions.append(PAction(k, dest, v_prime[k], label=f"stop{k}"))
+        actions.append(PAction(k, dest, v_hi[k], label=f"stop{k}"))
     actions.append(PAction(max_state, None, F0, label="exit-max"))
     return Sptg(
         owners=game.owners + (2,),
@@ -296,10 +299,7 @@ def _solve_layer(game: Ptg, reset_values, stats: PtgStats, memo: dict) -> tuple:
         key = (x, point_vals[hi], _reset_prices(game, x, reset_values))
         cert = memo.get(key)
         if cert is None:
-            moment = build_moment_game(game, point_vals[hi], x, reset_values)
-            v_prime = extended_dijkstra(moment)[0]
-            stats.priced_solves += 1
-            sptg = build_interval_sptg(game, v_prime, x, hi - lo, reset_values)
+            sptg = build_interval_sptg(game, point_vals[hi], x, hi - lo, reset_values)
             cert = memo[key] = IntervalCert(lo, hi, sptg, solve_sptg(sptg))
             stats.oracle_calls += 1
         else:

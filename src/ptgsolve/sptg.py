@@ -79,15 +79,6 @@ class Sptg:
         """The untimed game played when no time remains."""
         return PricedGame(self.owners, self.actions)
 
-    @cached_property
-    def incoming(self) -> tuple:
-        """The non-waiting actions into each state."""
-        into = [[] for _ in range(self.num_states)]
-        for j, a in enumerate(self.actions):
-            if a.dest is not None:
-                into[a.dest].append(j)
-        return tuple(tuple(js) for js in into)
-
     def event_bound(self) -> int:
         """Bound on the number of event points of the value functions."""
         n = self.num_states
@@ -298,7 +289,7 @@ def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> set:
     worse at ``x``, so the scan settles R as the full scan would.
     """
     c, lines, m = pieces.c, pieces.lines, sptg.num_actions
-    actions, incoming = sptg.actions, sptg.incoming
+    actions, incoming = sptg.actions, sptg.core.incoming
     repaired = set(events)
     todo = list(events)
     while todo:
@@ -392,7 +383,7 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
                     top[k] = x
                 rate[k] = val.rate
                 c[k] = at_x + val.rate * x
-                for j in sptg.incoming[k]:
+                for j in sptg.core.incoming[k]:
                     lines[j] = _line(sptg.actions[j], c, rate)
                     dirty.add(sptg.actions[j].source)
 

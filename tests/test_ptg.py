@@ -3,11 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from ptgsolve import gamedoc
+from ptgsolve import gamedoc, ptg
 from ptgsolve.fixtures import delayed_exit_jump, maximizer_reset_loop
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
 from ptgsolve.oracle import generate_random, simulate_ptg
-from ptgsolve.priced_game import PAction
+from ptgsolve.priced_game import PAction, extended_dijkstra
 from ptgsolve.ptg import (
     Ptg,
     PtgResult,
@@ -252,14 +252,21 @@ class TestSolvePtg:
             assert 1 <= res.stats.solved_layers <= res.stats.layers
 
 
-def full_unfolding(game):
-    """All ``reset_depth + 1`` layers, deepest first, with no early stop
-    and no reuse: each layer gets a fresh memo."""
-    stats = PtgStats(layers=game.reset_depth + 1)
+def unfolding_layers(game, stats):
+    """All ``stats.layers`` layers, deepest first, as ``(reset_values,
+    point_vals, trace)``, with no early stop and no reuse: each layer
+    gets a fresh memo."""
     reset_values = None
     for _ in range(stats.layers):
         point_vals, trace = _solve_layer(game, reset_values, stats, {})
+        yield reset_values, point_vals, trace
         reset_values = point_vals[F0]
+
+
+def full_unfolding(game):
+    """The last of all ``reset_depth + 1`` layers (see ``unfolding_layers``)."""
+    stats = PtgStats(layers=game.reset_depth + 1)
+    *_, (_, point_vals, trace) = unfolding_layers(game, stats)
     return PtgResult(_assemble(game, point_vals, trace), game.ladder, tuple(trace), stats)
 
 
@@ -313,6 +320,86 @@ class TestLayerFixpoint:
         assert res.stats.reused_intervals > 0
         d = len(g.ladder) - 1
         assert res.stats.oracle_calls + res.stats.reused_intervals == res.stats.solved_layers * d
+
+
+def random_ptgs(seeds):
+    """Random PTGs of 2 to 5 states, with infinite costs on even seeds."""
+    return [
+        generate_random("ptg", n, 3, seed, allow_inf=seed % 2 == 0)
+        for n in range(2, 6)
+        for seed in seeds
+    ]
+
+
+def golden_resets_game():
+    return gamedoc.parse(GOLDEN_RESETS.read_text()).to_game()
+
+
+def midpoint_reference(game, point_vals, cert, reset_values):
+    """The interval game of ``cert`` with stops worth the values of the
+    moment game at the interval's midpoint instead of ``point_vals[hi]``."""
+    x = (cert.lo + cert.hi) / 2
+    moment = build_moment_game(game, point_vals[cert.hi], x, reset_values)
+    v_mid = extended_dijkstra(moment)[0]
+    return build_interval_sptg(game, v_mid, x, cert.hi - cert.lo, reset_values)
+
+
+class TestIntervalGameStops:
+    def test_ladder_point_stops_solve_like_midpoint_moment_stops(self):
+        """Stops worth the right ladder point's values give the interval
+        game the solution it has with stops worth the midpoint moment
+        game's values.  Only the point cell at 1 may differ, and only
+        where the reference picks a minimizer's stop: that stop is worth
+        exactly its state's value at 1, tying with the action behind it."""
+        intervals = 0
+        for g in random_ptgs(range(150)) + [golden_resets_game()]:
+            stats = PtgStats(layers=g.reset_depth + 1)
+            for reset_values, point_vals, trace in unfolding_layers(g, stats):
+                for cert in trace:
+                    ref_game = midpoint_reference(g, point_vals, cert, reset_values)
+                    ref, sol = solve_sptg(ref_game), cert.solution
+                    assert sol.values == ref.values
+                    assert sol.stats.sweep_steps == ref.stats.sweep_steps
+                    assert sol.stats.event_points == ref.stats.event_points
+                    assert sol.strategy.cells[:-1] == ref.strategy.cells[:-1]
+                    got, want = sol.strategy.cells[-1][2], ref.strategy.cells[-1][2]
+                    for k, (a, b) in enumerate(zip(got, want)):
+                        if a != b:
+                            assert ref_game.owners[k] == 1
+                            assert ref_game.actions[b].label == f"stop{k}"
+                    intervals += 1
+        assert intervals > 1500
+
+    def test_moment_games_are_built_at_ladder_points_only(self, monkeypatch):
+        """``solve_ptg`` builds no moment game at an interval's midpoint,
+        and ``stats.priced_solves`` counts the moment games built plus one
+        top game per solved layer whose top game missed the memo: one per
+        memo entry keyed with no entry values."""
+        clocks, memos = [], []
+        build_moment, solve_layer = ptg.build_moment_game, ptg._solve_layer
+
+        def recording_build(game, v, x, reset_values):
+            clocks.append(x)
+            return build_moment(game, v, x, reset_values)
+
+        def recording_layer(game, reset_values, stats, memo):
+            memos.append(memo)
+            return solve_layer(game, reset_values, stats, memo)
+
+        monkeypatch.setattr(ptg, "build_moment_game", recording_build)
+        monkeypatch.setattr(ptg, "_solve_layer", recording_layer)
+        built = 0
+        for g in random_ptgs(range(20)) + [golden_resets_game()]:
+            clocks.clear()
+            memos.clear()
+            res = solve_ptg(g)
+            assert set(clocks) <= set(g.ladder)
+            memo = memos[0]
+            assert all(m is memo for m in memos)
+            tops = sum(v is None for _, v, _ in memo)
+            assert res.stats.priced_solves == len(clocks) + tops
+            built += len(clocks)
+        assert built > 0
 
 
 def scan(game, x, reset_values):
