@@ -25,14 +25,18 @@ only states whose certificate may have moved are rescanned: their
 choice changed, an action of theirs leads to a state whose rate
 changed, or their crossing fixed the current clock value.  Waiting
 actions are never scanned, as their line meets the chosen one at the
-current clock value itself.  A value function gets a new segment only
-where its state's rate changes.
+current clock value itself.  The first rescan after a state's lines
+move scans them all; a later one, of lines that have not moved since,
+queries their lower envelope (upper for a maximizer), kept until one of
+them moves, in the manner of kinetic data structures (Basch, Guibas and
+Hershberger, *Data structures for mobile data*, SODA 1997).  A value
+function gets a new segment only where its state's rate changes.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -177,7 +181,10 @@ class _Pieces:
     is state ``k``'s crossing certificate (see :func:`next_event_point`)
     and ``tight[k]`` the actions that its last crossing scan found
     coinciding with the chosen line and crossing it at the certificate.
-    ``heap`` holds ``(-certificate, state)`` entries, some outdated.
+    ``envelopes[k]`` is None when state ``k``'s lines have moved since
+    its last crossing scan, False when one scan has seen them, and then
+    their :class:`_Envelope`.  ``heap`` holds ``(-certificate, state)``
+    entries, some outdated.
     ``vals``, ``picked`` and ``pending`` are the repair scan's working
     lists: only the entries of the states it settles are current.
 
@@ -195,6 +202,7 @@ class _Pieces:
         self.lines = [_line(a, self.c, self.rate) for a in sptg.actions]
         self.certs = [F0] * n
         self.tight = [((), ())] * n
+        self.envelopes = [None] * n
         self.heap = []
         self.vals = list(v1)
         self.picked = list(profile)
@@ -206,16 +214,112 @@ class _Pieces:
         return c if is_inf(c) else c - self.rate[k] * x
 
 
+class _Envelope:
+    """The lower envelope of a minimizer's finite action lines
+    ``C - S*t``, over every real ``t``; for a maximizer, the upper
+    envelope, kept as the lower envelope of the negated lines.
+
+    ``lines`` holds, negated for a maximizer and by increasing slope
+    ``S``, every distinct line that touches the envelope, even at a
+    single point: a crossing at a vertex must name every line through
+    it.  ``ids[i]`` lists the actions offering ``lines[i]``.
+    ``xs[i]`` is where ``lines[i]`` meets ``lines[i + 1]`` and ``ys[i]``
+    the envelope's value there; ``xs`` does not decrease.
+    """
+
+    __slots__ = ("sign", "slopes", "lines", "ids", "xs", "ys")
+
+    def __init__(self, maximizer: bool, lines):
+        """``lines`` holds ``(action, (C, S))`` pairs."""
+        self.sign = sign = -1 if maximizer else 1
+        by_line = {}
+        for j, (cj, sj) in lines:
+            by_line.setdefault((sign * cj, sign * sj), []).append(j)
+        hull, xs = [], []
+        for cj, sj in sorted(by_line, key=lambda line: (line[1], line[0])):
+            if hull and hull[-1][1] == sj:
+                continue  # parallel to a lower line
+            while hull:
+                ct, st = hull[-1]
+                x = (cj - ct) / (sj - st)
+                if not xs or xs[-1] <= x:
+                    xs.append(x)
+                    break
+                # the top line lies above the envelope at its left end
+                hull.pop()
+                xs.pop()
+            hull.append((cj, sj))
+        self.slopes = [sj for _, sj in hull]
+        self.lines = hull
+        self.ids = [by_line[line] for line in hull]
+        self.xs = xs
+        self.ys = [cj - sj * x for (cj, sj), x in zip(hull, xs)]
+
+    def crossing(self, c, s, chosen, x_hi):
+        """``(best, coinciding, crossing)`` of :func:`_crossing` for the
+        chosen line ``(c, s)``, which the owner prefers at ``x_hi``.
+
+        Negated for a maximizer, the chosen line lies on or below the
+        envelope at ``x_hi``, and only lines of smaller slope can meet
+        it further left.  Each of those lies above it right of where
+        they meet, so the largest crossing is the one root of their
+        envelope minus the chosen line, which increases with ``t``; a
+        binary search over the vertices finds it.  It is the chosen
+        line's left vertex when that line is on the envelope, as every
+        chosen action's line is; a waiting line may lie below it.
+        """
+        if self.sign < 0:
+            c, s = -c, -s
+        lines, ids, xs, ys = self.lines, self.ids, self.xs, self.ys
+        p = bisect_left(self.slopes, s)  # lines[:p] have smaller slopes
+        coinciding = []
+        if p < len(lines) and lines[p] == (c, s):
+            coinciding = [j for j in ids[p] if j != chosen]
+        if p == 0:
+            return F0, coinciding, []
+        lo, hi = 0, p - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if c - s * xs[mid] <= ys[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        cj, sj = lines[lo]
+        t = (c - cj) / (s - sj)
+        if not F0 < t < x_hi:
+            return F0, coinciding, []
+        crossing = list(ids[lo])
+        while lo + 1 < p and xs[lo] == t:
+            lo += 1
+            crossing += ids[lo]
+        return t, coinciding, crossing
+
+
 def _crossing(sptg: Sptg, pieces: _Pieces, k: int, x_hi):
     """Largest clock value in (0, x_hi) where the line of one of state
     ``k``'s own (non-waiting) actions crosses its chosen line; 0 when
     there is none.  Records the coinciding and crossing actions in
-    ``pieces.tight[k]``."""
+    ``pieces.tight[k]``.
+
+    The first scan after the state's lines move reads them all; a later
+    one, of lines that have not moved since, builds their
+    :class:`_Envelope` if the state has none yet and queries it in time
+    logarithmic in their number.
+    """
     c, s = pieces.c[k], pieces.rate[k]
     chosen, lines = pieces.choice[k], pieces.lines
     best, coinciding, crossing = F0, [], []
-    minimizer = sptg.owners[k] == 1
-    if not is_inf(c):
+    envelope = pieces.envelopes[k]
+    if envelope is not None and not is_inf(c):
+        if envelope is False:
+            envelope = pieces.envelopes[k] = _Envelope(
+                sptg.owners[k] == 2,
+                [(j, lines[j]) for j in sptg.core.state_actions[k] if lines[j] is not None],
+            )
+        best, coinciding, crossing = envelope.crossing(c, s, chosen, x_hi)
+    elif not is_inf(c):
+        pieces.envelopes[k] = False
+        minimizer = sptg.owners[k] == 1
         for j in sptg.core.state_actions[k]:
             line = lines[j]
             if line is None or j == chosen:
@@ -253,6 +357,11 @@ def next_event_point(sptg: Sptg, pieces: _Pieces, dirty, x_hi):
     destination's rate changes.  A waiting action is never scanned: its
     line starts at the state's value at ``x_hi``, which the chosen line
     also attains, so the two meet at ``x_hi`` itself or not at all.
+
+    The same holds for a rescan: a state whose lines have stayed put
+    since its last scan answers from their envelope (see
+    :func:`_crossing`), in time logarithmic in its action count, so a
+    step whose states keep their lines costs no full rescan.
     """
     certs, heap = pieces.certs, pieces.heap
     for k in dirty:
@@ -352,8 +461,10 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
     pieces = _Pieces(sptg, v1.valuations, profile)
     c, rate, choice, lines = pieces.c, pieces.rate, pieces.choice, pieces.lines
     # the pieces are flat, so this only records each state's tight
-    # candidates: the actions worth its value at 1
+    # candidates: the actions worth its value at 1.  The repair at 1 moves
+    # most of their lines, so it is no reason to build an envelope.
     next_event_point(sptg, pieces, range(n), F1)
+    envelopes = pieces.envelopes = [None] * n
     events = {k for k in range(n) if not is_inf(c[k])}
     # each state's segments so far, right to left, and its open piece's
     # right end
@@ -385,7 +496,9 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
                 c[k] = at_x + val.rate * x
                 for j in sptg.core.incoming[k]:
                     lines[j] = _line(sptg.actions[j], c, rate)
-                    dirty.add(sptg.actions[j].source)
+                    source = sptg.actions[j].source
+                    dirty.add(source)
+                    envelopes[source] = None
 
         x_lo = next_event_point(sptg, pieces, dirty, x)
         cells.append((x_lo, x, tuple(WAIT if j >= m else j for j in choice)))

@@ -5,6 +5,10 @@ snapshot game, rescans every action of every state for the next crossing
 and emits one segment per state.  ``solve_sptg`` must give the same
 values, strategy cells and stats, plainly and instrumented, on games
 whose event points move choices and rates at many states.
+
+A state's crossing is found by a scan of its action lines or, once its
+lines have stayed put across a scan, from their envelope; the two must
+agree on every line set.
 """
 
 import random
@@ -23,7 +27,14 @@ from ptgsolve.priced_game import (
     rate_ladder_of,
     single_switch_iteration,
 )
-from ptgsolve.sptg import WAIT, SolveStats, Sptg, build_eps_game, solve_sptg
+from ptgsolve.sptg import (
+    WAIT,
+    SolveStats,
+    Sptg,
+    build_eps_game,
+    solve_at_time_one,
+    solve_sptg,
+)
 
 
 def _rescan(game, profile, base, rate, x_hi):
@@ -281,11 +292,38 @@ def test_random_event_rich():
     assert events >= 200
 
 
+def count_crossing_work(monkeypatch):
+    """Record the state of every linear crossing scan, and the actions
+    of every envelope built, in the lists returned."""
+    scanned, built = [], []
+    crossing, envelope = sptg_module._crossing, sptg_module._Envelope
+
+    def counted_crossing(sptg, pieces, k, x_hi):
+        best = crossing(sptg, pieces, k, x_hi)
+        if pieces.envelopes[k] is False:  # what a linear scan leaves
+            scanned.append(k)
+        return best
+
+    class CountedEnvelope(envelope):
+        __slots__ = ()
+
+        def __init__(self, maximizer, lines):
+            built.append(sorted(j for j, _ in lines))
+            super().__init__(maximizer, lines)
+
+    monkeypatch.setattr(sptg_module, "_crossing", counted_crossing)
+    monkeypatch.setattr(sptg_module, "_Envelope", CountedEnvelope)
+    return scanned, built
+
+
 def test_fan_steps_re_solve_only_the_hub(monkeypatch):
     """The plain sweep of fan(40) builds no snapshot game and scans
     only the untimed game in full: the step at 1 repairs every state,
     and each later step re-solves the hub alone, the one state whose
-    certificate fixed the event point."""
+    certificate fixed the event point.  The hub's lines stay put after
+    1, so it scans them linearly only at 1, first over the flat pieces
+    and then once more after its lines move, and then answers every
+    later crossing query from one envelope."""
     builds, scans, settled = [], [], []
     build, scan, settle = (
         sptg_module.build_eps_game,
@@ -304,7 +342,175 @@ def test_fan_steps_re_solve_only_the_hub(monkeypatch):
     monkeypatch.setattr(sptg_module, "build_eps_game", counted_build)
     monkeypatch.setattr(sptg_module, "extended_dijkstra", lambda g: scans.append(g) or scan(g))
     monkeypatch.setattr(sptg_module, "_settle", watched_settle)
-    sol = solve_sptg(fan(40))
+    scanned, built = count_crossing_work(monkeypatch)
+    g = fan(40)
+    sol = solve_sptg(g)
     assert sol.stats.sweep_steps == 40
     assert builds == [] and len(scans) == 1
     assert settled == [list(range(41))] + [[0]] * 39
+    assert built == [list(g.core.state_actions[0])]
+    assert scanned.count(0) == 2
+
+
+def test_one_step_sweeps_build_no_envelope(monkeypatch):
+    """A sweep of one step scans each state twice at 1, before and after
+    the repair there, and never again: an envelope would not pay."""
+    scanned, built = count_crossing_work(monkeypatch)
+    actions = [PAction(k, d, F0) for k in range(3) for d in (None, *range(3)) if d != k]
+    g = Sptg((1, 2, 1), (F1, F1, F1), tuple(actions))
+    assert solve_sptg(g).stats.sweep_steps == 1
+    assert built == [] and sorted(scanned) == [0, 0, 1, 1, 2, 2]
+
+
+
+def crossing_both_ways(owner, lines, chosen, c, s, x_hi):
+    """``(best, coinciding, crossing)`` of one state's crossing query over
+    the action lines ``lines`` (None for an infinite one), by the scan
+    and from the envelope; ``(c, s)`` is the chosen line, and ``chosen``
+    is ``len(lines)`` for the waiting exit."""
+    g = Sptg((owner,), (F0,), tuple(PAction(0, None, F0) for _ in lines))
+    v1, profile = solve_at_time_one(g)
+    pieces = sptg_module._Pieces(g, v1.valuations, profile)
+    pieces.lines[:] = lines
+    pieces.c[0], pieces.rate[0], pieces.choice[0] = c, s, chosen
+    results = []
+    for envelope in (None, False):
+        pieces.envelopes[0] = envelope
+        best = sptg_module._crossing(g, pieces, 0, x_hi)
+        coinciding, crossing = pieces.tight[0]
+        results.append((best, set(coinciding), set(crossing)))
+    assert isinstance(pieces.envelopes[0], sptg_module._Envelope)
+    return results
+
+
+def random_crossing_case(rng):
+    """A minimizer's action lines and chosen line that it prefers at
+    ``x_hi``: lines through points of the chosen line (at 0, at
+    ``x_hi`` and inside), several through one point, duplicates,
+    parallels, random lines and infinite ones.  Returns ``(lines,
+    chosen, c, s, x_hi)``."""
+    x_hi = rng.choice((F1, Fr(rng.randint(1, 7), 8)))
+    s = Fr(rng.randint(0, 8), rng.choice((1, 2)))
+    w_hi = Fr(rng.randint(0, 16), rng.choice((1, 2, 4)))
+    c = w_hi + s * x_hi
+    points = [F0, x_hi] + [Fr(rng.randint(1, 15), 16) * x_hi for _ in range(2)]
+    lines = []
+    for _ in range(rng.randint(0, 9)):
+        kind = rng.randrange(5)
+        slope = Fr(rng.randint(0, 9), rng.choice((1, 2, 3)))
+        if kind <= 1:  # through a point of the chosen line, often a shared one
+            t0 = rng.choice(points)
+            lines.append((c - s * t0 + slope * t0, slope))
+        elif kind == 2 and lines:
+            lines.append(rng.choice(lines))
+        elif kind == 3 and lines:
+            cj, sj = rng.choice(lines)
+            lines.append((cj + Fr(rng.randint(1, 4), 2), sj))
+        else:
+            lines.append((Fr(rng.randint(0, 40), 2), slope))
+    # the minimizer prefers the chosen line at x_hi: drop the lines it
+    # does not beat there, lexicographically by value, then slope
+    lines = [line for line in lines if (line[0] - line[1] * x_hi, line[1]) >= (w_hi, s)]
+    for _ in range(rng.randint(0 if lines else 1, 2)):
+        lines.insert(rng.randint(0, len(lines)), None)
+    if rng.random() < 0.6:
+        chosen = rng.randrange(len(lines) + 1)
+        lines.insert(chosen, (c, s))
+        if rng.random() < 0.3:
+            lines.append((c, s))
+    else:
+        chosen = len(lines)  # waiting, off the envelope unless it coincides
+    return lines, chosen, c, s, x_hi
+
+
+@pytest.mark.parametrize("owner", [1, 2])
+def test_envelope_answers_as_the_scan(owner):
+    """Maximizer cases mirror the minimizer's through ``(K - C, R - S)``,
+    which reverses the owner's order of lines and keeps every crossing."""
+    rng = random.Random(owner)
+    seen = {"concurrent": 0, "waiting_below": 0, "at_zero": 0, "coinciding": 0}
+    for _ in range(3000):
+        lines, chosen, c, s, x_hi = random_crossing_case(rng)
+        if owner == 2:
+            lines = [None if line is None else (40 - line[0], 10 - line[1]) for line in lines]
+            c, s = 40 - c, 10 - s
+        scan, envelope = crossing_both_ways(owner, lines, chosen, c, s, x_hi)
+        assert envelope == scan, (lines, chosen, c, s, x_hi)
+        best, coinciding, crossing = scan
+        seen["concurrent"] += len({lines[j] for j in crossing}) >= 3
+        seen["waiting_below"] += chosen == len(lines) and not coinciding and best > 0
+        seen["coinciding"] += bool(coinciding)
+        seen["at_zero"] += any(
+            line is not None and line[1] != s and line[0] - line[1] * F0 == c for line in lines
+        )
+    assert min(seen.values()) >= 20, seen
+
+
+def fan_with_waiting_state(k=12):
+    """fan(k) plus a maximizer of rate 2 that waits from 1 down to 3/5,
+    across several of the hub's event points, then moves to private
+    waiting spokes of rates 3, 4 and 5 in turn; the lines of its actions
+    stay put after 1."""
+    g = fan(k)
+    w = k + 1
+    owners, rates, actions = list(g.owners), list(g.rates), list(g.actions)
+    owners.append(2)
+    rates.append(Fr(2))
+    actions.append(PAction(w, None, Fr(2)))
+    for rate, exit_cost in ((3, Fr(8, 5)), (4, Fr(21, 20)), (5, Fr(7, 20))):
+        spoke = len(owners)
+        owners.append(2)
+        rates.append(Fr(rate))
+        actions += [PAction(w, spoke, F0), PAction(spoke, None, exit_cost)]
+    return Sptg(tuple(owners), tuple(rates), tuple(actions))
+
+
+def test_state_waits_across_steps_while_its_lines_stay_put():
+    g = fan_with_waiting_state()
+    assert_same_sweep(g)
+    w = 13
+    cells = solve_sptg(g).strategy.cells[:-1]
+    waiting = [lo for lo, _, choices in cells if choices[w] is WAIT]
+    assert min(waiting) == Fr(3, 5) and len(waiting) >= 3
+    to_spoke = [j for j, a in enumerate(g.actions) if a.source == w and a.dest is not None]
+    taken = [choices[w] for _, _, choices in cells]
+    assert sorted(set(taken), key=taken.index) == [*reversed(to_spoke), WAIT]
+
+
+def hub_with_concurrent_lines():
+    """A minimizer hub over waiting maximizer spokes whose lines are
+    ``C - S*t`` for (C, S) = (11, 10), (39/5, 6), (34/5, 4), (63/10, 3)
+    and (29/5, 2).  The hub takes the first, then the second from 4/5;
+    the last three all meet it at 1/2, where the spoke of rate 2 moves
+    to a spoke of rate 5.  That spoke is then in the repaired set, and
+    the hub's best choice there is the line of slope 3, which touches
+    the envelope of its lines at that one point."""
+    spokes = ((10, Fr(1)), (6, Fr(9, 5)), (4, Fr(14, 5)), (3, Fr(33, 10)), (2, Fr(19, 5)))
+    owners, rates, actions = [1], [Fr(11)], []
+    for rate, exit_cost in spokes:
+        spoke = len(owners)
+        owners.append(2)
+        rates.append(Fr(rate))
+        actions += [PAction(0, spoke, F0), PAction(spoke, None, exit_cost)]
+    owners.append(2)
+    rates.append(Fr(5))
+    actions += [PAction(5, 6, F0), PAction(6, None, Fr(23, 10))]
+    return Sptg(tuple(owners), tuple(rates), tuple(actions))
+
+
+def test_concurrent_lines_at_an_event_point_with_a_repaired_destination(monkeypatch):
+    g = hub_with_concurrent_lines()
+    assert_same_sweep(g)
+    settled = []
+    settle = sptg_module._settle
+
+    def watched_settle(owners, actions, preds, offers, pending, vals, profile):
+        settled.append({k for k, v in enumerate(vals) if v is None})
+        settle(owners, actions, preds, offers, pending, vals, profile)
+
+    monkeypatch.setattr(sptg_module, "_settle", watched_settle)
+    cells = solve_sptg(g).strategy.cells
+    assert [lo for lo, _, _ in cells] == [F0, Fr(1, 2), Fr(4, 5), F1]
+    assert settled[-1] == {0, 5}
+    to_spoke = {a.dest: j for j, a in enumerate(g.actions) if a.source == 0}
+    assert [choices[0] for _, _, choices in cells] == [to_spoke[4], to_spoke[2], *[to_spoke[1]] * 2]
