@@ -30,9 +30,19 @@ def _write(path, text):
             fh.write(text)
 
 
+def _equilibrium_passed(game, sol) -> bool:
+    """The equilibrium check's verdict.  A solution it refuses to play (a
+    strategy that waits at the horizon, say) fails, named on stderr."""
+    try:
+        return check_equilibrium(game, sol).passed
+    except OracleError as exc:
+        print(f"verify: oracle error: {exc}", file=sys.stderr)
+        return False
+
+
 def _sptg_verified(game, sol) -> bool:
     """The equilibrium check, then value iteration if that passed."""
-    return check_equilibrium(game, sol).passed and value_iteration_sptg(game).values == sol.values
+    return _equilibrium_passed(game, sol) and value_iteration_sptg(game).values == sol.values
 
 
 def _cmd_solve(args) -> int:
@@ -70,8 +80,7 @@ def _cmd_solve(args) -> int:
             verify_ok = True
             if args.verify:
                 for cert in res.trace:
-                    report = check_equilibrium(cert.sptg, cert.solution)
-                    verify_ok = verify_ok and report.passed
+                    verify_ok = _equilibrium_passed(cert.sptg, cert.solution) and verify_ok
     except DigitLimitError as exc:
         print(f"output-error: {exc}", file=sys.stderr)
         return 2

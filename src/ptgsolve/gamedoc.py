@@ -237,14 +237,14 @@ def _fn_segments(fn):
             "slope": format_cost(slope),
         }
         pv = fn.point_vals[i]
-        if pv != val and not (is_inf(pv) and is_inf(val)):
+        if pv != val:
             row["left_jump"] = True
             row["point_value_at_left"] = format_cost(pv)
         rows.append(row)
     last = fn.point_vals[-1]
     end = fn.eval(fn.hi, side="left")
     final = {"at": format_cost(fn.hi), "value": format_cost(last)}
-    if last != end and not (is_inf(last) and is_inf(end)):
+    if last != end:
         final["jump"] = True
     rows.append(final)
     return rows

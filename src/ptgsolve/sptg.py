@@ -3,40 +3,39 @@
 States accrue cost at a per-state rate while time advances; actions are
 instantaneous priced transitions, always available.  Values as functions
 of the clock are piecewise linear with rational breakpoints and are
-computed exactly by a right-to-left sweep: solve the untimed game at
-time 1, then repeatedly solve a snapshot game whose waiting option costs
-the current value plus an infinitesimal rate charge, and extend the
-value functions linearly down to the next point where some state's best
-choice changes.  The untimed game is solved by one lexicographic
-extended Dijkstra scan, whose choices are switch-free by construction.
+computed exactly by a right-to-left sweep over event points.
 
-The sweep builds no snapshot game.  Each step repairs the previous
-solve instead: the scan re-solves the states whose crossing fixed the
-event point and the states upstream of them, each offered only the
-candidates that can still be optimal there, and every other state keeps
-its choice.  The step at 1 repairs flat pieces through the values at 1,
-with every finite-valued state as an event; an infinite-valued state
-keeps the untimed solve's choice throughout.  Each state's current
-piece is a line ``c - rate*t`` in absolute clock coordinates, and each
-action caches the line it offers, refreshed only when its destination
-starts a new piece, so no value is updated per step.  Every state keeps
-a certificate, its largest crossing below the current clock value, and
-only states whose certificate may have moved are rescanned: their
-choice changed, an action of theirs leads to a state whose rate
-changed, or their crossing fixed the current clock value.  Waiting
-actions are never scanned, as their line meets the chosen one at the
-current clock value itself.  The first rescan after a state's lines
-move scans them all; a later one, of lines that have not moved since,
-queries their lower envelope (upper for a maximizer), kept until one of
-them moves, in the manner of kinetic data structures (Basch, Guibas and
-Hershberger, *Data structures for mobile data*, SODA 1997).  A value
-function gets a new segment only where its state's rate changes.
+The untimed game at 1 is solved by one lexicographic extended Dijkstra
+scan, whose choices are switch-free by construction.  At each event
+point, the one at 1 included, the sweep solves the snapshot game, whose
+waiting exits cost the states' values there plus an infinitesimal rate
+charge, without building it: :func:`_repair` re-solves the states whose
+crossing fixed the event point and the finite-valued states upstream of
+them, and every other state keeps its choice.  At 1 that is every
+finite-valued state; an infinite-valued state keeps the untimed choice
+throughout.
+
+Each state's open piece is a line ``c - rate*t`` in absolute clock
+coordinates, and each action caches the line it offers, refreshed only
+when its destination's rate changes, which is also the only place a
+value function gets a new segment.  Each state's certificate is the
+largest clock value below the current one where one of its action lines
+crosses its chosen line; the next event point is the largest
+certificate, kept on a heap.  Only the states whose certificate may have
+moved are rescanned: their choice changed, one of their lines moved, or
+their certificate fixed the current clock value.  The first rescan after
+a state's lines move reads them all; a later one reads the chosen line's
+left vertex on their lower envelope (upper for a maximizer), kept until
+one of them moves, in the manner of kinetic data structures (Basch,
+Guibas and Hershberger, *Data structures for mobile data*, SODA 1997).
+Waiting lines are never scanned: they meet the chosen line at the
+current clock value itself.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -174,30 +173,29 @@ class _Pieces:
     """The sweep's state between two event points, in absolute clock
     coordinates.
 
-    State ``k``'s open piece is ``v_k(t) = c[k] - rate[k]*t``, reached in
-    ``hops[k]`` hops through ``choice[k]`` (``m + k`` is its waiting
-    exit).  ``lines[j]`` caches :func:`_line` of action ``j``; it changes
-    only when the action's destination starts a new piece.  ``certs[k]``
-    is state ``k``'s crossing certificate (see :func:`next_event_point`)
-    and ``tight[k]`` the actions that its last crossing scan found
+    State ``k``'s open piece is ``v_k(t) = c[k] - rate[k]*t``, reached
+    through ``choice[k]`` (``m + k`` is its waiting exit), with the hop
+    count of ``vals[k]``, its valuation when last settled.  ``lines[j]``
+    caches :func:`_line` of action ``j``; it changes only when the
+    action's destination starts a new piece.  ``certs[k]`` is state
+    ``k``'s crossing certificate (see :func:`next_event_point`) and
+    ``tight[k]`` the actions that its last crossing scan found
     coinciding with the chosen line and crossing it at the certificate.
     ``envelopes[k]`` is None when state ``k``'s lines have moved since
     its last crossing scan, False when one scan has seen them, and then
     their :class:`_Envelope`.  ``heap`` holds ``(-certificate, state)``
-    entries, some outdated.
-    ``vals``, ``picked`` and ``pending`` are the repair scan's working
-    lists: only the entries of the states it settles are current.
+    entries, some outdated.  ``picked`` and ``pending`` are the repair
+    scan's working lists.
 
-    The pieces start flat through the values ``v1`` at 1, with the
-    untimed solve's choices and hop counts; the repair at 1 gives every
-    finite-valued state its first sloped piece.
+    The pieces start flat through the valuations ``v1`` at 1, with the
+    untimed solve's choices; the repair at 1 gives every finite-valued
+    state its first sloped piece.
     """
 
     def __init__(self, sptg: Sptg, v1, profile):
         n = sptg.num_states
         self.c = [v.payoff for v in v1]
         self.rate = [F0] * n
-        self.hops = [v.hops for v in v1]
         self.choice = list(profile)
         self.lines = [_line(a, self.c, self.rate) for a in sptg.actions]
         self.certs = [F0] * n
@@ -215,23 +213,21 @@ class _Pieces:
 
 
 class _Envelope:
-    """The lower envelope of a minimizer's finite action lines
-    ``C - S*t``, over every real ``t``; for a maximizer, the upper
-    envelope, kept as the lower envelope of the negated lines.
+    """The lower envelope, over every real ``t``, of a minimizer's finite
+    action lines ``C - S*t``; for a maximizer, the upper one.
 
-    ``lines`` holds, negated for a maximizer and by increasing slope
-    ``S``, every distinct line that touches the envelope, even at a
-    single point: a crossing at a vertex must name every line through
-    it.  ``ids[i]`` lists the actions offering ``lines[i]``.
-    ``xs[i]`` is where ``lines[i]`` meets ``lines[i + 1]`` and ``ys[i]``
-    the envelope's value there; ``xs`` does not decrease.
+    ``ids[i]`` lists the actions offering its ``i``-th line by slope,
+    ``xs[i]`` is where that line meets the next one, and ``at[j]`` is
+    the ``i`` of action ``j``'s line.  Every line that touches the
+    envelope, even at a single point, is kept: a crossing at a vertex
+    names every line through it.
     """
 
-    __slots__ = ("sign", "slopes", "lines", "ids", "xs", "ys")
+    __slots__ = ("ids", "xs", "at")
 
     def __init__(self, maximizer: bool, lines):
         """``lines`` holds ``(action, (C, S))`` pairs."""
-        self.sign = sign = -1 if maximizer else 1
+        sign = -1 if maximizer else 1
         by_line = {}
         for j, (cj, sj) in lines:
             by_line.setdefault((sign * cj, sign * sj), []).append(j)
@@ -249,74 +245,44 @@ class _Envelope:
                 hull.pop()
                 xs.pop()
             hull.append((cj, sj))
-        self.slopes = [sj for _, sj in hull]
-        self.lines = hull
         self.ids = [by_line[line] for line in hull]
         self.xs = xs
-        self.ys = [cj - sj * x for (cj, sj), x in zip(hull, xs)]
+        self.at = {j: i for i, group in enumerate(self.ids) for j in group}
 
-    def crossing(self, c, s, chosen, x_hi):
-        """``(best, coinciding, crossing)`` of :func:`_crossing` for the
-        chosen line ``(c, s)``, which the owner prefers at ``x_hi``.
-
-        Negated for a maximizer, the chosen line lies on or below the
-        envelope at ``x_hi``, and only lines of smaller slope can meet
-        it further left.  Each of those lies above it right of where
-        they meet, so the largest crossing is the one root of their
-        envelope minus the chosen line, which increases with ``t``; a
-        binary search over the vertices finds it.  It is the chosen
-        line's left vertex when that line is on the envelope, as every
-        chosen action's line is; a waiting line may lie below it.
-        """
-        if self.sign < 0:
-            c, s = -c, -s
-        lines, ids, xs, ys = self.lines, self.ids, self.xs, self.ys
-        p = bisect_left(self.slopes, s)  # lines[:p] have smaller slopes
-        coinciding = []
-        if p < len(lines) and lines[p] == (c, s):
-            coinciding = [j for j in ids[p] if j != chosen]
-        if p == 0:
-            return F0, coinciding, []
-        lo, hi = 0, p - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if c - s * xs[mid] <= ys[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        cj, sj = lines[lo]
-        t = (c - cj) / (s - sj)
+    def crossing(self, chosen, x_hi):
+        """``(best, coinciding, crossing)`` of :func:`_crossing` for action
+        ``chosen``, whose line is on the envelope at ``x_hi``: the line's
+        left vertex if that lies in (0, x_hi), and the lines through it."""
+        ids, xs = self.ids, self.xs
+        p = self.at[chosen]
+        coinciding = [j for j in ids[p] if j != chosen]
+        t = xs[p - 1] if p else F0
         if not F0 < t < x_hi:
             return F0, coinciding, []
-        crossing = list(ids[lo])
-        while lo + 1 < p and xs[lo] == t:
-            lo += 1
-            crossing += ids[lo]
-        return t, coinciding, crossing
+        lo = p - 1
+        while lo and xs[lo - 1] == t:
+            lo -= 1
+        return t, coinciding, [j for group in ids[lo:p] for j in group]
 
 
 def _crossing(sptg: Sptg, pieces: _Pieces, k: int, x_hi):
     """Largest clock value in (0, x_hi) where the line of one of state
     ``k``'s own (non-waiting) actions crosses its chosen line; 0 when
     there is none.  Records the coinciding and crossing actions in
-    ``pieces.tight[k]``.
-
-    The first scan after the state's lines move reads them all; a later
-    one, of lines that have not moved since, builds their
-    :class:`_Envelope` if the state has none yet and queries it in time
-    logarithmic in their number.
+    ``pieces.tight[k]``.  Scans the lines the first time after they move
+    and queries their :class:`_Envelope` later, unless the state waits.
     """
     c, s = pieces.c[k], pieces.rate[k]
     chosen, lines = pieces.choice[k], pieces.lines
     best, coinciding, crossing = F0, [], []
     envelope = pieces.envelopes[k]
-    if envelope is not None and not is_inf(c):
+    if envelope is not None and chosen < sptg.num_actions and not is_inf(c):
         if envelope is False:
             envelope = pieces.envelopes[k] = _Envelope(
                 sptg.owners[k] == 2,
                 [(j, lines[j]) for j in sptg.core.state_actions[k] if lines[j] is not None],
             )
-        best, coinciding, crossing = envelope.crossing(c, s, chosen, x_hi)
+        best, coinciding, crossing = envelope.crossing(chosen, x_hi)
     elif not is_inf(c):
         pieces.envelopes[k] = False
         minimizer = sptg.owners[k] == 1
@@ -349,19 +315,8 @@ def next_event_point(sptg: Sptg, pieces: _Pieces, dirty, x_hi):
     action's line meets the chosen action's line, given they differ at
     ``x_hi`` itself; 0 when no such crossing exists.
 
-    ``pieces.certs[k]`` caches state ``k``'s own largest such crossing,
-    from an earlier step; only the states in ``dirty`` are rescanned, and
-    the result is the largest certificate, kept on a heap.  A cached
-    crossing stays valid while the lines it compared stay put: values
-    are continuous, so a line through a destination moves only when that
-    destination's rate changes.  A waiting action is never scanned: its
-    line starts at the state's value at ``x_hi``, which the chosen line
-    also attains, so the two meet at ``x_hi`` itself or not at all.
-
-    The same holds for a rescan: a state whose lines have stayed put
-    since its last scan answers from their envelope (see
-    :func:`_crossing`), in time logarithmic in its action count, so a
-    step whose states keep their lines costs no full rescan.
+    ``pieces.certs[k]`` caches state ``k``'s own largest such crossing;
+    only the states in ``dirty`` are rescanned.
     """
     certs, heap = pieces.certs, pieces.heap
     for k in dirty:
@@ -396,6 +351,13 @@ def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> set:
     the chosen action, the actions coinciding with it and, for an event
     state, those crossing it there.  Every other candidate is strictly
     worse at ``x``, so the scan settles R as the full scan would.
+
+    At 1 no crossing has been scanned, R holds every finite-valued state,
+    and the finite candidates left out are terminal exits.  None beats
+    the untimed choice: a minimizer's is its lowest-id exit at its value
+    if it has one, as one hop is the fewest, and a maximizer's is either
+    that exit or an action into R, with a rate of at least 0 and at
+    least two hops.
     """
     c, lines, m = pieces.c, pieces.lines, sptg.num_actions
     actions, incoming = sptg.actions, sptg.core.incoming
@@ -419,7 +381,7 @@ def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> set:
             d = actions[j].dest
             if d not in repaired:
                 cj, sj = lines[j]
-                hops = 1 if d is None else pieces.hops[d] + 1
+                hops = 1 if d is None else pieces.vals[d].hops + 1
                 offers.append((k, j, cj - sj * x, sj, hops))
         if sptg.owners[k] == 2:
             inside = sum(actions[j].dest in repaired for j in sptg.core.state_actions[k])
@@ -431,25 +393,11 @@ def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> set:
 def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
     """Exact value functions and optimal strategies on [0,1].
 
-    The untimed game at 1 is solved by one lexicographic extended
-    Dijkstra scan.  Every sweep step, the one at 1 included, then
-    re-solves only the states whose certificate fixed its clock value,
-    and the states upstream of them (see :func:`_repair`); the scan's
-    result is canonical, so this gives what a full scan of the snapshot
-    game would.  At 1 every finite-valued state is such an event state,
-    offered the actions worth its value at 1.  The next event point
-    rescans only the states whose crossing certificate may have moved
-    (see :func:`next_event_point`): those whose choice changed, those
-    with an action into a state whose rate changed, and those whose
-    certificate fixed the current clock value.  A state's value function
-    gets a new segment only where its rate changes.
-
-    ``instrument=True`` observes the same sweep: at every step it also
-    builds the snapshot game, improves the current choices in it one
-    switch at a time, checks that every switch strictly decreases the
-    potential matrix (``stats.potential_checks`` and
-    ``potential_violations``), and raises AssertionError unless the
-    iteration's payoffs are the sweep's values.
+    ``instrument=True`` also checks every step: it builds the snapshot
+    game, improves the current choices in it one switch at a time,
+    checks that every switch strictly decreases the potential matrix
+    (``stats.potential_checks`` and ``potential_violations``), and raises
+    AssertionError unless the iteration's payoffs are the sweep's values.
     """
     stats = SolveStats()
     n = sptg.num_states
@@ -460,11 +408,7 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
     cells = [(F1, F1, profile)]
     pieces = _Pieces(sptg, v1.valuations, profile)
     c, rate, choice, lines = pieces.c, pieces.rate, pieces.choice, pieces.lines
-    # the pieces are flat, so this only records each state's tight
-    # candidates: the actions worth its value at 1.  The repair at 1 moves
-    # most of their lines, so it is no reason to build an envelope.
-    next_event_point(sptg, pieces, range(n), F1)
-    envelopes = pieces.envelopes = [None] * n
+    envelopes = pieces.envelopes
     events = {k for k in range(n) if not is_inf(c[k])}
     # each state's segments so far, right to left, and its open piece's
     # right end
@@ -487,7 +431,6 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
             if pieces.picked[k] != choice[k]:
                 choice[k] = pieces.picked[k]
                 dirty.add(k)
-            pieces.hops[k] = val.hops
             if val.rate != rate[k]:
                 if top[k] != x:
                     segments[k].append((x, top[k], at_x, -rate[k]))

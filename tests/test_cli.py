@@ -15,7 +15,7 @@ from ptgsolve.numerics import F0, F1
 from ptgsolve.oracle import EquilibriumReport, check_equilibrium, generate_random
 from ptgsolve.priced_game import PAction, PricedGame
 from ptgsolve.ptg import solve_ptg
-from ptgsolve.sptg import solve_sptg
+from ptgsolve.sptg import WAIT, TimedStrategyProfile, solve_sptg
 
 
 def doc_text(game, kind):
@@ -411,6 +411,40 @@ def test_verify_checks_every_reused_interval_certificate(tmp_path, monkeypatch, 
     assert res.stats.reused_intervals > 0
     assert len(res.trace) == len(res.ladder) - 1
     assert [(c.sptg, c.solution) for c in res.trace] == checked
+
+
+def waiting_at_one(sol):
+    """``sol`` with state 0 waiting in the point cell at 1, a strategy
+    the equilibrium check refuses to play."""
+    *cells, (lo, hi, choices) = sol.strategy.cells
+    point = (lo, hi, (WAIT, *choices[1:]))
+    return dataclasses.replace(sol, strategy=TimedStrategyProfile((*cells, point)))
+
+
+def test_refused_strategy_fails_verification(tmp_path, monkeypatch, capsys):
+    refused = "verify: oracle error: profile waits at the horizon in state 0\n"
+    failed = '{"verify": "failed"}\n'
+    sptg_game, ptg_game = tmp_path / "sptg.json", tmp_path / "ptg.json"
+    sptg_game.write_text(doc_text(fixture_a().game, "sptg"))
+    ptg_game.write_text(doc_text(delayed_exit_jump().game, "ptg"))
+
+    def solve_ptg_refused(g):
+        res = solve_ptg(g)
+        trace = [dataclasses.replace(c, solution=waiting_at_one(c.solution)) for c in res.trace]
+        return dataclasses.replace(res, trace=tuple(trace))
+
+    monkeypatch.setattr(cli, "solve_sptg", lambda g: waiting_at_one(solve_sptg(g)))
+    monkeypatch.setattr(cli, "solve_ptg", solve_ptg_refused)
+    for game in (sptg_game, ptg_game):
+        out = tmp_path / "out.json"
+        assert cli.main(["solve", str(game), "--verify", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(failed) and set(err.splitlines(keepends=True)) == {refused, failed}
+        assert out.exists()
+    assert cli.main(["fuzz", "--count", "2", "--size", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "fuzz: 0/2 agree\n"
+    assert captured.err == "".join(f"{refused}seed {seed}: disagreement\n" for seed in (0, 1))
 
 
 def test_module_runs_as_a_script(tmp_path):

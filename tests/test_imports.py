@@ -57,7 +57,7 @@ def test_no_unused_local_functions(path):
     assert unused_local_functions(ast.parse(path.read_text())) == []
 
 
-# What the oracle may still take from the solver modules.  ROADMAP item 4
+# What the oracle may still take from the solver modules.  ROADMAP item 3
 # shrinks this list to data types; a new solver routine fails the test.
 ORACLE_SOLVER_IMPORTS = {
     "priced_game": {"PAction", "PricedGame", "improving_switches"},

@@ -292,6 +292,33 @@ def test_random_event_rich():
     assert events >= 200
 
 
+def exits_tied_at_one(seed):
+    """States of both owners whose terminal exits tie, at 1, routes
+    through a rate-0 state, through a relay to it and through a
+    maximizer of rate 2; each also has an exit worse than the tie.  The
+    repair at 1 offers a tied state no exit but its untimed choice, so
+    that choice must already beat the others.  Rates, routes and the
+    action order are random."""
+    rng = random.Random(seed)
+    # 0: the rate-0 state, 1: the relay to it, 2: the rate-2 maximizer
+    owners, rates = [rng.choice((1, 2)), rng.choice((1, 2)), 2], [F0, F0, Fr(2)]
+    actions = [PAction(0, None, F1), PAction(1, 0, F0), PAction(2, None, F1)]
+    for owner in (1, 2, 1, 2):
+        k = len(owners)
+        owners.append(owner)
+        rates.append(Fr(rng.randint(0, 3)))
+        actions += [PAction(k, None, Fr(2)) for _ in range(rng.randint(1, 3))]
+        actions.append(PAction(k, None, Fr(3) if owner == 1 else F1))
+        actions += [PAction(k, d, F1) for d in rng.sample(range(3), rng.randint(0, 3))]
+    rng.shuffle(actions)
+    return Sptg(tuple(owners), tuple(rates), tuple(actions))
+
+
+def test_exits_tied_at_one():
+    for seed in range(40):
+        assert_same_sweep(exits_tied_at_one(seed))
+
+
 def count_crossing_work(monkeypatch):
     """Record the state of every linear crossing scan, and the actions
     of every envelope built, in the lists returned."""
@@ -321,9 +348,8 @@ def test_fan_steps_re_solve_only_the_hub(monkeypatch):
     only the untimed game in full: the step at 1 repairs every state,
     and each later step re-solves the hub alone, the one state whose
     certificate fixed the event point.  The hub's lines stay put after
-    1, so it scans them linearly only at 1, first over the flat pieces
-    and then once more after its lines move, and then answers every
-    later crossing query from one envelope."""
+    1, so it scans them linearly once, after they move at 1, and then
+    answers every later crossing query from one envelope."""
     builds, scans, settled = [], [], []
     build, scan, settle = (
         sptg_module.build_eps_game,
@@ -349,25 +375,24 @@ def test_fan_steps_re_solve_only_the_hub(monkeypatch):
     assert builds == [] and len(scans) == 1
     assert settled == [list(range(41))] + [[0]] * 39
     assert built == [list(g.core.state_actions[0])]
-    assert scanned.count(0) == 2
+    assert scanned.count(0) == 1
 
 
 def test_one_step_sweeps_build_no_envelope(monkeypatch):
-    """A sweep of one step scans each state twice at 1, before and after
-    the repair there, and never again: an envelope would not pay."""
+    """A sweep of one step scans each state once, after the repair at 1,
+    and never again: an envelope would not pay."""
     scanned, built = count_crossing_work(monkeypatch)
     actions = [PAction(k, d, F0) for k in range(3) for d in (None, *range(3)) if d != k]
     g = Sptg((1, 2, 1), (F1, F1, F1), tuple(actions))
     assert solve_sptg(g).stats.sweep_steps == 1
-    assert built == [] and sorted(scanned) == [0, 0, 1, 1, 2, 2]
-
+    assert built == [] and sorted(scanned) == [0, 1, 2]
 
 
 def crossing_both_ways(owner, lines, chosen, c, s, x_hi):
     """``(best, coinciding, crossing)`` of one state's crossing query over
     the action lines ``lines`` (None for an infinite one), by the scan
     and from the envelope; ``(c, s)`` is the chosen line, and ``chosen``
-    is ``len(lines)`` for the waiting exit."""
+    is ``len(lines)`` for the waiting exit, which is always scanned."""
     g = Sptg((owner,), (F0,), tuple(PAction(0, None, F0) for _ in lines))
     v1, profile = solve_at_time_one(g)
     pieces = sptg_module._Pieces(g, v1.valuations, profile)
@@ -379,7 +404,10 @@ def crossing_both_ways(owner, lines, chosen, c, s, x_hi):
         best = sptg_module._crossing(g, pieces, 0, x_hi)
         coinciding, crossing = pieces.tight[0]
         results.append((best, set(coinciding), set(crossing)))
-    assert isinstance(pieces.envelopes[0], sptg_module._Envelope)
+    if chosen < len(lines):
+        assert isinstance(pieces.envelopes[0], sptg_module._Envelope)
+    else:
+        assert pieces.envelopes[0] is False
     return results
 
 
