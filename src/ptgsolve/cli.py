@@ -71,12 +71,12 @@ def _cmd_solve(args) -> int:
         elif doc.kind == "sptg":
             sol = solve_sptg(game)
             out = gamedoc.emit_sptg_result(doc, sol)
-            plot = gamedoc.emit_plot(doc, sol.values)
+            plot = None if args.plot is None else gamedoc.emit_plot(doc, sol.values)
             verify_ok = not args.verify or _sptg_verified(game, sol)
         else:
             res = solve_ptg(game)
             out = gamedoc.emit_ptg_result(doc, res)
-            plot = gamedoc.emit_plot(doc, res.values)
+            plot = None if args.plot is None else gamedoc.emit_plot(doc, res.values)
             verify_ok = True
             if args.verify:
                 for cert in res.trace:
@@ -87,7 +87,7 @@ def _cmd_solve(args) -> int:
 
     try:
         _write(args.out, out)
-        if args.plot is not None and plot is not None:
+        if plot is not None:
             _write(args.plot, plot)
     except OSError as exc:
         print(f"output-error: {exc}", file=sys.stderr)

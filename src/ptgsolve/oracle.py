@@ -1,12 +1,12 @@
 """Independent verification machinery.
 
 Results are recomputed here by routes apart from the sweep solver:
-backward-induction value iteration over piecewise linear functions, play
-simulation under explicit strategies, brute-force enumeration for
-untimed games, and seeded random instance generation.  Two solver
-routines are still shared: the equilibrium check builds its snapshot
-games with ``build_eps_game`` and looks for switches with
-``improving_switches``.
+backward-induction value iteration over piecewise linear functions, exact
+evaluation of a timed strategy profile's play costs, play simulation
+under explicit strategies, brute-force enumeration for untimed games,
+and seeded random instance generation.  Two solver routines are still
+shared: the equilibrium check builds its snapshot games with
+``build_eps_game`` and looks for switches with ``improving_switches``.
 """
 
 from __future__ import annotations
@@ -136,25 +136,6 @@ def simulate(sptg: Sptg, profile: TimedStrategyProfile, start) -> Play:
     return Play(tuple(steps), True, cost)
 
 
-def play_cost(sptg: Sptg, profile: TimedStrategyProfile, start, memo: dict):
-    """``simulate(sptg, profile, start).cost``, memoised per (state, clock)
-    configuration in ``memo``, which calls on one game and profile share.
-    Each configuration is stepped at most once per memo."""
-    k, x = start
-    x = frac(x)
-    chain = {}  # configuration -> step cost, in play order
-    while k is not None and (k, x) not in memo and (k, x) not in chain:
-        _, _, c, nk, nx = _step(sptg, profile, k, x)
-        chain[k, x] = c
-        k, x = nk, nx
-    # a revisit makes every configuration of the play infinite
-    acc = F0 if k is None else memo.get((k, x), INF)
-    for conf, c in reversed(chain.items()):
-        acc = INF if is_inf(c) or is_inf(acc) else c + acc
-        memo[conf] = acc
-    return acc
-
-
 def simulate_ptg(game: Ptg, chooser, start, max_steps: int = 10_000) -> Play:
     """Play a timed game under an explicit decision function.
 
@@ -195,13 +176,115 @@ def simulate_ptg(game: Ptg, chooser, start, max_steps: int = 10_000) -> Play:
     raise OracleError("simulation step budget exceeded")
 
 
+# -- policy evaluation ------------------------------------------------------
+#
+# Within one strategy cell a state's play cost is a line ``C - S*x`` of the
+# clock, held as the pair ``(C, S)``; None is the constant infinite line.
+
+_ZERO = (F0, F0)  # the terminal: cost 0 at every clock value
+_UNSEEN, _ON_CHAIN = object(), object()
+
+
+def _at(line, x):
+    """The value of a line at clock value ``x``."""
+    return INF if line is None else line[0] - line[1] * x
+
+
+def _through(cost, line):
+    """The line of an action of the given cost into a state on ``line``."""
+    if line is None or is_inf(cost):
+        return None
+    return (cost + line[0], line[1])
+
+
+def _waiting(rate, hi, line):
+    """The line of waiting at ``rate`` until ``hi``, then playing on
+    ``line``: ``rate*(hi - x) + line(hi)``."""
+    return None if line is None else (rate * hi + _at(line, hi), rate)
+
+
+@dataclass(frozen=True)
+class PolicyEvaluation:
+    costs: tuple  # PwlFn per state: its play cost on [0,1]
+    starts: tuple  # per strategy cell, every state's play cost at the cell's lo
+
+
+def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> PolicyEvaluation:
+    """Every state's play cost under the profile, exactly, on all of [0,1].
+
+    Cells are evaluated right to left.  In the point cell at 1 a state
+    costs the untimed profile's payoff.  In a cell [lo, hi) a waiting
+    state costs ``rate*(hi - x) + P(hi)``, its own cost at hi, and an
+    acting state the action's cost plus its destination's cost at the
+    same clock value, resolved along the cell's chains of choices; a
+    chain that closes a cycle takes no time and never ends, so it costs
+    infinity.  A state keeps its line object while its choice and its
+    successor's line are unchanged, so a segment starts only where a line
+    changes.  Raises :class:`OracleError` on a profile that waits at 1
+    or picks an action of another state, as :func:`simulate` does."""
+    actions, rates, n = sptg.actions, sptg.rates, sptg.num_states
+    cells = profile.cells
+    lines = prev = None  # the lines and choices of the cell to the right
+    pieces = [[] for _ in range(n)]  # (lo, hi, line), right to left
+    ends = [F1] * n  # right end of each state's open piece
+    starts = [None] * len(cells)
+    for idx in range(len(cells) - 1, -1, -1):
+        lo, hi, choices = cells[idx]
+        new = [_UNSEEN] * n
+        for start in range(n):
+            k, chain = start, []
+            while new[k] is _UNSEEN:
+                j = choices[k]
+                if j is WAIT:
+                    if lo == hi:
+                        raise OracleError(f"profile waits at the horizon in state {k}")
+                    # a state that keeps waiting keeps its line
+                    new[k] = lines[k] if prev[k] is WAIT else _waiting(rates[k], hi, lines[k])
+                    break
+                a = actions[j]
+                if a.source != k:
+                    raise OracleError(f"profile picks a foreign action at state {k}")
+                if a.dest is None:
+                    new[k] = lines[k] if prev is not None and prev[k] == j else _through(a.cost, _ZERO)
+                    break
+                new[k] = _ON_CHAIN
+                chain.append((k, j, a))
+                k = a.dest
+            line = None if new[k] is _ON_CHAIN else new[k]
+            for k, j, a in reversed(chain):
+                if prev is not None and prev[k] == j and lines[a.dest] is line:
+                    line = lines[k]
+                else:
+                    line = _through(a.cost, line)
+                new[k] = line
+        if lines is not None:
+            for k in range(n):
+                if new[k] is not lines[k]:
+                    if ends[k] > hi:
+                        pieces[k].append((hi, ends[k], lines[k]))
+                    ends[k] = hi
+        starts[idx] = tuple(_at(line, lo) for line in new)
+        lines, prev = new, choices
+    costs = []
+    for k in range(n):
+        pieces[k].append((F0, ends[k], lines[k]))
+        segs = [
+            (lo, hi, INF, F0) if line is None else (lo, hi, _at(line, lo), -line[1])
+            for lo, hi, line in reversed(pieces[k])
+        ]
+        costs.append(PwlFn.from_segments(segs, {F1: starts[-1][k]}))
+    return PolicyEvaluation(tuple(costs), tuple(starts))
+
+
 # -- equilibrium checking ---------------------------------------------------
 
 
 @dataclass
 class EquilibriumReport:
     passed: bool = True
-    probe_failures: list = field(default_factory=list)  # (state, time, got, want)
+    # (state, clock, got, want): per state, the first clock value where its
+    # play cost and its value differ
+    probe_failures: list = field(default_factory=list)
     cell_failures: list = field(default_factory=list)  # (cell_index, player, action)
 
     def fail_probe(self, state, t, got, want):
@@ -213,44 +296,49 @@ class EquilibriumReport:
         self.cell_failures.append((idx, player, action))
 
 
-def probe_times(strategy: TimedStrategyProfile, samples: int = 50) -> list:
-    """Clock values the equilibrium check probes, ascending: every cell's
-    start and midpoint, and a grid of ``samples + 2`` points on [0,1]."""
-    times = set()
-    for lo, hi, _ in strategy.cells:
-        times.add(lo)
-        if lo < hi:
-            times.add((lo + hi) / 2)
-    times.add(F1)
-    grid = samples + 1
-    for i in range(grid + 1):
-        times.add(Fraction(i, grid))
-    return sorted(times)
+def _first_difference(got: PwlFn, want: PwlFn):
+    """The first clock value where two functions differ: a breakpoint of
+    either, or the midpoint between two consecutive ones (a quarter point
+    when two lines cross exactly there).  None when they agree."""
+    grid = sorted(set(got.breaks) | set(want.breaks))
+    for a, b in zip(grid, grid[1:]):
+        mid = (a + b) / 2
+        for t in (a, mid, (a + mid) / 2):
+            if got.eval(t) != want.eval(t):
+                return t
+    return grid[-1] if got.eval(grid[-1]) != want.eval(grid[-1]) else None
 
 
 def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> EquilibriumReport:
-    """Certify what a solve ships two ways: simulated play cost must equal
-    the value function at every probed time, and no cell of the strategy
+    """Certify what a solve ships two ways.  Each state's exact play cost
+    under ``sol.strategy`` (:func:`evaluate_policy`) must equal its value
+    function on all of [0,1], point values included; a failure names the
+    first clock value where they differ.  And no cell of the strategy
     may admit an improving switch for either player.  An interval cell
     [lo, hi) is played in the snapshot game whose waits cost the values
     at hi, with WAIT as the wait exit m + k; the point cell at 1 in the
     untimed game.  A cell failure names the cell by its index in
-    ``sol.strategy.cells``."""
+    ``sol.strategy.cells``.  ``samples`` is accepted and ignored: the
+    check evaluates the strategy everywhere, so it samples no clock
+    values."""
     report = EquilibriumReport()
-    times = probe_times(sol.strategy, samples)
-    memo = {}
+    ev = evaluate_policy(sptg, sol.strategy)
     for k in range(sptg.num_states):
-        for t in times:
-            got = play_cost(sptg, sol.strategy, (k, t), memo)
-            want = sol.values[k].eval(t)
-            if got != want:
-                report.fail_probe(k, t, got, want)
+        got, want = ev.costs[k], sol.values[k]
+        if got != want:
+            t = _first_difference(got, want)
+            if t is not None:
+                report.fail_probe(k, t, got.eval(t), want.eval(t))
+    # where every play cost is its value, the costs at the next cell's start
+    # are the values at hi
+    exact = report.passed
     m = sptg.num_actions
     for idx, (lo, hi, choices) in enumerate(sol.strategy.cells):
         if lo == hi:
             game, profile = sptg.core, choices
         else:
-            game = build_eps_game(sptg, [f.eval(hi) for f in sol.values])
+            waits = ev.starts[idx + 1] if exact else [f.eval(hi) for f in sol.values]
+            game = build_eps_game(sptg, waits)
             profile = tuple(m + k if j is WAIT else j for k, j in enumerate(choices))
         for player in (1, 2):
             for j, _ in improving_switches(game, profile, player):

@@ -391,6 +391,22 @@ def test_too_long_result_number_exits_two_with_code(tmp_path, capsys):
     assert not out.exists() and not plot.exists()
 
 
+def test_plot_is_built_only_when_asked_for(tmp_path, monkeypatch, capsys):
+    built = []
+    emit_plot = gamedoc.emit_plot
+    monkeypatch.setattr(gamedoc, "emit_plot", lambda *a: built.append(a) or emit_plot(*a))
+    for kind, game in (("sptg", fixture_a().game), ("ptg", delayed_exit_jump().game)):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(doc_text(game, kind))
+        assert cli.main(["solve", str(path), "--out", str(tmp_path / "out.json")]) == 0
+        assert not built
+        plot = tmp_path / "plot.tsv"
+        assert cli.main(["solve", str(path), "--plot", str(plot)]) == 0
+        assert len(built) == 1 and plot.read_text().startswith("state\t")
+        built.clear()
+    capsys.readouterr()
+
+
 def test_verify_checks_every_reused_interval_certificate(tmp_path, monkeypatch, capsys):
     game = Path(__file__).parent / "golden" / "ptg-resets.json"
     results, checked = [], []

@@ -1,18 +1,20 @@
 import dataclasses
 import random
 from fractions import Fraction as Fr
+from pathlib import Path
 
 import pytest
 
+from ptgsolve import cli, oracle
 from ptgsolve.fixtures import ALL_FIXTURES, fixture_a
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
 from ptgsolve.oracle import (
     OracleError,
+    _step,
     brute_force_priced,
     check_equilibrium,
+    evaluate_policy,
     generate_random,
-    play_cost,
-    probe_times,
     profile_payoffs,
     simulate,
     value_iteration_sptg,
@@ -53,6 +55,84 @@ def solved_sptgs():
                 yield cert.sptg, cert.solution
         else:
             yield game, solve_sptg(game)
+
+
+def play_cost(sptg, profile, start, memo):
+    """``simulate(sptg, profile, start).cost``, memoised per (state, clock)
+    configuration in ``memo``, which calls on one game and profile share.
+    Each configuration is stepped at most once per memo.  The reference
+    the exact policy evaluation is tested against."""
+    k, x = start
+    x = Fr(x)
+    chain = {}  # configuration -> step cost, in play order
+    while k is not None and (k, x) not in memo and (k, x) not in chain:
+        _, _, c, nk, nx = _step(sptg, profile, k, x)
+        chain[k, x] = c
+        k, x = nk, nx
+    # a revisit makes every configuration of the play infinite
+    acc = F0 if k is None else memo.get((k, x), INF)
+    for conf, c in reversed(chain.items()):
+        acc = INF if is_inf(c) or is_inf(acc) else c + acc
+        memo[conf] = acc
+    return acc
+
+
+def probe_times(strategy, samples=50):
+    """Clock values a sampling equilibrium check would probe, ascending:
+    every cell's start and midpoint, and a grid of ``samples + 2`` points
+    on [0,1]."""
+    times = set()
+    for lo, hi, _ in strategy.cells:
+        times.add(lo)
+        if lo < hi:
+            times.add((lo + hi) / 2)
+    times.add(F1)
+    grid = samples + 1
+    for i in range(grid + 1):
+        times.add(Fr(i, grid))
+    return sorted(times)
+
+
+def altered(f, a, b, bump):
+    """``f`` plus ``bump`` strictly inside (a, b), and ``f`` itself
+    elsewhere, at a and b included.  ``bump`` is linear on each half of
+    [a, b]; ``f`` must be finite on [a, b] with no breakpoint inside."""
+    c = (a + b) / 2
+    grid = sorted(set(f.breaks) | {a, c, b})
+    segs = []
+    for u, v in zip(grid, grid[1:]):
+        left, right = f.eval(u, "right"), f.eval(v, "left")
+        if a <= u < b:
+            left, right = left + bump(u), right + bump(v)
+        segs.append((u, v, left, (right - left) / (v - u)))
+    points = {x: f.eval(x) for x in (*f.breaks, a, b)}
+    return PwlFn.from_segments(segs, {**points, c: f.eval(c) + bump(c)})
+
+
+def dented(f, a, b):
+    """``f`` less a tent that rises from 0 at ``a`` and falls back to 0 at ``b``."""
+    c = (a + b) / 2
+    return altered(f, a, b, lambda x: -Fr(1, 7) * (1 - abs(x - c) / (c - a)))
+
+
+# values altered only inside an interval: a continuous dent, a lift with
+# a jump at each end, and a tilt about the midpoint with a jump at each end
+ALTERATIONS = {
+    "dent": dented,
+    "lift": lambda f, a, b: altered(f, a, b, lambda x: Fr(1, 5)),
+    "tilt": lambda f, a, b: altered(f, a, b, lambda x: x - (a + b) / 2),
+}
+
+
+def gap_between_probes(sol):
+    """A state of finite value and an interval (a, b) strictly between two
+    consecutive probe times of ``sol``, or None."""
+    times = probe_times(sol.strategy)
+    for k, f in enumerate(sol.values):
+        for t1, t2 in zip(times, times[1:]):
+            if not is_inf(f.eval(t1)) and not is_inf(f.eval(t2)):
+                return k, t1 + (t2 - t1) / 3, t1 + 2 * (t2 - t1) / 3
+    return None
 
 
 # the profiles of TestSimulate that break the rules of play
@@ -202,21 +282,144 @@ class TestCheckEquilibrium:
         with pytest.raises(OracleError):
             check_equilibrium(g, sol)
 
-    def test_one_cell_lookup_per_configuration(self, monkeypatch):
+    def test_evaluation_work_is_bounded(self, monkeypatch):
         g = fan(24)
         sol = solve_sptg(g)
         assert sol.stats.event_points == 23
-        calls = []
-        cell_at = TimedStrategyProfile.cell_at
+        calls = {"from_segments": 0, "lines": 0}
+        from_segments = PwlFn.from_segments
 
-        def counted(self, x):
-            calls.append(x)
-            return cell_at(self, x)
+        def counted(key, f):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return f(*args, **kwargs)
 
-        monkeypatch.setattr(TimedStrategyProfile, "cell_at", counted)
+            return wrapped
+
+        monkeypatch.setattr(PwlFn, "from_segments", staticmethod(counted("from_segments", from_segments)))
+        monkeypatch.setattr(oracle, "_through", counted("lines", oracle._through))
+        monkeypatch.setattr(oracle, "_waiting", counted("lines", oracle._waiting))
         assert check_equilibrium(g, sol).passed
-        bound = g.num_states * (len(probe_times(sol.strategy)) + len(sol.strategy.cells))
-        assert 0 < len(calls) <= bound
+        assert calls["from_segments"] == g.num_states
+        cells = sol.strategy.cells
+        assert 0 < calls["lines"] <= g.num_states * len(cells)
+        # lines are reused while choices hold: one per state at 1, then
+        # about one per choice that changes from cell to cell
+        changes = sum(x != y for c, d in zip(cells, cells[1:]) for x, y in zip(c[2], d[2]))
+        assert calls["lines"] <= g.num_states + 2 * changes < g.num_states * len(cells) // 4
+
+
+class TestEvaluatePolicy:
+    def test_equals_play_cost_at_probe_times(self):
+        for g, sol in solved_sptgs():
+            costs = evaluate_policy(g, sol.strategy).costs
+            memo = {}
+            for k in range(g.num_states):
+                for t in probe_times(sol.strategy):
+                    assert costs[k].eval(t) == play_cost(g, sol.strategy, (k, t), memo), (k, t)
+
+    def test_equals_play_cost_under_random_profiles(self):
+        # profiles no solve ships: random cells and choices, waits, cycles
+        rng = random.Random(5)
+        infinite = 0
+        for seed in range(120):
+            g = generate_random("sptg", 1 + seed % 5, 3, seed, allow_inf=True)
+            cuts = sorted({Fr(rng.randint(1, 11), 12) for _ in range(rng.randint(0, 4))})
+            bounds = [F0, *cuts, F1]
+            cells = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                cells.append((lo, hi, tuple(
+                    rng.choice(list(js) + [WAIT]) for js in g.core.state_actions
+                )))
+            cells.append((F1, F1, tuple(rng.choice(js) for js in g.core.state_actions)))
+            profile = TimedStrategyProfile(tuple(cells))
+            costs = evaluate_policy(g, profile).costs
+            memo = {}
+            times = probe_times(profile, samples=23)
+            for k in range(g.num_states):
+                for t in times:
+                    got = play_cost(g, profile, (k, t), memo)
+                    infinite += is_inf(got)
+                    assert costs[k].eval(t) == got, (seed, k, t)
+        assert infinite > 0
+
+    def test_zero_time_loop(self):
+        g = sptg([1, 1], [0, 0], (0, 1, Fr(1)), (1, 0, Fr(1)))
+        loop = TimedStrategyProfile(((F0, F1, (0, 1)), (F1, F1, (0, 1))))
+        costs = evaluate_policy(g, loop).costs
+        memo = {}
+        for k in range(2):
+            assert costs[k].is_constant_inf()
+            for t in probe_times(loop):
+                assert is_inf(play_cost(g, loop, (k, t), memo))
+
+    def test_cycle_of_choices_inside_a_cell_is_infinite(self):
+        # states 0 and 1 pass the turn to each other on [1/4, 1/2) and
+        # otherwise wait (rate 2 and 3) or exit at cost 1
+        g = sptg([1, 2], [2, 3], (0, 1, Fr(0)), (0, None, Fr(1)), (1, 0, Fr(0)), (1, None, Fr(1)))
+        h, q = Fr(1, 2), Fr(1, 4)
+        profile = TimedStrategyProfile((
+            (F0, q, (WAIT, WAIT)),
+            (q, h, (0, 2)),
+            (h, F1, (1, 3)),
+            (F1, F1, (1, 3)),
+        ))
+        costs = evaluate_policy(g, profile).costs
+        assert costs[0] == PwlFn.from_segments([(F0, q, INF, F0), (q, h, INF, F0), (h, F1, Fr(1), F0)])
+        assert costs[1] == PwlFn.from_segments([(F0, h, INF, F0), (h, F1, Fr(1), F0)])
+        assert is_inf(costs[0].eval(Fr(3, 8))) and costs[0].eval(h) == 1
+
+
+@pytest.mark.parametrize("alter", ALTERATIONS.values(), ids=ALTERATIONS.keys())
+class TestAlteredBetweenProbes:
+    """A value altered only between two probe times: no sampling check
+    sees it, the exact check does."""
+
+    def fails(self, g, sol, alter):
+        k, a, b = gap_between_probes(sol)
+        values = list(sol.values)
+        values[k] = alter(values[k], a, b)
+        assert values[k] != sol.values[k]
+        assert all(values[k].eval(t) == sol.values[k].eval(t) for t in probe_times(sol.strategy))
+        report = check_equilibrium(g, dataclasses.replace(sol, values=tuple(values)))
+        assert not report.passed
+        ((state, t, got, want),) = report.probe_failures
+        assert state == k and a < t < b and got == sol.values[k].eval(t) != want
+
+    def test_fixture(self, alter):
+        fx = fixture_a()
+        self.fails(fx.game, solve_sptg(fx.game), alter)
+
+    def test_random_games(self, alter):
+        altered_games = 0
+        for seed in range(40):
+            g = generate_random("sptg", 3, 3, seed, allow_inf=(seed % 4 == 0))
+            sol = solve_sptg(g)
+            if gap_between_probes(sol) is not None:
+                self.fails(g, sol, alter)
+                altered_games += 1
+        assert altered_games > 20
+
+
+class TestDentedCertificate:
+    def test_ptg_interval_certificate_fails_verify(self, monkeypatch, capsys):
+        game = Path(__file__).parent / "golden" / "ptg-resets.json"
+
+        def solve_dented(g):
+            res = solve_ptg(g)
+            cert = res.trace[0]
+            k, a, b = gap_between_probes(cert.solution)
+            values = list(cert.solution.values)
+            values[k] = dented(values[k], a, b)
+            solution = dataclasses.replace(cert.solution, values=tuple(values))
+            trace = (dataclasses.replace(cert, solution=solution),) + res.trace[1:]
+            return dataclasses.replace(res, trace=trace)
+
+        assert cli.main(["solve", str(game), "--verify"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "solve_ptg", solve_dented)
+        assert cli.main(["solve", str(game), "--verify"]) == 1
+        assert capsys.readouterr().err == '{"verify": "failed"}\n'
 
 
 class TestBruteForce:
