@@ -203,14 +203,9 @@ def _waiting(rate, hi, line):
     return None if line is None else (rate * hi + _at(line, hi), rate)
 
 
-@dataclass(frozen=True)
-class PolicyEvaluation:
-    costs: tuple  # PwlFn per state: its play cost on [0,1]
-    starts: tuple  # per strategy cell, every state's play cost at the cell's lo
-
-
-def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> PolicyEvaluation:
-    """Every state's play cost under the profile, exactly, on all of [0,1].
+def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> tuple:
+    """Every state's play cost under the profile, exactly, on all of
+    [0,1]: a ``PwlFn`` per state.
 
     Cells are evaluated right to left.  In the point cell at 1 a state
     costs the untimed profile's payoff.  In a cell [lo, hi) a waiting
@@ -219,17 +214,14 @@ def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> PolicyEvaluati
     same clock value, resolved along the cell's chains of choices; a
     chain that closes a cycle takes no time and never ends, so it costs
     infinity.  A state keeps its line object while its choice and its
-    successor's line are unchanged, so a segment starts only where a line
-    changes.  Raises :class:`OracleError` on a profile that waits at 1
-    or picks an action of another state, as :func:`simulate` does."""
+    successor's line are unchanged, so a piece of its cost spans every
+    cell where its line holds.  Raises :class:`OracleError` on a profile
+    that waits at 1 or picks an action of another state, as
+    :func:`simulate` does."""
     actions, rates, n = sptg.actions, sptg.rates, sptg.num_states
-    cells = profile.cells
     lines = prev = None  # the lines and choices of the cell to the right
-    pieces = [[] for _ in range(n)]  # (lo, hi, line), right to left
-    ends = [F1] * n  # right end of each state's open piece
-    starts = [None] * len(cells)
-    for idx in range(len(cells) - 1, -1, -1):
-        lo, hi, choices = cells[idx]
+    pieces = [[] for _ in range(n)]  # [lo, hi, line], right to left
+    for lo, hi, choices in reversed(profile.cells):
         new = [_UNSEEN] * n
         for start in range(n):
             k, chain = start, []
@@ -257,23 +249,25 @@ def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> PolicyEvaluati
                 else:
                     line = _through(a.cost, line)
                 new[k] = line
-        if lines is not None:
-            for k in range(n):
-                if new[k] is not lines[k]:
-                    if ends[k] > hi:
-                        pieces[k].append((hi, ends[k], lines[k]))
-                    ends[k] = hi
-        starts[idx] = tuple(_at(line, lo) for line in new)
+        if lo == hi:
+            at_one = [_at(line, F1) for line in new]
+        else:
+            for piece, line in zip(pieces, new):
+                if piece and piece[-1][2] is line:
+                    piece[-1][0] = lo
+                else:
+                    piece.append([lo, hi, line])
         lines, prev = new, choices
-    costs = []
-    for k in range(n):
-        pieces[k].append((F0, ends[k], lines[k]))
-        segs = [
-            (lo, hi, INF, F0) if line is None else (lo, hi, _at(line, lo), -line[1])
-            for lo, hi, line in reversed(pieces[k])
-        ]
-        costs.append(PwlFn.from_segments(segs, {F1: starts[-1][k]}))
-    return PolicyEvaluation(tuple(costs), tuple(starts))
+    return tuple(
+        PwlFn.from_segments(
+            [
+                (lo, hi, INF, F0) if line is None else (lo, hi, _at(line, lo), -line[1])
+                for lo, hi, line in reversed(piece)
+            ],
+            {F1: v},
+        )
+        for piece, v in zip(pieces, at_one)
+    )
 
 
 # -- equilibrium checking ---------------------------------------------------
@@ -322,23 +316,19 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
     check evaluates the strategy everywhere, so it samples no clock
     values."""
     report = EquilibriumReport()
-    ev = evaluate_policy(sptg, sol.strategy)
+    costs = evaluate_policy(sptg, sol.strategy)
     for k in range(sptg.num_states):
-        got, want = ev.costs[k], sol.values[k]
+        got, want = costs[k], sol.values[k]
         if got != want:
             t = _first_difference(got, want)
             if t is not None:
                 report.fail_probe(k, t, got.eval(t), want.eval(t))
-    # where every play cost is its value, the costs at the next cell's start
-    # are the values at hi
-    exact = report.passed
     m = sptg.num_actions
     for idx, (lo, hi, choices) in enumerate(sol.strategy.cells):
         if lo == hi:
             game, profile = sptg.core, choices
         else:
-            waits = ev.starts[idx + 1] if exact else [f.eval(hi) for f in sol.values]
-            game = build_eps_game(sptg, waits)
+            game = build_eps_game(sptg, [f.eval(hi) for f in sol.values])
             profile = tuple(m + k if j is WAIT else j for k, j in enumerate(choices))
         for player in (1, 2):
             for j, _ in improving_switches(game, profile, player):

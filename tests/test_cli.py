@@ -11,7 +11,7 @@ import pytest
 from ptgsolve import cli, gamedoc
 from ptgsolve.fixtures import delayed_exit_jump, fixture_a
 from ptgsolve.gamedoc import DocumentError
-from ptgsolve.numerics import F0, F1
+from ptgsolve.numerics import F0, F1, DigitLimitError
 from ptgsolve.oracle import EquilibriumReport, check_equilibrium, generate_random
 from ptgsolve.priced_game import PAction, PricedGame
 from ptgsolve.ptg import solve_ptg
@@ -405,6 +405,25 @@ def test_plot_is_built_only_when_asked_for(tmp_path, monkeypatch, capsys):
         assert len(built) == 1 and plot.read_text().startswith("state\t")
         built.clear()
     capsys.readouterr()
+
+
+def test_too_long_plot_number_fails_only_with_plot(tmp_path, monkeypatch, capsys):
+    # a plot may print a number the result does not, such as the left
+    # limit before a jump; it fails the run only when the plot is asked for
+    def emit_plot(*args):
+        raise DigitLimitError("too-many-digits: a plot number")
+
+    monkeypatch.setattr(gamedoc, "emit_plot", emit_plot)
+    for kind, game in (("sptg", fixture_a().game), ("ptg", delayed_exit_jump().game)):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(doc_text(game, kind))
+        out, plot = tmp_path / f"{kind}.out.json", tmp_path / f"{kind}.tsv"
+        assert cli.main(["solve", str(path), "--out", str(out)]) == 0
+        assert out.exists() and capsys.readouterr().err == ""
+        out.unlink()
+        assert cli.main(["solve", str(path), "--out", str(out), "--plot", str(plot)]) == 2
+        assert capsys.readouterr().err == "output-error: too-many-digits: a plot number\n"
+        assert not out.exists() and not plot.exists()
 
 
 def test_verify_checks_every_reused_interval_certificate(tmp_path, monkeypatch, capsys):

@@ -312,7 +312,7 @@ class TestCheckEquilibrium:
 class TestEvaluatePolicy:
     def test_equals_play_cost_at_probe_times(self):
         for g, sol in solved_sptgs():
-            costs = evaluate_policy(g, sol.strategy).costs
+            costs = evaluate_policy(g, sol.strategy)
             memo = {}
             for k in range(g.num_states):
                 for t in probe_times(sol.strategy):
@@ -333,7 +333,7 @@ class TestEvaluatePolicy:
                 )))
             cells.append((F1, F1, tuple(rng.choice(js) for js in g.core.state_actions)))
             profile = TimedStrategyProfile(tuple(cells))
-            costs = evaluate_policy(g, profile).costs
+            costs = evaluate_policy(g, profile)
             memo = {}
             times = probe_times(profile, samples=23)
             for k in range(g.num_states):
@@ -346,7 +346,7 @@ class TestEvaluatePolicy:
     def test_zero_time_loop(self):
         g = sptg([1, 1], [0, 0], (0, 1, Fr(1)), (1, 0, Fr(1)))
         loop = TimedStrategyProfile(((F0, F1, (0, 1)), (F1, F1, (0, 1))))
-        costs = evaluate_policy(g, loop).costs
+        costs = evaluate_policy(g, loop)
         memo = {}
         for k in range(2):
             assert costs[k].is_constant_inf()
@@ -364,7 +364,7 @@ class TestEvaluatePolicy:
             (h, F1, (1, 3)),
             (F1, F1, (1, 3)),
         ))
-        costs = evaluate_policy(g, profile).costs
+        costs = evaluate_policy(g, profile)
         assert costs[0] == PwlFn.from_segments([(F0, q, INF, F0), (q, h, INF, F0), (h, F1, Fr(1), F0)])
         assert costs[1] == PwlFn.from_segments([(F0, h, INF, F0), (h, F1, Fr(1), F0)])
         assert is_inf(costs[0].eval(Fr(3, 8))) and costs[0].eval(h) == 1
