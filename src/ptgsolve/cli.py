@@ -15,9 +15,10 @@ from .oracle import (
     brute_force_priced,
     check_equilibrium,
     generate_random,
+    untimed_value_iteration,
     value_iteration_sptg,
 )
-from .priced_game import extended_dijkstra, strategy_iteration
+from .priced_game import extended_dijkstra
 from .ptg import solve_ptg
 from .sptg import solve_sptg
 
@@ -56,13 +57,12 @@ def _cmd_solve(args) -> int:
 
     try:
         if doc.kind == "priced":
-            values, profile = extended_dijkstra(game)
+            values, _ = extended_dijkstra(game)
             out = gamedoc.emit_priced_result(doc, values)
             plot = None
             verify_ok = True
             if args.verify:
-                si_values, _, _ = strategy_iteration(game, profile)
-                verify_ok = si_values == values
+                verify_ok = untimed_value_iteration(game, game.state_actions) == values
                 try:
                     bf = brute_force_priced(game)
                     verify_ok = verify_ok and bf == values

@@ -3,10 +3,12 @@
 Results are recomputed here by routes apart from the sweep solver:
 backward-induction value iteration over piecewise linear functions, exact
 evaluation of a timed strategy profile's play costs, play simulation
-under explicit strategies, brute-force enumeration for untimed games,
-and seeded random instance generation.  Two solver routines are still
-shared: the equilibrium check builds its snapshot games with
-``build_eps_game`` and looks for switches with ``improving_switches``.
+under explicit strategies, value iteration for untimed games, a brute
+force over the maximizer's strategies that answers each with the
+minimizer's best response, and seeded random instance generation.  Two
+solver routines are still shared: the equilibrium check builds its
+snapshot games with ``build_eps_game`` and looks for switches with
+``improving_switches``.
 """
 
 from __future__ import annotations
@@ -336,58 +338,71 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
     return report
 
 
-# -- brute force ------------------------------------------------------------
+# -- untimed games ----------------------------------------------------------
 
 
-def profile_payoffs(game: PricedGame, profile) -> list:
-    """Payoff of every state when both players follow the profile: the
-    summed action costs of its play, infinite when the play cycles or
-    takes an infinite-cost action."""
+def untimed_value_iteration(game: PricedGame, allowed) -> list:
+    """Value of every state of an untimed game in which state k may use
+    only the actions ``allowed[k]``.
+
+    Starts from the all-infinite vector and applies at most n rounds of
+    min (minimizer) or max (maximizer) over ``cost + v[dest]``, stopping
+    early at a fixpoint; an infinite-cost action is worth infinity.  After
+    r rounds each state holds the value of the game in which a play that
+    has not reached the terminal within r moves costs infinity.  n rounds
+    suffice: costs are nonnegative, so the minimizer has an optimal
+    positional strategy, and under it every play from a finite-valued
+    state reaches the terminal within n moves: a cycle its choices left
+    open would let the maximizer loop forever, at infinite cost."""
     n = game.num_states
-    pay = {}
-    for start in range(n):
-        chain = {}  # state -> its action's cost, in play order
-        k = start
-        while k is not None and k not in pay and k not in chain:
-            a = game.actions[profile[k]]
-            chain[k] = a.cost
-            k = a.dest
-        # a state met again on its own chain lies on a cycle
-        acc = F0 if k is None else pay.get(k, INF)
-        for c, cost in reversed(chain.items()):
-            acc = INF if is_inf(cost) or is_inf(acc) else cost + acc
-            pay[c] = acc
-    return [pay[k] for k in range(n)]
+    moves = [[(game.actions[j].cost, game.actions[j].dest) for j in js] for js in allowed]
+    pick = [min if o == 1 else max for o in game.owners]
+    v = [INF] * n
+    for _ in range(n):
+        new = []
+        for k in range(n):
+            cands = []
+            for cost, dest in moves[k]:
+                if dest is None:
+                    cands.append(cost)
+                elif is_inf(cost) or is_inf(v[dest]):
+                    cands.append(INF)
+                else:
+                    cands.append(cost + v[dest])
+            new.append(pick[k](cands))
+        if new == v:
+            break
+        v = new
+    return v
 
 
 def brute_force_priced(game: PricedGame, budget: int = 10**6):
-    """Per-state value by exhaustive strategy enumeration: the best the
-    maximizer can guarantee against the minimizer's best response."""
+    """Per-state value by exhaustive enumeration of the maximizer's
+    positional strategies, each answered by the minimizer's best response:
+    the best the maximizer can guarantee.
+
+    The budget counts the profiles of both players, and the game is
+    refused past it.  With the maximizer's states pinned to one strategy
+    the minimizer faces a shortest-path problem with nonnegative costs,
+    which :func:`untimed_value_iteration` solves exactly in n rounds: each
+    state's least cost over plays that reach the terminal within n moves.
+    A positional strategy attains it (the shortest-path tree with the
+    fewest hops), and every positional play that never reaches the
+    terminal costs infinity, so that is the minimum over all the
+    minimizer's positional strategies."""
     total = 1
     for js in game.state_actions:
         total *= len(js)
     if total > budget:
         raise OracleError(f"{total} profiles exceed the budget {budget}")
-    n = game.num_states
-    p1_states = [k for k in range(n) if game.owners[k] == 1]
-    p2_states = [k for k in range(n) if game.owners[k] == 2]
-    best = [None] * n
-    for picks2 in itertools.product(*(game.state_actions[k] for k in p2_states)):
-        inner = [None] * n
-        for picks1 in itertools.product(*(game.state_actions[k] for k in p1_states)):
-            prof = [None] * n
-            for k, j in zip(p2_states, picks2):
-                prof[k] = j
-            for k, j in zip(p1_states, picks1):
-                prof[k] = j
-            pay = profile_payoffs(game, prof)
-            for k in range(n):
-                u = pay[k]
-                if inner[k] is None or u < inner[k]:
-                    inner[k] = u
-        for k in range(n):
-            if best[k] is None or inner[k] > best[k]:
-                best[k] = inner[k]
+    p2_states = [k for k in range(game.num_states) if game.owners[k] == 2]
+    allowed = list(game.state_actions)
+    best = None
+    for picks in itertools.product(*(game.state_actions[k] for k in p2_states)):
+        for k, j in zip(p2_states, picks):
+            allowed[k] = (j,)
+        inner = untimed_value_iteration(game, allowed)
+        best = inner if best is None else [max(b, u) for b, u in zip(best, inner)]
     return best
 
 

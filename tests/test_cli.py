@@ -11,7 +11,7 @@ import pytest
 from ptgsolve import cli, gamedoc
 from ptgsolve.fixtures import delayed_exit_jump, fixture_a
 from ptgsolve.gamedoc import DocumentError
-from ptgsolve.numerics import F0, F1, DigitLimitError
+from ptgsolve.numerics import F0, F1, DigitLimitError, is_inf
 from ptgsolve.oracle import EquilibriumReport, check_equilibrium, generate_random
 from ptgsolve.priced_game import PAction, PricedGame
 from ptgsolve.ptg import solve_ptg
@@ -278,18 +278,52 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert out["values"] == {"s0": "1", "s1": "1"}
 
-    def test_priced_verify_says_when_brute_force_is_skipped(self, tmp_path, capsys):
+    def past_budget(self, tmp_path):
         # 13 states with 3 actions each: 3**13 profiles, past the budget
         actions = []
         for k in range(13):
             actions += [PAction(k, None, Fr(k)), PAction(k, (k + 1) % 13, F1), PAction(k, k, F1)]
         g = PricedGame((1, 2) * 6 + (1,), tuple(actions))
-        path = self.write(tmp_path, doc_text(g, "priced"))
-        assert cli.main(["solve", path, "--verify"]) == 0
+        return self.write(tmp_path, doc_text(g, "priced"))
+
+    SKIPPED = "verify: brute-force skipped: 1594323 profiles exceed the budget 1000000\n"
+
+    def test_priced_verify_says_when_brute_force_is_skipped(self, tmp_path, capsys):
+        assert cli.main(["solve", self.past_budget(tmp_path), "--verify"]) == 0
         captured = capsys.readouterr()
-        skipped = "verify: brute-force skipped: 1594323 profiles exceed the budget 1000000\n"
-        assert captured.err == skipped
+        assert captured.err == self.SKIPPED
         assert json.loads(captured.out)["values"]["s0"] == "0"
+
+    def wrong_dijkstra(self, monkeypatch):
+        """Make the priced solve ship one finite value that is 1 too high."""
+        solve = cli.extended_dijkstra
+
+        def wrong(game):
+            values, profile = solve(game)
+            values = list(values)
+            k = next(k for k, v in enumerate(values) if not is_inf(v))
+            values[k] += 1
+            return values, profile
+
+        monkeypatch.setattr(cli, "extended_dijkstra", wrong)
+
+    def test_priced_verify_catches_a_wrong_value(self, tmp_path, monkeypatch, capsys):
+        path = self.write(tmp_path, priced_doc())
+        self.wrong_dijkstra(monkeypatch)
+        assert cli.main(["solve", path, "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == '{"verify": "failed"}\n'
+        assert json.loads(captured.out)["values"] == {"s0": "2", "s1": "1"}
+
+    def test_priced_verify_past_budget_catches_a_wrong_value(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        path = self.past_budget(tmp_path)
+        self.wrong_dijkstra(monkeypatch)
+        assert cli.main(["solve", path, "--verify"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == self.SKIPPED + '{"verify": "failed"}\n'
+        assert json.loads(captured.out)["values"]["s0"] == "1"
 
     def test_solve_sptg_writes_outputs(self, tmp_path):
         path = self.write(tmp_path, doc_text(fixture_a().game, "sptg"))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction as Fr
 from pathlib import Path
@@ -15,8 +16,8 @@ from ptgsolve.oracle import (
     check_equilibrium,
     evaluate_policy,
     generate_random,
-    profile_payoffs,
     simulate,
+    untimed_value_iteration,
     value_iteration_sptg,
 )
 from ptgsolve.priced_game import PAction, PricedGame, evaluate_profile, extended_dijkstra
@@ -75,6 +76,64 @@ def play_cost(sptg, profile, start, memo):
         acc = INF if is_inf(c) or is_inf(acc) else c + acc
         memo[conf] = acc
     return acc
+
+
+
+def profile_payoffs(game, profile):
+    """Payoff of every state when both players follow the profile: the
+    summed action costs of its play, infinite when the play cycles or
+    takes an infinite-cost action."""
+    n = game.num_states
+    pay = {}
+    for start in range(n):
+        chain = {}  # state -> its action's cost, in play order
+        k = start
+        while k is not None and k not in pay and k not in chain:
+            a = game.actions[profile[k]]
+            chain[k] = a.cost
+            k = a.dest
+        # a state met again on its own chain lies on a cycle
+        acc = F0 if k is None else pay.get(k, INF)
+        for c, cost in reversed(chain.items()):
+            acc = INF if is_inf(cost) or is_inf(acc) else cost + acc
+            pay[c] = acc
+    return [pay[k] for k in range(n)]
+
+
+def full_enumeration(game):
+    """Per-state value by playing every profile of both players: the max
+    over the maximizer's strategies of the min over the minimizer's.  The
+    reference ``brute_force_priced`` is tested against."""
+    n = game.num_states
+    p1_states = [k for k in range(n) if game.owners[k] == 1]
+    p2_states = [k for k in range(n) if game.owners[k] == 2]
+    best = [None] * n
+    for picks2 in itertools.product(*(game.state_actions[k] for k in p2_states)):
+        inner = [None] * n
+        for picks1 in itertools.product(*(game.state_actions[k] for k in p1_states)):
+            prof = [None] * n
+            for k, j in zip(p2_states, picks2):
+                prof[k] = j
+            for k, j in zip(p1_states, picks1):
+                prof[k] = j
+            pay = profile_payoffs(game, prof)
+            for k in range(n):
+                if inner[k] is None or pay[k] < inner[k]:
+                    inner[k] = pay[k]
+        for k in range(n):
+            if best[k] is None or inner[k] > best[k]:
+                best[k] = inner[k]
+    return best
+
+
+def random_priced_games():
+    """1,400 random priced games, n = 1..7: two-player and one-player,
+    with and without infinite costs."""
+    for n in range(1, 8):
+        for seed in range(200):
+            yield generate_random(
+                "priced", n, 3, seed, one_player=seed % 4 == 1, allow_inf=seed % 2 == 0
+            )
 
 
 def probe_times(strategy, samples=50):
@@ -422,6 +481,81 @@ class TestDentedCertificate:
         assert capsys.readouterr().err == '{"verify": "failed"}\n'
 
 
+def chain_game(n):
+    """A minimizer chain 0 -> 1 -> ... -> n-1 -> terminal of free moves,
+    each state also exiting directly at cost 1: state 0's best play takes
+    exactly n moves."""
+    return PricedGame(
+        (1,) * n,
+        tuple(
+            a
+            for k in range(n)
+            for a in (PAction(k, k + 1 if k + 1 < n else None, F0), PAction(k, None, F1))
+        ),
+    )
+
+
+class TestUntimedGames:
+    """``untimed_value_iteration`` over every action, and
+    ``brute_force_priced``, on games whose value needs a long play, a
+    cycle left or avoided, or an infinite cost."""
+
+    def values(self, g):
+        vi = untimed_value_iteration(g, g.state_actions)
+        assert brute_force_priced(g) == vi
+        return vi
+
+    def test_best_play_takes_n_moves(self):
+        for n in range(1, 7):
+            assert self.values(chain_game(n)) == [F0] * n, n
+
+    def test_maximizer_pins_a_play_of_n_moves(self):
+        # the maximizer at 1 prefers the chain on to 3, whose exit costs 1,
+        # to its free exit; state 0's value then takes all four moves
+        g = PricedGame(
+            (1, 2, 1, 1),
+            (
+                PAction(0, 1, F0),
+                PAction(0, None, Fr(3)),
+                PAction(1, 2, F0),
+                PAction(1, None, F0),
+                PAction(2, 3, F0),
+                PAction(2, None, Fr(3)),
+                PAction(3, None, F1),
+            ),
+        )
+        assert self.values(g) == [F1] * 4
+
+    def test_zero_cost_cycle_is_left(self):
+        g = PricedGame(
+            (1, 1),
+            (PAction(0, 1, F0), PAction(1, 0, F0), PAction(1, None, Fr(5))),
+        )
+        assert self.values(g) == [Fr(5), Fr(5)]
+
+    def test_maximizer_traps_the_play_in_a_cycle(self):
+        g = PricedGame(
+            (2, 1),
+            (PAction(0, None, Fr(3)), PAction(0, 1, F1), PAction(1, 0, F1)),
+        )
+        assert all(map(is_inf, self.values(g)))
+
+    def test_infinite_action_left_as_the_only_one(self):
+        # the maximizer shuts the finite exit, leaving the infinite one
+        g = PricedGame(
+            (1, 2),
+            (PAction(0, 1, F0), PAction(1, None, INF), PAction(1, None, Fr(2))),
+        )
+        assert all(map(is_inf, self.values(g)))
+        g = PricedGame((1,), (PAction(0, None, INF),))
+        assert is_inf(self.values(g)[0])
+
+    def test_value_iteration_matches_dijkstra_on_randoms(self):
+        for g in random_priced_games():
+            dv, _ = extended_dijkstra(g)
+            assert untimed_value_iteration(g, g.state_actions) == dv, g
+
+
 class TestBruteForce:
     def test_single_minimizer(self):
         g = PricedGame((1,), (PAction(0, None, Fr(3)), PAction(0, None, Fr(1))))
@@ -442,6 +576,14 @@ class TestBruteForce:
             bf = brute_force_priced(g)
             dv, _ = extended_dijkstra(g)
             assert bf == dv, seed
+
+    def test_matches_full_enumeration_on_randoms(self):
+        infinite = 0
+        for g in random_priced_games():
+            want = full_enumeration(g)
+            infinite += any(map(is_inf, want))
+            assert brute_force_priced(g) == want, g
+        assert infinite > 100
 
 
 class TestProfilePayoffs:
