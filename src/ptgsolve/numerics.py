@@ -174,10 +174,6 @@ class PwlFn:
         for i in range(len(self.seg_vals)):
             yield self.breaks[i], self.breaks[i + 1], self.seg_vals[i], self.slopes[i]
 
-    @property
-    def num_segments(self) -> int:
-        return len(self.seg_vals)
-
     def is_constant_inf(self) -> bool:
         return len(self.seg_vals) == 1 and is_inf(self.seg_vals[0])
 
@@ -220,12 +216,6 @@ class PwlFn:
         val = self.seg_vals[i]
         return INF if is_inf(val) else val + self.slopes[i] * (x - self.breaks[i])
 
-    def _slope_at(self, x):
-        if x < self.lo or x > self.hi:
-            raise DomainError(str(x))
-        i = bisect_right(self.breaks, x) - 1
-        return self.slopes[min(i, len(self.slopes) - 1)]  # hi lies in the last segment
-
     # -- arithmetic ------------------------------------------------------
 
     def offset(self, c) -> "PwlFn":
@@ -246,57 +236,55 @@ class PwlFn:
         return self.breaks[1:-1]
 
 
-def _require_same_domain(fs: Sequence[PwlFn]):
-    if not fs:
-        raise PwlError("empty function list")
-    lo, hi = fs[0].lo, fs[0].hi
-    for f in fs[1:]:
-        if f.lo != lo or f.hi != hi:
-            raise DomainError("mismatched domains")
-    return lo, hi
+def _merge(f: PwlFn, g: PwlFn, better) -> PwlFn:
+    """The pointwise best of two functions on a common domain.
 
-
-def _envelope(fs: Sequence[PwlFn], pick) -> PwlFn:
-    lo, hi = _require_same_domain(fs)
-    cuts = set()
-    for f in fs:
-        cuts.update(f.breaks)
-    # Pairwise crossings of finite segments refine the grid.
-    for i, f in enumerate(fs):
-        for g in fs[i + 1 :]:
-            for flo, fhi, fv, fs_ in f.segments():
-                if is_inf(fv):
-                    continue
-                for glo, ghi, gv, gs_ in g.segments():
-                    if is_inf(gv):
-                        continue
-                    a, b = max(flo, glo), min(fhi, ghi)
-                    if b <= a or fs_ == gs_:
-                        continue
-                    # f(x) = fv + fs_*(x-flo), g(x) = gv + gs_*(x-glo)
-                    x = (gv - gs_ * glo - fv + fs_ * flo) / (fs_ - gs_)
-                    if a < x < b:
-                        cuts.add(x)
-    grid = sorted(cuts)
+    Between consecutive breakpoints of either function both are affine,
+    so their difference changes sign at most once there.  The function
+    better at a piece's left end (by its right limit; a tie goes to the
+    one better at the right end) wins the piece, up to the single
+    crossing if the other is strictly better at the right end (by its
+    left limit).  A constant-infinite piece is never strictly better at
+    one end and worse at the other, so it never splits.  Every
+    breakpoint takes the better point value, so jumps survive.
+    """
+    grid = sorted(set(f.breaks) | set(g.breaks))
     segs = []
     for a, b in zip(grid, grid[1:]):
-        mid = (a + b) / 2
-        best = None
-        for f in fs:
-            v = f.eval(mid)
-            if best is None or pick(v, best[0]):
-                lo_v = f.eval(a, "right")
-                best = (v, lo_v, F0 if is_inf(lo_v) else f._slope_at(mid))
-        segs.append((a, b, best[1], best[2]))
+        fa, fb = f.eval(a, "right"), f.eval(b, "left")
+        ga, gb = g.eval(a, "right"), g.eval(b, "left")
+        if better(ga, fa) or (ga == fa and better(gb, fb)):
+            fa, fb, ga, gb = ga, gb, fa, fb
+        if better(gb, fb):
+            # both finite here; f leads at a, g at b
+            t = (ga - fa) / ((ga - fa) - (gb - fb))
+            x = a + t * (b - a)
+            segs.append((a, x, fa, (fb - fa) / (b - a)))
+            segs.append((x, b, ga + t * (gb - ga), (gb - ga) / (b - a)))
+        else:
+            segs.append((a, b, fa, F0 if is_inf(fa) else (fb - fa) / (b - a)))
     overrides = {}
-    for b in grid:
-        vals = [f.eval(b) for f in fs]
-        chosen = vals[0]
-        for v in vals[1:]:
-            if pick(v, chosen):
-                chosen = v
-        overrides[b] = chosen
+    for x in grid:
+        fx, gx = f.eval(x), g.eval(x)
+        overrides[x] = gx if better(gx, fx) else fx
     return PwlFn.from_segments(segs, overrides)
+
+
+def _envelope(fs: Sequence[PwlFn], better) -> PwlFn:
+    """The pointwise best of ``fs``: :func:`_merge` folded as a balanced
+    tree, each round merging neighbours in pairs, so every function
+    takes part in about log2(len(fs)) merges.  Each merge is exact and
+    taking the better of two values is associative, so the fold is the
+    envelope of all of ``fs``; results are canonical, so the order of
+    the merges does not show."""
+    if not fs:
+        raise PwlError("empty function list")
+    if any((f.lo, f.hi) != (fs[0].lo, fs[0].hi) for f in fs):
+        raise DomainError("mismatched domains")
+    while len(fs) > 1:
+        pairs = [_merge(f, g, better) for f, g in zip(fs[::2], fs[1::2])]
+        fs = pairs + fs[len(pairs) * 2 :]
+    return fs[0]
 
 
 def min_envelope(fs: Sequence[PwlFn]) -> PwlFn:

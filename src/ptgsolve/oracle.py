@@ -138,12 +138,16 @@ def simulate(sptg: Sptg, profile: TimedStrategyProfile, start) -> Play:
     return Play(tuple(steps), True, cost)
 
 
-def simulate_ptg(game: Ptg, chooser, start, max_steps: int = 10_000) -> Play:
+SIMULATION_STEPS = 10_000  # moves before :func:`simulate_ptg` gives up
+
+
+def simulate_ptg(game: Ptg, chooser, start) -> Play:
     """Play a timed game under an explicit decision function.
 
     ``chooser(state, time, resets_used)`` returns ``("wait", delay)`` or
     ``("move", action_index)``.  A configuration revisit at equal time
-    and reset count certifies cost infinity.
+    and reset count certifies cost infinity.  Raises after
+    :data:`SIMULATION_STEPS` moves.
     """
     k, x = start
     x = frac(x)
@@ -151,7 +155,7 @@ def simulate_ptg(game: Ptg, chooser, start, max_steps: int = 10_000) -> Play:
     cost = F0
     resets = 0
     seen = set()
-    for _ in range(max_steps):
+    for _ in range(SIMULATION_STEPS):
         if k is None:
             return Play(tuple(steps), True, cost)
         if (k, x, resets) in seen:
@@ -333,7 +337,7 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
             game = build_eps_game(sptg, [f.eval(hi) for f in sol.values])
             profile = tuple(m + k if j is WAIT else j for k, j in enumerate(choices))
         for player in (1, 2):
-            for j, _ in improving_switches(game, profile, player):
+            for j in improving_switches(game, profile, player):
                 report.fail_cell(idx, player, j)
     return report
 

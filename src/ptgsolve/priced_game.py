@@ -10,8 +10,8 @@ and the path length after that.
 
 One lexicographic extended Dijkstra scan (:func:`extended_dijkstra`)
 solves a game and yields a profile that neither player can improve.
-Strategy iteration improves a given profile instead; the instrumented
-sweep and priced ``--verify`` use it.
+Strategy iteration improves a given profile instead, one switch at a
+time; the instrumented sweep uses it.
 """
 
 from __future__ import annotations
@@ -155,8 +155,7 @@ def evaluate_profile(game: PricedGame, profile: Profile) -> list:
 
 def improving_switches(game: PricedGame, profile: Profile, player: int):
     """Actions whose one-step deviation lexicographically improves the
-    owner's valuation.  Returns ``[(action, strongly_improving)]``, where
-    a strong switch improves the payoff or, at equal payoff, the rate."""
+    owner's valuation."""
     return _switches(game, profile, evaluate_profile(game, profile), player)
 
 
@@ -173,7 +172,7 @@ def _switches(game: PricedGame, profile: Profile, vals, player: int):
             cand = _through(game, j, vals)
             lo, hi = (cand, cur) if player == 1 else (cur, cand)
             if lo < hi:
-                out.append((j, (lo.payoff, lo.rate) < (hi.payoff, hi.rate)))
+                out.append(j)
     return out
 
 
@@ -279,27 +278,14 @@ def _settle(owners, actions, preds, offers, pending, vals, profile):
                 offer(a.source, pj, a.cost + val, rate, hops + 1)
 
 
-def _pick_switch_set(game: PricedGame, switches):
-    """One switch per state: strongly improving preferred, then lowest id."""
-    per_state = {}
-    for j, strong in switches:
-        k = game.actions[j].source
-        cur = per_state.get(k)
-        if cur is None or (strong, -j) > (cur[1], -cur[0]):
-            per_state[k] = (j, strong)
-    return [j for j, _ in per_state.values()]
-
-
-def _pick_lowest(game: PricedGame, switches):
-    """The single improving switch with the lowest action id."""
-    return [min(j for j, _ in switches)]
-
-
-def _iterate(game: PricedGame, profile: Profile, pick, hook=None):
-    """Apply the picked improving switches, the maximizer's first, until
-    neither player has one.  Each pass makes one switch step or returns
-    the :class:`Payoffs` of its evaluation.  ``hook`` sees the first
-    picked switch, so only single-switch callers pass one.
+def single_switch_iteration(game: PricedGame, profile: Profile, hook: Optional[Callable] = None):
+    """Improve both players' choices one switch at a time until neither
+    has an improving switch; the resulting profile is optimal and its
+    payoffs are the game values.  Each step applies the improving switch
+    with the lowest action id, the maximizer's while it has any, and
+    ``hook(game, before, action, after)`` fires at every switch.
+    Returns ``(values, profile, switch_count)``; ``values`` is a
+    :class:`Payoffs`, so the final profile's valuations come with it.
 
     The budget allows P*(n+1)+1 minimizer steps, each preceded by fewer
     than P maximizer steps, where P is :meth:`PricedGame.profile_bound`:
@@ -308,36 +294,22 @@ def _iterate(game: PricedGame, profile: Profile, pick, hook=None):
     """
     bound = game.profile_bound()
     budget = bound * (bound * (game.num_states + 1) + 1) + 1
-    switch_count = 0
-    for _ in range(budget):
+    for switch_count in range(budget):
         vals = evaluate_profile(game, profile)
         sw = _switches(game, profile, vals, 2) or _switches(game, profile, vals, 1)
         if not sw:
             return Payoffs(vals), profile, switch_count
-        picked = pick(game, sw)
-        nxt = apply_switches(game, profile, picked)
+        j = min(sw)
+        nxt = apply_switches(game, profile, [j])
         if hook is not None:
-            hook(game, profile, picked[0], nxt)
+            hook(game, profile, j, nxt)
         profile = nxt
-        switch_count += len(picked)
     raise RuntimeError("strategy iteration exceeded its termination budget")
 
 
 def strategy_iteration(game: PricedGame, profile: Profile):
-    """Improve both players' choices until neither has an improving
-    switch; the resulting profile is optimal and its payoffs are the game
-    values.  Each step switches one action per state of one player, the
-    maximizer's while it has any.  Returns ``(values, profile,
-    switch_count)``; ``values`` is a :class:`Payoffs`, so the final
-    profile's valuations come with it."""
-    return _iterate(game, profile, _pick_switch_set)
-
-
-def single_switch_iteration(game: PricedGame, profile: Profile, hook: Optional[Callable] = None):
-    """As :func:`strategy_iteration`, but one improving switch at a time,
-    the lowest action id first.  ``hook(game, before, action, after)``
-    fires at every switch."""
-    return _iterate(game, profile, _pick_lowest, hook)
+    """:func:`single_switch_iteration` without a hook."""
+    return single_switch_iteration(game, profile)
 
 
 # -- potential instrumentation ----------------------------------------------

@@ -151,14 +151,11 @@ class TestPwlEval:
             sides = ["at"] + (["left"] if x > F0 else []) + (["right"] if x < F1 else [])
             for side in sides:
                 assert f.eval(x, side) == scan(x, side), (x, side)
-            assert f._slope_at(x) == next(s for lo, hi, _, s in segs if lo <= x < hi or x == hi == F1)
-        with pytest.raises(DomainError):
-            f._slope_at(Fr(-1, 2))
 
     def test_collinear_segments_merge(self):
         f = PwlFn.from_segments([(F0, Fr(1, 2), F0, F1), (Fr(1, 2), F1, Fr(1, 2), F1)])
         assert f == affine(0, 1, 0, 1)
-        assert f.num_segments == 1
+        assert len(f.seg_vals) == 1
 
     def test_zero_width_segment_rejected(self):
         with pytest.raises(PwlError):
@@ -199,6 +196,55 @@ class TestEnvelopes:
         h = min_envelope(fs)
         x = Fr(num, 16)
         assert h.eval(x) == min(f.eval(x) for f in fs)
+
+
+@st.composite
+def pwl_fns(draw):
+    """A function on [0, 1] of up to 5 pieces on a grid of twelfths, with
+    small integer values so that ties and shared crossings are common,
+    infinite pieces, and jumps (some to infinity) at breakpoints."""
+    cuts = draw(st.sets(st.integers(1, 11), max_size=4))
+    pts = [F0] + [Fr(c, 12) for c in sorted(cuts)] + [F1]
+    values = st.one_of(st.integers(-3, 3).map(Fr), st.just(INF))
+    segs = [
+        (a, b, draw(values), Fr(draw(st.integers(-6, 6)), 2)) for a, b in zip(pts, pts[1:])
+    ]
+    jumps = {p: draw(values) for p in pts if draw(st.booleans()) and draw(st.booleans())}
+    return PwlFn.from_segments(segs, jumps)
+
+
+def assert_pointwise(h, fs, best):
+    """``h`` is the pointwise ``best`` of ``fs`` at every breakpoint of
+    any of them (point value and both one-sided limits) and at every
+    midpoint between consecutive ones."""
+    grid = sorted(set(h.breaks).union(*(f.breaks for f in fs)))
+    xs = grid + [(a + b) / 2 for a, b in zip(grid, grid[1:])]
+    for x in xs:
+        sides = ["at"] + (["left"] if x > F0 else []) + (["right"] if x < F1 else [])
+        for side in sides:
+            assert h.eval(x, side) == best(f.eval(x, side) for f in fs), (x, side)
+
+
+class TestMergedEnvelopes:
+    @given(st.lists(pwl_fns(), min_size=1, max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_pointwise_reference(self, fs):
+        assert_pointwise(min_envelope(fs), fs, min)
+        assert_pointwise(max_envelope(fs), fs, max)
+
+    @pytest.mark.parametrize("k", [64, 256])
+    def test_work_is_k_log_k(self, k, monkeypatch):
+        # tangents to x^2 (upper envelope) and -x^2 (lower): every line
+        # shows on the envelope, which has k pieces and k-1 crossings
+        evals = []
+        plain_eval = PwlFn.eval
+        monkeypatch.setattr(PwlFn, "eval", lambda f, *a: evals.append(1) or plain_eval(f, *a))
+        ts = [Fr(i, k) for i in range(k)]
+        for envelope, sign in ((max_envelope, 1), (min_envelope, -1)):
+            evals.clear()
+            h = envelope([affine(0, 1, -sign * t * t, sign * 2 * t) for t in ts])
+            assert len(h.seg_vals) == k
+            assert len(evals) <= 8 * k * math.log2(k), len(evals)
 
 
 def running_extreme_from_right(f, x, pick):

@@ -82,10 +82,10 @@ class TestEvaluateProfile:
 class TestImprovingSwitches:
     def test_free_self_loop_improves_for_maximizer(self):
         # one-step lookahead sees equal payoff but more hops, so the switch
-        # is improving without being strongly improving; iterating from it
-        # still drives the value to infinity
+        # improves only on path length; iterating from it still drives the
+        # value to infinity
         g = game([2], (0, None, Fr(0)), (0, 0, Fr(0)))
-        assert improving_switches(g, (0,), 2) == [(1, False)]
+        assert improving_switches(g, (0,), 2) == [1]
         values, _, _ = strategy_iteration(g, (0,))
         assert is_inf(values[0])
 
@@ -97,7 +97,7 @@ class TestImprovingSwitches:
 
     def test_cheaper_exit_strongly_improves_for_minimizer(self):
         g = game([1], (0, None, Fr(3)), (0, None, Fr(1)))
-        assert improving_switches(g, (0,), 1) == [(1, True)]
+        assert improving_switches(g, (0,), 1) == [1]
 
 
 class TestApplySwitches:
@@ -258,7 +258,7 @@ class TestSingleSwitchIteration:
             # the switch sequence of the public improving_switches
             want, p = [], start
             while sw := improving_switches(g, p, 2) or improving_switches(g, p, 1):
-                want.append(min(j for j, _ in sw))
+                want.append(min(sw))
                 p = apply_switches(g, p, want[-1:])
             seen = []
             calls.clear()
@@ -298,7 +298,7 @@ class TestImprovingSetMonotonicity:
             if not sw:
                 continue
             picked = {}
-            for j, _ in sw:
+            for j in sw:
                 picked.setdefault(g.actions[j].source, j)
             after = apply_switches(g, profile, list(picked.values()))
             before_v = evaluate_profile(g, profile)
