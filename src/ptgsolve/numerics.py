@@ -177,13 +177,15 @@ class PwlFn:
     def is_constant_inf(self) -> bool:
         return len(self.seg_vals) == 1 and is_inf(self.seg_vals[0])
 
-    def is_continuous(self) -> bool:
-        for i in range(len(self.breaks)):
-            if i < len(self.seg_vals) and self.point_vals[i] != self.seg_vals[i]:
-                return False
-            if i > 0 and self.point_vals[i] != self._left_limit_at(i):
-                return False
-        return True
+    def jumps(self) -> list:
+        """The breakpoints, ascending, where the point value differs
+        from a one-sided limit."""
+        return [
+            b
+            for i, (b, p) in enumerate(zip(self.breaks, self.point_vals))
+            if (i < len(self.seg_vals) and p != self.seg_vals[i])
+            or (i > 0 and p != self._left_limit_at(i))
+        ]
 
     def _left_limit_at(self, i):
         lo, hi = self.breaks[i - 1], self.breaks[i]
@@ -222,15 +224,15 @@ class PwlFn:
         """Pointwise ``f + c`` with an extended-cost constant."""
         if is_inf(c):
             return PwlFn.constant(self.lo, self.hi, INF)
+        # a finite shift keeps every jump, kink and merge: still canonical
         c = frac(c)
-        segs = [
-            (lo, hi, INF if is_inf(v) else v + c, s) for lo, hi, v, s in self.segments()
-        ]
-        overrides = {
-            b: (INF if is_inf(p) else p + c)
-            for b, p in zip(self.breaks, self.point_vals)
-        }
-        return PwlFn.from_segments(segs, overrides)
+        shift = lambda v: INF if is_inf(v) else v + c
+        return PwlFn(
+            self.breaks,
+            tuple(map(shift, self.seg_vals)),
+            self.slopes,
+            tuple(map(shift, self.point_vals)),
+        )
 
     def interior_breaks(self) -> tuple:
         return self.breaks[1:-1]
@@ -313,7 +315,7 @@ def wait_closure(f: PwlFn, rate, player: str) -> PwlFn:
         return f
     if any(is_inf(v) for v in f.seg_vals):
         raise PwlError("wait closure requires a finite or constant-inf function")
-    if not f.is_continuous():
+    if f.jumps():
         raise PwlError("wait closure requires a continuous function")
     minimize = player == "min"
 

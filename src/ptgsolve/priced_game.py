@@ -176,17 +176,6 @@ def _switches(game: PricedGame, profile: Profile, vals, player: int):
     return out
 
 
-def apply_switches(game: PricedGame, profile: Profile, switches) -> Profile:
-    """Replace the profile's choice at each switched state."""
-    chosen = {}
-    for j in switches:
-        k = game.actions[j].source
-        if k in chosen:
-            raise ValueError(f"two switches at state {k}")
-        chosen[k] = j
-    return tuple(chosen.get(k, profile[k]) for k in range(game.num_states))
-
-
 def extended_dijkstra(game: PricedGame):
     """Values and an optimal profile via the adversarial Dijkstra scan.
 
@@ -300,7 +289,8 @@ def single_switch_iteration(game: PricedGame, profile: Profile, hook: Optional[C
         if not sw:
             return Payoffs(vals), profile, switch_count
         j = min(sw)
-        nxt = apply_switches(game, profile, [j])
+        k = game.actions[j].source
+        nxt = profile[:k] + (j,) + profile[k + 1 :]
         if hook is not None:
             hook(game, profile, j, nxt)
         profile = nxt

@@ -12,14 +12,15 @@ All layers share the one game: a reset is priced where its action is
 converted to an untimed one, as a terminal exit worth the next layer's
 clock-0 value at its destination.  A layer's result depends only on the
 game and those clock-0 values, so the layer loop stops at the first
-layer that reproduces its input; and the game converts the actions
-available at each clock value once, leaving each layer to price only
-its resets.  Each step of a layer (the top game, an interval game, a
-lower ladder point) depends only on its clock value, the values it
-starts from and the prices of the resets available there, so one memo
-keyed by those inputs serves the whole solve, and a layer solves only
-the steps whose inputs changed.  The piecewise-linear value functions
-are assembled once, for the layer returned.
+layer that reproduces its input.  A solve tables the actions available
+at each ladder point and interval midpoint once, and each step of a
+layer (the top game, an interval game, a lower ladder point) converts
+its entry once, pricing its resets.  A step depends only on its clock
+value, the values it starts from and those untimed actions, so one memo
+keyed by them serves the whole solve, and a layer solves only the steps
+whose inputs changed.  The top game is the moment game with no stops.
+The piecewise-linear value functions are assembled once, for the layer
+returned.
 """
 
 from __future__ import annotations
@@ -125,13 +126,6 @@ class Ptg:
         """Distinct states that reset actions lead to."""
         return len({a.dest for a in self.actions if a.reset})
 
-    @cached_property
-    def _untimed_at(self) -> dict:
-        """Clock value -> the actions available there, in ``actions``
-        order, as ``(TAction, PAction)`` pairs; a reset's ``PAction`` is
-        None, as its price depends on the layer.  Filled by ``_available``."""
-        return {}
-
 
 @dataclass(frozen=True)
 class IntervalCert:
@@ -160,80 +154,67 @@ class PtgResult:
     stats: PtgStats
 
     def jump_points(self, state: int):
-        """Ladder points where the value differs from a one-sided limit."""
-        f = self.values[state]
-        out = []
-        for t in self.ladder:
-            i = f.breaks.index(t) if t in f.breaks else None
-            if i is None:
-                continue
-            pv = f.point_vals[i]
-            jump = False
-            if i > 0 and f.eval(t, side="left") != pv:
-                jump = True
-            if i < len(f.seg_vals) and f.eval(t, side="right") != pv:
-                jump = True
-            if jump:
-                out.append(t)
-        return out
+        """Points where the value differs from a one-sided limit, in
+        descending ladder order; they are all ladder points."""
+        return self.values[state].jumps()[::-1]
 
 
-def _available(game: Ptg, x) -> list:
-    """The ``(TAction, PAction)`` pairs of ``Ptg._untimed_at`` at x,
-    converted on first use."""
-    available = game._untimed_at.get(x)
-    if available is None:
-        available = game._untimed_at[x] = [
-            (a, None if a.reset else PAction(a.source, a.dest, a.cost, label=a.label))
-            for a in game.actions
-            if a.available_at(x)
-        ]
-    return available
+def _availability(game: Ptg) -> dict:
+    """Each ladder point and interval midpoint -> the actions available
+    there, in ``actions`` order, as ``(TAction, PAction)`` pairs; a
+    reset's ``PAction`` is None, as its price depends on the layer.
+
+    Read off ranks in the ladder, with no clock comparisons: an action
+    is available at the ladder points from its ``hi`` down to its
+    ``lo``, each end only if closed, and at the midpoints between them.
+    """
+    ladder = game.ladder
+    rank = {t: i for i, t in enumerate(ladder)}
+    midpoints = tuple((hi + lo) / 2 for hi, lo in zip(ladder, ladder[1:]))
+    at_point = [[] for _ in ladder]
+    inside = [[] for _ in midpoints]
+    for a in game.actions:
+        pair = (a, None if a.reset else PAction(a.source, a.dest, a.cost, label=a.label))
+        top, bottom = rank[a.hi], rank[a.lo]
+        for i in range(top + (not a.hi_closed), bottom + a.lo_closed):
+            at_point[i].append(pair)
+        for i in range(top, bottom):
+            inside[i].append(pair)
+    return dict(zip(ladder + midpoints, at_point + inside))
 
 
-def _reset_price(a: TAction, reset_values):
-    """A reset's cost plus its destination's entry of ``reset_values``,
-    the next layer's clock-0 values; infinite in the deepest layer, where
-    ``reset_values`` is None."""
-    extra = INF if reset_values is None else reset_values[a.dest]
-    return INF if (is_inf(a.cost) or is_inf(extra)) else a.cost + extra
+def _untimed(pairs, reset_values) -> tuple:
+    """A step's untimed actions: each pair's ``PAction``, a reset being a
+    terminal exit worth its cost plus its destination's entry of
+    ``reset_values``, the next layer's clock-0 values; infinite in the
+    deepest layer, where ``reset_values`` is None."""
+    out = []
+    for a, untimed in pairs:
+        if untimed is None:
+            extra = INF if reset_values is None else reset_values[a.dest]
+            cost = INF if is_inf(a.cost) or is_inf(extra) else a.cost + extra
+            untimed = PAction(a.source, None, cost, label=a.label)
+        out.append(untimed)
+    return tuple(out)
 
 
-def _actions_at(game: Ptg, x, reset_values) -> list:
-    """The actions available at clock x as untimed actions, a reset
-    being a terminal exit at its ``_reset_price``."""
-    return [
-        PAction(a.source, None, _reset_price(a, reset_values), label=a.label)
-        if untimed is None
-        else untimed
-        for a, untimed in _available(game, x)
-    ]
-
-
-def _reset_prices(game: Ptg, x, reset_values) -> tuple:
-    """The prices of the resets available at x: all a layer's untimed
-    actions at x depend on."""
-    return tuple(
-        _reset_price(a, reset_values) for a, untimed in _available(game, x) if untimed is None
+def build_moment_game(game: Ptg, v, actions) -> PricedGame:
+    """Snapshot priced game at a ladder point: its untimed ``actions``
+    plus a stop action per state collecting that state's entry of ``v``;
+    where ``v`` is None (the top of the ladder), the actions alone."""
+    stops = () if v is None else tuple(
+        PAction(k, None, v[k], label=f"stop{k}") for k in range(game.num_states)
     )
+    return PricedGame(game.owners, actions + stops)
 
 
-def build_moment_game(game: Ptg, v, x, reset_values) -> PricedGame:
-    """Snapshot priced game at clock x: the actions available at x plus
-    a stop action per state collecting that state's entry of ``v``."""
-    actions = _actions_at(game, x, reset_values)
-    for k in range(game.num_states):
-        actions.append(PAction(k, None, v[k], label=f"stop{k}"))
-    return PricedGame(game.owners, tuple(actions))
-
-
-def build_interval_sptg(game: Ptg, v_hi, x, width, reset_values) -> Sptg:
+def build_interval_sptg(game: Ptg, v_hi, width, actions) -> Sptg:
     """Rescale one homogeneous availability interval to an SPTG on [0,1].
 
-    Actions available at the interior point x survive with their original
-    destinations, resets priced as in ``_actions_at``; each state gains a
-    stop action worth its entry of ``v_hi``, the values at the interval's
-    right end, so the untimed game at 1 is the moment game at x.  For
+    The untimed ``actions`` available inside the interval survive with
+    their original destinations; each state gains a stop action worth
+    its entry of ``v_hi``, the values at the interval's right end, so the
+    untimed game at 1 is the moment game at any interior point.  For
     minimizer states the stop action routes through a fresh maximizer
     state with the top rate and a free exit, which prices early stopping
     out of the optimum; maximizer stop actions go to the terminal directly
@@ -245,15 +226,14 @@ def build_interval_sptg(game: Ptg, v_hi, x, width, reset_values) -> Sptg:
     n = game.num_states
     max_state = n
     top_rate = max(game.rates, default=F0) * width
-    actions = _actions_at(game, x, reset_values)
-    for k in range(n):
-        dest = max_state if game.owners[k] == 1 else None
-        actions.append(PAction(k, dest, v_hi[k], label=f"stop{k}"))
-    actions.append(PAction(max_state, None, F0, label="exit-max"))
+    stops = tuple(
+        PAction(k, max_state if game.owners[k] == 1 else None, v_hi[k], label=f"stop{k}")
+        for k in range(n)
+    )
     return Sptg(
         owners=game.owners + (2,),
         rates=tuple(r * width for r in game.rates) + (top_rate,),
-        actions=tuple(actions),
+        actions=actions + stops + (PAction(max_state, None, F0, label="exit-max"),),
     )
 
 
@@ -265,48 +245,50 @@ def _remap(fn: PwlFn, lo, width) -> list:
     ]
 
 
-def _point_values(game: Ptg, v, x, reset_values, stats: PtgStats, memo: dict) -> tuple:
-    """Values at ladder point x: of the moment game with stops worth
-    ``v``, or, where ``v`` is None (the top), of the actions at x alone."""
-    key = (x, v, _reset_prices(game, x, reset_values))
+def _point_values(game: Ptg, v, x, actions, stats: PtgStats, memo: dict) -> tuple:
+    """Values at ladder point x, where ``actions`` are available: of the
+    moment game with stops worth ``v`` (none at the top, where ``v`` is
+    None)."""
+    key = (x, v, actions)
     vals = memo.get(key)
     if vals is None:
-        if v is None:
-            priced = PricedGame(game.owners, tuple(_actions_at(game, x, reset_values)))
-        else:
-            priced = build_moment_game(game, v, x, reset_values)
-        vals = memo[key] = tuple(extended_dijkstra(priced)[0])
+        vals = memo[key] = tuple(extended_dijkstra(build_moment_game(game, v, actions))[0])
         stats.priced_solves += 1
     return vals
 
 
-def _solve_layer(game: Ptg, reset_values, stats: PtgStats, memo: dict) -> tuple:
+def _solve_layer(game: Ptg, available: dict, reset_values, stats: PtgStats, memo: dict) -> tuple:
     """One reset layer, its resets priced by ``reset_values``: the values
     at the ladder points (clock value -> tuple per state) and the
     interval certificates, right to left.
 
     Each step is looked up in ``memo`` under its exact inputs, solved
-    only on a miss: ``(x, v, prices)`` is the ladder point or open
-    interval at x entered with values ``v`` (None at the top) and the
-    prices of the resets available at x.
+    only on a miss: ``(x, v, actions)`` is the ladder point or open
+    interval at x entered with values ``v`` (None at the top), with the
+    untimed ``actions`` that ``available[x]`` converts to in this layer.
     """
     n = game.num_states
     ladder = game.ladder
-    point_vals = {ladder[0]: _point_values(game, None, ladder[0], reset_values, stats, memo)}
+    top = ladder[0]
+    point_vals = {
+        top: _point_values(game, None, top, _untimed(available[top], reset_values), stats, memo)
+    }
     trace = []
     for hi, lo in zip(ladder, ladder[1:]):
         x = (hi + lo) / 2
-        key = (x, point_vals[hi], _reset_prices(game, x, reset_values))
+        actions = _untimed(available[x], reset_values)
+        key = (x, point_vals[hi], actions)
         cert = memo.get(key)
         if cert is None:
-            sptg = build_interval_sptg(game, point_vals[hi], x, hi - lo, reset_values)
+            sptg = build_interval_sptg(game, point_vals[hi], hi - lo, actions)
             cert = memo[key] = IntervalCert(lo, hi, sptg, solve_sptg(sptg))
             stats.oracle_calls += 1
         else:
             stats.reused_intervals += 1
         trace.append(cert)
         zero_vals = tuple(cert.solution.values[k].eval(F0) for k in range(n))
-        point_vals[lo] = _point_values(game, zero_vals, lo, reset_values, stats, memo)
+        actions = _untimed(available[lo], reset_values)
+        point_vals[lo] = _point_values(game, zero_vals, lo, actions, stats, memo)
     return point_vals, trace
 
 
@@ -333,17 +315,18 @@ def solve_ptg(game: Ptg) -> PtgResult:
     equal the ones it was priced with would be repeated by every later
     layer, so the loop returns it; ``stats.solved_layers`` counts the
     layers solved, out of ``stats.layers``.  One memo serves every layer:
-    a step whose inputs a deeper layer already met (its reset prices
+    a step whose inputs a deeper layer already met (its untimed actions
     unchanged) reuses that layer's solution, counted in
     ``stats.reused_intervals`` for interval games and not in
     ``stats.oracle_calls``.  The value functions are assembled once, for
     the layer returned.
     """
     stats = PtgStats(layers=game.reset_depth + 1)
+    available = _availability(game)
     memo = {}
     reset_values = None
     for _ in range(stats.layers):
-        point_vals, trace = _solve_layer(game, reset_values, stats, memo)
+        point_vals, trace = _solve_layer(game, available, reset_values, stats, memo)
         stats.solved_layers += 1
         if point_vals[F0] == reset_values:
             break

@@ -247,6 +247,41 @@ class TestMergedEnvelopes:
             assert len(evals) <= 8 * k * math.log2(k), len(evals)
 
 
+def jumps_reference(f):
+    """Breakpoints whose point value differs from a one-sided limit."""
+    return [
+        x
+        for x in f.breaks
+        if (x > f.lo and f.eval(x, "left") != f.eval(x))
+        or (x < f.hi and f.eval(x, "right") != f.eval(x))
+    ]
+
+
+def offset_reference(f, c):
+    """``f + c`` rebuilt segment by segment, jumps as point overrides."""
+    shift = lambda v: INF if is_inf(v) else v + c
+    segs = [(lo, hi, shift(v), s) for lo, hi, v, s in f.segments()]
+    return PwlFn.from_segments(segs, {b: shift(p) for b, p in zip(f.breaks, f.point_vals)})
+
+
+class TestJumpsAndOffset:
+    @given(pwl_fns())
+    @settings(max_examples=300, deadline=None)
+    def test_jumps_match_one_sided_limits(self, f):
+        assert f.jumps() == jumps_reference(f)
+
+    @given(pwl_fns(), st.sampled_from([F0, Fr(1, 3), Fr(5), Fr(-7, 2), INF]))
+    @settings(max_examples=300, deadline=None)
+    def test_offset_equals_a_rebuild(self, f, c):
+        got, want = f.offset(c), offset_reference(f, c)
+        assert (got.breaks, got.seg_vals, got.slopes, got.point_vals) == (
+            want.breaks,
+            want.seg_vals,
+            want.slopes,
+            want.point_vals,
+        )
+
+
 def running_extreme_from_right(f, x, pick):
     """Brute extreme of f over [x, 1] using breakpoints as candidates."""
     cands = [f.eval(x), f.eval(F1)]
@@ -276,6 +311,14 @@ class TestWaitClosure:
     def test_constant_inf_passthrough(self):
         f = PwlFn.constant(0, 1, INF)
         assert wait_closure(f, F1, "min") == f
+
+    def test_jump_rejected(self):
+        half = Fr(1, 2)
+        f = PwlFn.from_segments([(F0, half, F1, F0), (half, F1, F1, F0)], {half: F0})
+        assert f.jumps() == [half]
+        for player in ("min", "max"):
+            with pytest.raises(PwlError):
+                wait_closure(f, F1, player)
 
     @given(
         st.lists(

@@ -12,7 +12,6 @@ from ptgsolve.priced_game import (
     PotentialMatrix,
     PricedGame,
     Valuation,
-    apply_switches,
     evaluate_profile,
     extended_dijkstra,
     improving_switches,
@@ -98,25 +97,6 @@ class TestImprovingSwitches:
     def test_cheaper_exit_strongly_improves_for_minimizer(self):
         g = game([1], (0, None, Fr(3)), (0, None, Fr(1)))
         assert improving_switches(g, (0,), 1) == [1]
-
-
-class TestApplySwitches:
-    def test_empty_is_identity(self):
-        g = game([1], (0, None, Fr(3)), (0, None, Fr(1)))
-        assert apply_switches(g, (0,), []) == (0,)
-
-    def test_point_update(self):
-        g = game([1, 1], (0, None, Fr(3)), (0, None, Fr(1)), (1, None, Fr(0)))
-        assert apply_switches(g, (0, 2), [1]) == (1, 2)
-
-    def test_total_override(self):
-        g = game([1, 1], (0, None, Fr(3)), (0, None, Fr(1)), (1, None, Fr(0)))
-        assert apply_switches(g, (0, 2), [1, 2]) == (1, 2)
-
-    def test_two_per_state_rejected(self):
-        g = game([1], (0, None, Fr(3)), (0, None, Fr(1)))
-        with pytest.raises(ValueError):
-            apply_switches(g, (0,), [0, 1])
 
 
 class TestExtendedDijkstra:
@@ -255,14 +235,16 @@ class TestSingleSwitchIteration:
         for seed in range(40):
             g = generate_random("priced", 4, 3, seed, allow_inf=(seed % 2 == 1))
             start = tuple(js[0] for js in g.state_actions)
-            # the switch sequence of the public improving_switches
+            # the switches of the public improving_switches, one at a time
             want, p = [], start
             while sw := improving_switches(g, p, 2) or improving_switches(g, p, 1):
-                want.append(min(sw))
-                p = apply_switches(g, p, want[-1:])
+                j = min(sw)
+                k = g.actions[j].source
+                want.append((p, j, p[:k] + (j,) + p[k + 1 :]))
+                p = want[-1][2]
             seen = []
             calls.clear()
-            hook = lambda game, before, j, after: seen.append(j)
+            hook = lambda game, before, j, after: seen.append((before, j, after))
             _, prof, switches = single_switch_iteration(g, start, hook)
             assert seen == want and switches == len(want) and prof == p, seed
             assert len(calls) == switches + 1, seed
@@ -300,7 +282,7 @@ class TestImprovingSetMonotonicity:
             picked = {}
             for j in sw:
                 picked.setdefault(g.actions[j].source, j)
-            after = apply_switches(g, profile, list(picked.values()))
+            after = tuple(picked.get(k, j) for k, j in enumerate(profile))
             before_v = evaluate_profile(g, profile)
             after_v = evaluate_profile(g, after)
             for k in range(g.num_states):

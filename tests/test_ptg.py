@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -14,9 +15,10 @@ from ptgsolve.ptg import (
     PtgStats,
     PtgValidationError,
     TAction,
-    _actions_at,
     _assemble,
+    _availability,
     _solve_layer,
+    _untimed,
     build_interval_sptg,
     build_moment_game,
     solve_ptg,
@@ -32,6 +34,11 @@ def act(source, dest, cost, lo, hi, **kw):
 
 def simple(*actions, owners=(1,), rates=(1,)):
     return Ptg(tuple(owners), tuple(Fr(r) for r in rates), tuple(actions))
+
+
+def untimed_at(game, x, reset_values=None):
+    """The untimed actions of a step at ladder point or midpoint x."""
+    return _untimed(_availability(game)[x], reset_values)
 
 
 class TestValidation:
@@ -98,11 +105,16 @@ class TestMomentGame:
             act(0, None, 3, 0, 1),
             act(0, None, 7, 1, 1),
         )
-        m = build_moment_game(g, [Fr(9)], Fr(1, 2), None)
+        m = build_moment_game(g, [Fr(9)], untimed_at(g, Fr(1, 2)))
         assert [a.cost for a in m.actions] == [Fr(3), Fr(9)]
         assert m.actions[-1].label == "stop0"
-        m1 = build_moment_game(g, [Fr(9)], F1, None)
+        m1 = build_moment_game(g, [Fr(9)], untimed_at(g, F1))
         assert [a.cost for a in m1.actions] == [Fr(3), Fr(7), Fr(9)]
+
+    def test_top_game_has_no_stops(self):
+        g = simple(act(0, None, 3, 0, 1), act(0, None, 7, 1, 1))
+        top = build_moment_game(g, None, untimed_at(g, F1))
+        assert [a.cost for a in top.actions] == [Fr(3), Fr(7)]
 
 
 class TestIntervalSptg:
@@ -119,7 +131,7 @@ class TestIntervalSptg:
 
     def test_width_one_fields(self):
         g = self.game()
-        s = build_interval_sptg(g, [Fr(4), Fr(6)], Fr(1, 2), F1, None)
+        s = build_interval_sptg(g, [Fr(4), Fr(6)], F1, untimed_at(g, Fr(1, 2)))
         assert s.owners == (1, 2, 2)
         assert s.rates == (Fr(2), Fr(3), Fr(3))
         # available actions survive; the point-[1,1] exit does not
@@ -132,12 +144,14 @@ class TestIntervalSptg:
         assert s.actions[4].cost == F0
 
     def test_rates_scale_with_width(self):
-        s = build_interval_sptg(self.game(), [F0, F0], Fr(1, 2), Fr(1, 3), None)
+        g = self.game()
+        s = build_interval_sptg(g, [F0, F0], Fr(1, 3), untimed_at(g, Fr(1, 2)))
         assert s.rates == (Fr(2, 3), F1, F1)
 
     def test_nonpositive_width_rejected(self):
+        g = self.game()
         with pytest.raises(PtgValidationError) as exc:
-            build_interval_sptg(self.game(), [F0, F0], Fr(1, 2), F0, None)
+            build_interval_sptg(g, [F0, F0], F0, untimed_at(g, Fr(1, 2)))
         assert exc.value.code == "bad-interval"
 
     def test_reset_priced_as_exit(self):
@@ -146,10 +160,10 @@ class TestIntervalSptg:
             (F1,),
             (act(0, 0, 2, 0, 1, reset=True, label="loop"), act(0, None, 0, 0, 1)),
         )
-        deepest = build_interval_sptg(g, [F0], Fr(1, 2), F1, None).actions[0]
+        deepest = build_interval_sptg(g, [F0], F1, untimed_at(g, Fr(1, 2))).actions[0]
         assert deepest.label == "loop" and deepest.dest is None
         assert is_inf(deepest.cost)
-        priced = build_interval_sptg(g, [F0], Fr(1, 2), F1, [Fr(3)]).actions[0]
+        priced = build_interval_sptg(g, [F0], F1, untimed_at(g, Fr(1, 2), [Fr(3)])).actions[0]
         assert priced.label == "loop" and priced.dest is None
         assert priced.cost == Fr(5)
         res = solve_ptg(maximizer_reset_loop().game)
@@ -158,13 +172,13 @@ class TestIntervalSptg:
 
     def test_minimizer_point_exit_prices_the_wait(self):
         g = simple(act(0, None, 0, 1, 1))
-        s = build_interval_sptg(g, [F0], Fr(1, 2), F1, None)
+        s = build_interval_sptg(g, [F0], F1, untimed_at(g, Fr(1, 2)))
         sol = solve_sptg(s)
         assert sol.values[0] == PwlFn.affine(F0, F1, F1, Fr(-1))
 
     def test_maximizer_point_exit_stays_terminal(self):
         g = simple(act(0, None, 0, 1, 1), owners=(2,))
-        s = build_interval_sptg(g, [F0], Fr(1, 2), F1, None)
+        s = build_interval_sptg(g, [F0], F1, untimed_at(g, Fr(1, 2)))
         assert s.actions[0].dest is None
         assert solve_sptg(s).values[0] == PwlFn.affine(F0, F1, F1, Fr(-1))
 
@@ -258,7 +272,7 @@ def unfolding_layers(game, stats):
     gets a fresh memo."""
     reset_values = None
     for _ in range(stats.layers):
-        point_vals, trace = _solve_layer(game, reset_values, stats, {})
+        point_vals, trace = _solve_layer(game, _availability(game), reset_values, stats, {})
         yield reset_values, point_vals, trace
         reset_values = point_vals[F0]
 
@@ -338,10 +352,9 @@ def golden_resets_game():
 def midpoint_reference(game, point_vals, cert, reset_values):
     """The interval game of ``cert`` with stops worth the values of the
     moment game at the interval's midpoint instead of ``point_vals[hi]``."""
-    x = (cert.lo + cert.hi) / 2
-    moment = build_moment_game(game, point_vals[cert.hi], x, reset_values)
-    v_mid = extended_dijkstra(moment)[0]
-    return build_interval_sptg(game, v_mid, x, cert.hi - cert.lo, reset_values)
+    actions = untimed_at(game, (cert.lo + cert.hi) / 2, reset_values)
+    v_mid = extended_dijkstra(build_moment_game(game, point_vals[cert.hi], actions))[0]
+    return build_interval_sptg(game, v_mid, cert.hi - cert.lo, actions)
 
 
 class TestIntervalGameStops:
@@ -372,33 +385,33 @@ class TestIntervalGameStops:
 
     def test_moment_games_are_built_at_ladder_points_only(self, monkeypatch):
         """``solve_ptg`` builds no moment game at an interval's midpoint,
-        and ``stats.priced_solves`` counts the moment games built plus one
-        top game per solved layer whose top game missed the memo: one per
-        memo entry keyed with no entry values."""
-        clocks, memos = [], []
+        and ``stats.priced_solves`` counts the moment games built, the
+        top games included.  A build's clock value is read off the memo
+        entry keyed by the very ``v`` and actions it was given."""
+        calls, memos = [], []
         build_moment, solve_layer = ptg.build_moment_game, ptg._solve_layer
 
-        def recording_build(game, v, x, reset_values):
-            clocks.append(x)
-            return build_moment(game, v, x, reset_values)
+        def recording_build(game, v, actions):
+            calls.append((v, actions))
+            return build_moment(game, v, actions)
 
-        def recording_layer(game, reset_values, stats, memo):
+        def recording_layer(game, available, reset_values, stats, memo):
             memos.append(memo)
-            return solve_layer(game, reset_values, stats, memo)
+            return solve_layer(game, available, reset_values, stats, memo)
 
         monkeypatch.setattr(ptg, "build_moment_game", recording_build)
         monkeypatch.setattr(ptg, "_solve_layer", recording_layer)
         built = 0
         for g in random_ptgs(range(20)) + [golden_resets_game()]:
-            clocks.clear()
+            calls.clear()
             memos.clear()
             res = solve_ptg(g)
-            assert set(clocks) <= set(g.ladder)
-            memo = memos[0]
-            assert all(m is memo for m in memos)
-            tops = sum(v is None for _, v, _ in memo)
-            assert res.stats.priced_solves == len(clocks) + tops
-            built += len(clocks)
+            assert all(m is memos[0] for m in memos)
+            clock = {(id(v), id(actions)): x for x, v, actions in memos[0]}
+            assert res.stats.priced_solves == len(calls)
+            for v, actions in calls:
+                assert clock[id(v), id(actions)] in g.ladder
+            built += len(calls)
         assert built > 0
 
 
@@ -419,28 +432,39 @@ def scan(game, x, reset_values):
 
 class TestActionMemo:
     def test_memo_equals_a_scan_in_every_layer(self):
+        """Every step of a layer, one per ladder point and one per
+        interval, is keyed by the untimed actions a fresh scan finds at
+        its clock value under the layer's reset prices."""
         resets_seen = 0
         for seed in range(20):
             g = generate_random("ptg", 3, 3, seed)
             if not g.reset_depth:
                 continue
-            ladder = g.ladder
-            points = list(ladder) + [(hi + lo) / 2 for hi, lo in zip(ladder, ladder[1:])]
             n = g.num_states
+            available = _availability(g)
             layers = (
                 None,
-                [Fr(k + 1) for k in range(n)],
-                [INF] + [Fr(7, k + 2) for k in range(1, n)],
+                tuple(Fr(k + 1) for k in range(n)),
+                (INF,) + tuple(Fr(7, k + 2) for k in range(1, n)),
                 None,
             )
             for reset_values in layers:
-                for x in points:
-                    got = _actions_at(g, x, reset_values)
-                    assert got == scan(g, x, reset_values), (seed, x, reset_values)
-                    resets_seen += sum(
-                        a.reset and a.available_at(x) for a in g.actions
-                    )
+                memo = {}
+                _solve_layer(g, available, reset_values, PtgStats(), memo)
+                assert len(memo) == 2 * len(g.ladder) - 1, seed
+                for x, _, actions in memo:
+                    assert actions == tuple(scan(g, x, reset_values)), (seed, x, reset_values)
+                    resets_seen += sum(a.reset and a.available_at(x) for a in g.actions)
         assert resets_seen > 0
+
+    def test_solving_leaves_the_game_as_it_was(self):
+        """A solve stores nothing on the game beyond its declared cached
+        properties, so solving it again gives the same result."""
+        for g in random_ptgs(range(10)) + [golden_resets_game()]:
+            first, second = solve_ptg(g), solve_ptg(g)
+            assert first == second
+            declared = {f.name for f in fields(Ptg)} | {"horizon", "ladder", "reset_depth"}
+            assert set(vars(g)) == declared
 
 
 class TestEpsilonOptimalPlay:
