@@ -31,19 +31,26 @@ def _write(path, text):
             fh.write(text)
 
 
-def _equilibrium_passed(game, sol) -> bool:
-    """The equilibrium check's verdict.  A solution it refuses to play (a
-    strategy that waits at the horizon, say) fails, named on stderr."""
+def _oracle_passed(check) -> bool:
+    """``check()``'s verdict.  An oracle that refuses the solution (a
+    strategy that waits at the horizon, say) or runs out of its budget
+    fails it, named on stderr."""
     try:
-        return check_equilibrium(game, sol).passed
+        return check()
     except OracleError as exc:
         print(f"verify: oracle error: {exc}", file=sys.stderr)
         return False
 
 
+def _equilibrium_passed(game, sol) -> bool:
+    return _oracle_passed(lambda: check_equilibrium(game, sol).passed)
+
+
 def _sptg_verified(game, sol) -> bool:
     """The equilibrium check, then value iteration if that passed."""
-    return _equilibrium_passed(game, sol) and value_iteration_sptg(game).values == sol.values
+    return _equilibrium_passed(game, sol) and _oracle_passed(
+        lambda: value_iteration_sptg(game).values == sol.values
+    )
 
 
 def _cmd_solve(args) -> int:

@@ -34,10 +34,10 @@ def fixture_a() -> Fixture:
         owners=(1, 2, 2),
         rates=(Fraction(5), Fraction(2), Fraction(1)),
         actions=(
-            PAction(0, 1, Fraction(0), label="a1"),
-            PAction(0, 2, Fraction(1, 2), label="a2"),
-            PAction(1, None, Fraction(0), label="b1"),
-            PAction(2, None, Fraction(0), label="b2"),
+            PAction(0, 1, Fraction(0)),
+            PAction(0, 2, Fraction(1, 2)),
+            PAction(1, None, Fraction(0)),
+            PAction(2, None, Fraction(0)),
         ),
     )
     h = Fraction(1, 2)
@@ -75,9 +75,9 @@ def delayed_exit_jump() -> Fixture:
         owners=(1, 2),
         rates=(Fraction(1), Fraction(0)),
         actions=(
-            TAction(0, 1, Fraction(0), F0, F1, label="a"),
-            TAction(1, None, Fraction(1), F0, F0, label="c2"),
-            TAction(1, None, Fraction(0), F1, F1, label="c1"),
+            TAction(0, 1, Fraction(0), F0, F1),
+            TAction(1, None, Fraction(1), F0, F0),
+            TAction(1, None, Fraction(0), F1, F1),
         ),
     )
     expected = {
@@ -102,8 +102,8 @@ def maximizer_reset_loop() -> Fixture:
         owners=(2,),
         rates=(Fraction(1),),
         actions=(
-            TAction(0, 0, Fraction(0), F0, F1, reset=True, label="loop"),
-            TAction(0, None, Fraction(0), F1, F1, label="out"),
+            TAction(0, 0, Fraction(0), F0, F1, reset=True),
+            TAction(0, None, Fraction(0), F1, F1),
         ),
     )
     expected = {"values": (PwlFn.constant(F0, F1, INF),), "layers": 2}

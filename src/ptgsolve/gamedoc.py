@@ -10,7 +10,7 @@ byte-identical outputs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .numerics import F0, format_cost, is_inf, parse_cost
 from .priced_game import PAction, PricedGame
@@ -31,8 +31,9 @@ class DocumentError(ValueError):
 class GameDocument:
     """A parsed game: the solver's own parts, and the document's ids.
 
-    ``actions`` are ``TAction`` for a ptg and ``PAction`` otherwise, each
-    labelled with its document id; ``rates`` are all 0 for a priced game.
+    ``actions`` are ``TAction`` for a ptg and ``PAction`` otherwise, in
+    document order, so ``action_ids[j]`` names ``actions[j]``; ``rates``
+    are all 0 for a priced game.
     """
 
     kind: str  # priced | sptg | ptg
@@ -154,7 +155,7 @@ def parse(text: str | bytes) -> GameDocument:
         if not is_inf(cost) and cost < 0:
             raise DocumentError("negative-cost", where, str(cost))
         if kind != "ptg":
-            actions.append(PAction(index[src], dest, cost, label=aid))
+            actions.append(PAction(index[src], dest, cost))
             continue
         iv = _typed(_require(a, "interval", where), dict, "an object", where)
         _no_extras(iv, {"lo", "hi", "lo_closed", "hi_closed"}, where)
@@ -167,7 +168,7 @@ def parse(text: str | bytes) -> GameDocument:
         reset = _typed(a.get("reset", False), bool, "a boolean", where)
         if reset and dest is None:
             raise DocumentError("dangling-reference", where, "reset to bot")
-        actions.append(TAction(index[src], dest, cost, lo, hi, lo_c, hi_c, reset, aid))
+        actions.append(TAction(index[src], dest, cost, lo, hi, lo_c, hi_c, reset))
     sources = {a.source for a in actions}
     for sid, k in index.items():
         if k not in sources:
@@ -182,49 +183,6 @@ def parse(text: str | bytes) -> GameDocument:
 
 def _dump(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True) + "\n"
-
-
-def emit_game(doc: GameDocument) -> str:
-    states = [
-        {"id": sid, "owner": owner}
-        | ({} if doc.kind == "priced" else {"rate": format_cost(rate)})
-        for sid, owner, rate in zip(doc.state_ids, doc.owners, doc.rates)
-    ]
-    actions = []
-    for aid, a in zip(doc.action_ids, doc.actions):
-        entry = {
-            "id": aid,
-            "from": doc.state_ids[a.source],
-            "to": "bot" if a.dest is None else doc.state_ids[a.dest],
-            "cost": format_cost(a.cost),
-        }
-        if doc.kind == "ptg":
-            entry["interval"] = {
-                "lo": format_cost(a.lo),
-                "hi": format_cost(a.hi),
-                "lo_closed": a.lo_closed,
-                "hi_closed": a.hi_closed,
-            }
-            entry["reset"] = a.reset
-        actions.append(entry)
-    return _dump(
-        {"format": FORMAT_VERSION, "kind": doc.kind, "states": states, "actions": actions}
-    )
-
-
-def document_for(game, kind: str) -> GameDocument:
-    """Wrap an in-memory game back into a document with state ids ``s{k}``
-    and action ids ``a{i}``."""
-    n = game.num_states
-    action_ids = tuple(f"a{i}" for i in range(len(game.actions)))
-    return GameDocument(
-        kind,
-        tuple(f"s{k}" for k in range(n)),
-        action_ids,
-        game.owners,
-        game.rates if kind != "priced" else (F0,) * n,
-        tuple(replace(a, label=aid) for aid, a in zip(action_ids, game.actions)),
-    )
 
 
 def _fn_segments(fn):

@@ -33,7 +33,6 @@ class PAction:
     dest: Optional[int]  # None = terminal
     cost: object  # Fraction | INF
     wait_rate: Fraction = F0  # infinitesimal charge; nonzero only on waiting exits
-    label: Optional[str] = None
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,6 @@ class TAction:
     lo_closed: bool = True
     hi_closed: bool = True
     reset: bool = False
-    label: Optional[str] = None
 
     def available_at(self, x) -> bool:
         if self.lo < x < self.hi:
@@ -149,7 +148,6 @@ class PtgStats:
 @dataclass(frozen=True)
 class PtgResult:
     values: tuple  # PwlFn per state over [0, horizon]
-    ladder: tuple  # descending
     trace: tuple  # IntervalCert, right to left
     stats: PtgStats
 
@@ -174,7 +172,7 @@ def _availability(game: Ptg) -> dict:
     at_point = [[] for _ in ladder]
     inside = [[] for _ in midpoints]
     for a in game.actions:
-        pair = (a, None if a.reset else PAction(a.source, a.dest, a.cost, label=a.label))
+        pair = (a, None if a.reset else PAction(a.source, a.dest, a.cost))
         top, bottom = rank[a.hi], rank[a.lo]
         for i in range(top + (not a.hi_closed), bottom + a.lo_closed):
             at_point[i].append(pair)
@@ -193,7 +191,7 @@ def _untimed(pairs, reset_values) -> tuple:
         if untimed is None:
             extra = INF if reset_values is None else reset_values[a.dest]
             cost = INF if is_inf(a.cost) or is_inf(extra) else a.cost + extra
-            untimed = PAction(a.source, None, cost, label=a.label)
+            untimed = PAction(a.source, None, cost)
         out.append(untimed)
     return tuple(out)
 
@@ -203,7 +201,7 @@ def build_moment_game(game: Ptg, v, actions) -> PricedGame:
     plus a stop action per state collecting that state's entry of ``v``;
     where ``v`` is None (the top of the ladder), the actions alone."""
     stops = () if v is None else tuple(
-        PAction(k, None, v[k], label=f"stop{k}") for k in range(game.num_states)
+        PAction(k, None, v[k]) for k in range(game.num_states)
     )
     return PricedGame(game.owners, actions + stops)
 
@@ -227,13 +225,13 @@ def build_interval_sptg(game: Ptg, v_hi, width, actions) -> Sptg:
     max_state = n
     top_rate = max(game.rates, default=F0) * width
     stops = tuple(
-        PAction(k, max_state if game.owners[k] == 1 else None, v_hi[k], label=f"stop{k}")
+        PAction(k, max_state if game.owners[k] == 1 else None, v_hi[k])
         for k in range(n)
     )
     return Sptg(
         owners=game.owners + (2,),
         rates=tuple(r * width for r in game.rates) + (top_rate,),
-        actions=actions + stops + (PAction(max_state, None, F0, label="exit-max"),),
+        actions=actions + stops + (PAction(max_state, None, F0),),
     )
 
 
@@ -331,4 +329,4 @@ def solve_ptg(game: Ptg) -> PtgResult:
         if point_vals[F0] == reset_values:
             break
         reset_values = point_vals[F0]
-    return PtgResult(_assemble(game, point_vals, trace), game.ladder, tuple(trace), stats)
+    return PtgResult(_assemble(game, point_vals, trace), tuple(trace), stats)

@@ -66,6 +66,9 @@ class Sptg:
         for k, r in enumerate(self.rates):
             if is_inf(r) or r < 0:
                 raise ValueError(f"state {k} has a bad rate")
+        for j, a in enumerate(self.actions):
+            if a.wait_rate:
+                raise ValueError(f"action {j} has a wait rate; only snapshot waits carry one")
         # structural checks (ownership, sources, costs) ride on the core
         self.core  # noqa: B018
 
@@ -146,7 +149,7 @@ def build_eps_game(sptg: Sptg, wait_costs) -> PricedGame:
     sweep never builds one; its instrumented run and
     :func:`~ptgsolve.oracle.check_equilibrium` do."""
     waits = tuple(
-        PAction(k, None, cost, sptg.rates[k], f"wait{k}") for k, cost in enumerate(wait_costs)
+        PAction(k, None, cost, sptg.rates[k]) for k, cost in enumerate(wait_costs)
     )
     return PricedGame(sptg.owners, sptg.actions + waits)
 

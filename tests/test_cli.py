@@ -11,15 +11,63 @@ import pytest
 from ptgsolve import cli, gamedoc
 from ptgsolve.fixtures import delayed_exit_jump, fixture_a
 from ptgsolve.gamedoc import DocumentError
-from ptgsolve.numerics import F0, F1, DigitLimitError, is_inf
-from ptgsolve.oracle import EquilibriumReport, check_equilibrium, generate_random
+from ptgsolve.numerics import F0, F1, DigitLimitError, format_cost, is_inf
+from ptgsolve.oracle import (
+    EquilibriumReport,
+    check_equilibrium,
+    generate_random,
+    value_iteration_sptg,
+)
 from ptgsolve.priced_game import PAction, PricedGame
 from ptgsolve.ptg import solve_ptg
 from ptgsolve.sptg import WAIT, TimedStrategyProfile, solve_sptg
 
 
+def emit_game(doc: gamedoc.GameDocument) -> str:
+    """The game document text of ``doc``, canonical as results are."""
+    states = [
+        {"id": sid, "owner": owner}
+        | ({} if doc.kind == "priced" else {"rate": format_cost(rate)})
+        for sid, owner, rate in zip(doc.state_ids, doc.owners, doc.rates)
+    ]
+    actions = []
+    for aid, a in zip(doc.action_ids, doc.actions):
+        entry = {
+            "id": aid,
+            "from": doc.state_ids[a.source],
+            "to": "bot" if a.dest is None else doc.state_ids[a.dest],
+            "cost": format_cost(a.cost),
+        }
+        if doc.kind == "ptg":
+            entry["interval"] = {
+                "lo": format_cost(a.lo),
+                "hi": format_cost(a.hi),
+                "lo_closed": a.lo_closed,
+                "hi_closed": a.hi_closed,
+            }
+            entry["reset"] = a.reset
+        actions.append(entry)
+    return gamedoc._dump(
+        {"format": gamedoc.FORMAT_VERSION, "kind": doc.kind, "states": states, "actions": actions}
+    )
+
+
+def document_for(game, kind: str) -> gamedoc.GameDocument:
+    """An in-memory game as a document with state ids ``s{k}`` and
+    action ids ``a{i}``."""
+    n = game.num_states
+    return gamedoc.GameDocument(
+        kind,
+        tuple(f"s{k}" for k in range(n)),
+        tuple(f"a{i}" for i in range(len(game.actions))),
+        game.owners,
+        game.rates if kind != "priced" else (F0,) * n,
+        game.actions,
+    )
+
+
 def doc_text(game, kind):
-    return gamedoc.emit_game(gamedoc.document_for(game, kind))
+    return emit_game(document_for(game, kind))
 
 
 def priced_doc():
@@ -37,14 +85,11 @@ class TestParsing:
             ("sptg", generate_random("sptg", 3, 3, 1)),
             ("ptg", generate_random("ptg", 3, 3, 1)),
         ):
-            doc = gamedoc.document_for(game, kind)
-            text = gamedoc.emit_game(doc)
+            doc = document_for(game, kind)
+            text = emit_game(doc)
             assert gamedoc.parse(text) == doc
-            assert gamedoc.emit_game(gamedoc.parse(text)) == text
-            labelled = tuple(
-                dataclasses.replace(a, label=f"a{i}") for i, a in enumerate(game.actions)
-            )
-            assert gamedoc.parse(text).to_game() == dataclasses.replace(game, actions=labelled)
+            assert emit_game(gamedoc.parse(text)) == text
+            assert gamedoc.parse(text).to_game() == game
 
     def test_reconstructed_game_solves_identically(self):
         fx = fixture_a()
@@ -241,7 +286,7 @@ def test_undecodable_document_exits_two_with_code(tmp_path, capsys, data):
 class TestEmission:
     def test_plot_matches_eval(self):
         fx = fixture_a()
-        doc = gamedoc.document_for(fx.game, "sptg")
+        doc = document_for(fx.game, "sptg")
         sol = solve_sptg(fx.game)
         lines = gamedoc.emit_plot(doc, sol.values).strip().split("\n")[1:]
         ids = doc.state_ids
@@ -253,14 +298,14 @@ class TestEmission:
 
     def test_results_are_byte_deterministic(self):
         fx = fixture_a()
-        doc = gamedoc.document_for(fx.game, "sptg")
+        doc = document_for(fx.game, "sptg")
         a = gamedoc.emit_sptg_result(doc, solve_sptg(fx.game))
         b = gamedoc.emit_sptg_result(doc, solve_sptg(fx.game))
         assert a == b
 
     def test_jump_reported_in_ptg_result(self):
         fx = delayed_exit_jump()
-        doc = gamedoc.document_for(fx.game, "ptg")
+        doc = document_for(fx.game, "ptg")
         out = json.loads(gamedoc.emit_ptg_result(doc, solve_ptg(fx.game)))
         assert out["jumps"]["s1"] == ["0"]
         assert out["jumps"]["s0"] == []
@@ -465,8 +510,8 @@ def test_verify_checks_every_reused_interval_certificate(tmp_path, monkeypatch, 
     results, checked = [], []
 
     def solve(g):
-        results.append(solve_ptg(g))
-        return results[-1]
+        results.append((g, solve_ptg(g)))
+        return results[-1][1]
 
     def check(sptg, solution):
         checked.append((sptg, solution))
@@ -476,9 +521,9 @@ def test_verify_checks_every_reused_interval_certificate(tmp_path, monkeypatch, 
     monkeypatch.setattr(cli, "check_equilibrium", check)
     assert cli.main(["solve", str(game), "--verify", "--out", str(tmp_path / "out.json")]) == 0
     assert capsys.readouterr() == ("", "")
-    (res,) = results
+    ((g, res),) = results
     assert res.stats.reused_intervals > 0
-    assert len(res.trace) == len(res.ladder) - 1
+    assert len(res.trace) == len(g.ladder) - 1
     assert [(c.sptg, c.solution) for c in res.trace] == checked
 
 
@@ -514,6 +559,23 @@ def test_refused_strategy_fails_verification(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == "fuzz: 0/2 agree\n"
     assert captured.err == "".join(f"{refused}seed {seed}: disagreement\n" for seed in (0, 1))
+
+
+def test_value_iteration_out_of_rounds_fails_verification(tmp_path, monkeypatch, capsys):
+    """Value iteration that hits its round cap fails ``solve --verify``
+    and counts as a ``fuzz`` disagreement, with the reason on stderr."""
+    out_of_rounds = "verify: oracle error: no fixpoint within 1 iterations\n"
+    monkeypatch.setattr(cli, "value_iteration_sptg", lambda g: value_iteration_sptg(g, cap=1))
+    game, out = tmp_path / "sptg.json", tmp_path / "out.json"
+    game.write_text(doc_text(fixture_a().game, "sptg"))
+    assert cli.main(["solve", str(game), "--verify", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == out_of_rounds + '{"verify": "failed"}\n'
+    assert out.exists()
+    # seed 1 on: seed 0's game is infinite everywhere, a fixpoint in one round
+    assert cli.main(["fuzz", "--seed", "1", "--count", "2", "--size", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "fuzz: 0/2 agree\n"
+    assert captured.err == "".join(f"{out_of_rounds}seed {seed}: disagreement\n" for seed in (1, 2))
 
 
 def test_module_runs_as_a_script(tmp_path):

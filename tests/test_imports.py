@@ -1,5 +1,6 @@
 """Every name a ``ptgsolve`` module imports, and every function it
-defines inside another, is used by that module."""
+defines inside another, is used by that module; every function and
+class the package defines is used by the package."""
 
 import ast
 from pathlib import Path
@@ -59,6 +60,10 @@ def test_no_unused_local_functions(path):
 
 # What the oracle may still take from the solver modules.  ROADMAP item 3
 # shrinks this list to data types; a new solver routine fails the test.
+# The shrink waits on the benchmark change of ROADMAP item 15, as do the
+# deletions of the four names in UNREFERENCED_BUT_PINNED below: the
+# benchmark's self-test of its tracer reads ``oracle.improving_switches``
+# and installs the probe bound only in ``ptgsolve.oracle``.
 ORACLE_SOLVER_IMPORTS = {
     "priced_game": {"PAction", "PricedGame", "improving_switches"},
     "sptg": {"WAIT", "Sptg", "SptgSolution", "TimedStrategyProfile", "build_eps_game"},
@@ -79,3 +84,46 @@ def test_oracle_solver_imports_within_allow_list():
     for module, names in imported.items():
         assert not names - ORACLE_SOLVER_IMPORTS[module], module
 
+
+# Defined in the package but used only from outside it.  Each is pinned
+# until ROADMAP item 15 retires the pin, and then goes.
+UNREFERENCED_BUT_PINNED = {
+    "choice_at",  # probed by perfbench/registry.py (oracle.choice_lookups)
+    "simulate",  # probed by perfbench/registry.py (oracle.simulate)
+    "simulate_ptg",  # probed by perfbench/registry.py (oracle.simulate)
+    "strategy_iteration",  # acceptance criterion 4, and a perfbench/registry.py probe
+}
+
+DEFINITIONS = FUNCTIONS + (ast.ClassDef,)
+
+
+def unreferenced_definitions(trees: dict) -> list:
+    """Functions and classes, methods included, whose name no module
+    mentions outside their own body: as a name or an attribute, not in
+    an import or an ``__all__`` string, so a re-export does not count.
+    Dunder methods are called by Python itself and are skipped."""
+    defs = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, DEFINITIONS) and not (
+                node.name.startswith("__") and node.name.endswith("__")
+            ):
+                defs.setdefault(node.name, []).append(node)
+    mentions = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                mentions.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                mentions.setdefault(node.attr, []).append(node)
+    out = []
+    for name, nodes in defs.items():
+        inside = {id(n) for d in nodes for n in ast.walk(d)}
+        if not any(id(m) not in inside for m in mentions.get(name, ())):
+            out.append(name)
+    return sorted(out)
+
+
+def test_every_definition_is_used_by_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    assert unreferenced_definitions(trees) == sorted(UNREFERENCED_BUT_PINNED)

@@ -107,7 +107,7 @@ class TestMomentGame:
         )
         m = build_moment_game(g, [Fr(9)], untimed_at(g, Fr(1, 2)))
         assert [a.cost for a in m.actions] == [Fr(3), Fr(9)]
-        assert m.actions[-1].label == "stop0"
+        assert m.actions[-1] == PAction(0, None, Fr(9))  # the stop
         m1 = build_moment_game(g, [Fr(9)], untimed_at(g, F1))
         assert [a.cost for a in m1.actions] == [Fr(3), Fr(7), Fr(9)]
 
@@ -123,9 +123,9 @@ class TestIntervalSptg:
             (1, 2),
             (Fr(2), Fr(3)),
             (
-                act(0, 1, 1, 0, 1, label="go"),
-                act(1, None, 0, 1, 1, label="out"),
-                act(1, None, 5, 0, 1, label="early"),
+                act(0, 1, 1, 0, 1),
+                act(1, None, 0, 1, 1),
+                act(1, None, 5, 0, 1),
             ),
         )
 
@@ -134,14 +134,15 @@ class TestIntervalSptg:
         s = build_interval_sptg(g, [Fr(4), Fr(6)], F1, untimed_at(g, Fr(1, 2)))
         assert s.owners == (1, 2, 2)
         assert s.rates == (Fr(2), Fr(3), Fr(3))
-        # available actions survive; the point-[1,1] exit does not
-        labels = [a.label for a in s.actions]
-        assert labels == ["go", "early", "stop0", "stop1", "exit-max"]
-        stop0 = s.actions[2]
-        stop1 = s.actions[3]
-        assert stop0.dest == 2 and stop0.cost == Fr(4)  # minimizer routes via max
-        assert stop1.dest is None and stop1.cost == Fr(6)  # maximizer exits directly
-        assert s.actions[4].cost == F0
+        # available actions survive, the point-[1,1] exit does not; then
+        # a stop per state and the added maximizer's exit
+        assert s.actions == (
+            PAction(0, 1, F1),
+            PAction(1, None, Fr(5)),
+            PAction(0, 2, Fr(4)),  # minimizer stop, routed via the maximizer
+            PAction(1, None, Fr(6)),  # maximizer stop, straight to the terminal
+            PAction(2, None, F0),
+        )
 
     def test_rates_scale_with_width(self):
         g = self.game()
@@ -158,14 +159,13 @@ class TestIntervalSptg:
         g = Ptg(
             (1,),
             (F1,),
-            (act(0, 0, 2, 0, 1, reset=True, label="loop"), act(0, None, 0, 0, 1)),
+            (act(0, 0, 2, 0, 1, reset=True), act(0, None, 0, 0, 1)),
         )
         deepest = build_interval_sptg(g, [F0], F1, untimed_at(g, Fr(1, 2))).actions[0]
-        assert deepest.label == "loop" and deepest.dest is None
+        assert deepest.source == 0 and deepest.dest is None and deepest.wait_rate == F0
         assert is_inf(deepest.cost)
         priced = build_interval_sptg(g, [F0], F1, untimed_at(g, Fr(1, 2), [Fr(3)])).actions[0]
-        assert priced.label == "loop" and priced.dest is None
-        assert priced.cost == Fr(5)
+        assert priced == PAction(0, None, Fr(5))
         res = solve_ptg(maximizer_reset_loop().game)
         assert res.stats.layers == 2
         assert res.values == (PwlFn.constant(F0, F1, INF),)
@@ -207,15 +207,15 @@ class TestSolvePtg:
             (1, 1),
             (F1, F1),
             (
-                act(0, None, 0, 0, 1, label="exit"),
-                act(0, 1, 100, 0, 1, reset=True, label="bad"),
+                act(0, None, 0, 0, 1),
+                act(0, 1, 100, 0, 1, reset=True),
                 act(1, None, 0, 0, 1),
             ),
         )
         without = Ptg(
             (1, 1),
             (F1, F1),
-            (act(0, None, 0, 0, 1, label="exit"), act(1, None, 0, 0, 1)),
+            (act(0, None, 0, 0, 1), act(1, None, 0, 0, 1)),
         )
         a = solve_ptg(with_reset)
         b = solve_ptg(without)
@@ -243,7 +243,7 @@ class TestSolvePtg:
             g = generate_random("ptg", 3, 3, seed)
             res = solve_ptg(g)
             for k in range(g.num_states):
-                assert set(res.jump_points(k)) <= set(res.ladder)
+                assert set(res.jump_points(k)) <= set(g.ladder)
 
     def test_interval_certificates_replay_exactly(self):
         for seed in range(20):
@@ -281,7 +281,7 @@ def full_unfolding(game):
     """The last of all ``reset_depth + 1`` layers (see ``unfolding_layers``)."""
     stats = PtgStats(layers=game.reset_depth + 1)
     *_, (_, point_vals, trace) = unfolding_layers(game, stats)
-    return PtgResult(_assemble(game, point_vals, trace), game.ladder, tuple(trace), stats)
+    return PtgResult(_assemble(game, point_vals, trace), tuple(trace), stats)
 
 
 def reset_chain():
@@ -379,7 +379,8 @@ class TestIntervalGameStops:
                     for k, (a, b) in enumerate(zip(got, want)):
                         if a != b:
                             assert ref_game.owners[k] == 1
-                            assert ref_game.actions[b].label == f"stop{k}"
+                            # stop k: after the untimed actions, before the exit
+                            assert b == ref_game.num_actions - 1 - g.num_states + k
                     intervals += 1
         assert intervals > 1500
 
@@ -422,11 +423,11 @@ def scan(game, x, reset_values):
         if not a.available_at(x):
             continue
         if not a.reset:
-            out.append(PAction(a.source, a.dest, a.cost, label=a.label))
+            out.append(PAction(a.source, a.dest, a.cost))
             continue
         extra = INF if reset_values is None else reset_values[a.dest]
         cost = INF if is_inf(a.cost) or is_inf(extra) else a.cost + extra
-        out.append(PAction(a.source, None, cost, label=a.label))
+        out.append(PAction(a.source, None, cost))
     return out
 
 

@@ -42,6 +42,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             sptg([1], [-1], (0, None, Fr(0)))
 
+    def test_wait_rate_rejected(self):
+        """Only a snapshot game's waits carry a wait rate; an SPTG's own
+        action with one would break the sweep's continuity check."""
+        with pytest.raises(ValueError, match="wait rate"):
+            sptg([1], [2], (0, None, Fr(3), Fr(1)))
+        with pytest.raises(ValueError, match="action 1 has a wait rate"):
+            sptg([1], [0], (0, None, Fr(3)), (0, None, Fr(3), Fr(1, 2)))
+
     def test_event_bound(self):
         g = fixture_a().game
         # 3 states with 2, 1, 1 actions: profile bound (2+1)(1+1)(1+1) = 12
@@ -90,7 +98,7 @@ class TestTimeOne:
         values, profile = solve_at_time_one(g)
         assert values == [F0, F0, F0]
         # minimizer takes the free move, both maximizer states exit
-        assert g.actions[profile[0]].label == "a1"
+        assert profile[0] == 0  # a1, the first action
 
     def test_trapped_state_is_infinite(self):
         g = sptg([1, 1], [1, 1], (0, 0, Fr(0)), (1, None, Fr(1)))
@@ -122,10 +130,10 @@ class TestSweep:
     def test_fixture_a_strategy_cells(self):
         g = fixture_a().game
         sol = solve_sptg(g)
-        labels = lambda x: g.actions[sol.strategy.choice_at(0, x)].label
-        assert labels(Fr(1, 4)) == "a2"
-        assert labels(Fr(3, 4)) == "a1"
-        assert labels(F1) == "a1"
+        # a1 and a2 are actions 0 and 1
+        assert sol.strategy.choice_at(0, Fr(1, 4)) == 1
+        assert sol.strategy.choice_at(0, Fr(3, 4)) == 0
+        assert sol.strategy.choice_at(0, F1) == 0
         # maximizer states wait on [0,1) and exit at the horizon
         for k in (1, 2):
             assert sol.strategy.choice_at(k, Fr(1, 2)) is WAIT
