@@ -58,7 +58,7 @@ def _cmd_solve(args) -> int:
         with open(args.file, "rb") as fh:
             doc = gamedoc.parse(fh.read())
         game = doc.to_game()
-    except (OSError, ValueError) as exc:  # DocumentError is a ValueError
+    except (OSError, ValueError) as exc:  # GameError is a ValueError
         print(f"input-error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,11 @@
 """Game-description documents and result serialization.
 
 Documents are JSON with a fixed schema; every number is carried as an
-exact rational string ("p/q"), an integer, or "inf".  Parsing reports a
-diagnostic code and the offending location instead of raising bare
-exceptions, and serialization is canonical so identical inputs yield
-byte-identical outputs.
+exact rational string ("p/q"), an integer, or "inf".  Parsing checks
+JSON types, ids and numbers, and :meth:`GameDocument.to_game` the game's
+rules; either reports a diagnostic code and the offending location, and
+serialization is canonical so identical inputs yield byte-identical
+outputs.
 """
 
 from __future__ import annotations
@@ -13,18 +14,11 @@ import json
 from dataclasses import dataclass
 
 from .numerics import F0, format_cost, is_inf, parse_cost
-from .priced_game import PAction, PricedGame
+from .priced_game import GameError, PAction, PricedGame, clip
 from .ptg import Ptg, PtgResult, TAction
 from .sptg import WAIT, Sptg, SptgSolution
 
 FORMAT_VERSION = 1
-
-
-class DocumentError(ValueError):
-    def __init__(self, code: str, where: str, message: str):
-        self.code = code
-        self.where = where
-        super().__init__(f"{code} at {where}: {message}")
 
 
 @dataclass(frozen=True)
@@ -33,7 +27,7 @@ class GameDocument:
 
     ``actions`` are ``TAction`` for a ptg and ``PAction`` otherwise, in
     document order, so ``action_ids[j]`` names ``actions[j]``; ``rates``
-    are all 0 for a priced game.
+    are all 0 for a priced game.  Only :meth:`to_game` checks the rules.
     """
 
     kind: str  # priced | sptg | ptg
@@ -53,20 +47,20 @@ class GameDocument:
 
 def _require(obj, field, where):
     if field not in obj:
-        raise DocumentError("missing-field", where, f"expected {field!r}")
+        raise GameError("missing-field", where, f"expected {field!r}")
     return obj[field]
 
 
 def _no_extras(obj, allowed, where):
     for key in obj:
         if key not in allowed:
-            raise DocumentError("unknown-field", where, f"unexpected {key!r}")
+            raise GameError("unknown-field", where, f"unexpected {clip(repr(key))}")
 
 
 def _typed(value, kind, name, where):
     """``value`` when it has the JSON type ``name`` (Python ``kind``)."""
     if not isinstance(value, kind):
-        raise DocumentError("bad-type", where, f"expected {name}, got {value!r}")
+        raise GameError("bad-type", where, f"expected {name}, got {clip(repr(value))}")
     return value
 
 
@@ -74,9 +68,9 @@ def _number(raw, where, *, allow_inf=False):
     try:
         value = parse_cost(raw)
     except (ValueError, ZeroDivisionError, TypeError):
-        raise DocumentError("bad-number", where, f"cannot parse {raw!r}")
+        raise GameError("bad-number", where, f"cannot parse {clip(repr(raw))}")
     if is_inf(value) and not allow_inf:
-        raise DocumentError("bad-number", where, "inf not allowed here")
+        raise GameError("bad-number", where, "inf not allowed here")
     return value
 
 
@@ -88,20 +82,20 @@ def parse(text: str | bytes) -> GameDocument:
             text = text.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DocumentError("bad-json", f"line {exc.lineno}", exc.msg)
+        raise GameError("bad-json", f"line {exc.lineno}", exc.msg)
     except (ValueError, RecursionError) as exc:
         # undecodable bytes, an integer literal past Python's digit limit,
         # nesting past the recursion limit
-        raise DocumentError("bad-json", "document", str(exc))
+        raise GameError("bad-json", "document", str(exc))
     if not isinstance(raw, dict):
-        raise DocumentError("bad-json", "document", "expected an object")
+        raise GameError("bad-json", "document", "expected an object")
     _no_extras(raw, {"format", "kind", "states", "actions"}, "document")
     version = _require(raw, "format", "document")
     if type(version) is not int or version != FORMAT_VERSION:
-        raise DocumentError("bad-version", "document", f"unsupported format {version!r}")
+        raise GameError("bad-version", "document", f"unsupported format {clip(repr(version))}")
     kind = _require(raw, "kind", "document")
     if kind not in ("priced", "sptg", "ptg"):
-        raise DocumentError("bad-kind", "document", f"unknown kind {kind!r}")
+        raise GameError("bad-kind", "document", f"unknown kind {clip(repr(kind))}")
 
     index = {}  # state id -> state number
     owners = []
@@ -113,22 +107,17 @@ def parse(text: str | bytes) -> GameDocument:
         _no_extras(s, {"id", "owner", "rate"}, where)
         sid = _typed(_require(s, "id", where), str, "a string", where)
         if sid in index or sid == "bot":
-            raise DocumentError("duplicate-id", where, sid)
+            raise GameError("duplicate-id", where, clip(sid))
         index[sid] = i
-        owner = _require(s, "owner", where)
-        if type(owner) is not int or owner not in (1, 2):
-            raise DocumentError("bad-owner", where, f"owner {owner!r}")
         rate = F0
         if kind != "priced":
             rate = _number(_require(s, "rate", where), where)
-            if rate < 0:
-                raise DocumentError("negative-rate", where, str(rate))
         elif "rate" in s:
-            raise DocumentError("unknown-field", where, "rate on a priced game")
-        owners.append(owner)
+            raise GameError("unknown-field", where, "rate on a priced game")
+        owners.append(_require(s, "owner", where))
         rates.append(rate)
     if not index:
-        raise DocumentError("no-states", "states", "a game needs at least one state")
+        raise GameError("no-states", "states", "a game needs at least one state")
 
     action_ids = {}
     actions = []
@@ -142,18 +131,16 @@ def parse(text: str | bytes) -> GameDocument:
         _no_extras(a, allowed, where)
         aid = _typed(_require(a, "id", where), str, "a string", where)
         if aid in action_ids:
-            raise DocumentError("duplicate-id", where, aid)
+            raise GameError("duplicate-id", where, clip(aid))
         action_ids[aid] = i
         src = _typed(_require(a, "from", where), str, "a string", where)
         if src not in index:
-            raise DocumentError("dangling-reference", where, f"from {src!r}")
+            raise GameError("dangling-reference", where, f"from {clip(repr(src))}")
         to = _typed(_require(a, "to", where), str, "a string", where)
         if to != "bot" and to not in index:
-            raise DocumentError("dangling-reference", where, f"to {to!r}")
+            raise GameError("dangling-reference", where, f"to {clip(repr(to))}")
         dest = index.get(to)  # None for "bot", the terminal
         cost = _number(_require(a, "cost", where), where, allow_inf=True)
-        if not is_inf(cost) and cost < 0:
-            raise DocumentError("negative-cost", where, str(cost))
         if kind != "ptg":
             actions.append(PAction(index[src], dest, cost))
             continue
@@ -163,16 +150,8 @@ def parse(text: str | bytes) -> GameDocument:
         hi = _number(_require(iv, "hi", where), where)
         lo_c = _typed(iv.get("lo_closed", True), bool, "a boolean", where)
         hi_c = _typed(iv.get("hi_closed", True), bool, "a boolean", where)
-        if lo < 0 or lo > hi:
-            raise DocumentError("bad-interval", where, f"[{lo}, {hi}]")
         reset = _typed(a.get("reset", False), bool, "a boolean", where)
-        if reset and dest is None:
-            raise DocumentError("dangling-reference", where, "reset to bot")
         actions.append(TAction(index[src], dest, cost, lo, hi, lo_c, hi_c, reset))
-    sources = {a.source for a in actions}
-    for sid, k in index.items():
-        if k not in sources:
-            raise DocumentError("no-actions", f"states[{k}]", f"state {sid!r} has no actions")
     return GameDocument(
         kind, tuple(index), tuple(action_ids), tuple(owners), tuple(rates), tuple(actions)
     )

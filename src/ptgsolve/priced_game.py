@@ -35,6 +35,45 @@ class PAction:
     wait_rate: Fraction = F0  # infinitesimal charge; nonzero only on waiting exits
 
 
+class GameError(ValueError):
+    """A game, or a document describing one, that breaks a rule: a stable
+    ``code``, and ``where``: ``states[k]`` or ``actions[j]``, which are
+    also the document's positions, or the part at fault."""
+
+    def __init__(self, code: str, where: str, message: str):
+        self.code = code
+        self.where = where
+        super().__init__(f"{code} at {where}: {message}")
+
+
+def clip(text: str) -> str:
+    """``text`` cut to a fixed-length prefix, so that a diagnostic that
+    echoes its input stays one short line."""
+    return text if len(text) <= 40 else text[:40] + "…"
+
+
+def check_graph(owners, actions) -> None:
+    """The rules an untimed and a timed game share: owners 1 or 2, actions
+    between existing states at a nonnegative cost, and at least one
+    action at every state."""
+    n = len(owners)
+    for k, o in enumerate(owners):
+        if type(o) is not int or o not in (1, 2):  # not bool: JSON true is no owner
+            raise GameError("bad-owner", f"states[{k}]", f"owner {clip(repr(o))}")
+    idle = set(range(n))
+    for j, a in enumerate(actions):
+        if not 0 <= a.source < n:
+            raise GameError("dangling-reference", f"actions[{j}]", f"from {a.source}")
+        if a.dest is not None and not 0 <= a.dest < n:
+            raise GameError("dangling-reference", f"actions[{j}]", f"to {a.dest}")
+        if not is_inf(a.cost) and a.cost < 0:
+            raise GameError("negative-cost", f"actions[{j}]", str(a.cost))
+        idle.discard(a.source)
+    if idle:
+        k = min(idle)
+        raise GameError("no-actions", f"states[{k}]", f"state {k} has no actions")
+
+
 @dataclass(frozen=True)
 class PricedGame:
     """States owned by player 1 (minimizer) or 2 (maximizer), plus actions."""
@@ -43,19 +82,7 @@ class PricedGame:
     actions: tuple  # PAction
 
     def __post_init__(self):
-        for k, o in enumerate(self.owners):
-            if o not in (1, 2):
-                raise ValueError(f"state {k} has owner {o}")
-        for j, a in enumerate(self.actions):
-            if not 0 <= a.source < self.num_states:
-                raise ValueError(f"action {j} has bad source")
-            if a.dest is not None and not 0 <= a.dest < self.num_states:
-                raise ValueError(f"action {j} has bad destination")
-            if not is_inf(a.cost) and a.cost < 0:
-                raise ValueError(f"action {j} has negative cost")
-        for k in range(self.num_states):
-            if not self.state_actions[k]:
-                raise ValueError(f"state {k} has no actions")
+        check_graph(self.owners, self.actions)
 
     @property
     def num_states(self) -> int:

@@ -31,14 +31,8 @@ from functools import cached_property
 from typing import Optional
 
 from .numerics import F0, INF, PwlFn, frac, is_inf
-from .priced_game import PAction, PricedGame, extended_dijkstra
-from .sptg import Sptg, SptgSolution, solve_sptg
-
-
-class PtgValidationError(ValueError):
-    def __init__(self, code: str, message: str):
-        self.code = code
-        super().__init__(f"{code}: {message}")
+from .priced_game import GameError, PAction, PricedGame, check_graph, extended_dijkstra
+from .sptg import Sptg, SptgSolution, check_rates, solve_sptg
 
 
 @dataclass(frozen=True)
@@ -69,38 +63,23 @@ class Ptg:
     actions: tuple  # TAction
 
     def __post_init__(self):
-        n = len(self.owners)
-        if len(self.rates) != n:
-            raise PtgValidationError("state-count", "rates and owners disagree")
-        for k, o in enumerate(self.owners):
-            if o not in (1, 2):
-                raise PtgValidationError("bad-owner", f"state {k} has owner {o}")
-        for k, r in enumerate(self.rates):
-            if is_inf(r) or r < 0:
-                raise PtgValidationError("negative-rate", f"state {k}")
-        for i, a in enumerate(self.actions):
-            if not 0 <= a.source < n:
-                raise PtgValidationError("dangling-reference", f"action {i} source")
-            if a.dest is not None and not 0 <= a.dest < n:
-                raise PtgValidationError("dangling-reference", f"action {i} dest")
-            if not is_inf(a.cost) and a.cost < 0:
-                raise PtgValidationError("negative-cost", f"action {i}")
+        check_rates(self.owners, self.rates)
+        check_graph(self.owners, self.actions)
+        for j, a in enumerate(self.actions):
             if a.lo < 0 or a.lo > a.hi:
-                raise PtgValidationError("bad-interval", f"action {i}")
+                raise GameError("bad-interval", f"actions[{j}]", f"[{a.lo}, {a.hi}]")
             if a.lo == a.hi and not (a.lo_closed and a.hi_closed):
-                raise PtgValidationError("bad-interval", f"action {i} is empty")
+                raise GameError("bad-interval", f"actions[{j}]", f"action {j} is empty")
             if a.reset and a.dest is None:
-                raise PtgValidationError("reset-to-terminal", f"action {i}")
-        if not self.actions:
-            raise PtgValidationError("no-actions", "the game has no actions")
+                raise GameError("dangling-reference", f"actions[{j}]", "reset to bot")
         if self.horizon == F0:
-            raise PtgValidationError("degenerate-horizon", "no action extends past 0")
-        for k in range(n):
-            if not any(
-                a.source == k and a.available_at(self.horizon) for a in self.actions
-            ):
-                raise PtgValidationError(
-                    "no-horizon-action", f"state {k} has no action at time {self.horizon}"
+            raise GameError("degenerate-horizon", "actions", "no action extends past 0")
+        for k in range(self.num_states):
+            if not any(a.source == k and a.available_at(self.horizon) for a in self.actions):
+                raise GameError(
+                    "no-horizon-action",
+                    f"states[{k}]",
+                    f"state {k} has no action at time {self.horizon}",
                 )
 
     @property
@@ -109,7 +88,7 @@ class Ptg:
 
     @cached_property
     def horizon(self) -> Fraction:
-        return max(a.hi for a in self.actions)
+        return max((a.hi for a in self.actions), default=F0)
 
     @cached_property
     def ladder(self) -> tuple:
@@ -220,7 +199,7 @@ def build_interval_sptg(game: Ptg, v_hi, width, actions) -> Sptg:
     """
     width = frac(width)
     if width <= 0:
-        raise PtgValidationError("bad-interval", f"width {width}")
+        raise GameError("bad-interval", "width", str(width))
     n = game.num_states
     max_state = n
     top_rate = max(game.rates, default=F0) * width

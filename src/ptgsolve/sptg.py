@@ -41,6 +41,7 @@ from functools import cached_property
 
 from .numerics import F0, F1, PwlFn, frac, is_inf
 from .priced_game import (
+    GameError,
     PAction,
     PricedGame,
     _settle,
@@ -54,6 +55,16 @@ from .priced_game import (
 WAIT = None  # strategy-cell marker for the waiting choice
 
 
+def check_rates(owners, rates) -> None:
+    """The rule a simple and a full timed game share: one finite,
+    nonnegative rate per state."""
+    if len(rates) != len(owners):
+        raise GameError("state-count", "states", "rates and owners disagree")
+    for k, r in enumerate(rates):
+        if is_inf(r) or r < 0:
+            raise GameError("negative-rate", f"states[{k}]", str(r))
+
+
 @dataclass(frozen=True)
 class Sptg:
     owners: tuple  # 1 (minimizer) or 2 (maximizer) per state
@@ -61,14 +72,11 @@ class Sptg:
     actions: tuple  # PAction with Fraction or infinite costs
 
     def __post_init__(self):
-        if len(self.rates) != len(self.owners):
-            raise ValueError("rates and owners disagree on the state count")
-        for k, r in enumerate(self.rates):
-            if is_inf(r) or r < 0:
-                raise ValueError(f"state {k} has a bad rate")
+        check_rates(self.owners, self.rates)
+        # only snapshot waits (build_eps_game) carry a wait rate
         for j, a in enumerate(self.actions):
             if a.wait_rate:
-                raise ValueError(f"action {j} has a wait rate; only snapshot waits carry one")
+                raise GameError("wait-rate", f"actions[{j}]", f"wait rate {a.wait_rate}")
         # structural checks (ownership, sources, costs) ride on the core
         self.core  # noqa: B018
 

@@ -10,7 +10,6 @@ import pytest
 
 from ptgsolve import cli, gamedoc
 from ptgsolve.fixtures import delayed_exit_jump, fixture_a
-from ptgsolve.gamedoc import DocumentError
 from ptgsolve.numerics import F0, F1, DigitLimitError, format_cost, is_inf
 from ptgsolve.oracle import (
     EquilibriumReport,
@@ -18,7 +17,7 @@ from ptgsolve.oracle import (
     generate_random,
     value_iteration_sptg,
 )
-from ptgsolve.priced_game import PAction, PricedGame
+from ptgsolve.priced_game import GameError, PAction, PricedGame
 from ptgsolve.ptg import solve_ptg
 from ptgsolve.sptg import WAIT, TimedStrategyProfile, solve_sptg
 
@@ -97,8 +96,8 @@ class TestParsing:
         assert solve_sptg(doc.to_game()).values == fx.expected["values"]
 
     def expect(self, code, text):
-        with pytest.raises(DocumentError) as exc:
-            gamedoc.parse(text)
+        with pytest.raises(GameError) as exc:
+            gamedoc.parse(text).to_game()
         assert exc.value.code == code
 
     def base(self, **overrides):
@@ -168,7 +167,7 @@ class TestParsing:
             {"id": "a0", "from": "s0", "to": "bot", "cost": "2.5"},
             {"id": "a1", "from": "s0", "to": "bot", "cost": cost},
         ]
-        with pytest.raises(DocumentError) as exc:
+        with pytest.raises(GameError) as exc:
             gamedoc.parse(self.base(actions=actions))
         assert (exc.value.code, exc.value.where) == ("bad-number", "actions[1]")
 
@@ -206,6 +205,20 @@ def ptg_body():
     }
 
 
+MISSING = object()  # as an edit's value: delete the field
+
+
+def edit(body, path, value):
+    """Set the field of ``body`` at ``path`` to ``value``, or delete it."""
+    *parents, last = path
+    for key in parents:
+        body = body[key]
+    if value is MISSING:
+        del body[last]
+    else:
+        body[last] = value
+
+
 @pytest.mark.parametrize(
     "path, value, code",
     [
@@ -231,15 +244,85 @@ def ptg_body():
 )
 def test_mistyped_document_exits_two_with_code(tmp_path, capsys, path, value, code):
     body = ptg_body()
-    *parents, last = path
-    target = body
-    for key in parents:
-        target = target[key]
-    target[last] = value
+    edit(body, path, value)
     game = tmp_path / "game.json"
     game.write_text(json.dumps(body))
     assert cli.main(["solve", str(game)]) == 2
     assert capsys.readouterr().err.startswith(f"input-error: {code}")
+
+
+# One single-fault document per code a document can be rejected with, by
+# case name: the code, the document (its text, or edits of ptg_body()),
+# and where: a document position, or the part of it at fault.
+REJECTIONS = {
+    "bad-json": ("bad-json", '{"format": 1,\n nope}', "line 2"),
+    "bad-version": ("bad-version", [(("format",), 2)], "document"),
+    "bad-kind": ("bad-kind", [(("kind",), "parity")], "document"),
+    "missing-field": ("missing-field", [(("actions", 0, "cost"), MISSING)], "actions[0]"),
+    "unknown-field": ("unknown-field", [(("states", 0, "colour"), "red")], "states[0]"),
+    "bad-type": ("bad-type", [(("actions", 1, "reset"), "true")], "actions[1]"),
+    "bad-number": ("bad-number", [(("states", 0, "rate"), "1/0")], "states[0]"),
+    "duplicate-id": ("duplicate-id", [(("actions", 1, "id"), "free")], "actions[1]"),
+    "no-states": ("no-states", [(("states",), [])], "states"),
+    "bad-owner": ("bad-owner", [(("states", 0, "owner"), 3)], "states[0]"),
+    "negative-rate": ("negative-rate", [(("states", 0, "rate"), "-1")], "states[0]"),
+    "dangling-to": ("dangling-reference", [(("actions", 1, "to"), "ghost")], "actions[1]"),
+    "reset-to-bot": ("dangling-reference", [(("actions", 1, "reset"), True)], "actions[1]"),
+    "negative-cost": ("negative-cost", [(("actions", 1, "cost"), "-5")], "actions[1]"),
+    "reversed-interval": ("bad-interval", [(("actions", 1, "interval", "lo"), "2")], "actions[1]"),
+    "negative-lo": ("bad-interval", [(("actions", 1, "interval", "lo"), "-1")], "actions[1]"),
+    "empty-open-point": (
+        "bad-interval",
+        [(("actions", 0, "interval"), {"lo": "1", "hi": "1", "lo_closed": False})],
+        "actions[0]",
+    ),
+    "no-actions": (
+        "no-actions",
+        [(("states",), [{"id": f"s{k}", "owner": 1, "rate": "1"} for k in (0, 1)])],
+        "states[1]",
+    ),
+    "degenerate-horizon": (
+        "degenerate-horizon",
+        [(("actions", j, "interval"), {"lo": "0", "hi": "0"}) for j in (0, 1)],
+        "actions",
+    ),
+    "no-horizon-action": (
+        "no-horizon-action", [(("actions", 1, "interval", "hi_closed"), False)], "states[0]"
+    ),
+}
+
+
+@pytest.mark.parametrize("code, document, where", REJECTIONS.values(), ids=REJECTIONS)
+def test_every_rejection_names_its_code_and_location(tmp_path, capsys, code, document, where):
+    text = document
+    if not isinstance(document, str):
+        body = ptg_body()
+        for path, value in document:
+            edit(body, path, value)
+        text = json.dumps(body)
+    game = tmp_path / "game.json"
+    game.write_text(text)
+    assert cli.main(["solve", str(game)]) == 2
+    assert capsys.readouterr().err.startswith(f"input-error: {code} at {where}: ")
+
+
+@pytest.mark.parametrize(
+    "path, value, code",
+    [
+        (("states", 0, "rate"), "1" * 5000, "bad-number"),
+        (("states", 0, "id"), [1] * 5000, "bad-type"),
+    ],
+    ids=["rate", "id"],
+)
+def test_long_input_is_not_echoed_whole(tmp_path, capsys, path, value, code):
+    body = ptg_body()
+    edit(body, path, value)
+    game = tmp_path / "game.json"
+    game.write_text(json.dumps(body))
+    assert cli.main(["solve", str(game)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input-error: {code} at states[0]: ")
+    assert err.endswith("…\n") and len(err) < 120
 
 
 @pytest.mark.parametrize("kind", ["priced", "sptg", "ptg"])

@@ -1,22 +1,30 @@
 """Metamorphic invariants: changes to a game that must leave its values
-alone, checked without an oracle.
+alone, or change them in a known way, checked by solving both games.
 
 Relabelling permutes the states and the actions; each state keeps its
 value function under its new number, or its document id.  Padding adds
 a copy of one action, which offers nothing the original does not.
+Cost scaling multiplies every cost and rate by c: every value, point
+values included, is multiplied by c, and the strategies and jump points
+stay.  An SPTG whose rates are all 0 is its untimed game at every clock
+value, so its values are constant and equal the untimed ones (read off
+untimed value iteration).  (An SPTG whose actions all span [0, 1] is
+also a PTG with the same values: ``tests/test_ptg.py`` checks that.)
 """
 
 import dataclasses
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from ptgsolve import cli
-from ptgsolve.oracle import generate_random
+from ptgsolve import cli, gamedoc
+from ptgsolve.numerics import F0, F1, PwlFn, format_cost, is_inf, parse_cost
+from ptgsolve.oracle import generate_random, untimed_value_iteration
 from ptgsolve.ptg import solve_ptg
-from ptgsolve.sptg import solve_sptg
+from ptgsolve.sptg import Sptg, solve_sptg
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INPUTS = sorted(p for p in GOLDEN.glob("*.json") if not p.name.endswith(".out.json"))
@@ -94,3 +102,89 @@ def test_shuffled_and_padded_document_keeps_its_result(tmp_path, path):
     got = solved(tmp_path, body)
     assert got["values"] == want["values"]
     assert got.get("jumps") == want.get("jumps")
+
+
+C = Fraction(3, 2)
+
+
+def times(v, c):
+    return v if is_inf(v) else v * c
+
+
+def cost_scaled(game, c):
+    """``game`` with every cost and every rate multiplied by ``c``."""
+    actions = tuple(dataclasses.replace(a, cost=times(a.cost, c)) for a in game.actions)
+    return dataclasses.replace(game, rates=tuple(r * c for r in game.rates), actions=actions)
+
+
+def fn_times(fn, c):
+    """``fn`` multiplied by ``c`` > 0, point values included."""
+    return PwlFn(
+        fn.breaks,
+        tuple(times(v, c) for v in fn.seg_vals),
+        tuple(s * c for s in fn.slopes),
+        tuple(times(v, c) for v in fn.point_vals),
+    )
+
+
+def test_cost_scaling_scales_sptg_values_and_keeps_strategies():
+    for i, game in enumerate(random_games("sptg")):
+        want, got = solve_sptg(game), solve_sptg(cost_scaled(game, C))
+        assert list(got.values) == [fn_times(f, C) for f in want.values], i
+        assert got.strategy.cells == want.strategy.cells, i
+
+
+def test_cost_scaling_scales_ptg_values_and_keeps_jumps():
+    for i, game in enumerate(random_games("ptg")):
+        want, got = solve_ptg(game), solve_ptg(cost_scaled(game, C))
+        assert list(got.values) == [fn_times(f, C) for f in want.values], i
+        assert [got.jump_points(k) for k in range(game.num_states)] == [
+            want.jump_points(k) for k in range(game.num_states)
+        ], i
+
+
+def test_zero_rates_give_constant_untimed_values():
+    golden = [gamedoc.parse(p.read_bytes()).to_game() for p in GOLDEN_INPUTS]
+    games = random_games("sptg") + [g for g in golden if type(g) is Sptg]
+    for i, game in enumerate(games):
+        flat = dataclasses.replace(game, rates=(F0,) * game.num_states)
+        untimed = untimed_value_iteration(flat.core, flat.core.state_actions)
+        assert list(solve_sptg(flat).values) == [PwlFn.constant(F0, F1, v) for v in untimed], i
+
+
+NUMBER_FIELDS = ("value_at_left", "slope", "point_value_at_left", "value")
+
+
+def text_times(text, c):
+    """A document number times ``c``, as a document number."""
+    return format_cost(times(parse_cost(text), c))
+
+
+def result_times(values, c):
+    """A result document's ``values`` with every value and slope times ``c``."""
+    out = {}
+    for sid, v in values.items():
+        if isinstance(v, str):  # a priced game's value
+            out[sid] = text_times(v, c)
+        else:
+            out[sid] = [
+                {k: text_times(x, c) if k in NUMBER_FIELDS else x for k, x in row.items()}
+                for row in v
+            ]
+    return out
+
+
+@pytest.mark.parametrize("path", GOLDEN_INPUTS, ids=lambda p: p.stem)
+def test_cost_scaled_document_scales_its_values(tmp_path, path):
+    """Multiply a golden input's costs and rates by c: its values scale
+    by c, and the rest of the result (strategy, jumps, stats) stays."""
+    body = json.loads(path.read_text())
+    want = solved(tmp_path, body)
+    for state in body["states"]:
+        if "rate" in state:
+            state["rate"] = text_times(state["rate"], C)
+    for action in body["actions"]:
+        action["cost"] = text_times(action["cost"], C)
+    got = solved(tmp_path, body)
+    assert got["values"] == result_times(want["values"], C)
+    assert {**got, "values": None} == {**want, "values": None}

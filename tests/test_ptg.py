@@ -8,12 +8,11 @@ from ptgsolve import gamedoc, ptg
 from ptgsolve.fixtures import delayed_exit_jump, maximizer_reset_loop
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
 from ptgsolve.oracle import generate_random, simulate_ptg
-from ptgsolve.priced_game import PAction, extended_dijkstra
+from ptgsolve.priced_game import GameError, PAction, extended_dijkstra
 from ptgsolve.ptg import (
     Ptg,
     PtgResult,
     PtgStats,
-    PtgValidationError,
     TAction,
     _assemble,
     _availability,
@@ -43,7 +42,7 @@ def untimed_at(game, x, reset_values=None):
 
 class TestValidation:
     def expect(self, code, *actions, owners=(1,), rates=(1,)):
-        with pytest.raises(PtgValidationError) as exc:
+        with pytest.raises(GameError) as exc:
             simple(*actions, owners=owners, rates=rates)
         assert exc.value.code == code
 
@@ -76,7 +75,7 @@ class TestValidation:
         )
 
     def test_reset_to_terminal(self):
-        self.expect("reset-to-terminal", act(0, None, 0, 0, 1, reset=True))
+        self.expect("dangling-reference", act(0, None, 0, 0, 1, reset=True))
 
     def test_no_actions(self):
         self.expect("no-actions")
@@ -151,7 +150,7 @@ class TestIntervalSptg:
 
     def test_nonpositive_width_rejected(self):
         g = self.game()
-        with pytest.raises(PtgValidationError) as exc:
+        with pytest.raises(GameError) as exc:
             build_interval_sptg(g, [F0, F0], F0, untimed_at(g, Fr(1, 2)))
         assert exc.value.code == "bad-interval"
 
@@ -228,15 +227,14 @@ class TestSolvePtg:
         assert res.values[0] == PwlFn.affine(F0, Fr(2), Fr(2), Fr(-1))
 
     def test_full_span_game_matches_direct_sweep(self):
-        for seed in range(30):
-            core = generate_random("sptg", 3, 3, seed)
-            actions = tuple(
-                act(a.source, a.dest, a.cost, 0, 1) for a in core.actions
-            )
-            g = Ptg(core.owners, core.rates, actions)
-            res = solve_ptg(g)
-            direct = solve_sptg(core)
-            assert res.values == direct.values, seed
+        for n in range(1, 6):
+            for seed in range(60):
+                core = generate_random("sptg", n, 3, seed, allow_inf=seed % 2 == 0)
+                actions = tuple(TAction(a.source, a.dest, a.cost, F0, F1) for a in core.actions)
+                g = Ptg(core.owners, core.rates, actions)
+                res = solve_ptg(g)
+                direct = solve_sptg(core)
+                assert res.values == direct.values, (n, seed)
 
     def test_jump_points_lie_on_the_ladder(self):
         for seed in range(30):

@@ -47,7 +47,7 @@ class TestConstruction:
         action with one would break the sweep's continuity check."""
         with pytest.raises(ValueError, match="wait rate"):
             sptg([1], [2], (0, None, Fr(3), Fr(1)))
-        with pytest.raises(ValueError, match="action 1 has a wait rate"):
+        with pytest.raises(ValueError, match=r"wait-rate at actions\[1\]"):
             sptg([1], [0], (0, None, Fr(3)), (0, None, Fr(3), Fr(1, 2)))
 
     def test_event_bound(self):
@@ -81,7 +81,7 @@ class TestEpsGame:
 
     def test_negative_wait_cost_rejected(self):
         g = fixture_a().game
-        with pytest.raises(ValueError, match="negative cost"):
+        with pytest.raises(ValueError, match=r"negative-cost at actions\[5\]: -1"):
             build_eps_game(g, [F0, Fr(-1), F0])
 
     def test_original_actions_are_eps_free(self):
