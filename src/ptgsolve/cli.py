@@ -109,7 +109,7 @@ def _cmd_fuzz(args) -> int:
     disagreements = 0
     for i in range(args.count):
         seed = args.seed + i
-        game = generate_random("sptg", args.size, 3, seed, allow_inf=(i % 4 == 0))
+        game = generate_random("sptg", args.size, 3, seed, allow_inf=(seed % 4 == 0))
         sol = solve_sptg(game)
         if not _sptg_verified(game, sol):
             disagreements += 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .numerics import F0, format_cost, is_inf, parse_cost
+from .numerics import F0, event_point_count, format_cost, is_inf, parse_cost
 from .priced_game import GameError, PAction, PricedGame, clip
 from .ptg import Ptg, PtgResult, TAction
 from .sptg import WAIT, Sptg, SptgSolution
@@ -227,9 +227,6 @@ def emit_sptg_result(doc: GameDocument, sol: SptgSolution) -> str:
 
 
 def emit_ptg_result(doc: GameDocument, res: PtgResult) -> str:
-    interior = set()
-    for f in res.values:
-        interior.update(f.interior_breaks())
     body = {
         "format": FORMAT_VERSION,
         "kind": "ptg",
@@ -239,7 +236,7 @@ def emit_ptg_result(doc: GameDocument, res: PtgResult) -> str:
             for k, sid in enumerate(doc.state_ids)
         },
         "stats": {
-            "L": len(interior),
+            "L": event_point_count(res.values),
             "sweep_steps": sum(c.solution.stats.sweep_steps for c in res.trace),
             "oracle_calls": res.stats.oracle_calls,
         },

@@ -8,6 +8,7 @@ absorbs under addition, so finite arithmetic never touches floating point.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -18,6 +19,9 @@ INF = math.inf
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+
+# Each player's strict preference between two values.
+BETTER = {"min": operator.lt, "max": operator.gt}
 
 
 def frac(value) -> Fraction:
@@ -238,6 +242,11 @@ class PwlFn:
         return self.breaks[1:-1]
 
 
+def event_point_count(fns) -> int:
+    """L: the number of distinct interior breakpoints of ``fns``."""
+    return len({b for f in fns for b in f.interior_breaks()})
+
+
 def _merge(f: PwlFn, g: PwlFn, better) -> PwlFn:
     """The pointwise best of two functions on a common domain.
 
@@ -291,12 +300,12 @@ def _envelope(fs: Sequence[PwlFn], better) -> PwlFn:
 
 def min_envelope(fs: Sequence[PwlFn]) -> PwlFn:
     """Pointwise minimum of functions on a common domain."""
-    return _envelope(list(fs), lambda a, b: a < b)
+    return _envelope(list(fs), BETTER["min"])
 
 
 def max_envelope(fs: Sequence[PwlFn]) -> PwlFn:
     """Pointwise maximum of functions on a common domain."""
-    return _envelope(list(fs), lambda a, b: a > b)
+    return _envelope(list(fs), BETTER["max"])
 
 
 def wait_closure(f: PwlFn, rate, player: str) -> PwlFn:
@@ -309,7 +318,7 @@ def wait_closure(f: PwlFn, rate, player: str) -> PwlFn:
     rate = frac(rate)
     if rate < 0:
         raise ValueError("negative waiting rate")
-    if player not in ("min", "max"):
+    if player not in BETTER:
         raise ValueError(f"unknown player {player!r}")
     if f.is_constant_inf():
         return f
@@ -317,7 +326,7 @@ def wait_closure(f: PwlFn, rate, player: str) -> PwlFn:
         raise PwlError("wait closure requires a finite or constant-inf function")
     if f.jumps():
         raise PwlError("wait closure requires a continuous function")
-    minimize = player == "min"
+    better = BETTER[player]
 
     # Work with F(x) = f(x) + rate*x; the closure of f is then the running
     # min (or max) of F from the right, minus rate*x.
@@ -327,16 +336,12 @@ def wait_closure(f: PwlFn, rate, player: str) -> PwlFn:
         fval = val + rate * lo
         fslope = slope + rate
         f_hi = fval + fslope * (hi - lo)
-        inward = fslope >= 0 if minimize else fslope <= 0
-        if not inward:
-            # optimum over [x, hi] sits at the segment's right end
-            cand = f_hi
-            level = cand if (cand < best if minimize else cand > best) else best
-            out.append((lo, hi, level, F0))
-            best = level
-            continue
-        better = (lambda a, b: a < b) if minimize else (lambda a, b: a > b)
-        if not better(best, f_hi):
+        if better(fslope, F0):
+            # F improves rightwards: the optimum over [x, hi] sits at hi
+            if better(f_hi, best):
+                best = f_hi
+            out.append((lo, hi, best, F0))
+        elif not better(best, f_hi):
             # the whole segment improves on the level from the right
             out.append((lo, hi, fval, fslope))
             best = fval

@@ -58,6 +58,7 @@ def value_iteration_sptg(sptg: Sptg, cap: Optional[int] = None) -> ValueIteratio
     n = sptg.num_states
     if cap is None:
         cap = n * sptg.core.profile_bound() + 1
+    sides = [(min_envelope, "min") if o == 1 else (max_envelope, "max") for o in sptg.owners]
     fns = tuple(PwlFn.constant(F0, F1, INF) for _ in range(n))
     for it in range(1, cap + 1):
         new = []
@@ -71,12 +72,8 @@ def value_iteration_sptg(sptg: Sptg, cap: Optional[int] = None) -> ValueIteratio
                     cands.append(PwlFn.constant(F0, F1, a.cost))
                 else:
                     cands.append(fns[a.dest].offset(a.cost))
-            if sptg.owners[k] == 1:
-                env = min_envelope(cands)
-                new.append(wait_closure(env, sptg.rates[k], "min"))
-            else:
-                env = max_envelope(cands)
-                new.append(wait_closure(env, sptg.rates[k], "max"))
+            envelope, side = sides[k]
+            new.append(wait_closure(envelope(cands), sptg.rates[k], side))
         new = tuple(new)
         if new == fns:
             return ValueIterationResult(new, it)
@@ -281,19 +278,14 @@ def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> tuple:
 
 @dataclass
 class EquilibriumReport:
-    passed: bool = True
     # (state, clock, got, want): per state, the first clock value where its
     # play cost and its value differ
     probe_failures: list = field(default_factory=list)
     cell_failures: list = field(default_factory=list)  # (cell_index, player, action)
 
-    def fail_probe(self, state, t, got, want):
-        self.passed = False
-        self.probe_failures.append((state, t, got, want))
-
-    def fail_cell(self, idx, player, action):
-        self.passed = False
-        self.cell_failures.append((idx, player, action))
+    @property
+    def passed(self) -> bool:
+        return not (self.probe_failures or self.cell_failures)
 
 
 def _first_difference(got: PwlFn, want: PwlFn):
@@ -328,7 +320,7 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
         if got != want:
             t = _first_difference(got, want)
             if t is not None:
-                report.fail_probe(k, t, got.eval(t), want.eval(t))
+                report.probe_failures.append((k, t, got.eval(t), want.eval(t)))
     m = sptg.num_actions
     for idx, (lo, hi, choices) in enumerate(sol.strategy.cells):
         if lo == hi:
@@ -338,7 +330,7 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
             profile = tuple(m + k if j is WAIT else j for k, j in enumerate(choices))
         for player in (1, 2):
             for j in improving_switches(game, profile, player):
-                report.fail_cell(idx, player, j)
+                report.cell_failures.append((idx, player, j))
     return report
 
 

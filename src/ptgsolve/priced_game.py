@@ -24,8 +24,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .numerics import F0, INF, is_inf
 
-TERMINAL = None  # destination sentinel for the terminal state
-
 
 @dataclass(frozen=True)
 class PAction:
@@ -100,7 +98,7 @@ class PricedGame:
         """The actions into each state."""
         into = [[] for _ in range(self.num_states)]
         for j, a in enumerate(self.actions):
-            if a.dest is not TERMINAL:
+            if a.dest is not None:
                 into[a.dest].append(j)
         return tuple(tuple(js) for js in into)
 
@@ -144,7 +142,7 @@ def _through(game: PricedGame, j: int, vals) -> Valuation:
     a = game.actions[j]
     if is_inf(a.cost):
         return INFINITE
-    if a.dest is TERMINAL:
+    if a.dest is None:
         return Valuation(a.cost, a.wait_rate, 1)
     nxt = vals[a.dest]
     if is_inf(nxt.hops):
@@ -164,7 +162,7 @@ def evaluate_profile(game: PricedGame, profile: Profile) -> list:
         chain = []
         pos = {}
         k = start
-        while k is not TERMINAL and vals[k] is None:
+        while k is not None and vals[k] is None:
             if k in pos:
                 for c in chain[pos[k] :]:
                     vals[c] = INFINITE
@@ -225,7 +223,7 @@ def extended_dijkstra(game: PricedGame):
     exits = [
         (a.source, j, a.cost, a.wait_rate, 1)
         for j, a in enumerate(game.actions)
-        if a.dest is TERMINAL
+        if a.dest is None
     ]
     _settle(game.owners, game.actions, game.incoming, exits, pending, vals, profile)
 
@@ -240,7 +238,7 @@ def extended_dijkstra(game: PricedGame):
         for j in game.state_actions[k]:
             a = game.actions[j]
             if is_inf(a.cost) or (
-                a.dest is not TERMINAL and (vals[a.dest] is None or is_inf(vals[a.dest].payoff))
+                a.dest is not None and (vals[a.dest] is None or is_inf(vals[a.dest].payoff))
             ):
                 profile[k] = j
                 break

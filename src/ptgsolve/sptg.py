@@ -39,7 +39,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .numerics import F0, F1, PwlFn, frac, is_inf
+from .numerics import F0, F1, PwlFn, event_point_count, frac, is_inf
 from .priced_game import (
     GameError,
     PAction,
@@ -467,10 +467,7 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
     for seg, hi, c_k, r in zip(segments, top, c, rate):
         seg.append((F0, hi, c_k, -r))
     fns = tuple(PwlFn.from_segments(list(reversed(segs))) for segs in segments)
-    interior = set()
-    for f in fns:
-        interior.update(f.interior_breaks())
-    stats.event_points = len(interior)
+    stats.event_points = event_point_count(fns)
     strategy = TimedStrategyProfile(tuple(reversed(cells)))
     return SptgSolution(fns, strategy, stats)
 

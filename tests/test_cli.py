@@ -478,13 +478,27 @@ class TestMain:
     def test_verification_failure_exits_one(self, tmp_path, monkeypatch, capsys):
         path = self.write(tmp_path, doc_text(fixture_a().game, "sptg"))
         monkeypatch.setattr(
-            cli, "check_equilibrium", lambda *a, **k: EquilibriumReport(passed=False)
+            cli, "check_equilibrium", lambda *a, **k: EquilibriumReport(cell_failures=[(0, 1, 0)])
         )
         assert cli.main(["solve", path, "--verify"]) == 1
 
     def test_fuzz_agrees(self, capsys):
         assert cli.main(["fuzz", "--count", "5", "--size", "3"]) == 0
         assert "fuzz: 5/5 agree" in capsys.readouterr().out
+
+    def test_fuzz_seed_replays_its_game(self, monkeypatch, capsys):
+        """The game ``fuzz`` solves for a seed depends on the seed alone,
+        not on its position in the run, so a reported seed replays."""
+        games = {}
+
+        def recorded(kind, n, max_actions, seed, **kw):
+            games.setdefault(seed, []).append(generate_random(kind, n, max_actions, seed, **kw))
+            return games[seed][-1]
+
+        monkeypatch.setattr(cli, "generate_random", recorded)
+        assert cli.main(["fuzz", "--seed", "0", "--count", "8"]) == 0
+        assert cli.main(["fuzz", "--seed", "5", "--count", "1"]) == 0
+        assert len(games[5]) == 2 and games[5][0] == games[5][1]
 
     @pytest.mark.parametrize("flag", ["--count", "--size"])
     @pytest.mark.parametrize("value", ["0", "-3"])

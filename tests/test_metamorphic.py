@@ -10,6 +10,12 @@ stay.  An SPTG whose rates are all 0 is its untimed game at every clock
 value, so its values are constant and equal the untimed ones (read off
 untimed value iteration).  (An SPTG whose actions all span [0, 1] is
 also a PTG with the same values: ``tests/test_ptg.py`` checks that.)
+Horizon scaling multiplies every interval endpoint of a PTG by s and
+divides every rate by s: the values are stretched along the clock,
+``v'(s*x) = v(x)``.  Splitting cuts one action's interval at its
+midpoint into two copies that share it: the values stay.  Both change
+the widths of the intervals a PTG solve rescales, which the other
+invariants keep.
 """
 
 import dataclasses
@@ -23,7 +29,7 @@ import pytest
 from ptgsolve import cli, gamedoc
 from ptgsolve.numerics import F0, F1, PwlFn, format_cost, is_inf, parse_cost
 from ptgsolve.oracle import generate_random, untimed_value_iteration
-from ptgsolve.ptg import solve_ptg
+from ptgsolve.ptg import Ptg, solve_ptg
 from ptgsolve.sptg import Sptg, solve_sptg
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,6 +82,11 @@ def test_padding_with_a_copy_keeps_every_value(kind):
     solve = SOLVERS[kind]
     for i, game in enumerate(random_games(kind)):
         assert solve(padded(game, random.Random(i))).values == solve(game).values, i
+
+
+def golden_games(kind):
+    games = [gamedoc.parse(p.read_bytes()).to_game() for p in GOLDEN_INPUTS]
+    return [g for g in games if type(g) is kind]
 
 
 def solved(tmp_path, body):
@@ -144,12 +155,57 @@ def test_cost_scaling_scales_ptg_values_and_keeps_jumps():
 
 
 def test_zero_rates_give_constant_untimed_values():
-    golden = [gamedoc.parse(p.read_bytes()).to_game() for p in GOLDEN_INPUTS]
-    games = random_games("sptg") + [g for g in golden if type(g) is Sptg]
+    games = random_games("sptg") + golden_games(Sptg)
     for i, game in enumerate(games):
         flat = dataclasses.replace(game, rates=(F0,) * game.num_states)
         untimed = untimed_value_iteration(flat.core, flat.core.state_actions)
         assert list(solve_sptg(flat).values) == [PwlFn.constant(F0, F1, v) for v in untimed], i
+
+
+def horizon_scaled(game, s):
+    """``game`` with every interval endpoint times ``s`` and every rate
+    divided by ``s``."""
+    actions = tuple(dataclasses.replace(a, lo=a.lo * s, hi=a.hi * s) for a in game.actions)
+    return dataclasses.replace(game, rates=tuple(r / s for r in game.rates), actions=actions)
+
+
+def stretched(fn, s):
+    """``x -> fn(x / s)``: breakpoints times ``s``, slopes divided by ``s``."""
+    return PwlFn(
+        tuple(b * s for b in fn.breaks),
+        fn.seg_vals,
+        tuple(slope / s for slope in fn.slopes),
+        fn.point_vals,
+    )
+
+
+def test_horizon_scaling_stretches_ptg_values():
+    for i, game in enumerate(random_games("ptg") + golden_games(Ptg)):
+        want = solve_ptg(game).values
+        for s in (Fraction(2), Fraction(3, 2)):
+            got = solve_ptg(horizon_scaled(game, s)).values
+            assert list(got) == [stretched(f, s) for f in want], (i, s)
+
+
+def split(game, j):
+    """``game`` with action ``j``'s interval cut at its midpoint into two
+    copies that both contain it; None if the interval is a point."""
+    a = game.actions[j]
+    if a.lo == a.hi:
+        return None
+    mid = (a.lo + a.hi) / 2
+    halves = (
+        dataclasses.replace(a, hi=mid, hi_closed=True),
+        dataclasses.replace(a, lo=mid, lo_closed=True),
+    )
+    return dataclasses.replace(game, actions=game.actions[:j] + halves + game.actions[j + 1 :])
+
+
+def test_splitting_an_interval_keeps_every_value():
+    for i, game in enumerate(random_games("ptg") + golden_games(Ptg)):
+        other = split(game, i % len(game.actions))
+        if other is not None:
+            assert solve_ptg(other).values == solve_ptg(game).values, i
 
 
 NUMBER_FIELDS = ("value_at_left", "slope", "point_value_at_left", "value")

@@ -2,9 +2,11 @@ from fractions import Fraction as Fr
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ptgsolve import priced_game, sptg
-from ptgsolve.numerics import INF, is_inf
+from ptgsolve.numerics import F0, INF, is_inf
 from ptgsolve.oracle import generate_random
 from ptgsolve.priced_game import (
     INFINITE,
@@ -39,6 +41,55 @@ class TestValidation:
     def test_bad_destination_rejected(self):
         with pytest.raises(ValueError):
             game([1], (0, 5, Fr(1)))
+
+
+class TestValuation:
+    """Snapshot costs: a payoff plus an infinitesimal rate, which is the
+    ``wait_rate`` of the exit a play ends in (see ``Valuation``)."""
+
+    def test_lexicographic_order(self):
+        assert Valuation(Fr(1), Fr(1), 1) < Valuation(Fr(1), Fr(2), 1)
+        assert Valuation(Fr(1), Fr(99), 1) < Valuation(Fr(2), F0, 1)
+        assert Valuation(Fr(2), F0, 1) > Valuation(Fr(1), Fr(99), 1)
+        assert Valuation(Fr(1), Fr(1), 9) < Valuation(Fr(1), Fr(2), 1)
+
+    def test_componentwise_add(self):
+        # a move of cost 1 into a wait exit of cost 3 and rate 4
+        g = PricedGame((1, 1), (PAction(0, 1, Fr(1)), PAction(1, None, Fr(3), Fr(4))))
+        assert evaluate_profile(g, (0, 1)) == [
+            Valuation(Fr(4), Fr(4), 2),
+            Valuation(Fr(3), Fr(4), 1),
+        ]
+
+    def test_infinity_absorbs(self):
+        g = PricedGame((1, 1), (PAction(0, 1, INF), PAction(1, None, Fr(3), Fr(4))))
+        assert evaluate_profile(g, (0, 1))[0] == INFINITE
+        g = PricedGame((1, 1), (PAction(0, 1, Fr(1)), PAction(1, None, INF)))
+        assert evaluate_profile(g, (0, 1)) == [INFINITE, INFINITE]
+
+    def test_eps_normalised_at_infinity(self):
+        assert INFINITE == Valuation(INF, F0, INF)
+        # an infinite wait exit and a cycle both lose their rate
+        g = PricedGame((1, 2), (PAction(0, None, INF, Fr(5)), PAction(1, 1, F0)))
+        assert evaluate_profile(g, (0, 1)) == [INFINITE, INFINITE]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.just(INF), st.fractions(min_value=0, max_denominator=20)),
+                st.fractions(min_value=0, max_denominator=20),
+                st.integers(min_value=1, max_value=5),
+            ),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    def test_total_order_sorting(self, triples):
+        xs = [INFINITE if is_inf(p) else Valuation(p, r, h) for p, r, h in triples]
+        ordered = sorted(xs)
+        for a, b in zip(ordered, ordered[1:]):
+            assert a <= b
+            assert not b < a
 
 
 class TestEvaluateProfile:
