@@ -337,9 +337,8 @@ def wait_closure(f: PwlFn, rate, player: str) -> PwlFn:
         fslope = slope + rate
         f_hi = fval + fslope * (hi - lo)
         if better(fslope, F0):
-            # F improves rightwards: the optimum over [x, hi] sits at hi
-            if better(f_hi, best):
-                best = f_hi
+            # F improves rightwards: the optimum over [x, hi] sits at hi,
+            # and F is continuous there, so ``best`` already counts it
             out.append((lo, hi, best, F0))
         elif not better(best, f_hi):
             # the whole segment improves on the level from the right

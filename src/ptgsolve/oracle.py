@@ -57,14 +57,14 @@ def value_iteration_sptg(sptg: Sptg, cap: Optional[int] = None) -> ValueIteratio
     """
     n = sptg.num_states
     if cap is None:
-        cap = n * sptg.core.profile_bound() + 1
+        cap = n * sptg.profile_bound() + 1
     sides = [(min_envelope, "min") if o == 1 else (max_envelope, "max") for o in sptg.owners]
     fns = tuple(PwlFn.constant(F0, F1, INF) for _ in range(n))
     for it in range(1, cap + 1):
         new = []
         for k in range(n):
             cands = []
-            for j in sptg.core.state_actions[k]:
+            for j in sptg.state_actions[k]:
                 a = sptg.actions[j]
                 if is_inf(a.cost):
                     cands.append(PwlFn.constant(F0, F1, INF))
@@ -324,7 +324,7 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
     m = sptg.num_actions
     for idx, (lo, hi, choices) in enumerate(sol.strategy.cells):
         if lo == hi:
-            game, profile = sptg.core, choices
+            game, profile = sptg, choices
         else:
             game = build_eps_game(sptg, [f.eval(hi) for f in sol.values])
             profile = tuple(m + k if j is WAIT else j for k, j in enumerate(choices))

@@ -72,15 +72,10 @@ def check_graph(owners, actions) -> None:
         raise GameError("no-actions", f"states[{k}]", f"state {k} has no actions")
 
 
-@dataclass(frozen=True)
-class PricedGame:
-    """States owned by player 1 (minimizer) or 2 (maximizer), plus actions."""
-
-    owners: tuple  # owner per state, 1 or 2
-    actions: tuple  # PAction
-
-    def __post_init__(self):
-        check_graph(self.owners, self.actions)
+class GameGraph:
+    """What every game type derives from its ``owners`` and ``actions``:
+    the actions leaving and entering each state.  The untimed solvers
+    read a :class:`PricedGame`, or an SPTG as its untimed game at 1."""
 
     @property
     def num_states(self) -> int:
@@ -110,6 +105,17 @@ class PricedGame:
         return out
 
 
+@dataclass(frozen=True)
+class PricedGame(GameGraph):
+    """States owned by player 1 (minimizer) or 2 (maximizer), plus actions."""
+
+    owners: tuple  # owner per state, 1 or 2
+    actions: tuple  # PAction
+
+    def __post_init__(self):
+        check_graph(self.owners, self.actions)
+
+
 class Valuation(NamedTuple):
     """Payoff, the waiting rate of the exit reached, and path length,
     ordered lexicographically."""
@@ -137,7 +143,7 @@ class Payoffs(list):
         self.valuations = valuations
 
 
-def _through(game: PricedGame, j: int, vals) -> Valuation:
+def _through(game: GameGraph, j: int, vals) -> Valuation:
     """Valuation of taking action ``j``, then following ``vals``."""
     a = game.actions[j]
     if is_inf(a.cost):
@@ -150,7 +156,7 @@ def _through(game: PricedGame, j: int, vals) -> Valuation:
     return Valuation(a.cost + nxt.payoff, nxt.rate, nxt.hops + 1)
 
 
-def evaluate_profile(game: PricedGame, profile: Profile) -> list:
+def evaluate_profile(game: GameGraph, profile: Profile) -> list:
     """Valuation of every state under the profile.  States on or leading
     into a cycle are :data:`INFINITE`."""
     n = game.num_states
@@ -177,13 +183,13 @@ def evaluate_profile(game: PricedGame, profile: Profile) -> list:
     return vals
 
 
-def improving_switches(game: PricedGame, profile: Profile, player: int):
+def improving_switches(game: GameGraph, profile: Profile, player: int):
     """Actions whose one-step deviation lexicographically improves the
     owner's valuation."""
     return _switches(game, profile, evaluate_profile(game, profile), player)
 
 
-def _switches(game: PricedGame, profile: Profile, vals, player: int):
+def _switches(game: GameGraph, profile: Profile, vals, player: int):
     """:func:`improving_switches` given the profile's valuations."""
     out = []
     for k in range(game.num_states):
@@ -200,7 +206,7 @@ def _switches(game: PricedGame, profile: Profile, vals, player: int):
     return out
 
 
-def extended_dijkstra(game: PricedGame):
+def extended_dijkstra(game: GameGraph):
     """Values and an optimal profile via the adversarial Dijkstra scan.
 
     The scan is keyed by the whole :class:`Valuation` ``(payoff, rate,
@@ -301,7 +307,7 @@ def single_switch_iteration(game: PricedGame, profile: Profile, hook: Optional[C
     :class:`Payoffs`, so the final profile's valuations come with it.
 
     The budget allows P*(n+1)+1 minimizer steps, each preceded by fewer
-    than P maximizer steps, where P is :meth:`PricedGame.profile_bound`:
+    than P maximizer steps, where P is :meth:`GameGraph.profile_bound`:
     between two minimizer steps the maximizer's switches visit distinct
     profiles.
     """

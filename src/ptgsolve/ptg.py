@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import Optional
 
 from .numerics import F0, INF, PwlFn, frac, is_inf
-from .priced_game import GameError, PAction, PricedGame, check_graph, extended_dijkstra
+from .priced_game import GameError, GameGraph, PAction, PricedGame, check_graph, extended_dijkstra
 from .sptg import Sptg, SptgSolution, check_rates, solve_sptg
 
 
@@ -57,7 +57,7 @@ class TAction:
 
 
 @dataclass(frozen=True)
-class Ptg:
+class Ptg(GameGraph):
     owners: tuple
     rates: tuple
     actions: tuple  # TAction
@@ -74,17 +74,13 @@ class Ptg:
                 raise GameError("dangling-reference", f"actions[{j}]", "reset to bot")
         if self.horizon == F0:
             raise GameError("degenerate-horizon", "actions", "no action extends past 0")
-        for k in range(self.num_states):
-            if not any(a.source == k and a.available_at(self.horizon) for a in self.actions):
+        for k, js in enumerate(self.state_actions):
+            if not any(self.actions[j].available_at(self.horizon) for j in js):
                 raise GameError(
                     "no-horizon-action",
                     f"states[{k}]",
                     f"state {k} has no action at time {self.horizon}",
                 )
-
-    @property
-    def num_states(self) -> int:
-        return len(self.owners)
 
     @cached_property
     def horizon(self) -> Fraction:

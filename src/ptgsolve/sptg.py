@@ -42,9 +42,11 @@ from functools import cached_property
 from .numerics import F0, F1, PwlFn, event_point_count, frac, is_inf
 from .priced_game import (
     GameError,
+    GameGraph,
     PAction,
     PricedGame,
     _settle,
+    check_graph,
     extended_dijkstra,
     potential_less,
     potential_matrix,
@@ -66,7 +68,7 @@ def check_rates(owners, rates) -> None:
 
 
 @dataclass(frozen=True)
-class Sptg:
+class Sptg(GameGraph):
     owners: tuple  # 1 (minimizer) or 2 (maximizer) per state
     rates: tuple  # nonnegative Fraction per state
     actions: tuple  # PAction with Fraction or infinite costs
@@ -77,26 +79,16 @@ class Sptg:
         for j, a in enumerate(self.actions):
             if a.wait_rate:
                 raise GameError("wait-rate", f"actions[{j}]", f"wait rate {a.wait_rate}")
-        # structural checks (ownership, sources, costs) ride on the core
-        self.core  # noqa: B018
-
-    @property
-    def num_states(self) -> int:
-        return len(self.owners)
+        check_graph(self.owners, self.actions)
 
     @property
     def num_actions(self) -> int:
         return len(self.actions)
 
-    @cached_property
-    def core(self) -> PricedGame:
-        """The untimed game played when no time remains."""
-        return PricedGame(self.owners, self.actions)
-
     def event_bound(self) -> int:
         """Bound on the number of event points of the value functions."""
         n = self.num_states
-        return min(12**n, self.core.profile_bound())
+        return min(12**n, self.profile_bound())
 
 
 @dataclass(frozen=True)
@@ -164,7 +156,7 @@ def build_eps_game(sptg: Sptg, wait_costs) -> PricedGame:
 
 def solve_at_time_one(sptg: Sptg):
     """Values and a switch-free profile of the untimed game."""
-    return extended_dijkstra(sptg.core)
+    return extended_dijkstra(sptg)
 
 
 def _line(a: PAction, c, rate):
@@ -291,13 +283,13 @@ def _crossing(sptg: Sptg, pieces: _Pieces, k: int, x_hi):
         if envelope is False:
             envelope = pieces.envelopes[k] = _Envelope(
                 sptg.owners[k] == 2,
-                [(j, lines[j]) for j in sptg.core.state_actions[k] if lines[j] is not None],
+                [(j, lines[j]) for j in sptg.state_actions[k] if lines[j] is not None],
             )
         best, coinciding, crossing = envelope.crossing(chosen, x_hi)
     elif not is_inf(c):
         pieces.envelopes[k] = False
         minimizer = sptg.owners[k] == 1
-        for j in sptg.core.state_actions[k]:
+        for j in sptg.state_actions[k]:
             line = lines[j]
             if line is None or j == chosen:
                 continue
@@ -371,7 +363,7 @@ def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> set:
     least two hops.
     """
     c, lines, m = pieces.c, pieces.lines, sptg.num_actions
-    actions, incoming = sptg.actions, sptg.core.incoming
+    actions, incoming = sptg.actions, sptg.incoming
     repaired = set(events)
     todo = list(events)
     while todo:
@@ -395,7 +387,7 @@ def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> set:
                 hops = 1 if d is None else pieces.vals[d].hops + 1
                 offers.append((k, j, cj - sj * x, sj, hops))
         if sptg.owners[k] == 2:
-            inside = sum(actions[j].dest in repaired for j in sptg.core.state_actions[k])
+            inside = sum(actions[j].dest in repaired for j in sptg.state_actions[k])
             pending[k] = len(offers) - first + inside
     _settle(sptg.owners, actions, incoming, offers, pending, vals, pieces.picked)
     return repaired
@@ -448,7 +440,7 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
                     top[k] = x
                 rate[k] = val.rate
                 c[k] = at_x + val.rate * x
-                for j in sptg.core.incoming[k]:
+                for j in sptg.incoming[k]:
                     lines[j] = _line(sptg.actions[j], c, rate)
                     source = sptg.actions[j].source
                     dirty.add(source)

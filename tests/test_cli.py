@@ -289,11 +289,23 @@ REJECTIONS = {
     "no-horizon-action": (
         "no-horizon-action", [(("actions", 1, "interval", "hi_closed"), False)], "states[0]"
     ),
+    # with the rest of the line: (code, document, where, message)
+    "infinite-rate": (
+        "bad-number", [(("states", 0, "rate"), "inf")], "states[0]", "inf not allowed here"
+    ),
+    "top-level-array": ("bad-json", "[]", "document", "expected an object"),
+    "rate-on-priced": (
+        "unknown-field", [(("kind",), "priced")], "states[0]", "rate on a priced game"
+    ),
+    "dangling-from": (
+        "dangling-reference", [(("actions", 0, "from"), "zz")], "actions[0]", "from 'zz'"
+    ),
 }
 
 
-@pytest.mark.parametrize("code, document, where", REJECTIONS.values(), ids=REJECTIONS)
-def test_every_rejection_names_its_code_and_location(tmp_path, capsys, code, document, where):
+@pytest.mark.parametrize("case", REJECTIONS.values(), ids=REJECTIONS)
+def test_every_rejection_names_its_code_and_location(tmp_path, capsys, case):
+    code, document, where, *message = case
     text = document
     if not isinstance(document, str):
         body = ptg_body()
@@ -303,7 +315,11 @@ def test_every_rejection_names_its_code_and_location(tmp_path, capsys, code, doc
     game = tmp_path / "game.json"
     game.write_text(text)
     assert cli.main(["solve", str(game)]) == 2
-    assert capsys.readouterr().err.startswith(f"input-error: {code} at {where}: ")
+    err = capsys.readouterr().err
+    line = f"input-error: {code} at {where}: "
+    assert err.startswith(line)
+    if message:
+        assert err == line + message[0] + "\n"
 
 
 @pytest.mark.parametrize(

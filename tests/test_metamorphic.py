@@ -19,6 +19,7 @@ invariants keep.
 """
 
 import dataclasses
+import functools
 import json
 import random
 from fractions import Fraction
@@ -44,6 +45,13 @@ def random_games(kind):
         for n in range(1, 6)
         for seed in range(60)
     ]
+
+
+@functools.cache
+def solution(game):
+    """The solution of ``game``, computed once per equal game: several
+    invariants compare against the same pools."""
+    return SOLVERS["ptg" if isinstance(game, Ptg) else "sptg"](game)
 
 
 def relabelled(game, rng):
@@ -73,7 +81,7 @@ def test_relabelling_keeps_every_value(kind):
     solve = SOLVERS[kind]
     for i, game in enumerate(random_games(kind)):
         other, perm = relabelled(game, random.Random(i))
-        want, got = solve(game).values, solve(other).values
+        want, got = solution(game).values, solve(other).values
         assert [got[perm[k]] for k in range(game.num_states)] == list(want), i
 
 
@@ -81,7 +89,7 @@ def test_relabelling_keeps_every_value(kind):
 def test_padding_with_a_copy_keeps_every_value(kind):
     solve = SOLVERS[kind]
     for i, game in enumerate(random_games(kind)):
-        assert solve(padded(game, random.Random(i))).values == solve(game).values, i
+        assert solve(padded(game, random.Random(i))).values == solution(game).values, i
 
 
 def golden_games(kind):
@@ -140,14 +148,14 @@ def fn_times(fn, c):
 
 def test_cost_scaling_scales_sptg_values_and_keeps_strategies():
     for i, game in enumerate(random_games("sptg")):
-        want, got = solve_sptg(game), solve_sptg(cost_scaled(game, C))
+        want, got = solution(game), solve_sptg(cost_scaled(game, C))
         assert list(got.values) == [fn_times(f, C) for f in want.values], i
         assert got.strategy.cells == want.strategy.cells, i
 
 
 def test_cost_scaling_scales_ptg_values_and_keeps_jumps():
     for i, game in enumerate(random_games("ptg")):
-        want, got = solve_ptg(game), solve_ptg(cost_scaled(game, C))
+        want, got = solution(game), solve_ptg(cost_scaled(game, C))
         assert list(got.values) == [fn_times(f, C) for f in want.values], i
         assert [got.jump_points(k) for k in range(game.num_states)] == [
             want.jump_points(k) for k in range(game.num_states)
@@ -158,7 +166,7 @@ def test_zero_rates_give_constant_untimed_values():
     games = random_games("sptg") + golden_games(Sptg)
     for i, game in enumerate(games):
         flat = dataclasses.replace(game, rates=(F0,) * game.num_states)
-        untimed = untimed_value_iteration(flat.core, flat.core.state_actions)
+        untimed = untimed_value_iteration(flat, flat.state_actions)
         assert list(solve_sptg(flat).values) == [PwlFn.constant(F0, F1, v) for v in untimed], i
 
 
@@ -181,7 +189,7 @@ def stretched(fn, s):
 
 def test_horizon_scaling_stretches_ptg_values():
     for i, game in enumerate(random_games("ptg") + golden_games(Ptg)):
-        want = solve_ptg(game).values
+        want = solution(game).values
         for s in (Fraction(2), Fraction(3, 2)):
             got = solve_ptg(horizon_scaled(game, s)).values
             assert list(got) == [stretched(f, s) for f in want], (i, s)
@@ -205,7 +213,7 @@ def test_splitting_an_interval_keeps_every_value():
     for i, game in enumerate(random_games("ptg") + golden_games(Ptg)):
         other = split(game, i % len(game.actions))
         if other is not None:
-            assert solve_ptg(other).values == solve_ptg(game).values, i
+            assert solve_ptg(other).values == solution(game).values, i
 
 
 NUMBER_FIELDS = ("value_at_left", "slope", "point_value_at_left", "value")

@@ -262,6 +262,18 @@ class TestWaitClosure:
         f = PwlFn.constant(0, 1, INF)
         assert wait_closure(f, F1, "min") == f
 
+    def test_min_level_cuts_a_rising_segment(self):
+        half, quarter = Fr(1, 2), Fr(1, 4)
+        f = PwlFn.from_segments([(F0, half, F0, Fr(4)), (half, F1, Fr(2), Fr(-2))])
+        want = PwlFn.from_segments([(F0, quarter, F0, Fr(4)), (quarter, F1, F1, F0)])
+        assert wait_closure(f, F0, "min") == want
+
+    def test_max_level_cuts_a_falling_segment(self):
+        half, quarter = Fr(1, 2), Fr(1, 4)
+        f = PwlFn.from_segments([(F0, half, Fr(2), Fr(-4)), (half, F1, F0, Fr(2))])
+        want = PwlFn.from_segments([(F0, quarter, Fr(2), Fr(-4)), (quarter, F1, F1, F0)])
+        assert wait_closure(f, F0, "max") == want
+
     def test_jump_rejected(self):
         half = Fr(1, 2)
         f = PwlFn.from_segments([(F0, half, F1, F0), (half, F1, F1, F0)], {half: F0})

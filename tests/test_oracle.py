@@ -222,7 +222,7 @@ class TestValueIteration:
         fx = fixture_a()
         res = value_iteration_sptg(fx.game)
         assert res.values == fx.expected["values"]
-        assert res.iterations <= fx.game.num_states * fx.game.core.profile_bound() + 1
+        assert res.iterations <= fx.game.num_states * fx.game.profile_bound() + 1
 
     def test_cap_enforced(self):
         with pytest.raises(OracleError):
@@ -326,6 +326,34 @@ class TestCheckEquilibrium:
         assert not report.passed and not report.probe_failures
         assert sorted(report.cell_failures) == [(0, 1, 0), (1, 1, 0)]
 
+    def test_detects_a_switch_into_a_zero_time_cycle(self):
+        # minimizer A exits at cost 1 or moves freely to maximizer B,
+        # which exits at cost 1 or moves freely back to A; no rates
+        g = sptg(
+            [1, 2], [0, 0], (0, None, Fr(1)), (0, 1, Fr(0)), (1, None, Fr(1)), (1, 0, Fr(0))
+        )
+        sol = solve_sptg(g)
+        assert value_iteration_sptg(g).values == sol.values
+        # A -> B, B -> exit costs 1 from both states, their values
+        cells = ((F0, F1, (1, 2)), (F1, F1, (1, 2)))
+        bad = dataclasses.replace(sol, strategy=TimedStrategyProfile(cells))
+        report = check_equilibrium(g, bad)
+        assert report.probe_failures == []
+        # B's switch back to A closes a cycle that takes no time and
+        # costs infinity: only the snapshot re-check sees it, in both
+        # cells; A's own exit (and in the interval cell its wait) is as
+        # cheap in fewer hops
+        failures = sorted(report.cell_failures)
+        assert failures == [(0, 1, 0), (0, 1, 4), (0, 2, 3), (1, 1, 0), (1, 2, 3)]
+
+    def test_names_a_point_value_that_differs_at_one(self):
+        fx = fixture_a()
+        sol = solve_sptg(fx.game)
+        f = sol.values[1]
+        raised = PwlFn.from_segments(list(f.segments()), {F1: f.eval(F1) + 1})
+        bad = dataclasses.replace(sol, values=(sol.values[0], raised, sol.values[2]))
+        assert check_equilibrium(fx.game, bad).probe_failures == [(1, F1, F0, F1)]
+
     def test_passes_without_event_points(self):
         g = sptg([2], [1], (0, None, Fr(0)))
         sol = solve_sptg(g)
@@ -388,9 +416,9 @@ class TestEvaluatePolicy:
             cells = []
             for lo, hi in zip(bounds, bounds[1:]):
                 cells.append((lo, hi, tuple(
-                    rng.choice(list(js) + [WAIT]) for js in g.core.state_actions
+                    rng.choice(list(js) + [WAIT]) for js in g.state_actions
                 )))
-            cells.append((F1, F1, tuple(rng.choice(js) for js in g.core.state_actions)))
+            cells.append((F1, F1, tuple(rng.choice(js) for js in g.state_actions)))
             profile = TimedStrategyProfile(tuple(cells))
             costs = evaluate_policy(g, profile)
             memo = {}

@@ -92,6 +92,33 @@ class TestValidation:
             rates=(1, 1),
         )
 
+    def test_no_horizon_action_names_the_first_such_state(self):
+        with pytest.raises(GameError) as exc:
+            simple(
+                act(0, None, 0, 0, 1),
+                act(2, None, 0, 0, 1, hi_closed=False),
+                act(1, None, 0, 0, 1, hi_closed=False),
+                owners=(1, 1, 1),
+                rates=(1, 1, 1),
+            )
+        assert str(exc.value) == "no-horizon-action at states[1]: state 1 has no action at time 1"
+
+    def test_validation_passes_over_the_actions_a_fixed_number_of_times(self):
+        """Validating a PTG takes time linear in its size: the passes over
+        its actions do not grow with the number of states."""
+
+        class Passes(tuple):
+            count = 0
+
+            def __iter__(self):
+                self.count += 1
+                return super().__iter__()
+
+        n = 200
+        actions = Passes(act(k, None, 0, 0, 1) for k in range(n))
+        Ptg((1,) * n, (F1,) * n, actions)
+        assert actions.count <= 4
+
     def test_availability_respects_open_ends(self):
         a = act(0, None, 0, 0, 1, lo_closed=False, hi_closed=False)
         assert not a.available_at(F0) and not a.available_at(F1)
@@ -462,7 +489,8 @@ class TestActionMemo:
         for g in random_ptgs(range(10)) + [golden_resets_game()]:
             first, second = solve_ptg(g), solve_ptg(g)
             assert first == second
-            declared = {f.name for f in fields(Ptg)} | {"horizon", "ladder", "reset_depth"}
+            cached = {"horizon", "ladder", "reset_depth", "state_actions"}
+            declared = {f.name for f in fields(Ptg)} | cached
             assert set(vars(g)) == declared
 
 

@@ -53,7 +53,7 @@ class TestConstruction:
     def test_event_bound(self):
         g = fixture_a().game
         # 3 states with 2, 1, 1 actions: profile bound (2+1)(1+1)(1+1) = 12
-        assert g.core.profile_bound() == 12
+        assert g.profile_bound() == 12
         assert g.event_bound() == 12
         one = sptg([1], [1], (0, None, Fr(0)))
         assert one.event_bound() == 2

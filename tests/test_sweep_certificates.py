@@ -81,7 +81,7 @@ def reference_sweep(sptg, instrument=False):
         if not potential_less(p_after, p_before):
             stats.potential_violations += 1
 
-    v1, profile = extended_dijkstra(sptg.core)
+    v1, profile = extended_dijkstra(sptg)
     segments = [[] for _ in range(n)]
     cells = [(F1, F1, profile)]
     x, v_at_x = F1, list(v1)
@@ -374,7 +374,7 @@ def test_fan_steps_re_solve_only_the_hub(monkeypatch):
     assert sol.stats.sweep_steps == 40
     assert builds == [] and len(scans) == 1
     assert settled == [list(range(41))] + [[0]] * 39
-    assert built == [list(g.core.state_actions[0])]
+    assert built == [list(g.state_actions[0])]
     assert scanned.count(0) == 1
 
 
