@@ -66,9 +66,7 @@ def value_iteration_sptg(sptg: Sptg, cap: Optional[int] = None) -> ValueIteratio
             cands = []
             for j in sptg.state_actions[k]:
                 a = sptg.actions[j]
-                if is_inf(a.cost):
-                    cands.append(PwlFn.constant(F0, F1, INF))
-                elif a.dest is None:
+                if a.dest is None:
                     cands.append(PwlFn.constant(F0, F1, a.cost))
                 else:
                     cands.append(fns[a.dest].offset(a.cost))

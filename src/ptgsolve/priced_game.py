@@ -132,17 +132,6 @@ INFINITE = Valuation(INF, F0, INF)
 Profile = tuple
 
 
-class Payoffs(list):
-    """The payoff of every state, as a list; ``valuations`` keeps the
-    valuations they were read from."""
-
-    __slots__ = ("valuations",)
-
-    def __init__(self, valuations):
-        super().__init__(v.payoff for v in valuations)
-        self.valuations = valuations
-
-
 def _through(game: GameGraph, j: int, vals) -> Valuation:
     """Valuation of taking action ``j``, then following ``vals``."""
     a = game.actions[j]
@@ -219,8 +208,8 @@ def extended_dijkstra(game: GameGraph):
     lexicographic optimum, and neither player has an improving switch.
     No state settles on an infinite candidate: every infinite-valued
     state stays unsettled and takes its first action that attains
-    infinity.  Returns ``(values, profile)``; ``values`` is a
-    :class:`Payoffs`.
+    infinity.  Returns ``(values, profile)``: the payoff of every state,
+    as a list, and the profile.
     """
     n = game.num_states
     vals: list = [None] * n
@@ -231,7 +220,7 @@ def extended_dijkstra(game: GameGraph):
         for j, a in enumerate(game.actions)
         if a.dest is None
     ]
-    _settle(game.owners, game.actions, game.incoming, exits, pending, vals, profile)
+    _settle(game, exits, pending, vals, profile)
 
     # Unsettled states have value infinity.  Each takes its first action
     # that attains it: one of infinite cost or towards an unsettled or
@@ -248,24 +237,25 @@ def extended_dijkstra(game: GameGraph):
             ):
                 profile[k] = j
                 break
-    return Payoffs(vals), tuple(profile)
+    return [v.payoff for v in vals], tuple(profile)
 
 
-def _settle(owners, actions, preds, offers, pending, vals, profile):
+def _settle(game: GameGraph, offers, pending, vals, profile):
     """The scan of :func:`extended_dijkstra`, also run by the SPTG sweep
-    on the states it repairs: settle the states whose ``vals`` entry is
-    None, writing their valuations into ``vals`` and their choices into
-    ``profile``.
+    on the states it repairs: settle the states of ``game`` whose
+    ``vals`` entry is None, writing their valuations into ``vals`` and
+    their choices into ``profile``.
 
     ``offers`` holds the candidates ``(state, action, payoff, rate,
-    hops)`` known up front; ``preds[d]`` (the game's ``incoming``) lists
-    the actions offered when state ``d`` settles, each to its source
-    unless that is settled already.  ``pending[k]`` counts the
-    candidates maximizer ``k`` still awaits: it settles when the last
-    one arrives.  An infinite candidate is dropped uncounted, so a
-    minimizer ignores it and a maximizer that receives one never
-    settles: a state settles only on a finite value.
+    hops)`` known up front; the game's ``incoming[d]`` lists the actions
+    offered when state ``d`` settles, each to its source unless that is
+    settled already.  ``pending[k]`` counts the candidates maximizer
+    ``k`` still awaits: it settles when the last one arrives.  An
+    infinite candidate is dropped uncounted, so a minimizer ignores it
+    and a maximizer that receives one never settles: a state settles
+    only on a finite value.
     """
+    owners, actions, incoming = game.owners, game.actions, game.incoming
     heap = []
     best_max = {}  # (payoff, rate, hops, -action) per maximizer state
 
@@ -291,7 +281,7 @@ def _settle(owners, actions, preds, offers, pending, vals, profile):
             continue
         vals[k] = Valuation(val, rate, hops)
         profile[k] = j
-        for pj in preds[k]:
+        for pj in incoming[k]:
             a = actions[pj]
             if vals[a.source] is None:
                 offer(a.source, pj, a.cost + val, rate, hops + 1)
@@ -303,8 +293,8 @@ def single_switch_iteration(game: PricedGame, profile: Profile, hook: Optional[C
     payoffs are the game values.  Each step applies the improving switch
     with the lowest action id, the maximizer's while it has any, and
     ``hook(game, before, action, after)`` fires at every switch.
-    Returns ``(values, profile, switch_count)``; ``values`` is a
-    :class:`Payoffs`, so the final profile's valuations come with it.
+    Returns ``(values, profile, switch_count)``; ``values`` lists the
+    payoff of every state.
 
     The budget allows P*(n+1)+1 minimizer steps, each preceded by fewer
     than P maximizer steps, where P is :meth:`GameGraph.profile_bound`:
@@ -317,7 +307,7 @@ def single_switch_iteration(game: PricedGame, profile: Profile, hook: Optional[C
         vals = evaluate_profile(game, profile)
         sw = _switches(game, profile, vals, 2) or _switches(game, profile, vals, 1)
         if not sw:
-            return Payoffs(vals), profile, switch_count
+            return [v.payoff for v in vals], profile, switch_count
         j = min(sw)
         k = game.actions[j].source
         nxt = profile[:k] + (j,) + profile[k + 1 :]

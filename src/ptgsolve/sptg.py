@@ -41,6 +41,7 @@ from functools import cached_property
 
 from .numerics import F0, F1, PwlFn, event_point_count, frac, is_inf
 from .priced_game import (
+    INFINITE,
     GameError,
     GameGraph,
     PAction,
@@ -190,14 +191,16 @@ class _Pieces:
     entries, some outdated.  ``picked`` and ``pending`` are the repair
     scan's working lists.
 
-    The pieces start flat through the valuations ``v1`` at 1, with the
-    untimed solve's choices; the repair at 1 gives every finite-valued
-    state its first sloped piece.
+    The pieces start flat through the untimed ``payoffs`` at 1, with the
+    untimed solve's choices, and every valuation starts infinite: the
+    repair at 1 settles every finite-valued state, giving it its first
+    sloped piece, before any valuation is read, and an infinite-valued
+    state is never settled.
     """
 
-    def __init__(self, sptg: Sptg, v1, profile):
+    def __init__(self, sptg: Sptg, payoffs, profile):
         n = sptg.num_states
-        self.c = [v.payoff for v in v1]
+        self.c = list(payoffs)
         self.rate = [F0] * n
         self.choice = list(profile)
         self.lines = [_line(a, self.c, self.rate) for a in sptg.actions]
@@ -205,7 +208,7 @@ class _Pieces:
         self.tight = [((), ())] * n
         self.envelopes = [None] * n
         self.heap = []
-        self.vals = list(v1)
+        self.vals = [INFINITE] * n
         self.picked = list(profile)
         self.pending = [-1] * n
 
@@ -389,7 +392,7 @@ def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> set:
         if sptg.owners[k] == 2:
             inside = sum(actions[j].dest in repaired for j in sptg.state_actions[k])
             pending[k] = len(offers) - first + inside
-    _settle(sptg.owners, actions, incoming, offers, pending, vals, pieces.picked)
+    _settle(sptg, offers, pending, vals, pieces.picked)
     return repaired
 
 
@@ -409,7 +412,7 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
 
     v1, profile = solve_at_time_one(sptg)
     cells = [(F1, F1, profile)]
-    pieces = _Pieces(sptg, v1.valuations, profile)
+    pieces = _Pieces(sptg, v1, profile)
     c, rate, choice, lines = pieces.c, pieces.rate, pieces.choice, pieces.lines
     envelopes = pieces.envelopes
     events = {k for k in range(n) if not is_inf(c[k])}

@@ -583,6 +583,17 @@ def test_too_long_result_number_exits_two_with_code(tmp_path, capsys):
     assert not out.exists() and not plot.exists()
 
 
+def test_plot_is_ignored_for_a_priced_game(tmp_path, capsys):
+    # a priced result has no value functions to plot, so no plot is
+    # written, not even to a path that could not be written
+    game = tmp_path / "game.json"
+    game.write_text(priced_doc())
+    for plot in (tmp_path / "plot.tsv", tmp_path / "missing" / "plot.tsv"):
+        assert cli.main(["solve", str(game), "--plot", str(plot)]) == 0
+        assert not plot.exists()
+        assert capsys.readouterr().err == ""
+
+
 def test_plot_is_built_only_when_asked_for(tmp_path, monkeypatch, capsys):
     built = []
     emit_plot = gamedoc.emit_plot

@@ -111,8 +111,33 @@ class TestPwlEval:
         with pytest.raises(PwlError):
             PwlFn.from_segments([(F0, F0, F0, F0)])
 
+    @pytest.mark.parametrize(
+        "segments, message",
+        [
+            ([], "no segments"),
+            ([(F0, Fr(1, 2), F0, F0), (Fr(3, 4), F1, F0, F0)], "segments do not tile the domain"),
+        ],
+        ids=["empty", "gap"],
+    )
+    def test_segments_that_do_not_tile_rejected(self, segments, message):
+        with pytest.raises(PwlError, match=f"^{message}$"):
+            PwlFn.from_segments(segments)
+
+    def test_no_right_limit_at_the_upper_endpoint(self):
+        with pytest.raises(DomainError, match="^no right limit at the upper endpoint$"):
+            PwlFn.constant(0, 1, F0).eval(F1, side="right")
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match="^unknown side 'middle'$"):
+            PwlFn.constant(0, 1, F0).eval(Fr(1, 2), side="middle")
+
 
 class TestEnvelopes:
+    @pytest.mark.parametrize("envelope", [min_envelope, max_envelope])
+    def test_empty_list_rejected(self, envelope):
+        with pytest.raises(PwlError, match="^empty function list$"):
+            envelope([])
+
     def test_crossing_pair(self):
         f = affine(0, 1, 2, -2)
         g = affine(0, 1, Fr(3, 2), -1)
@@ -257,6 +282,19 @@ class TestWaitClosure:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             wait_closure(PwlFn.constant(0, 1, F0), Fr(-1), "min")
+
+    def test_unknown_player_rejected(self):
+        with pytest.raises(ValueError, match="^unknown player 'mid'$"):
+            wait_closure(PwlFn.constant(0, 1, F0), F1, "mid")
+
+    def test_partly_infinite_rejected(self):
+        half = Fr(1, 2)
+        f = PwlFn.from_segments([(F0, half, INF, F0), (half, F1, F0, F0)])
+        for player in ("min", "max"):
+            with pytest.raises(
+                PwlError, match="^wait closure requires a finite or constant-inf function$"
+            ):
+                wait_closure(f, F1, player)
 
     def test_constant_inf_passthrough(self):
         f = PwlFn.constant(0, 1, INF)

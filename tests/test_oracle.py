@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from ptgsolve import cli, oracle
-from ptgsolve.fixtures import ALL_FIXTURES, fixture_a
+from ptgsolve.fixtures import ALL_FIXTURES, fixture_a, maximizer_reset_loop
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
 from ptgsolve.oracle import (
     OracleError,
@@ -17,6 +17,7 @@ from ptgsolve.oracle import (
     evaluate_policy,
     generate_random,
     simulate,
+    simulate_ptg,
     untimed_value_iteration,
     value_iteration_sptg,
 )
@@ -266,6 +267,51 @@ class TestSimulate:
         g, bad = FOREIGN_ACTION
         with pytest.raises(OracleError):
             simulate(g, bad, (0, F0))
+
+
+class TestSimulatePtg:
+    """Plays of the maximizer reset loop: one rate-1 state with a free
+    reset self-loop (action 0) and a free exit at 1 only (action 1)."""
+
+    game = maximizer_reset_loop().game
+
+    def test_reset_returns_the_clock_to_zero(self):
+        def chooser(k, x, resets):
+            if resets == 0:
+                return ("move", 0)
+            return ("wait", F1 - x) if x < F1 else ("move", 1)
+
+        play = simulate_ptg(self.game, chooser, (0, Fr(1, 2)))
+        assert play.terminal and play.cost == F1
+        assert [(s.time, s.action, s.delay) for s in play.steps] == [
+            (Fr(1, 2), 0, F0),
+            (F0, None, F1),
+            (F1, 1, F0),
+        ]
+
+    def test_a_zero_wait_revisits_its_configuration(self):
+        play = simulate_ptg(self.game, lambda k, x, resets: ("wait", 0), (0, Fr(1, 2)))
+        assert not play.terminal and is_inf(play.cost)
+        assert len(play.steps) == 1
+
+    @pytest.mark.parametrize(
+        "choice, message",
+        [
+            (("wait", F1), "bad delay 1 at time 1/2"),
+            (("move", 1), "action 1 unavailable at (0, 1/2)"),
+        ],
+        ids=["past-the-horizon", "exit-before-one"],
+    )
+    def test_an_unplayable_choice_is_rejected(self, choice, message):
+        with pytest.raises(OracleError) as exc:
+            simulate_ptg(self.game, lambda k, x, resets: choice, (0, Fr(1, 2)))
+        assert str(exc.value) == message
+
+    def test_endless_resets_exhaust_the_step_budget(self):
+        # the reset count is part of the configuration, so a play that
+        # resets forever never revisits one and only the budget ends it
+        with pytest.raises(OracleError, match="^simulation step budget exceeded$"):
+            simulate_ptg(self.game, lambda k, x, resets: ("move", 0), (0, F0))
 
 
 class TestPlayCost:

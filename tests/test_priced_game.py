@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ptgsolve import priced_game, sptg
+from ptgsolve.fixtures import fixture_a
 from ptgsolve.numerics import F0, INF, is_inf
 from ptgsolve.oracle import generate_random
 from ptgsolve.priced_game import (
@@ -121,6 +122,11 @@ class TestEvaluateProfile:
         assert vals[0].rate == Fr(3) and vals[1].rate == Fr(3)
         assert vals[0] == Valuation(Fr(1), Fr(3), 2)
 
+    def test_foreign_action_rejected(self):
+        # state 0 of fixture A owns actions 0 and 1 only
+        with pytest.raises(ValueError, match="^profile picks a foreign action at state 0$"):
+            evaluate_profile(fixture_a().game, (2, 2, 3))
+
     def test_infinite_payoff_iff_infinite_hops(self):
         for seed in range(40):
             g = generate_random("priced", 3, 3, seed, allow_inf=True)
@@ -178,13 +184,13 @@ class TestExtendedDijkstra:
         g = game([1, 1], (0, None, Fr(1)), (1, 0, Fr(0)), (1, None, Fr(1)))
         values, profile = extended_dijkstra(g)
         assert values == [Fr(1), Fr(1)] and profile == (0, 2)
-        assert values.valuations[1] == Valuation(Fr(1), Fr(0), 1)
+        assert evaluate_profile(g, profile)[1] == Valuation(Fr(1), Fr(0), 1)
 
     def test_maximizer_prefers_the_longer_of_equal_routes(self):
         g = game([1, 2], (0, None, Fr(1)), (1, None, Fr(1)), (1, 0, Fr(0)))
         values, profile = extended_dijkstra(g)
         assert values == [Fr(1), Fr(1)] and profile == (0, 2)
-        assert values.valuations[1] == Valuation(Fr(1), Fr(0), 2)
+        assert evaluate_profile(g, profile)[1] == Valuation(Fr(1), Fr(0), 2)
 
     def test_equal_valuations_resolve_to_the_lowest_id(self):
         # state 1's actions lead through states 2 and 0 to equal exits;
@@ -312,12 +318,12 @@ class TestSingleSwitchIteration:
             start = tuple(js[0] for js in g.state_actions)
             payoffs, profile, _ = single_switch_iteration(g, start)
             assert calls.count(profile) == 1, seed
-            assert payoffs.valuations == evaluate_profile(g, profile), seed
-            # the scan's valuations are read off the scan
+            assert payoffs == [v.payoff for v in evaluate_profile(g, profile)], seed
+            # the scan's payoffs are read off the scan
             calls.clear()
             payoffs, profile = extended_dijkstra(g)
             assert calls == [], seed
-            assert payoffs.valuations == evaluate_profile(g, profile), seed
+            assert payoffs == [v.payoff for v in evaluate_profile(g, profile)], seed
 
 
 class TestImprovingSetMonotonicity:
@@ -355,12 +361,12 @@ def _through(g, j, vals):
 
 def assert_canonical(g, why):
     """The extended Dijkstra scan leaves no improving switch, reports its
-    profile's valuations, and picks the lowest-id optimal action at every
+    profile's payoffs, and picks the lowest-id optimal action at every
     state: an infinite-valued one takes its first action that attains
     infinity."""
     payoffs, profile = extended_dijkstra(g)
-    vals = payoffs.valuations
-    assert vals == evaluate_profile(g, profile), why
+    vals = evaluate_profile(g, profile)
+    assert payoffs == [v.payoff for v in vals], why
     assert improving_switches(g, profile, 1) == [], why
     assert improving_switches(g, profile, 2) == [], why
     for k, v in enumerate(vals):

@@ -21,6 +21,7 @@ from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
 from ptgsolve.oracle import generate_random
 from ptgsolve.priced_game import (
     PAction,
+    evaluate_profile,
     extended_dijkstra,
     potential_less,
     potential_matrix,
@@ -92,7 +93,7 @@ def reference_sweep(sptg, instrument=False):
             payoffs, _, _ = single_switch_iteration(game, profile, watch)
             assert payoffs == v_at_x
         vals, eps_profile = extended_dijkstra(game)
-        base, rate = list(vals), [v.rate for v in vals.valuations]
+        base, rate = vals, [v.rate for v in evaluate_profile(game, eps_profile)]
         assert base == v_at_x
         x_lo = _rescan(game, eps_profile, base, rate, x)
         v_at_x = [INF if is_inf(b) else b + r * (x - x_lo) for b, r in zip(base, rate)]
@@ -361,9 +362,9 @@ def test_fan_steps_re_solve_only_the_hub(monkeypatch):
         builds.append(args)
         return build(*args)
 
-    def watched_settle(owners, actions, preds, offers, pending, vals, profile):
+    def watched_settle(game, offers, pending, vals, profile):
         settled.append([k for k, v in enumerate(vals) if v is None])
-        settle(owners, actions, preds, offers, pending, vals, profile)
+        settle(game, offers, pending, vals, profile)
 
     monkeypatch.setattr(sptg_module, "build_eps_game", counted_build)
     monkeypatch.setattr(sptg_module, "extended_dijkstra", lambda g: scans.append(g) or scan(g))
@@ -395,7 +396,7 @@ def crossing_both_ways(owner, lines, chosen, c, s, x_hi):
     is ``len(lines)`` for the waiting exit, which is always scanned."""
     g = Sptg((owner,), (F0,), tuple(PAction(0, None, F0) for _ in lines))
     v1, profile = solve_at_time_one(g)
-    pieces = sptg_module._Pieces(g, v1.valuations, profile)
+    pieces = sptg_module._Pieces(g, v1, profile)
     pieces.lines[:] = lines
     pieces.c[0], pieces.rate[0], pieces.choice[0] = c, s, chosen
     results = []
@@ -532,9 +533,9 @@ def test_concurrent_lines_at_an_event_point_with_a_repaired_destination(monkeypa
     settled = []
     settle = sptg_module._settle
 
-    def watched_settle(owners, actions, preds, offers, pending, vals, profile):
+    def watched_settle(game, offers, pending, vals, profile):
         settled.append({k for k, v in enumerate(vals) if v is None})
-        settle(owners, actions, preds, offers, pending, vals, profile)
+        settle(game, offers, pending, vals, profile)
 
     monkeypatch.setattr(sptg_module, "_settle", watched_settle)
     cells = solve_sptg(g).strategy.cells
