@@ -166,7 +166,11 @@ class PwlFn:
 
     @staticmethod
     def constant(lo, hi, value) -> "PwlFn":
-        return PwlFn.from_segments([(lo, hi, value, 0)])
+        lo, hi = frac(lo), frac(hi)
+        if hi <= lo:
+            raise PwlError(f"zero-length or reversed segment [{lo}, {hi}]")
+        value = INF if is_inf(value) else frac(value)
+        return PwlFn((lo, hi), (value,), (F0,), (value, value))
 
     @staticmethod
     def affine(lo, hi, value_at_lo, slope) -> "PwlFn":
@@ -247,6 +251,26 @@ def event_point_count(fns) -> int:
     return len({b for f in fns for b in f.interior_breaks()})
 
 
+def _samples(f: PwlFn, grid) -> list:
+    """``f``'s left limit, point value and right limit at each point of
+    ``grid``, an ascending list that holds every breakpoint of ``f``, in
+    one forward walk over the breakpoints.  The left limit at the lower
+    end and the right limit at the upper end are None."""
+    breaks, vals = f.breaks, f.seg_vals
+    out = []
+    i = 0  # the next breakpoint of f at or after x
+    for x in grid:
+        if x == breaks[i]:
+            left = f._left_limit_at(i) if i else None
+            out.append((left, f.point_vals[i], vals[i] if i < len(vals) else None))
+            i += 1
+        else:  # inside segment i - 1
+            v = vals[i - 1]
+            v = INF if is_inf(v) else v + f.slopes[i - 1] * (x - breaks[i - 1])
+            out.append((v, v, v))
+    return out
+
+
 def _merge(f: PwlFn, g: PwlFn, better) -> PwlFn:
     """The pointwise best of two functions on a common domain.
 
@@ -260,10 +284,12 @@ def _merge(f: PwlFn, g: PwlFn, better) -> PwlFn:
     breakpoint takes the better point value, so jumps survive.
     """
     grid = sorted(set(f.breaks) | set(g.breaks))
+    fs, gs = _samples(f, grid), _samples(g, grid)
     segs = []
-    for a, b in zip(grid, grid[1:]):
-        fa, fb = f.eval(a, "right"), f.eval(b, "left")
-        ga, gb = g.eval(a, "right"), g.eval(b, "left")
+    for i in range(len(grid) - 1):
+        a, b = grid[i], grid[i + 1]
+        fa, fb = fs[i][2], fs[i + 1][0]
+        ga, gb = gs[i][2], gs[i + 1][0]
         if better(ga, fa) or (ga == fa and better(gb, fb)):
             fa, fb, ga, gb = ga, gb, fa, fb
         if better(gb, fb):
@@ -275,8 +301,7 @@ def _merge(f: PwlFn, g: PwlFn, better) -> PwlFn:
         else:
             segs.append((a, b, fa, F0 if is_inf(fa) else (fb - fa) / (b - a)))
     overrides = {}
-    for x in grid:
-        fx, gx = f.eval(x), g.eval(x)
+    for x, (_, fx, _), (_, gx, _) in zip(grid, fs, gs):
         overrides[x] = gx if better(gx, fx) else fx
     return PwlFn.from_segments(segs, overrides)
 

@@ -54,15 +54,24 @@ def value_iteration_sptg(sptg: Sptg, cap: Optional[int] = None) -> ValueIteratio
     Starts from the all-infinite vector and applies one round of
     best-action envelopes followed by waiting closure per iteration,
     stopping at an exact fixpoint.  Raises when the cap is hit first.
+
+    A round's function for state k depends only on the functions of k's
+    destinations in the previous round.  So the first round computes
+    every state, and each later round recomputes only the sources of
+    actions into a state whose function changed in the round before:
+    every other state would get its function again.  The values after
+    each round, and the round at which nothing changes, are those of
+    recomputing every state in every round.
     """
     n = sptg.num_states
     if cap is None:
         cap = n * sptg.profile_bound() + 1
     sides = [(min_envelope, "min") if o == 1 else (max_envelope, "max") for o in sptg.owners]
-    fns = tuple(PwlFn.constant(F0, F1, INF) for _ in range(n))
+    fns = [PwlFn.constant(F0, F1, INF)] * n
+    todo = range(n)
     for it in range(1, cap + 1):
-        new = []
-        for k in range(n):
+        new = {}
+        for k in todo:
             cands = []
             for j in sptg.state_actions[k]:
                 a = sptg.actions[j]
@@ -71,11 +80,13 @@ def value_iteration_sptg(sptg: Sptg, cap: Optional[int] = None) -> ValueIteratio
                 else:
                     cands.append(fns[a.dest].offset(a.cost))
             envelope, side = sides[k]
-            new.append(wait_closure(envelope(cands), sptg.rates[k], side))
-        new = tuple(new)
-        if new == fns:
-            return ValueIterationResult(new, it)
-        fns = new
+            new[k] = wait_closure(envelope(cands), sptg.rates[k], side)
+        changed = [k for k, f in new.items() if f != fns[k]]
+        if not changed:
+            return ValueIterationResult(tuple(fns), it)
+        for k in changed:
+            fns[k] = new[k]
+        todo = {sptg.actions[j].source for k in changed for j in sptg.incoming[k]}
     raise OracleError(f"no fixpoint within {cap} iterations")
 
 
@@ -347,14 +358,26 @@ def untimed_value_iteration(game: PricedGame, allowed) -> list:
     suffice: costs are nonnegative, so the minimizer has an optimal
     positional strategy, and under it every play from a finite-valued
     state reaches the terminal within n moves: a cycle its choices left
-    open would let the maximizer loop forever, at infinite cost."""
+    open would let the maximizer loop forever, at infinite cost.
+
+    A round's value for state k depends only on the values of k's allowed
+    destinations in the previous round, so after the first round only
+    the states with an allowed move into a state that changed in the
+    round before are recomputed; every other state would get its value
+    again, and the rounds are those of recomputing every state."""
     n = game.num_states
     moves = [[(game.actions[j].cost, game.actions[j].dest) for j in js] for js in allowed]
+    upstream = [set() for _ in range(n)]
+    for k, ms in enumerate(moves):
+        for _, dest in ms:
+            if dest is not None:
+                upstream[dest].add(k)
     pick = [min if o == 1 else max for o in game.owners]
     v = [INF] * n
+    todo = range(n)
     for _ in range(n):
-        new = []
-        for k in range(n):
+        new = {}
+        for k in todo:
             cands = []
             for cost, dest in moves[k]:
                 if dest is None:
@@ -363,10 +386,13 @@ def untimed_value_iteration(game: PricedGame, allowed) -> list:
                     cands.append(INF)
                 else:
                     cands.append(cost + v[dest])
-            new.append(pick[k](cands))
-        if new == v:
+            new[k] = pick[k](cands)
+        changed = [k for k, x in new.items() if x != v[k]]
+        if not changed:
             break
-        v = new
+        for k in changed:
+            v[k] = new[k]
+        todo = {u for k in changed for u in upstream[k]}
     return v
 
 

@@ -2,9 +2,10 @@ import math
 from fractions import Fraction as Fr
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ptgsolve import numerics
 from ptgsolve.numerics import (
     DomainError,
     F0,
@@ -210,16 +211,92 @@ class TestMergedEnvelopes:
     @pytest.mark.parametrize("k", [64, 256])
     def test_work_is_k_log_k(self, k, monkeypatch):
         # tangents to x^2 (upper envelope) and -x^2 (lower): every line
-        # shows on the envelope, which has k pieces and k-1 crossings
-        evals = []
-        plain_eval = PwlFn.eval
-        monkeypatch.setattr(PwlFn, "eval", lambda f, *a: evals.append(1) or plain_eval(f, *a))
+        # shows on the envelope, which has k pieces and k-1 crossings.
+        # A merge samples each of its two functions once per point of
+        # the merged grid, so the grid points sampled count its work.
+        walked = []
+        plain_samples = numerics._samples
+        monkeypatch.setattr(
+            numerics, "_samples", lambda f, grid: walked.append(len(grid)) or plain_samples(f, grid)
+        )
         ts = [Fr(i, k) for i in range(k)]
         for envelope, sign in ((max_envelope, 1), (min_envelope, -1)):
-            evals.clear()
+            walked.clear()
             h = envelope([affine(0, 1, -sign * t * t, sign * 2 * t) for t in ts])
             assert len(h.seg_vals) == k
-            assert len(evals) <= 8 * k * math.log2(k), len(evals)
+            assert 0 < sum(walked) <= 8 * k * math.log2(k), sum(walked)
+
+
+FINITE = st.integers(-3, 3).map(Fr)
+VALUES = st.one_of(FINITE, st.just(INF))
+SLOPES = st.integers(-6, 6).map(lambda s: Fr(s, 2))
+CUTS = st.integers(1, 11).map(lambda c: Fr(c, 12))
+
+
+@st.composite
+def two_pieces(draw, cut, left=VALUES, right=VALUES, jump=False):
+    """A function on [0, 1] with a breakpoint at ``cut``, and a drawn
+    point value there if ``jump``."""
+    segs = [(F0, cut, draw(left), draw(SLOPES)), (cut, F1, draw(right), draw(SLOPES))]
+    f = PwlFn.from_segments(segs, {cut: draw(VALUES)} if jump else {})
+    assume(cut in f.breaks)
+    return f
+
+
+def assert_both_envelopes(fs):
+    assert_pointwise(min_envelope(fs), fs, min)
+    assert_pointwise(max_envelope(fs), fs, max)
+
+
+class TestLinearMerge:
+    """The cases the merge's forward walk tells apart: a grid point that
+    is a breakpoint of one function or of both, or lies inside a
+    segment; jumps; infinite pieces; a single segment."""
+
+    @given(pwl_fns(), st.sets(st.integers(1, 47), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_samples_are_the_one_sided_limits_and_point_values(self, f, extra):
+        grid = sorted(set(f.breaks) | {Fr(e, 48) for e in extra})
+        want = [
+            (
+                f.eval(x, "left") if x > F0 else None,
+                f.eval(x),
+                f.eval(x, "right") if x < F1 else None,
+            )
+            for x in grid
+        ]
+        assert numerics._samples(f, grid) == want
+
+    @given(st.data(), CUTS)
+    @settings(max_examples=200, deadline=None)
+    def test_shared_breakpoint_where_both_jump(self, data, cut):
+        f = data.draw(two_pieces(cut, jump=True))
+        g = data.draw(two_pieces(cut, jump=True))
+        assume(cut in f.jumps() and cut in g.jumps())
+        assert_both_envelopes([f, g])
+
+    @given(st.data(), CUTS, st.booleans(), pwl_fns())
+    @settings(max_examples=200, deadline=None)
+    def test_infinite_piece_beside_a_finite_one(self, data, cut, inf_first, g):
+        sides = (st.just(INF), FINITE) if inf_first else (FINITE, st.just(INF))
+        f = data.draw(two_pieces(cut, *sides))
+        assert_both_envelopes([f, g])
+
+    @given(st.data(), CUTS, CUTS)
+    @settings(max_examples=200, deadline=None)
+    def test_breakpoint_strictly_inside_the_other_segment(self, data, c, d):
+        assume(c != d)
+        f, g = data.draw(two_pieces(c)), data.draw(two_pieces(d))
+        assert d not in f.breaks and c not in g.breaks
+        assert_both_envelopes([f, g])
+
+    @given(VALUES, SLOPES, pwl_fns())
+    @settings(max_examples=200, deadline=None)
+    def test_single_segment(self, v, s, g):
+        f = PwlFn.affine(F0, F1, v, s)
+        assert len(f.seg_vals) == 1
+        assert_both_envelopes([f, g])
+        assert_both_envelopes([f, PwlFn.constant(F0, F1, v)])
 
 
 def jumps_reference(f):

@@ -8,7 +8,7 @@ import pytest
 
 from ptgsolve import cli, oracle
 from ptgsolve.fixtures import ALL_FIXTURES, fixture_a, maximizer_reset_loop
-from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
+from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf, max_envelope, min_envelope, wait_closure
 from ptgsolve.oracle import (
     OracleError,
     _step,
@@ -24,6 +24,7 @@ from ptgsolve.oracle import (
 from ptgsolve.priced_game import PAction, PricedGame, evaluate_profile, extended_dijkstra
 from ptgsolve.ptg import Ptg, solve_ptg
 from ptgsolve.sptg import Sptg, TimedStrategyProfile, WAIT, solve_sptg
+from test_sweep_certificates import random_event_rich
 
 
 def sptg(owners, rates, *actions):
@@ -206,6 +207,56 @@ FOREIGN_ACTION = (
 )
 
 
+def full_rounds_sptg(g):
+    """``value_iteration_sptg``'s values and round count, recomputing
+    every state in every round: the reference its recompute rule is
+    tested against."""
+    n = g.num_states
+    fns = (PwlFn.constant(F0, F1, INF),) * n
+    for it in itertools.count(1):
+        new = []
+        for k in range(n):
+            cands = [
+                PwlFn.constant(F0, F1, a.cost) if a.dest is None else fns[a.dest].offset(a.cost)
+                for a in (g.actions[j] for j in g.state_actions[k])
+            ]
+            envelope, side = (min_envelope, "min") if g.owners[k] == 1 else (max_envelope, "max")
+            new.append(wait_closure(envelope(cands), g.rates[k], side))
+        if tuple(new) == fns:
+            return fns, it
+        fns = tuple(new)
+
+
+def full_rounds_untimed(game, allowed):
+    """``untimed_value_iteration``, recomputing every state in every
+    round: at most n rounds, stopping early at a fixpoint."""
+    n = game.num_states
+    pick = [min if o == 1 else max for o in game.owners]
+    v = [INF] * n
+    for _ in range(n):
+        new = []
+        for k in range(n):
+            cands = []
+            for a in (game.actions[j] for j in allowed[k]):
+                if a.dest is None:
+                    cands.append(a.cost)
+                elif is_inf(a.cost) or is_inf(v[a.dest]):
+                    cands.append(INF)
+                else:
+                    cands.append(a.cost + v[a.dest])
+            new.append(pick[k](cands))
+        if new == v:
+            break
+        v = new
+    return v
+
+
+def assert_full_rounds(g):
+    res = value_iteration_sptg(g)
+    assert (res.values, res.iterations) == full_rounds_sptg(g), g
+    return res
+
+
 class TestValueIteration:
     def test_single_maximizer_in_two_rounds(self):
         g = sptg([2], [1], (0, None, Fr(0)))
@@ -233,6 +284,31 @@ class TestValueIteration:
         for seed in range(40):
             g = generate_random("sptg", 3, 3, seed, allow_inf=(seed % 4 == 0))
             assert value_iteration_sptg(g).values == solve_sptg(g).values, seed
+
+    def test_recomputes_only_the_sources_of_changed_states(self, monkeypatch):
+        # a chain 0 -> 1 -> ... -> n-1 -> terminal at cost 1 per move: one
+        # state changes per round, from the terminal end, so after the
+        # first round each round recomputes one state
+        n = 60
+        g = sptg([1] * n, [1] * n, *[(i, i + 1 if i + 1 < n else None, 1) for i in range(n)])
+        calls = []
+        plain = oracle.min_envelope
+        monkeypatch.setattr(oracle, "min_envelope", lambda fs: calls.append(1) or plain(fs))
+        res = value_iteration_sptg(g)
+        assert res.values == tuple(PwlFn.constant(F0, F1, n - i) for i in range(n))
+        assert res.iterations == n + 1
+        assert len(calls) <= 2 * n - 1, len(calls)
+
+    def test_matches_full_rounds_on_randoms(self):
+        for seed in range(400):
+            assert_full_rounds(generate_random("sptg", 1 + seed % 5, 3, seed, allow_inf=seed % 2 == 0))
+
+    def test_matches_full_rounds_on_event_rich_games(self):
+        breaks = 0
+        for seed in range(100):
+            res = assert_full_rounds(random_event_rich(seed))
+            breaks += sum(len(f.interior_breaks()) for f in res.values)
+        assert breaks >= 100
 
 
 class TestSimulate:
@@ -628,6 +704,20 @@ class TestUntimedGames:
         for g in random_priced_games():
             dv, _ = extended_dijkstra(g)
             assert untimed_value_iteration(g, g.state_actions) == dv, g
+
+    def test_matches_full_rounds_with_pinned_maximizer_choices(self):
+        # the allowed subsets brute force hands over: every maximizer
+        # state pinned to one action, every minimizer state free
+        for n in range(1, 7):
+            for seed in range(30):
+                g = generate_random("priced", n, 3, seed, allow_inf=seed % 2 == 0)
+                p2 = [k for k in range(n) if g.owners[k] == 2]
+                for picks in itertools.product(*(g.state_actions[k] for k in p2)):
+                    allowed = list(g.state_actions)
+                    for k, j in zip(p2, picks):
+                        allowed[k] = (j,)
+                    want = full_rounds_untimed(g, allowed)
+                    assert untimed_value_iteration(g, allowed) == want, (g, allowed)
 
 
 class TestBruteForce:
