@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .numerics import F0, event_point_count, format_cost, is_inf, parse_cost
+from .numerics import F0, F1, event_point_count, format_cost, is_inf, parse_cost
 from .priced_game import GameError, PAction, PricedGame, clip
 from .ptg import Ptg, PtgResult, TAction
 from .sptg import WAIT, Sptg, SptgSolution
@@ -187,20 +187,35 @@ def _fn_segments(fn):
     return rows
 
 
-def _strategy_cells(doc: GameDocument, strategy) -> list:
-    cells = []
-    for lo, hi, choices in strategy.cells:
-        cells.append(
-            {
-                "left": format_cost(lo),
-                "right": format_cost(hi),
-                "choices": {
-                    sid: ("wait" if j is WAIT else doc.action_ids[j])
-                    for sid, j in zip(doc.state_ids, choices)
-                },
-            }
-        )
-    return cells
+def _strategy_runs(doc: GameDocument, strategy) -> dict:
+    """Each state's choice runs: rows that tile [0,1) with no two
+    neighbours alike, then its choice at 1, read off the cells in one
+    walk."""
+    *cells, (_, _, at_one) = strategy.cells
+    bounds = [format_cost(lo) for lo, _, _ in cells] + [format_cost(F1)]
+    prev = cells[0][2]
+    starts = [[(0, j)] for j in prev]  # per state: (first cell, choice)
+    for i in range(1, len(cells)):
+        choices = cells[i][2]
+        if choices != prev:
+            for k, j in enumerate(choices):
+                if j != prev[k]:
+                    starts[k].append((i, j))
+            prev = choices
+
+    def name(j):
+        return "wait" if j is WAIT else doc.action_ids[j]
+
+    runs = {}
+    for sid, state_starts, j_one in zip(doc.state_ids, starts, at_one):
+        ends = [i for i, _ in state_starts[1:]] + [len(cells)]
+        rows = [
+            {"left": bounds[i], "right": bounds[end], "choice": name(j)}
+            for (i, j), end in zip(state_starts, ends)
+        ]
+        rows.append({"at": bounds[-1], "choice": name(j_one)})
+        runs[sid] = rows
+    return runs
 
 
 def emit_priced_result(doc: GameDocument, values) -> str:
@@ -217,7 +232,7 @@ def emit_sptg_result(doc: GameDocument, sol: SptgSolution) -> str:
         "format": FORMAT_VERSION,
         "kind": "sptg",
         "values": {sid: _fn_segments(f) for sid, f in zip(doc.state_ids, sol.values)},
-        "strategy": _strategy_cells(doc, sol.strategy),
+        "strategy": _strategy_runs(doc, sol.strategy),
         "stats": {
             "L": sol.stats.event_points,
             "sweep_steps": sol.stats.sweep_steps,

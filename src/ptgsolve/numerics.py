@@ -62,9 +62,8 @@ class DigitLimitError(ValueError):
 def format_cost(value) -> str:
     if is_inf(value):
         return "inf"
-    value = Fraction(value)
     try:
-        return str(value)
+        return str(frac(value))
     except ValueError:
         raise DigitLimitError(
             "too-many-digits: a result number has more than "

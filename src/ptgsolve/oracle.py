@@ -418,7 +418,7 @@ def brute_force_priced(game: PricedGame, budget: int = 10**6):
     p2_states = [k for k in range(game.num_states) if game.owners[k] == 2]
     allowed = list(game.state_actions)
     best = None
-    for picks in itertools.product(*(game.state_actions[k] for k in p2_states)):
+    for picks in itertools.product(*[game.state_actions[k] for k in p2_states]):
         for k, j in zip(p2_states, picks):
             allowed[k] = (j,)
         inner = untimed_value_iteration(game, allowed)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from bisect import bisect_right
 from fractions import Fraction as Fr
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from ptgsolve.oracle import (
 from ptgsolve.priced_game import GameError, PAction, PricedGame
 from ptgsolve.ptg import solve_ptg
 from ptgsolve.sptg import WAIT, TimedStrategyProfile, solve_sptg
+from test_sweep_certificates import fan, random_event_rich
 
 
 def emit_game(doc: gamedoc.GameDocument) -> str:
@@ -382,6 +384,28 @@ def test_undecodable_document_exits_two_with_code(tmp_path, capsys, data):
     assert capsys.readouterr().err.startswith("input-error: bad-json at document: ")
 
 
+def assert_runs_match_cells(doc, sol, strategy):
+    """Every state's rows in ``strategy`` tile [0,1) with no two
+    neighbours alike, close at 1, and name the choice of every cell of
+    ``sol.strategy`` they cover."""
+    assert sorted(strategy) == sorted(doc.state_ids)
+    for k, sid in enumerate(doc.state_ids):
+        *rows, closing = strategy[sid]
+        assert closing.keys() == {"at", "choice"} and closing["at"] == "1"
+        assert all(row.keys() == {"left", "right", "choice"} for row in rows)
+        assert rows[0]["left"] == "0" and rows[-1]["right"] == "1"
+        for a, b in zip(rows, rows[1:]):
+            assert a["right"] == b["left"] and a["choice"] != b["choice"], (sid, a, b)
+        lefts = [Fr(row["left"]) for row in rows]
+        for lo, hi, choices in sol.strategy.cells:
+            want = "wait" if choices[k] is WAIT else doc.action_ids[choices[k]]
+            if lo == hi:
+                assert closing["choice"] == want, sid
+                continue
+            row = rows[bisect_right(lefts, lo) - 1]
+            assert hi <= Fr(row["right"]) and row["choice"] == want, (sid, lo, hi)
+
+
 class TestEmission:
     def test_plot_matches_eval(self):
         fx = fixture_a()
@@ -401,6 +425,37 @@ class TestEmission:
         a = gamedoc.emit_sptg_result(doc, solve_sptg(fx.game))
         b = gamedoc.emit_sptg_result(doc, solve_sptg(fx.game))
         assert a == b
+
+    def test_strategy_runs_are_faithful_and_canonical(self):
+        golden = Path(__file__).parent / "golden"
+        checked = 0
+        for path in sorted(golden.glob("*.json")):
+            if path.name.endswith(".out.json"):
+                continue
+            doc = gamedoc.parse(path.read_text())
+            if doc.kind == "sptg":
+                out = json.loads((golden / f"{path.stem}.out.json").read_text())
+                assert_runs_match_cells(doc, solve_sptg(doc.to_game()), out["strategy"])
+                checked += 1
+        assert checked == 3
+        events = 0
+        for g in [fan(k) for k in range(5, 41)] + [random_event_rich(s) for s in range(100)]:
+            doc = document_for(g, "sptg")
+            sol = solve_sptg(g)
+            out = json.loads(gamedoc.emit_sptg_result(doc, sol))
+            assert_runs_match_cells(doc, sol, out["strategy"])
+            events += sol.stats.event_points
+        assert events >= 100
+
+    def test_fan_strategy_rows_grow_linearly(self):
+        """fan(k): k runs at the hub and one wait run per spoke, each
+        state's closed by its choice at 1."""
+        for k in range(5, 41):
+            g = fan(k)
+            out = json.loads(gamedoc.emit_sptg_result(document_for(g, "sptg"), solve_sptg(g)))
+            assert sum(map(len, out["strategy"].values())) == 3 * k + 1, k
+        g = fan(160)
+        assert len(gamedoc.emit_sptg_result(document_for(g, "sptg"), solve_sptg(g))) < 100_000
 
     def test_jump_reported_in_ptg_result(self):
         fx = delayed_exit_jump()
