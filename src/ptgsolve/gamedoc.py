@@ -179,7 +179,8 @@ def _fn_segments(fn):
             row["point_value_at_left"] = format_cost(pv)
         rows.append(row)
     last = fn.point_vals[-1]
-    end = fn.eval(fn.hi, side="left")
+    # the left limit at hi, read off the last segment
+    end = val if is_inf(val) else val + slope * (hi - lo)
     final = {"at": format_cost(fn.hi), "value": format_cost(last)}
     if last != end:
         final["jump"] = True

@@ -67,7 +67,7 @@ def value_iteration_sptg(sptg: Sptg, cap: Optional[int] = None) -> ValueIteratio
     if cap is None:
         cap = n * sptg.profile_bound() + 1
     sides = [(min_envelope, "min") if o == 1 else (max_envelope, "max") for o in sptg.owners]
-    fns = [PwlFn.constant(F0, F1, INF)] * n
+    fns = [PwlFn.constant(sptg.lo, sptg.hi, INF)] * n
     todo = range(n)
     for it in range(1, cap + 1):
         new = {}
@@ -76,7 +76,7 @@ def value_iteration_sptg(sptg: Sptg, cap: Optional[int] = None) -> ValueIteratio
             for j in sptg.state_actions[k]:
                 a = sptg.actions[j]
                 if a.dest is None:
-                    cands.append(PwlFn.constant(F0, F1, a.cost))
+                    cands.append(PwlFn.constant(sptg.lo, sptg.hi, a.cost))
                 else:
                     cands.append(fns[a.dest].offset(a.cost))
             envelope, side = sides[k]
@@ -111,10 +111,10 @@ class Play:
 def _step(sptg: Sptg, profile: TimedStrategyProfile, k: int, x: Fraction):
     """One move of the profile's play from ``(k, x)``: waiting runs to the
     end of the clock's cell.  Returns ``(choice, delay, cost, k', x')``."""
-    _, hi, choices = profile.cell_at(x)
+    lo, hi, choices = profile.cell_at(x)
     choice = choices[k]
     if choice is WAIT:
-        if x == F1:
+        if lo == hi:
             raise OracleError(f"profile waits at the horizon in state {k}")
         delay = hi - x
         return choice, delay, sptg.rates[k] * delay, k, hi
@@ -217,19 +217,22 @@ def _waiting(rate, hi, line):
 
 def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> tuple:
     """Every state's play cost under the profile, exactly, on all of
-    [0,1]: a ``PwlFn`` per state.
+    the game's domain: a ``PwlFn`` per state.
 
-    Cells are evaluated right to left.  In the point cell at 1 a state
-    costs the untimed profile's payoff.  In a cell [lo, hi) a waiting
-    state costs ``rate*(hi - x) + P(hi)``, its own cost at hi, and an
-    acting state the action's cost plus its destination's cost at the
-    same clock value, resolved along the cell's chains of choices; a
+    Cells are evaluated right to left.  In the point cell at the domain's
+    end a state costs the untimed profile's payoff.  In a cell [lo, hi) a
+    waiting state costs ``rate*(hi - x) + P(hi)``, its own cost at hi,
+    and an acting state the action's cost plus its destination's cost at
+    the same clock value, resolved along the cell's chains of choices; a
     chain that closes a cycle takes no time and never ends, so it costs
     infinity.  A state keeps its line object while its choice and its
     successor's line are unchanged, so a piece of its cost spans every
     cell where its line holds.  Raises :class:`OracleError` on a profile
-    that waits at 1 or picks an action of another state, as
-    :func:`simulate` does."""
+    whose span is not the game's domain, or that waits at its end or
+    picks an action of another state, as :func:`simulate` does."""
+    if profile.span != (sptg.lo, sptg.hi):
+        lo, hi = profile.span
+        raise OracleError(f"profile spans [{lo}, {hi}], the game [{sptg.lo}, {sptg.hi}]")
     actions, rates, n = sptg.actions, sptg.rates, sptg.num_states
     lines = prev = None  # the lines and choices of the cell to the right
     pieces = [[] for _ in range(n)]  # [lo, hi, line], right to left
@@ -262,7 +265,7 @@ def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> tuple:
                     line = _through(a.cost, line)
                 new[k] = line
         if lo == hi:
-            at_one = [_at(line, F1) for line in new]
+            at_end = [_at(line, hi) for line in new]
         else:
             for piece, line in zip(pieces, new):
                 if piece and piece[-1][2] is line:
@@ -276,9 +279,9 @@ def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> tuple:
                 (lo, hi, INF, F0) if line is None else (lo, hi, _at(line, lo), -line[1])
                 for lo, hi, line in reversed(piece)
             ],
-            {F1: v},
+            {sptg.hi: v},
         )
-        for piece, v in zip(pieces, at_one)
+        for piece, v in zip(pieces, at_end)
     )
 
 
@@ -312,14 +315,14 @@ def _first_difference(got: PwlFn, want: PwlFn):
 
 def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> EquilibriumReport:
     """Certify what a solve ships two ways.  Each state's exact play cost
-    under ``sol.strategy`` (:func:`evaluate_policy`) must equal its value
-    function on all of [0,1], point values included; a failure names the
-    first clock value where they differ.  And no cell of the strategy
-    may admit an improving switch for either player.  An interval cell
-    [lo, hi) is played in the snapshot game whose waits cost the values
-    at hi, with WAIT as the wait exit m + k; the point cell at 1 in the
-    untimed game.  A cell failure names the cell by its index in
-    ``sol.strategy.cells``.  ``samples`` is accepted and ignored: the
+    under ``sol.strategy`` (:func:`evaluate_policy`) must equal its
+    value function on all of the game's domain, point values included; a
+    failure names the first clock value where they differ.  And no cell
+    of the strategy may admit an improving switch for either player.  An
+    interval cell [lo, hi) is played in the snapshot game whose waits
+    cost the values at hi, with WAIT as the wait exit m + k; the point
+    cell in the untimed game.  A cell failure names the cell by its index
+    in ``sol.strategy.cells``.  ``samples`` is accepted and ignored: the
     check evaluates the strategy everywhere, so it samples no clock
     values."""
     report = EquilibriumReport()

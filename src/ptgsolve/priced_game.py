@@ -75,7 +75,7 @@ def check_graph(owners, actions) -> None:
 class GameGraph:
     """What every game type derives from its ``owners`` and ``actions``:
     the actions leaving and entering each state.  The untimed solvers
-    read a :class:`PricedGame`, or an SPTG as its untimed game at 1."""
+    read a :class:`PricedGame`, or an SPTG as its untimed game at hi."""
 
     @property
     def num_states(self) -> int:

@@ -4,10 +4,11 @@ Actions carry existence intervals with independently open or closed
 endpoints, and may reset the clock to 0.  Solving proceeds by three
 reductions: resets are unfolded into layers counted by reset uses,
 the time axis is cut at the interval endpoints into homogeneous pieces,
-and each piece is rescaled to a simple priced timed game over [0,1]
-whose waiting exits are rerouted through an auxiliary maximizer state,
-with stops worth the values at its right end; its sweep's untimed solve
-at 1 is then the piece's moment game, so each piece is solved once.
+and each piece [lo, hi] is a simple priced timed game on that domain,
+in the game's own clock, whose waiting exits are rerouted through an
+auxiliary maximizer state, with stops worth the values at hi; its
+sweep's untimed solve at hi is then the piece's moment game, so each
+piece is solved once.
 All layers share the one game: a reset is priced where its action is
 converted to an untimed one, as a terminal exit worth the next layer's
 clock-0 value at its destination.  A layer's result depends only on the
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .numerics import F0, INF, PwlFn, frac, is_inf
+from .numerics import F0, INF, PwlFn, is_inf
 from .priced_game import GameError, GameGraph, PAction, PricedGame, check_graph, extended_dijkstra
 from .sptg import Sptg, SptgSolution, check_rates, solve_sptg
 
@@ -103,10 +104,9 @@ class Ptg(GameGraph):
 
 @dataclass(frozen=True)
 class IntervalCert:
-    """Provenance of the value functions on one open ladder interval."""
+    """Provenance of the value functions on one open ladder interval, the
+    domain of its game."""
 
-    lo: Fraction
-    hi: Fraction
     sptg: Sptg
     solution: SptgSolution
 
@@ -181,41 +181,31 @@ def build_moment_game(game: Ptg, v, actions) -> PricedGame:
     return PricedGame(game.owners, actions + stops)
 
 
-def build_interval_sptg(game: Ptg, v_hi, width, actions) -> Sptg:
-    """Rescale one homogeneous availability interval to an SPTG on [0,1].
+def build_interval_sptg(game: Ptg, v_hi, lo, hi, actions) -> Sptg:
+    """One homogeneous availability interval as an SPTG on [lo, hi].
 
     The untimed ``actions`` available inside the interval survive with
     their original destinations; each state gains a stop action worth
     its entry of ``v_hi``, the values at the interval's right end, so the
-    untimed game at 1 is the moment game at any interior point.  For
+    untimed game at hi is the moment game at any interior point.  For
     minimizer states the stop action routes through a fresh maximizer
     state with the top rate and a free exit, which prices early stopping
     out of the optimum; maximizer stop actions go to the terminal directly
-    and pay no more than waiting until 1.  Rates scale by the width.
+    and pay no more than waiting until hi.
     """
-    width = frac(width)
-    if width <= 0:
-        raise GameError("bad-interval", "width", str(width))
     n = game.num_states
     max_state = n
-    top_rate = max(game.rates, default=F0) * width
     stops = tuple(
         PAction(k, max_state if game.owners[k] == 1 else None, v_hi[k])
         for k in range(n)
     )
     return Sptg(
         owners=game.owners + (2,),
-        rates=tuple(r * width for r in game.rates) + (top_rate,),
+        rates=game.rates + (max(game.rates, default=F0),),
         actions=actions + stops + (PAction(max_state, None, F0),),
+        lo=lo,
+        hi=hi,
     )
-
-
-def _remap(fn: PwlFn, lo, width) -> list:
-    """Segments of x -> fn((x - lo) / width), for splicing into [lo, lo+width]."""
-    return [
-        (lo + s_lo * width, lo + s_hi * width, val, slope / width)
-        for s_lo, s_hi, val, slope in fn.segments()
-    ]
 
 
 def _point_values(game: Ptg, v, x, actions, stats: PtgStats, memo: dict) -> tuple:
@@ -253,28 +243,24 @@ def _solve_layer(game: Ptg, available: dict, reset_values, stats: PtgStats, memo
         key = (x, point_vals[hi], actions)
         cert = memo.get(key)
         if cert is None:
-            sptg = build_interval_sptg(game, point_vals[hi], hi - lo, actions)
-            cert = memo[key] = IntervalCert(lo, hi, sptg, solve_sptg(sptg))
+            sptg = build_interval_sptg(game, point_vals[hi], lo, hi, actions)
+            cert = memo[key] = IntervalCert(sptg, solve_sptg(sptg))
             stats.oracle_calls += 1
         else:
             stats.reused_intervals += 1
         trace.append(cert)
-        zero_vals = tuple(cert.solution.values[k].eval(F0) for k in range(n))
+        lo_vals = tuple(cert.solution.values[k].eval(lo) for k in range(n))
         actions = _untimed(available[lo], reset_values)
-        point_vals[lo] = _point_values(game, zero_vals, lo, actions, stats, memo)
+        point_vals[lo] = _point_values(game, lo_vals, lo, actions, stats, memo)
     return point_vals, trace
 
 
 def _assemble(game: Ptg, point_vals: dict, trace) -> tuple:
     """Each state's value function over [0, horizon]: the interval
-    solutions rescaled and spliced, with the ladder-point values."""
+    solutions spliced, with the ladder-point values."""
     fns = []
     for k in range(game.num_states):
-        flat = [
-            seg
-            for cert in reversed(trace)
-            for seg in _remap(cert.solution.values[k], cert.lo, cert.hi - cert.lo)
-        ]
+        flat = [seg for cert in reversed(trace) for seg in cert.solution.values[k].segments()]
         fns.append(PwlFn.from_segments(flat, {t: vs[k] for t, vs in point_vals.items()}))
     return tuple(fns)
 

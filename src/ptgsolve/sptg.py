@@ -1,17 +1,17 @@
-"""Simple priced timed games: one clock on [0,1], no resets or guards.
+"""Simple priced timed games: one clock on [lo, hi], no resets or guards.
 
 States accrue cost at a per-state rate while time advances; actions are
 instantaneous priced transitions, always available.  Values as functions
 of the clock are piecewise linear with rational breakpoints and are
 computed exactly by a right-to-left sweep over event points.
 
-The untimed game at 1 is solved by one lexicographic extended Dijkstra
+The untimed game at hi is solved by one lexicographic extended Dijkstra
 scan, whose choices are switch-free by construction.  At each event
-point, the one at 1 included, the sweep solves the snapshot game, whose
+point, the one at hi included, the sweep solves the snapshot game, whose
 waiting exits cost the states' values there plus an infinitesimal rate
 charge, without building it: :func:`_repair` re-solves the states whose
 crossing fixed the event point and the finite-valued states upstream of
-them, and every other state keeps its choice.  At 1 that is every
+them, and every other state keeps its choice.  At hi that is every
 finite-valued state; an infinite-valued state keeps the untimed choice
 throughout.
 
@@ -37,6 +37,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .numerics import F0, F1, PwlFn, event_point_count, frac, is_inf
@@ -73,8 +74,12 @@ class Sptg(GameGraph):
     owners: tuple  # 1 (minimizer) or 2 (maximizer) per state
     rates: tuple  # nonnegative Fraction per state
     actions: tuple  # PAction with Fraction or infinite costs
+    lo: Fraction = F0  # the clock domain [lo, hi], [0,1] unless given
+    hi: Fraction = F1
 
     def __post_init__(self):
+        if not F0 <= self.lo < self.hi:
+            raise GameError("bad-interval", "domain", f"[{self.lo}, {self.hi}]")
         check_rates(self.owners, self.rates)
         # only snapshot waits (build_eps_game) carry a wait rate
         for j, a in enumerate(self.actions):
@@ -94,24 +99,26 @@ class Sptg(GameGraph):
 
 @dataclass(frozen=True)
 class TimedStrategyProfile:
-    """Choices per clock region: cells [lo, hi) that tile [0,1) from left
-    to right, then the point cell at 1.
+    """Choices per clock region: cells [lo, hi) that tile the profile's
+    span from left to right, then the point cell at the span's end.
 
     Each cell maps every state to an action index or WAIT.
     """
 
-    cells: tuple  # (lo, hi, choices); lo == hi == 1 for the point cell
+    cells: tuple  # (lo, hi, choices); lo == hi for the point cell
 
     def __post_init__(self):
-        if len(self.cells) < 2 or self.cells[-1][:2] != (F1, F1):
-            raise ValueError("strategy cells must end in the point cell (1, 1)")
-        x = F0
-        for lo, hi, _ in self.cells[:-1]:
-            if lo != x or not lo < hi:
-                raise ValueError(f"strategy cells do not tile [0,1] at {x}")
-            x = hi
-        if x != F1:
-            raise ValueError("strategy cells do not reach 1")
+        cells = self.cells
+        if len(cells) < 2 or cells[-1][0] != cells[-1][1]:
+            raise ValueError("strategy cells must end in a point cell")
+        for (lo, hi, _), (after, _, _) in zip(cells, cells[1:]):
+            if not lo < hi == after:
+                raise ValueError(f"strategy cells do not tile their span at {hi}")
+
+    @property
+    def span(self) -> tuple:
+        """``(lo, hi)``: the first cell's start and the point cell's clock."""
+        return self.cells[0][0], self.cells[-1][0]
 
     @cached_property
     def _los(self) -> tuple:
@@ -119,9 +126,9 @@ class TimedStrategyProfile:
 
     def cell_at(self, x):
         """The cell ``(lo, hi, choices)`` holding clock value ``x``."""
-        x = frac(x)
-        if not F0 <= x <= F1:
-            raise ValueError(f"clock value {x} outside [0,1]")
+        x, (lo, hi) = frac(x), self.span
+        if not lo <= x <= hi:
+            raise ValueError(f"clock value {x} outside [{lo}, {hi}]")
         return self.cells[bisect_right(self._los, x) - 1]
 
     def choice_at(self, state: int, x):
@@ -138,7 +145,7 @@ class SolveStats:
 
 @dataclass(frozen=True)
 class SptgSolution:
-    values: tuple  # PwlFn per state on [0,1]
+    values: tuple  # PwlFn per state on the game's domain
     strategy: TimedStrategyProfile
     stats: SolveStats
 
@@ -191,9 +198,9 @@ class _Pieces:
     entries, some outdated.  ``picked`` and ``pending`` are the repair
     scan's working lists.
 
-    The pieces start flat through the untimed ``payoffs`` at 1, with the
+    The pieces start flat through the untimed ``payoffs`` at hi, with the
     untimed solve's choices, and every valuation starts infinite: the
-    repair at 1 settles every finite-valued state, giving it its first
+    repair at hi settles every finite-valued state, giving it its first
     sloped piece, before any valuation is read, and an infinite-valued
     state is never settled.
     """
@@ -204,7 +211,7 @@ class _Pieces:
         self.rate = [F0] * n
         self.choice = list(profile)
         self.lines = [_line(a, self.c, self.rate) for a in sptg.actions]
-        self.certs = [F0] * n
+        self.certs = [sptg.lo] * n
         self.tight = [((), ())] * n
         self.envelopes = [None] * n
         self.heap = []
@@ -255,16 +262,16 @@ class _Envelope:
         self.xs = xs
         self.at = {j: i for i, group in enumerate(self.ids) for j in group}
 
-    def crossing(self, chosen, x_hi):
+    def crossing(self, chosen, x_lo, x_hi):
         """``(best, coinciding, crossing)`` of :func:`_crossing` for action
-        ``chosen``, whose line is on the envelope at ``x_hi``: the line's
-        left vertex if that lies in (0, x_hi), and the lines through it."""
+        ``chosen``, whose line is on the envelope at ``x_hi``: its left
+        vertex if that lies in (x_lo, x_hi), and the lines through it."""
         ids, xs = self.ids, self.xs
         p = self.at[chosen]
         coinciding = [j for j in ids[p] if j != chosen]
-        t = xs[p - 1] if p else F0
-        if not F0 < t < x_hi:
-            return F0, coinciding, []
+        t = xs[p - 1] if p else x_lo
+        if not x_lo < t < x_hi:
+            return x_lo, coinciding, []
         lo = p - 1
         while lo and xs[lo - 1] == t:
             lo -= 1
@@ -272,15 +279,16 @@ class _Envelope:
 
 
 def _crossing(sptg: Sptg, pieces: _Pieces, k: int, x_hi):
-    """Largest clock value in (0, x_hi) where the line of one of state
-    ``k``'s own (non-waiting) actions crosses its chosen line; 0 when
-    there is none.  Records the coinciding and crossing actions in
-    ``pieces.tight[k]``.  Scans the lines the first time after they move
-    and queries their :class:`_Envelope` later, unless the state waits.
+    """Largest clock value in (lo, x_hi) where the line of one of state
+    ``k``'s own (non-waiting) actions crosses its chosen line; the
+    domain's ``lo`` when there is none.  Records the coinciding and
+    crossing actions in ``pieces.tight[k]``.  Scans the lines the first
+    time after they move and queries their :class:`_Envelope` later,
+    unless the state waits.
     """
     c, s = pieces.c[k], pieces.rate[k]
     chosen, lines = pieces.choice[k], pieces.lines
-    best, coinciding, crossing = F0, [], []
+    best, coinciding, crossing = sptg.lo, [], []
     envelope = pieces.envelopes[k]
     if envelope is not None and chosen < sptg.num_actions and not is_inf(c):
         if envelope is False:
@@ -288,7 +296,7 @@ def _crossing(sptg: Sptg, pieces: _Pieces, k: int, x_hi):
                 sptg.owners[k] == 2,
                 [(j, lines[j]) for j in sptg.state_actions[k] if lines[j] is not None],
             )
-        best, coinciding, crossing = envelope.crossing(chosen, x_hi)
+        best, coinciding, crossing = envelope.crossing(chosen, sptg.lo, x_hi)
     elif not is_inf(c):
         pieces.envelopes[k] = False
         minimizer = sptg.owners[k] == 1
@@ -307,7 +315,7 @@ def _crossing(sptg: Sptg, pieces: _Pieces, k: int, x_hi):
             if (sj > s) == minimizer:
                 continue
             t = (c - cj) / (s - sj)
-            if F0 < t < x_hi:
+            if sptg.lo < t < x_hi:
                 if t > best:
                     best, crossing = t, [j]
                 elif t == best:
@@ -319,7 +327,7 @@ def _crossing(sptg: Sptg, pieces: _Pieces, k: int, x_hi):
 def next_event_point(sptg: Sptg, pieces: _Pieces, dirty, x_hi):
     """Largest clock value strictly below ``x_hi`` where some available
     action's line meets the chosen action's line, given they differ at
-    ``x_hi`` itself; 0 when no such crossing exists.
+    ``x_hi`` itself; the domain's ``lo`` when no such crossing exists.
 
     ``pieces.certs[k]`` caches state ``k``'s own largest such crossing;
     only the states in ``dirty`` are rescanned.
@@ -327,11 +335,11 @@ def next_event_point(sptg: Sptg, pieces: _Pieces, dirty, x_hi):
     certs, heap = pieces.certs, pieces.heap
     for k in dirty:
         cert = certs[k] = _crossing(sptg, pieces, k, x_hi)
-        if cert:
+        if cert != sptg.lo:
             heapq.heappush(heap, (-cert, k))
     while heap and certs[heap[0][1]] != -heap[0][0]:
         heapq.heappop(heap)
-    return -heap[0][0] if heap else F0
+    return -heap[0][0] if heap else sptg.lo
 
 
 def _events(pieces: _Pieces, x):
@@ -358,7 +366,7 @@ def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> set:
     state, those crossing it there.  Every other candidate is strictly
     worse at ``x``, so the scan settles R as the full scan would.
 
-    At 1 no crossing has been scanned, R holds every finite-valued state,
+    At hi no crossing has been scanned, R holds every finite-valued state,
     and the finite candidates left out are terminal exits.  None beats
     the untimed choice: a minimizer's is its lowest-id exit at its value
     if it has one, as one hop is the fewest, and a maximizer's is either
@@ -397,7 +405,7 @@ def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> set:
 
 
 def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
-    """Exact value functions and optimal strategies on [0,1].
+    """Exact value functions and optimal strategies on the game's domain.
 
     ``instrument=True`` also checks every step: it builds the snapshot
     game, improves the current choices in it one switch at a time,
@@ -410,17 +418,17 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
     m = sptg.num_actions
     observe = _observer(sptg, stats) if instrument else None
 
-    v1, profile = solve_at_time_one(sptg)
-    cells = [(F1, F1, profile)]
-    pieces = _Pieces(sptg, v1, profile)
+    v_hi, profile = solve_at_time_one(sptg)
+    cells = [(sptg.hi, sptg.hi, profile)]
+    pieces = _Pieces(sptg, v_hi, profile)
     c, rate, choice, lines = pieces.c, pieces.rate, pieces.choice, pieces.lines
     envelopes = pieces.envelopes
     events = {k for k in range(n) if not is_inf(c[k])}
     # each state's segments so far, right to left, and its open piece's
     # right end
     segments = [[] for _ in range(n)]
-    top = [F1] * n
-    x = F1
+    top = [sptg.hi] * n
+    x = sptg.hi
     budget = sptg.event_bound() + 1
     for _ in range(budget):
         if observe:
@@ -453,14 +461,14 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
         cells.append((x_lo, x, tuple(WAIT if j >= m else j for j in choice)))
         stats.sweep_steps += 1
         x = x_lo
-        if x == F0:
+        if x == sptg.lo:
             break
         events = _events(pieces, x)
     else:
         raise RuntimeError("sweep exceeded its event-point budget")
 
-    for seg, hi, c_k, r in zip(segments, top, c, rate):
-        seg.append((F0, hi, c_k, -r))
+    for k, (seg, hi) in enumerate(zip(segments, top)):
+        seg.append((sptg.lo, hi, pieces.at(k, sptg.lo), -rate[k]))
     fns = tuple(PwlFn.from_segments(list(reversed(segs))) for segs in segments)
     stats.event_points = event_point_count(fns)
     strategy = TimedStrategyProfile(tuple(reversed(cells)))

@@ -14,8 +14,11 @@ Horizon scaling multiplies every interval endpoint of a PTG by s and
 divides every rate by s: the values are stretched along the clock,
 ``v'(s*x) = v(x)``.  Splitting cuts one action's interval at its
 midpoint into two copies that share it: the values stay.  Both change
-the widths of the intervals a PTG solve rescales, which the other
-invariants keep.
+the widths of the interval games a PTG solve builds, which the other
+invariants keep.  Moving an SPTG's clock domain from [0,1] to [lo, hi]
+while its rates are multiplied by ``hi - lo`` stretches its values and
+strategy cells along the clock, as the old rescaling of PTG intervals
+did; the game on [lo, hi] must also pass the oracles.
 """
 
 import dataclasses
@@ -29,9 +32,15 @@ import pytest
 
 from ptgsolve import cli, gamedoc
 from ptgsolve.numerics import F0, F1, PwlFn, format_cost, is_inf, parse_cost
-from ptgsolve.oracle import generate_random, untimed_value_iteration
+from ptgsolve.oracle import (
+    check_equilibrium,
+    generate_random,
+    untimed_value_iteration,
+    value_iteration_sptg,
+)
 from ptgsolve.ptg import Ptg, solve_ptg
 from ptgsolve.sptg import Sptg, solve_sptg
+from test_sweep_certificates import random_event_rich
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_INPUTS = sorted(p for p in GOLDEN.glob("*.json") if not p.name.endswith(".out.json"))
@@ -252,3 +261,42 @@ def test_cost_scaled_document_scales_its_values(tmp_path, path):
     got = solved(tmp_path, body)
     assert got["values"] == result_times(want["values"], C)
     assert {**got, "values": None} == {**want, "values": None}
+
+
+DOMAINS = ((F0, Fraction(1, 3)), (Fraction(2), Fraction(5)), (Fraction(3, 7), F1))
+
+
+def remap(fn, lo, width):
+    """Segments of x -> fn((x - lo) / width), for splicing into [lo,
+    lo+width]: how PTG solves once mapped the solution of each interval
+    game, rescaled to [0,1], back onto the interval."""
+    return [
+        (lo + s_lo * width, lo + s_hi * width, val, slope / width)
+        for s_lo, s_hi, val, slope in fn.segments()
+    ]
+
+
+@functools.cache
+def event_rich_games():
+    games = [random_event_rich(seed) for seed in range(100)]
+    assert sum(solution(g).stats.event_points for g in games) >= 100
+    return games
+
+
+@pytest.mark.parametrize("lo, hi", DOMAINS, ids=lambda x: str(x))
+def test_domain_shift_stretches_sptg_solutions(lo, hi):
+    """``Sptg(o, r, a, lo, hi)`` solves as ``Sptg(o, r*(hi - lo), a)`` on
+    [0,1] remapped onto [lo, hi]: the same values, strategy cells and
+    stats; value iteration and the equilibrium check accept it."""
+    width = hi - lo
+    for i, game in enumerate(random_games("sptg") + event_rich_games()):
+        unit = solution(dataclasses.replace(game, rates=tuple(r * width for r in game.rates)))
+        shifted = dataclasses.replace(game, lo=lo, hi=hi)
+        got = solve_sptg(shifted)
+        assert got.values == tuple(PwlFn.from_segments(remap(f, lo, width)) for f in unit.values), i
+        assert got.strategy.cells == tuple(
+            (lo + a * width, lo + b * width, choices) for a, b, choices in unit.strategy.cells
+        ), i
+        assert got.stats == unit.stats, i
+        assert value_iteration_sptg(shifted).values == got.values, i
+        assert check_equilibrium(shifted, got).passed, i

@@ -141,16 +141,16 @@ def random_priced_games():
 def probe_times(strategy, samples=50):
     """Clock values a sampling equilibrium check would probe, ascending:
     every cell's start and midpoint, and a grid of ``samples + 2`` points
-    on [0,1]."""
+    on the profile's span."""
     times = set()
-    for lo, hi, _ in strategy.cells:
-        times.add(lo)
-        if lo < hi:
-            times.add((lo + hi) / 2)
-    times.add(F1)
+    for a, b, _ in strategy.cells:
+        times.add(a)
+        if a < b:
+            times.add((a + b) / 2)
+    lo, hi = strategy.span
     grid = samples + 1
     for i in range(grid + 1):
-        times.add(Fr(i, grid))
+        times.add(lo + (hi - lo) * Fr(i, grid))
     return sorted(times)
 
 
@@ -204,6 +204,11 @@ HORIZON_WAIT = (
 FOREIGN_ACTION = (
     sptg([1, 1], [0, 0], (0, None, Fr(1)), (1, None, Fr(1))),
     TimedStrategyProfile(((F0, F1, (1, 1)), (F1, F1, (1, 1)))),
+)
+# a profile that starts at 1/2, on a game over [0,1]
+LATE_START = (
+    sptg([1], [0], (0, None, Fr(1))),
+    TimedStrategyProfile(((Fr(1, 2), F1, (0,)), (F1, F1, (0,)))),
 )
 
 
@@ -483,7 +488,9 @@ class TestCheckEquilibrium:
         assert check_equilibrium(g, sol).passed
 
     @pytest.mark.parametrize(
-        "case", [HORIZON_WAIT, FOREIGN_ACTION], ids=["horizon-wait", "foreign-action"]
+        "case",
+        [HORIZON_WAIT, FOREIGN_ACTION, LATE_START],
+        ids=["horizon-wait", "foreign-action", "late-start"],
     )
     def test_rules_of_play_enforced(self, case):
         g, profile = case
@@ -519,6 +526,15 @@ class TestCheckEquilibrium:
 
 
 class TestEvaluatePolicy:
+    def test_profile_must_span_the_games_domain(self):
+        g, late = LATE_START
+        with pytest.raises(OracleError, match=r"profile spans \[1/2, 1\], the game \[0, 1\]"):
+            evaluate_policy(g, late)
+        shifted = dataclasses.replace(g, lo=Fr(1, 2))
+        assert evaluate_policy(shifted, late) == (PwlFn.constant(Fr(1, 2), F1, Fr(1)),)
+        with pytest.raises(OracleError):
+            evaluate_policy(shifted, solve_sptg(g).strategy)
+
     def test_equals_play_cost_at_probe_times(self):
         for g, sol in solved_sptgs():
             costs = evaluate_policy(g, sol.strategy)
@@ -618,6 +634,7 @@ class TestDentedCertificate:
             res = solve_ptg(g)
             cert = res.trace[0]
             k, a, b = gap_between_probes(cert.solution)
+            assert cert.sptg.lo < a < b < cert.sptg.hi
             values = list(cert.solution.values)
             values[k] = dented(values[k], a, b)
             solution = dataclasses.replace(cert.solution, values=tuple(values))

@@ -157,7 +157,8 @@ class TestIntervalSptg:
 
     def test_width_one_fields(self):
         g = self.game()
-        s = build_interval_sptg(g, [Fr(4), Fr(6)], F1, untimed_at(g, Fr(1, 2)))
+        s = build_interval_sptg(g, [Fr(4), Fr(6)], F0, F1, untimed_at(g, Fr(1, 2)))
+        assert (s.lo, s.hi) == (F0, F1)
         assert s.owners == (1, 2, 2)
         assert s.rates == (Fr(2), Fr(3), Fr(3))
         # available actions survive, the point-[1,1] exit does not; then
@@ -170,16 +171,22 @@ class TestIntervalSptg:
             PAction(2, None, F0),
         )
 
-    def test_rates_scale_with_width(self):
+    def test_rates_are_the_games_own_on_a_narrow_interval(self):
+        """On [1/3, 2/3] the game keeps its clock: the rates, the gadget's
+        top rate and the stops are those of a width-one interval."""
         g = self.game()
-        s = build_interval_sptg(g, [F0, F0], Fr(1, 3), untimed_at(g, Fr(1, 2)))
-        assert s.rates == (Fr(2, 3), F1, F1)
+        wide = build_interval_sptg(g, [Fr(4), Fr(6)], F0, F1, untimed_at(g, Fr(1, 2)))
+        s = build_interval_sptg(g, [Fr(4), Fr(6)], Fr(1, 3), Fr(2, 3), untimed_at(g, Fr(1, 2)))
+        assert (s.lo, s.hi) == (Fr(1, 3), Fr(2, 3))
+        assert s.rates == (Fr(2), Fr(3), Fr(3))
+        assert (s.owners, s.rates, s.actions) == (wide.owners, wide.rates, wide.actions)
 
     def test_nonpositive_width_rejected(self):
         g = self.game()
-        with pytest.raises(GameError) as exc:
-            build_interval_sptg(g, [F0, F0], F0, untimed_at(g, Fr(1, 2)))
-        assert exc.value.code == "bad-interval"
+        for lo, hi in [(F0, F0), (F1, Fr(1, 2))]:
+            with pytest.raises(GameError) as exc:
+                build_interval_sptg(g, [F0, F0], lo, hi, untimed_at(g, Fr(1, 2)))
+            assert (exc.value.code, exc.value.where) == ("bad-interval", "domain")
 
     def test_reset_priced_as_exit(self):
         g = Ptg(
@@ -187,26 +194,33 @@ class TestIntervalSptg:
             (F1,),
             (act(0, 0, 2, 0, 1, reset=True), act(0, None, 0, 0, 1)),
         )
-        deepest = build_interval_sptg(g, [F0], F1, untimed_at(g, Fr(1, 2))).actions[0]
+        deepest = build_interval_sptg(g, [F0], F0, F1, untimed_at(g, Fr(1, 2))).actions[0]
         assert deepest.source == 0 and deepest.dest is None and deepest.wait_rate == F0
         assert is_inf(deepest.cost)
-        priced = build_interval_sptg(g, [F0], F1, untimed_at(g, Fr(1, 2), [Fr(3)])).actions[0]
+        priced = build_interval_sptg(g, [F0], F0, F1, untimed_at(g, Fr(1, 2), [Fr(3)])).actions[0]
         assert priced == PAction(0, None, Fr(5))
         res = solve_ptg(maximizer_reset_loop().game)
         assert res.stats.layers == 2
         assert res.values == (PwlFn.constant(F0, F1, INF),)
 
+    def point_exits(self, owner):
+        """Exits at 1/4 and 3/4 only, at rate 2: the interval game on
+        [1/4, 3/4] has no action but its stops, worth 0 at 3/4."""
+        g = simple(act(0, None, 0, Fr(1, 4), Fr(1, 4)), act(0, None, 0, Fr(3, 4), Fr(3, 4)),
+                   owners=(owner,), rates=(2,))
+        return build_interval_sptg(g, [F0], Fr(1, 4), Fr(3, 4), untimed_at(g, Fr(1, 2)))
+
     def test_minimizer_point_exit_prices_the_wait(self):
-        g = simple(act(0, None, 0, 1, 1))
-        s = build_interval_sptg(g, [F0], F1, untimed_at(g, Fr(1, 2)))
+        s = self.point_exits(1)
+        assert s.actions[0].dest == 1
         sol = solve_sptg(s)
-        assert sol.values[0] == PwlFn.affine(F0, F1, F1, Fr(-1))
+        # waiting at rate 2 until 3/4: 1 at 1/4, falling to 0
+        assert sol.values[0] == PwlFn.affine(Fr(1, 4), Fr(3, 4), F1, Fr(-2))
 
     def test_maximizer_point_exit_stays_terminal(self):
-        g = simple(act(0, None, 0, 1, 1), owners=(2,))
-        s = build_interval_sptg(g, [F0], F1, untimed_at(g, Fr(1, 2)))
+        s = self.point_exits(2)
         assert s.actions[0].dest is None
-        assert solve_sptg(s).values[0] == PwlFn.affine(F0, F1, F1, Fr(-1))
+        assert solve_sptg(s).values[0] == PwlFn.affine(Fr(1, 4), Fr(3, 4), F1, Fr(-2))
 
 
 class TestSolvePtg:
@@ -275,11 +289,11 @@ class TestSolvePtg:
             g = generate_random("ptg", 3, 3, seed, resets=False)
             res = solve_ptg(g)
             for cert in res.trace:
-                width = cert.hi - cert.lo
+                lo, hi = cert.sptg.lo, cert.sptg.hi
                 for frac_x in (Fr(1, 7), Fr(1, 2), Fr(6, 7)):
-                    x = cert.lo + frac_x * width
+                    x = lo + frac_x * (hi - lo)
                     for k in range(g.num_states):
-                        assert res.values[k].eval(x) == cert.solution.values[k].eval(frac_x)
+                        assert res.values[k].eval(x) == cert.solution.values[k].eval(x)
 
     def test_solve_budget(self):
         for seed in range(30):
@@ -340,7 +354,7 @@ class TestLayerFixpoint:
                 assert res.jump_points(k) == full.jump_points(k)
             assert len(res.trace) == len(full.trace)
             for a, b in zip(res.trace, full.trace):
-                assert (a.lo, a.hi) == (b.lo, b.hi)
+                assert (a.sptg.lo, a.sptg.hi) == (b.sptg.lo, b.sptg.hi)
                 assert a.sptg == b.sptg
                 assert a.solution.values == b.solution.values
                 assert a.solution.strategy.cells == b.solution.strategy.cells
@@ -377,18 +391,19 @@ def golden_resets_game():
 def midpoint_reference(game, point_vals, cert, reset_values):
     """The interval game of ``cert`` with stops worth the values of the
     moment game at the interval's midpoint instead of ``point_vals[hi]``."""
-    actions = untimed_at(game, (cert.lo + cert.hi) / 2, reset_values)
-    v_mid = extended_dijkstra(build_moment_game(game, point_vals[cert.hi], actions))[0]
-    return build_interval_sptg(game, v_mid, cert.hi - cert.lo, actions)
+    lo, hi = cert.sptg.lo, cert.sptg.hi
+    actions = untimed_at(game, (lo + hi) / 2, reset_values)
+    v_mid = extended_dijkstra(build_moment_game(game, point_vals[hi], actions))[0]
+    return build_interval_sptg(game, v_mid, lo, hi, actions)
 
 
 class TestIntervalGameStops:
     def test_ladder_point_stops_solve_like_midpoint_moment_stops(self):
         """Stops worth the right ladder point's values give the interval
         game the solution it has with stops worth the midpoint moment
-        game's values.  Only the point cell at 1 may differ, and only
+        game's values.  Only the point cell at hi may differ, and only
         where the reference picks a minimizer's stop: that stop is worth
-        exactly its state's value at 1, tying with the action behind it."""
+        exactly its state's value at hi, tying with the action behind it."""
         intervals = 0
         for g in random_ptgs(range(150)) + [golden_resets_game()]:
             stats = PtgStats(layers=g.reset_depth + 1)

@@ -5,7 +5,7 @@ import pytest
 from ptgsolve.fixtures import fixture_a
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
 from ptgsolve.oracle import generate_random
-from ptgsolve.priced_game import PAction, PricedGame
+from ptgsolve.priced_game import GameError, PAction, PricedGame
 from ptgsolve.sptg import (
     Sptg,
     TimedStrategyProfile,
@@ -49,6 +49,22 @@ class TestConstruction:
             sptg([1], [2], (0, None, Fr(3), Fr(1)))
         with pytest.raises(ValueError, match=r"wait-rate at actions\[1\]"):
             sptg([1], [0], (0, None, Fr(3)), (0, None, Fr(3), Fr(1, 2)))
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(Fr(1, 2), Fr(1, 2)), (F1, Fr(1, 2)), (Fr(-1), F1)],
+        ids=["empty", "reversed", "negative"],
+    )
+    def test_bad_domain_rejected(self, lo, hi):
+        with pytest.raises(GameError) as exc:
+            Sptg((1,), (F1,), (PAction(0, None, F0),), lo, hi)
+        assert (exc.value.code, exc.value.where) == ("bad-interval", "domain")
+
+    def test_domain_defaults_to_the_unit_interval(self):
+        g = sptg([2], [1], (0, None, Fr(0)))
+        assert (g.lo, g.hi) == (F0, F1)
+        # a maximizer waits until the domain's end
+        shifted = Sptg(g.owners, g.rates, g.actions, Fr(2), Fr(5))
+        assert solve_sptg(shifted).values == (PwlFn.affine(Fr(2), Fr(5), Fr(3), Fr(-1)),)
 
     def test_event_bound(self):
         g = fixture_a().game
@@ -231,17 +247,26 @@ class TestStrategyProfile:
             ((F0, F1, (0,)),),
             ((F0, Fr(1, 2), (0,)), (F1, F1, (0,))),
             ((F0, Fr(1, 2), (0,)), (Fr(1, 3), F1, (0,)), (F1, F1, (0,))),
-            ((Fr(1, 2), F1, (0,)), (F1, F1, (0,))),
             ((F0, F0, (0,)), (F0, F1, (0,)), (F1, F1, (0,))),
             ((F0, F1, (0,)), (F1, F1, (0,)), (F1, F1, (0,))),
             ((F1, F1, (0,)), (F0, F1, (0,))),
         ],
-        ids=["empty", "no-point-cell", "gap", "overlap", "late-start", "empty-cell",
+        ids=["empty", "no-point-cell", "gap", "overlap", "empty-cell",
              "two-point-cells", "point-cell-first"],
     )
     def test_cells_must_tile(self, cells):
         with pytest.raises(ValueError):
             TimedStrategyProfile(cells)
+
+    def test_cells_tile_their_own_span(self):
+        """A profile may start after 0: its span runs from its first cell
+        to its point cell, and a clock value outside it has no cell.
+        Only a game can say that the span is wrong (``evaluate_policy``)."""
+        profile = TimedStrategyProfile(((Fr(1, 2), F1, (0,)), (F1, F1, (0,))))
+        assert profile.span == (Fr(1, 2), F1)
+        assert profile.cell_at(Fr(1, 2)) == profile.cells[0]
+        with pytest.raises(ValueError):
+            profile.cell_at(Fr(1, 4))
 
     def test_cell_at_matches_a_scan(self):
         for seed in range(20):
