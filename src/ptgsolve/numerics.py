@@ -131,37 +131,30 @@ class PwlFn:
         for (_, h1, _, _), (l2, _, _, _) in zip(segs, segs[1:]):
             if h1 != l2:
                 raise PwlError("segments do not tile the domain")
-        overrides = dict(point_overrides or {})
-        # Merge collinear neighbours unless a jump or kink separates them.
+        overrides = point_overrides or {}
+        # Merge collinear neighbours unless a jump separates them; only
+        # neighbours of equal slope can be collinear.
         merged = [segs[0]]
-        for i in range(1, len(segs)):
-            lo, hi, val, slope = segs[i]
+        for seg in segs[1:]:
+            lo, hi, val, slope = seg
             plo, phi, pval, pslope = merged[-1]
-            joint = lo
-            jump = joint in overrides and overrides[joint] != val
-            prev_left = INF if is_inf(pval) else pval + pslope * (phi - plo)
-            continuous = prev_left == val
-            collinear = (is_inf(pval) and is_inf(val)) or (
-                not is_inf(pval) and not is_inf(val) and pslope == slope and continuous
-            )
-            if collinear and not jump:
+            if is_inf(pval) or is_inf(val):
+                collinear = is_inf(pval) and is_inf(val)
+            else:
+                collinear = pslope == slope and pval + pslope * (phi - plo) == val
+            if collinear and not (overrides and lo in overrides and overrides[lo] != val):
                 merged[-1] = (plo, hi, pval, pslope)
             else:
-                merged.append(segs[i])
+                merged.append(seg)
 
         breaks = [merged[0][0]] + [s[1] for s in merged]
         seg_vals = tuple(s[2] for s in merged)
         slopes = tuple(s[3] for s in merged)
-        points = []
-        for i, b in enumerate(breaks):
-            if b in overrides:
-                points.append(overrides[b])
-            elif i < len(merged):
-                points.append(seg_vals[i])
-            else:
-                lo, hi, val, slope = merged[-1]
-                points.append(INF if is_inf(val) else val + slope * (hi - lo))
-        return PwlFn(tuple(breaks), seg_vals, slopes, tuple(points))
+        lo, hi, val, slope = merged[-1]
+        points = seg_vals + (INF if is_inf(val) else val + slope * (hi - lo),)
+        if overrides:
+            points = tuple(overrides.get(b, p) for b, p in zip(breaks, points))
+        return PwlFn(tuple(breaks), seg_vals, slopes, points)
 
     @staticmethod
     def constant(lo, hi, value) -> "PwlFn":

@@ -14,14 +14,16 @@ converted to an untimed one, as a terminal exit worth the next layer's
 clock-0 value at its destination.  A layer's result depends only on the
 game and those clock-0 values, so the layer loop stops at the first
 layer that reproduces its input.  A solve tables the actions available
-at each ladder point and interval midpoint once, and each step of a
-layer (the top game, an interval game, a lower ladder point) converts
-its entry once, pricing its resets.  A step depends only on its clock
-value, the values it starts from and those untimed actions, so one memo
-keyed by them serves the whole solve, and a layer solves only the steps
-whose inputs changed.  The top game is the moment game with no stops.
-The piecewise-linear value functions are assembled once, for the layer
-returned.
+at each ladder point and interval midpoint once.  A step of a layer
+(the top game, an interval game, a lower ladder point) depends only on
+its clock value, the values it starts from and the untimed actions its
+entry converts to, and at a given clock value only the resets among
+them change, with their prices.  So one memo keyed by the clock value,
+the values and the reset prices serves the whole solve, a layer solves
+only the steps whose inputs changed, and only a solved step converts
+its entry to untimed actions.  The top game is the moment game with no
+stops.  The piecewise-linear value functions are assembled once, for the
+layer returned.
 """
 
 from __future__ import annotations
@@ -156,19 +158,28 @@ def _availability(game: Ptg) -> dict:
     return dict(zip(ladder + midpoints, at_point + inside))
 
 
+def _price(a: TAction, reset_values):
+    """A reset's cost as a terminal exit: its own cost plus its
+    destination's entry of ``reset_values``, the next layer's clock-0
+    values; infinite in the deepest layer, where ``reset_values`` is
+    None."""
+    extra = INF if reset_values is None else reset_values[a.dest]
+    return INF if is_inf(a.cost) or is_inf(extra) else a.cost + extra
+
+
+def _reset_prices(pairs, reset_values) -> tuple:
+    """The prices of the resets among ``pairs``, in order: all that a
+    step's untimed actions at a clock value depend on beyond it."""
+    return tuple(_price(a, reset_values) for a, untimed in pairs if untimed is None)
+
+
 def _untimed(pairs, reset_values) -> tuple:
     """A step's untimed actions: each pair's ``PAction``, a reset being a
-    terminal exit worth its cost plus its destination's entry of
-    ``reset_values``, the next layer's clock-0 values; infinite in the
-    deepest layer, where ``reset_values`` is None."""
-    out = []
-    for a, untimed in pairs:
-        if untimed is None:
-            extra = INF if reset_values is None else reset_values[a.dest]
-            cost = INF if is_inf(a.cost) or is_inf(extra) else a.cost + extra
-            untimed = PAction(a.source, None, cost)
-        out.append(untimed)
-    return tuple(out)
+    terminal exit at its price (see :func:`_price`)."""
+    return tuple(
+        PAction(a.source, None, _price(a, reset_values)) if untimed is None else untimed
+        for a, untimed in pairs
+    )
 
 
 def build_moment_game(game: Ptg, v, actions) -> PricedGame:
@@ -208,14 +219,18 @@ def build_interval_sptg(game: Ptg, v_hi, lo, hi, actions) -> Sptg:
     )
 
 
-def _point_values(game: Ptg, v, x, actions, stats: PtgStats, memo: dict) -> tuple:
-    """Values at ladder point x, where ``actions`` are available: of the
-    moment game with stops worth ``v`` (none at the top, where ``v`` is
-    None)."""
-    key = (x, v, actions)
+def _point_values(
+    game: Ptg, available: dict, reset_values, x, v, stats: PtgStats, memo: dict
+) -> tuple:
+    """Values at ladder point x: of the moment game of the actions
+    available there, with stops worth ``v`` (none at the top, where ``v``
+    is None)."""
+    pairs = available[x]
+    key = (x, v, _reset_prices(pairs, reset_values))
     vals = memo.get(key)
     if vals is None:
-        vals = memo[key] = tuple(extended_dijkstra(build_moment_game(game, v, actions))[0])
+        moment = build_moment_game(game, v, _untimed(pairs, reset_values))
+        vals = memo[key] = tuple(extended_dijkstra(moment)[0])
         stats.priced_solves += 1
     return vals
 
@@ -226,32 +241,33 @@ def _solve_layer(game: Ptg, available: dict, reset_values, stats: PtgStats, memo
     interval certificates, right to left.
 
     Each step is looked up in ``memo`` under its exact inputs, solved
-    only on a miss: ``(x, v, actions)`` is the ladder point or open
+    only on a miss: ``(x, v, prices)`` is the ladder point or open
     interval at x entered with values ``v`` (None at the top), with the
-    untimed ``actions`` that ``available[x]`` converts to in this layer.
+    prices of the resets available at x (:func:`_reset_prices`).  The
+    other actions available at x are fixed by x, so the prices stand for
+    the untimed actions that ``available[x]`` converts to in this layer,
+    and only a miss converts them.
     """
     n = game.num_states
     ladder = game.ladder
     top = ladder[0]
-    point_vals = {
-        top: _point_values(game, None, top, _untimed(available[top], reset_values), stats, memo)
-    }
+    point_vals = {top: _point_values(game, available, reset_values, top, None, stats, memo)}
     trace = []
     for hi, lo in zip(ladder, ladder[1:]):
         x = (hi + lo) / 2
-        actions = _untimed(available[x], reset_values)
-        key = (x, point_vals[hi], actions)
+        pairs = available[x]
+        key = (x, point_vals[hi], _reset_prices(pairs, reset_values))
         cert = memo.get(key)
         if cert is None:
+            actions = _untimed(pairs, reset_values)
             sptg = build_interval_sptg(game, point_vals[hi], lo, hi, actions)
             cert = memo[key] = IntervalCert(sptg, solve_sptg(sptg))
             stats.oracle_calls += 1
         else:
             stats.reused_intervals += 1
         trace.append(cert)
-        lo_vals = tuple(cert.solution.values[k].eval(lo) for k in range(n))
-        actions = _untimed(available[lo], reset_values)
-        point_vals[lo] = _point_values(game, lo_vals, lo, actions, stats, memo)
+        lo_vals = tuple(cert.solution.values[k].point_vals[0] for k in range(n))
+        point_vals[lo] = _point_values(game, available, reset_values, lo, lo_vals, stats, memo)
     return point_vals, trace
 
 

@@ -30,6 +30,16 @@ one of them moves, in the manner of kinetic data structures (Basch,
 Guibas and Hershberger, *Data structures for mobile data*, SODA 1997).
 Waiting lines are never scanned: they meet the chosen line at the
 current clock value itself.
+
+The value functions are built from the sweep's segments as they stand,
+with no merging pass, because those segments are already canonical.  A
+state's segment ends only where its rate changes, so neighbouring
+segments differ in slope and are never collinear.  Every event point
+lies strictly below the one before, so every segment has positive
+length.  And the values are continuous, as the repair checks at every
+step, so each breakpoint's value is its segment's value there, and the
+value at hi is the untimed payoff.  An infinite value never changes
+rate, so it is one constant segment.
 """
 
 from __future__ import annotations
@@ -467,12 +477,30 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
     else:
         raise RuntimeError("sweep exceeded its event-point budget")
 
-    for k, (seg, hi) in enumerate(zip(segments, top)):
-        seg.append((sptg.lo, hi, pieces.at(k, sptg.lo), -rate[k]))
-    fns = tuple(PwlFn.from_segments(list(reversed(segs))) for segs in segments)
+    for k, (segs, hi) in enumerate(zip(segments, top)):
+        segs.append((sptg.lo, hi, pieces.at(k, sptg.lo), -rate[k]))
+    fns = tuple(_value_fn(segs, v) for segs, v in zip(segments, v_hi))
     stats.event_points = event_point_count(fns)
     strategy = TimedStrategyProfile(tuple(reversed(cells)))
     return SptgSolution(fns, strategy, stats)
+
+
+def _value_fn(segments, v_hi) -> PwlFn:
+    """A state's value function from its sweep segments ``(lo, hi, value
+    at lo, slope)``, right to left, and its untimed payoff ``v_hi``.
+
+    The segments are canonical as they stand (see the module docstring),
+    so the function is built directly, coercing as
+    :meth:`PwlFn.constant` does; an infinite value is that constant.
+    """
+    if is_inf(v_hi):
+        ((lo, hi, _, _),) = segments
+        return PwlFn.constant(lo, hi, v_hi)
+    segments.reverse()
+    breaks = tuple(map(frac, (segments[0][0], *(hi for _, hi, _, _ in segments))))
+    vals = tuple(frac(v) for _, _, v, _ in segments)
+    slopes = tuple(frac(s) for _, _, _, s in segments)
+    return PwlFn(breaks, vals, slopes, vals + (frac(v_hi),))
 
 
 def _observer(sptg: Sptg, stats: SolveStats):

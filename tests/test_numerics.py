@@ -108,6 +108,25 @@ class TestPwlEval:
         assert f == affine(0, 1, 0, 1)
         assert len(f.seg_vals) == 1
 
+    @pytest.mark.parametrize(
+        "joint", [None, Fr(1, 2), F1, Fr(5)], ids=["none", "left-limit", "right-value", "other"]
+    )
+    def test_equal_slopes_with_a_gap_stay_apart(self, joint):
+        """Neighbours of equal slope merge only when they are continuous:
+        across a gap both stay, whatever the joint's point value."""
+        segs = [(F0, Fr(1, 2), F0, F1), (Fr(1, 2), F1, F1, F1)]
+        f = PwlFn.from_segments(segs, {} if joint is None else {Fr(1, 2): joint})
+        assert list(f.segments()) == segs
+        assert f.point_vals == (F0, F1 if joint is None else joint, Fr(3, 2))
+
+    @pytest.mark.parametrize("joint, pieces", [(None, 1), (Fr(1, 2), 1), (Fr(3), 2)])
+    def test_continuous_equal_slopes_merge_unless_the_joint_jumps(self, joint, pieces):
+        segs = [(F0, Fr(1, 2), F0, F1), (Fr(1, 2), F1, Fr(1, 2), F1)]
+        f = PwlFn.from_segments(segs, {} if joint is None else {Fr(1, 2): joint})
+        assert len(f.seg_vals) == pieces
+        assert f.eval(Fr(1, 2)) == (Fr(1, 2) if joint is None else joint)
+        assert f.eval(Fr(1, 2), side="left") == f.eval(Fr(1, 2), side="right") == Fr(1, 2)
+
     def test_zero_width_segment_rejected(self):
         with pytest.raises(PwlError):
             PwlFn.from_segments([(F0, F0, F0, F0)])

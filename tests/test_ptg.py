@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import fields
 from fractions import Fraction as Fr
 from pathlib import Path
@@ -16,6 +17,7 @@ from ptgsolve.ptg import (
     TAction,
     _assemble,
     _availability,
+    _reset_prices,
     _solve_layer,
     _untimed,
     build_interval_sptg,
@@ -428,16 +430,20 @@ class TestIntervalGameStops:
         """``solve_ptg`` builds no moment game at an interval's midpoint,
         and ``stats.priced_solves`` counts the moment games built, the
         top games included.  A build's clock value is read off the memo
-        entry keyed by the very ``v`` and actions it was given."""
-        calls, memos = [], []
+        entry keyed by the very ``v`` it was given (a fresh tuple for
+        each step below the top, None at the top), and it is given the
+        untimed actions a fresh scan finds there under its layer's reset
+        values."""
+        calls, memos, layer = [], [], {}
         build_moment, solve_layer = ptg.build_moment_game, ptg._solve_layer
 
         def recording_build(game, v, actions):
-            calls.append((v, actions))
+            calls.append((v, actions, layer["reset_values"]))
             return build_moment(game, v, actions)
 
         def recording_layer(game, available, reset_values, stats, memo):
             memos.append(memo)
+            layer["reset_values"] = reset_values
             return solve_layer(game, available, reset_values, stats, memo)
 
         monkeypatch.setattr(ptg, "build_moment_game", recording_build)
@@ -448,10 +454,15 @@ class TestIntervalGameStops:
             memos.clear()
             res = solve_ptg(g)
             assert all(m is memos[0] for m in memos)
-            clock = {(id(v), id(actions)): x for x, v, actions in memos[0]}
+            clock = {}
+            for x, v, _ in memos[0]:
+                clock.setdefault(id(v), set()).add(x)
+            assert clock[id(None)] == {g.ladder[0]}
             assert res.stats.priced_solves == len(calls)
-            for v, actions in calls:
-                assert clock[id(v), id(actions)] in g.ladder
+            for v, actions, reset_values in calls:
+                (x,) = clock[id(v)]
+                assert x in g.ladder
+                assert actions == tuple(scan(g, x, reset_values))
             built += len(calls)
         assert built > 0
 
@@ -474,8 +485,9 @@ def scan(game, x, reset_values):
 class TestActionMemo:
     def test_memo_equals_a_scan_in_every_layer(self):
         """Every step of a layer, one per ladder point and one per
-        interval, is keyed by the untimed actions a fresh scan finds at
-        its clock value under the layer's reset prices."""
+        interval, is keyed by the prices of the resets a fresh scan finds
+        at its clock value under the layer's reset values, and its entry
+        converts to the untimed actions of that scan."""
         resets_seen = 0
         for seed in range(20):
             g = generate_random("ptg", 3, 3, seed)
@@ -493,10 +505,45 @@ class TestActionMemo:
                 memo = {}
                 _solve_layer(g, available, reset_values, PtgStats(), memo)
                 assert len(memo) == 2 * len(g.ladder) - 1, seed
-                for x, _, actions in memo:
-                    assert actions == tuple(scan(g, x, reset_values)), (seed, x, reset_values)
-                    resets_seen += sum(a.reset and a.available_at(x) for a in g.actions)
+                for x, _, prices in memo:
+                    want = tuple(scan(g, x, reset_values))
+                    resets = [a.reset for a in g.actions if a.available_at(x)]
+                    assert prices == tuple(a.cost for a, r in zip(want, resets) if r), (seed, x)
+                    assert _untimed(available[x], reset_values) == want, (seed, x, reset_values)
+                    resets_seen += sum(resets)
         assert resets_seen > 0
+
+    def test_reset_prices_separate_what_the_actions_separate(self):
+        """At each clock value, two layers' reset prices are equal exactly
+        when their untimed actions are, so a memo keyed by the prices
+        hits and misses where one keyed by the actions would.  A reset of
+        infinite cost is priced infinite whatever its destination's
+        value, as its action is: different reset values can give equal
+        keys, and then equal actions."""
+        games = [
+            g
+            for g in (generate_random("ptg", 3, 3, seed, allow_inf=True) for seed in range(40))
+            if g.reset_depth
+        ]
+        g = games[0]
+        forever = TAction(0, 1, INF, F0, g.horizon, reset=True)
+        games.append(Ptg(g.owners, g.rates, g.actions + (forever,)))
+        layers = [None, *itertools.product((F0, F1, INF), repeat=3)]
+        merged = 0
+        for g in games:
+            for x, pairs in _availability(g).items():
+                keys = {}
+                for reset_values in layers:
+                    key = _reset_prices(pairs, reset_values)
+                    keys.setdefault(key, set()).add(_untimed(pairs, reset_values))
+                actions = set().union(*keys.values())
+                assert all(len(a) == 1 for a in keys.values()), (g, x)
+                assert len(keys) == len(actions), (g, x)
+                merged += any(keys) and len(keys) < len(layers)
+        for x, pairs in _availability(games[-1]).items():
+            if forever.available_at(x):
+                assert {_reset_prices(pairs, rv)[-1] for rv in layers} == {INF}
+        assert merged > 0
 
     def test_solving_leaves_the_game_as_it_was(self):
         """A solve stores nothing on the game beyond its declared cached

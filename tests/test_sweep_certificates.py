@@ -293,6 +293,28 @@ def test_random_event_rich():
     assert events >= 200
 
 
+def test_sweep_functions_are_canonical():
+    """``solve_sptg`` builds its value functions straight from the
+    sweep's segments, with no merging pass, so each must already be the
+    canonical function of its own segments: on fans, on event-rich games
+    and on random games with infinite costs (the metamorphic SPTG
+    pool)."""
+    games = [fan(k) for k in range(8, 41)]
+    games += [random_event_rich(seed) for seed in range(200)]
+    games += [
+        generate_random("sptg", n, 3, seed, allow_inf=seed % 2 == 0)
+        for n in range(1, 6)
+        for seed in range(60)
+    ]
+    kinked = infinite = 0
+    for g in games:
+        for f in solve_sptg(g).values:
+            assert f == PwlFn.from_segments(list(f.segments())), g
+            kinked += len(f.seg_vals) > 1
+            infinite += f.is_constant_inf()
+    assert kinked >= 500 and infinite >= 100
+
+
 def exits_tied_at_one(seed):
     """States of both owners whose terminal exits tie, at 1, routes
     through a rate-0 state, through a relay to it and through a
