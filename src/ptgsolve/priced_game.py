@@ -10,6 +10,10 @@ and the path length after that.
 
 One lexicographic extended Dijkstra scan (:func:`extended_dijkstra`)
 solves a game and yields a profile that neither player can improve.
+It keys payoffs by integers over one common denominator, the least
+common multiple of the costs' and the starting payoffs' denominators:
+scaling by a positive integer keeps the order and the ties of the
+payoffs exactly, and integers compare far faster than fractions.
 Strategy iteration improves a given profile instead, one switch at a
 time; the instrumented sweep uses it.
 """
@@ -20,6 +24,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .numerics import F0, INF, is_inf
@@ -96,6 +101,12 @@ class GameGraph:
             if a.dest is not None:
                 into[a.dest].append(j)
         return tuple(tuple(js) for js in into)
+
+    @cached_property
+    def cost_denominator(self) -> int:
+        """The least common multiple of the finite action costs'
+        denominators."""
+        return lcm(*(a.cost.denominator for a in self.actions if not is_inf(a.cost)))
 
     def profile_bound(self) -> int:
         """Product over states of (action count + 1); iteration budget."""
@@ -254,37 +265,50 @@ def _settle(game: GameGraph, offers, pending, vals, profile):
     infinite candidate is dropped uncounted, so a minimizer ignores it
     and a maximizer that receives one never settles: a state settles
     only on a finite value.
+
+    The scan keys payoffs by integers: ``den`` is the least common
+    multiple of the game's cost denominators and the offered payoffs'
+    denominators, a payoff ``p`` is keyed by the integer ``p * den``, and
+    an action's cost is scaled the same way when it is offered.  Every
+    payoff the scan sees is a sum of those, so its key is exact, and as
+    ``den > 0`` keys order and tie exactly as the payoffs do; a settled
+    payoff is ``Fraction(key, den)``.  Integers compare without the
+    ``Fraction`` equality and order tests a tuple comparison would make.
     """
     owners, actions, incoming = game.owners, game.actions, game.incoming
+    den = lcm(
+        game.cost_denominator,
+        *(payoff.denominator for _, _, payoff, _, _ in offers if not is_inf(payoff)),
+    )
     heap = []
-    best_max = {}  # (payoff, rate, hops, -action) per maximizer state
+    best_max = {}  # (key, rate, hops, -action) per maximizer state
 
-    def offer(k, j, payoff, rate, hops):
-        if is_inf(payoff):
-            return
+    def offer(k, j, key, rate, hops):
         if owners[k] == 1:
-            heapq.heappush(heap, (payoff, rate, hops, k, j))
+            heapq.heappush(heap, (key, rate, hops, k, j))
             return
         pending[k] -= 1
         best = best_max.get(k)
-        if best is None or (payoff, rate, hops, -j) > best:
-            best = best_max[k] = (payoff, rate, hops, -j)
+        if best is None or (key, rate, hops, -j) > best:
+            best = best_max[k] = (key, rate, hops, -j)
         if pending[k] == 0:
-            payoff, rate, hops, neg_j = best
-            heapq.heappush(heap, (payoff, rate, hops, k, -neg_j))
+            key, rate, hops, neg_j = best
+            heapq.heappush(heap, (key, rate, hops, k, -neg_j))
 
-    for cand in offers:
-        offer(*cand)
+    for k, j, payoff, rate, hops in offers:
+        if not is_inf(payoff):
+            offer(k, j, payoff.numerator * (den // payoff.denominator), rate, hops)
     while heap:
-        val, rate, hops, k, j = heapq.heappop(heap)
+        key, rate, hops, k, j = heapq.heappop(heap)
         if vals[k] is not None:
             continue
-        vals[k] = Valuation(val, rate, hops)
+        vals[k] = Valuation(Fraction(key, den), rate, hops)
         profile[k] = j
         for pj in incoming[k]:
             a = actions[pj]
-            if vals[a.source] is None:
-                offer(a.source, pj, a.cost + val, rate, hops + 1)
+            if vals[a.source] is None and not is_inf(a.cost):
+                cost = a.cost.numerator * (den // a.cost.denominator)
+                offer(a.source, pj, cost + key, rate, hops + 1)
 
 
 def single_switch_iteration(game: PricedGame, profile: Profile, hook: Optional[Callable] = None):

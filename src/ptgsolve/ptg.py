@@ -273,11 +273,43 @@ def _solve_layer(game: Ptg, available: dict, reset_values, stats: PtgStats, memo
 
 def _assemble(game: Ptg, point_vals: dict, trace) -> tuple:
     """Each state's value function over [0, horizon]: the interval
-    solutions spliced, with the ladder-point values."""
+    solutions spliced, with the ladder-point values.
+
+    Each interval's function is canonical, so only the joints at ladder
+    points can merge or jump, and the function is built directly.  Two
+    segments meeting at a ladder point merge when they are collinear, or
+    both infinite, and the point's value is the right segment's value
+    there; otherwise the point stays a breakpoint with its ladder-point
+    value.
+    """
+    certs = trace[::-1]
     fns = []
     for k in range(game.num_states):
-        flat = [seg for cert in reversed(trace) for seg in cert.solution.values[k].segments()]
-        fns.append(PwlFn.from_segments(flat, {t: vs[k] for t, vs in point_vals.items()}))
+        first = certs[0].solution.values[k]
+        breaks, seg_vals = list(first.breaks), list(first.seg_vals)
+        slopes, points = list(first.slopes), list(first.point_vals)
+        for cert in certs[1:]:
+            fn = cert.solution.values[k]
+            t, val = fn.lo, fn.seg_vals[0]
+            p = point_vals[t][k]
+            left, slope = seg_vals[-1], slopes[-1]
+            if is_inf(left) or is_inf(val):
+                collinear = is_inf(left) and is_inf(val)
+            else:
+                collinear = slope == fn.slopes[0] and left + slope * (t - breaks[-2]) == val
+            if collinear and p == val:
+                breaks.pop()
+                points.pop()
+                seg_vals += fn.seg_vals[1:]
+                slopes += fn.slopes[1:]
+            else:
+                points[-1] = p
+                seg_vals += fn.seg_vals
+                slopes += fn.slopes
+            breaks += fn.breaks[1:]
+            points += fn.point_vals[1:]
+        points[0], points[-1] = point_vals[F0][k], point_vals[game.horizon][k]
+        fns.append(PwlFn(tuple(breaks), tuple(seg_vals), tuple(slopes), tuple(points)))
     return tuple(fns)
 
 

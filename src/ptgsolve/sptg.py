@@ -363,9 +363,10 @@ def _events(pieces: _Pieces, x):
     return events
 
 
-def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> set:
+def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> dict:
     """Re-solve the snapshot game at ``x`` on the repaired set R alone,
-    into ``pieces.vals`` and ``pieces.picked``; returns R.
+    into ``pieces.vals`` and ``pieces.picked``; returns R as a dict from
+    each of its states to that state's value at ``x`` on its open piece.
 
     R is ``events`` plus every finite-valued state with any action into
     R.  Outside R each state keeps its choice, rate and hop count, and
@@ -385,19 +386,20 @@ def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> set:
     """
     c, lines, m = pieces.c, pieces.lines, sptg.num_actions
     actions, incoming = sptg.actions, sptg.incoming
-    repaired = set(events)
+    repaired = dict.fromkeys(events)
     todo = list(events)
     while todo:
         for j in incoming[todo.pop()]:
             k = actions[j].source
             if k not in repaired and not is_inf(c[k]):
-                repaired.add(k)
+                repaired[k] = None
                 todo.append(k)
     vals, pending, offers = pieces.vals, pieces.pending, []
     for k in repaired:
         vals[k] = None
         first = len(offers)
-        offers.append((k, m + k, pieces.at(k, x), sptg.rates[k], 1))
+        at_x = repaired[k] = pieces.at(k, x)
+        offers.append((k, m + k, at_x, sptg.rates[k], 1))
         coinciding, crossing = pieces.tight[k]
         for j in (pieces.choice[k], *coinciding, *(crossing if k in events else ())):
             if j >= m:
@@ -445,9 +447,8 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
             observe(pieces, x)
         repaired = _repair(sptg, pieces, x, events)
         dirty = events
-        for k in repaired:
+        for k, at_x in repaired.items():
             val = pieces.vals[k]
-            at_x = pieces.at(k, x)
             if val.payoff != at_x:
                 raise AssertionError(
                     f"snapshot value at state {k} broke continuity: {val.payoff} != {at_x}"

@@ -1,3 +1,6 @@
+import heapq
+import math
+import random
 from fractions import Fraction as Fr
 from itertools import product
 
@@ -446,3 +449,200 @@ class TestPotential:
         p = PotentialMatrix(((0, 9), (0, 9)), (Fr(0), Fr(1)))
         q = PotentialMatrix(((1, -9), (0, -9)), (Fr(0), Fr(1)))
         assert potential_less(p, q)
+
+
+# -- the integer-keyed scan against the Fraction-keyed one --------------------
+
+
+def fraction_keyed_settle(game, offers, pending, vals, profile):
+    """The scan of ``priced_game._settle`` as it compared payoffs before
+    it keyed them by integers: every heap key holds the payoff itself."""
+    owners, actions, incoming = game.owners, game.actions, game.incoming
+    heap = []
+    best_max = {}
+
+    def offer(k, j, payoff, rate, hops):
+        if is_inf(payoff):
+            return
+        if owners[k] == 1:
+            heapq.heappush(heap, (payoff, rate, hops, k, j))
+            return
+        pending[k] -= 1
+        best = best_max.get(k)
+        if best is None or (payoff, rate, hops, -j) > best:
+            best = best_max[k] = (payoff, rate, hops, -j)
+        if pending[k] == 0:
+            payoff, rate, hops, neg_j = best
+            heapq.heappush(heap, (payoff, rate, hops, k, -neg_j))
+
+    for cand in offers:
+        offer(*cand)
+    while heap:
+        val, rate, hops, k, j = heapq.heappop(heap)
+        if vals[k] is not None:
+            continue
+        vals[k] = Valuation(val, rate, hops)
+        profile[k] = j
+        for pj in incoming[k]:
+            a = actions[pj]
+            if vals[a.source] is None:
+                offer(a.source, pj, a.cost + val, rate, hops + 1)
+
+
+def fraction_keyed_dijkstra(g):
+    """``extended_dijkstra`` on :func:`fraction_keyed_settle`; returns
+    every state's full valuation and the profile."""
+    n = g.num_states
+    vals, profile = [None] * n, [None] * n
+    pending = [len(g.state_actions[k]) if g.owners[k] == 2 else -1 for k in range(n)]
+    exits = [(a.source, j, a.cost, a.wait_rate, 1) for j, a in enumerate(g.actions) if a.dest is None]
+    fraction_keyed_settle(g, exits, pending, vals, profile)
+    for k in range(n):
+        if vals[k] is not None:
+            continue
+        vals[k] = INFINITE
+        for j in g.state_actions[k]:
+            a = g.actions[j]
+            if is_inf(a.cost) or (
+                a.dest is not None and (vals[a.dest] is None or is_inf(vals[a.dest].payoff))
+            ):
+                profile[k] = j
+                break
+    return vals, tuple(profile)
+
+
+def integer_keyed_dijkstra(g, monkeypatch):
+    """``extended_dijkstra``'s payoffs and profile, and the full
+    valuations its scan wrote."""
+    written = []
+    settle = priced_game._settle
+
+    def watched(game, offers, pending, vals, profile):
+        written.append(vals)
+        settle(game, offers, pending, vals, profile)
+
+    with monkeypatch.context() as m:
+        m.setattr(priced_game, "_settle", watched)
+        payoffs, profile = extended_dijkstra(g)
+    (vals,) = written
+    return payoffs, profile, vals
+
+
+def assert_same_scan(g, monkeypatch, why):
+    payoffs, profile, vals = integer_keyed_dijkstra(g, monkeypatch)
+    want_vals, want_profile = fraction_keyed_dijkstra(g)
+    assert vals == want_vals, why
+    assert profile == want_profile, why
+    assert payoffs == [v.payoff for v in want_vals], why
+    assert all(type(p) is Fr or is_inf(p) for p in payoffs), why
+    assert all(type(v.payoff) is Fr or v == INFINITE for v in vals), why
+    return profile
+
+
+def primes_from(start, count):
+    found, p = [], start
+    while len(found) < count:
+        if all(p % d for d in range(2, int(p**0.5) + 1)):
+            found.append(p)
+        p += 1
+    return found
+
+
+class TestIntegerKeyedScan:
+    """``_settle`` keys payoffs by integers over one common denominator;
+    it must settle every state as the Fraction-keyed scan did."""
+
+    def test_random_priced_games(self, monkeypatch):
+        variants = ({}, {"allow_inf": True}, {"rate_one_cost_zero": True})
+        count = 0
+        for n in range(2, 10):
+            for seed in range(161):
+                g = generate_random("priced", n, 3, seed, **variants[seed % 3])
+                assert_same_scan(g, monkeypatch, (n, seed))
+                count += 1
+        assert count == 1288
+
+    def test_equal_payoffs_split_by_rate_then_hops_then_action_id(self, monkeypatch):
+        # every option pays 1 at state 0; it differs in the waiting rate
+        # of the exit it reaches and in its hop count, or not at all
+        options = list(product((Fr(1), Fr(2)), (1, 2, 3)))
+        decided = {"rate": 0, "hops": 0, "id": 0}
+        for owner in (1, 2):
+            for first, second in product(options, repeat=2):
+                owners, actions = [owner], []
+                for rate, hops in (first, second):
+                    if hops == 1:
+                        actions.append((0, None, Fr(1), rate))
+                        continue
+                    head = len(owners)
+                    actions.append((0, head, Fr(1, 2)))
+                    for k in range(head, head + hops - 1):
+                        owners.append(1)
+                        last = k == head + hops - 2
+                        actions.append((k, None, Fr(1, 2), rate) if last else (k, k + 1, F0))
+                g = game(owners, *actions)
+                profile = assert_same_scan(g, monkeypatch, (owner, first, second))
+                pick = min if owner == 1 else max
+                # the lowest id wins a tie of rate and hops
+                want = 0 if pick(first, second) == first else g.state_actions[0][1]
+                assert profile[0] == want, (owner, first, second)
+                level = "rate" if first[0] != second[0] else "hops" if first != second else "id"
+                decided[level] += 1
+        assert decided == {"rate": 36, "hops": 24, "id": 12}
+
+    def test_infinite_costs(self, monkeypatch):
+        for seed in range(200):
+            g = generate_random("priced", 2 + seed % 6, 3, seed, allow_inf=True)
+            g = PricedGame(
+                g.owners,
+                tuple(
+                    PAction(a.source, a.dest, INF if j % 5 == seed % 5 else a.cost)
+                    for j, a in enumerate(g.actions)
+                ),
+            )
+            assert_same_scan(g, monkeypatch, seed)
+        # every cost infinite: no state settles, the denominator is 1
+        g = game([1, 2], (0, None, INF), (1, 0, INF), (1, None, INF))
+        assert g.cost_denominator == 1
+        assert assert_same_scan(g, monkeypatch, "all infinite") == (0, 1)
+
+    def test_integer_costs(self, monkeypatch):
+        for seed in range(200):
+            g = generate_random("priced", 2 + seed % 6, 3, seed, allow_inf=seed % 2 == 0)
+            as_int = tuple(
+                PAction(a.source, a.dest, a.cost if is_inf(a.cost) else int(a.cost))
+                for a in g.actions
+            )
+            g = PricedGame(g.owners, as_int)
+            assert any(type(a.cost) is int for a in g.actions)
+            assert_same_scan(g, monkeypatch, seed)
+
+    def test_costs_over_distinct_large_primes(self, monkeypatch):
+        n, rng = 50, random.Random(50)
+        primes = primes_from(10**6, 3 * n)
+        owners = [rng.choice((1, 2)) for _ in range(n)]
+        actions = []
+        for j, p in enumerate(primes):
+            dest = None if rng.random() < 0.3 else rng.randrange(n)
+            actions.append((j // 3, dest, Fr(rng.randrange(1, 4 * p), p)))
+        g = game(owners, *actions)
+        assert g.cost_denominator == math.prod(primes)
+        assert_same_scan(g, monkeypatch, "primes")
+
+    def test_sweep(self, monkeypatch):
+        def run(g):
+            plain, checked = sptg.solve_sptg(g), sptg.solve_sptg(g, instrument=True)
+            assert all(
+                type(v) is Fr or is_inf(v) for f in plain.values for v in f.point_vals + f.seg_vals
+            )
+            return plain.values, plain.strategy.cells, plain.stats, checked.stats
+
+        games = [
+            generate_random("sptg", 1 + seed % 6, 3, seed, allow_inf=seed % 2 == 0)
+            for seed in range(600)
+        ]
+        got = [run(g) for g in games]
+        monkeypatch.setattr(priced_game, "_settle", fraction_keyed_settle)
+        monkeypatch.setattr(sptg, "_settle", fraction_keyed_settle)
+        for seed, (g, solved) in enumerate(zip(games, got)):
+            assert solved == run(g), seed

@@ -1,4 +1,6 @@
+import importlib.util
 import itertools
+import sys
 from dataclasses import fields
 from fractions import Fraction as Fr
 from pathlib import Path
@@ -554,6 +556,63 @@ class TestActionMemo:
             cached = {"horizon", "ladder", "reset_depth", "state_actions"}
             declared = {f.name for f in fields(Ptg)} | cached
             assert set(vars(g)) == declared
+
+
+def spliced_by_from_segments(game, point_vals, trace):
+    """``_assemble`` as it spliced before it built functions directly:
+    every segment through ``PwlFn.from_segments``, every ladder point an
+    override."""
+    fns = []
+    for k in range(game.num_states):
+        flat = [seg for cert in reversed(trace) for seg in cert.solution.values[k].segments()]
+        fns.append(PwlFn.from_segments(flat, {t: vs[k] for t, vs in point_vals.items()}))
+    return tuple(fns)
+
+
+def ladder_pool_games():
+    """The games of the benchmark's ptg-ladder pools, seeds 1 and 7177."""
+    path = Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [
+        gamedoc.parse(doc.text).to_game()
+        for seed in (1, 7177)
+        for doc in workloads.pool("ptg-ladder", seed)
+    ]
+
+
+class TestAssemble:
+    def test_direct_splice_equals_from_segments(self, monkeypatch):
+        golden = [
+            gamedoc.parse(path.read_text()).to_game()
+            for path in sorted(GOLDEN_RESETS.parent.glob("*.json"))
+            if '"ptg"' in path.read_text() and not path.name.endswith(".out.json")
+        ]
+        assert len(golden) == 3
+        randoms = [generate_random("ptg", 2 + s % 4, 3, s, allow_inf=True) for s in range(400)]
+        seen = {"jumps": 0, "merged": 0, "kept": 0}
+
+        def checked(game, point_vals, trace):
+            fns = _assemble(game, point_vals, trace)
+            assert fns == spliced_by_from_segments(game, point_vals, trace)
+            # no solve here jumps between collinear or infinite
+            # neighbours, so every inner ladder point gets a jump
+            moved = {
+                t: tuple(F0 if is_inf(v) else v + 1 for v in vs) if 0 < t < game.horizon else vs
+                for t, vs in point_vals.items()
+            }
+            assert _assemble(game, moved, trace) == spliced_by_from_segments(game, moved, trace)
+            for f in fns:
+                seen["jumps"] += len(f.jumps())
+                for t in game.ladder[1:-1]:
+                    seen["merged" if t not in f.breaks else "kept"] += 1
+            return fns
+
+        monkeypatch.setattr(ptg, "_assemble", checked)
+        for g in golden + ladder_pool_games() + randoms:
+            solve_ptg(g)
+        assert seen["jumps"] >= 400 and seen["merged"] >= 4000 and seen["kept"] >= 600, seen
 
 
 class TestEpsilonOptimalPlay:
