@@ -1,12 +1,18 @@
 """Golden documents: ``ptgsolve solve --out --plot`` must reproduce the
 committed result and plot bytes of every game in ``tests/golden``, and
-``--verify`` must accept each game.
+``--verify`` must accept each game.  The benchmark pools of seeds 1 and
+7177 are held to ``tests/golden/pools.sha256``: one digest of each run's
+exit code, stdout, stderr, result and plot, with and without
+``--verify``.
 
 A change that means to alter the documents rewrites the expected files
-with ``python tests/test_golden.py`` and commits the diff.
+and the digests with ``python tests/test_golden.py`` and commits the
+diff.
 """
 
+import importlib.util
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -18,6 +24,14 @@ from ptgsolve.sptg import solve_sptg
 
 GOLDEN = Path(__file__).parent / "golden"
 GAMES = sorted(p for p in GOLDEN.glob("*.json") if not p.name.endswith(".out.json"))
+POOL_DIGESTS = GOLDEN / "pools.sha256"
+POOL_SEEDS = (1, 7177)
+
+_spec = importlib.util.spec_from_file_location(
+    "equivalence", Path(__file__).parent.parent / "tools" / "equivalence.py"
+)
+equivalence = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(equivalence)
 
 
 def solve(game: Path, out_dir: Path, *extra) -> tuple:
@@ -50,6 +64,26 @@ def test_verify_accepts(game, tmp_path, capsys):
     assert code == 0
     assert capsys.readouterr() == ("", "")
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+def pool_digests(scratch: Path) -> list:
+    """``digest  run`` of every pool run of ``POOL_SEEDS``."""
+    lines = []
+    game = scratch / "game.json"
+    for name, text in equivalence.pool_documents(POOL_SEEDS):
+        game.write_text(text)
+        for verify in (False, True):
+            parts = equivalence.outcome(game, verify, scratch)
+            lines.append(f"{equivalence.digest(parts)}  {equivalence.run_id(name, verify)}")
+    return lines
+
+
+def test_pool_runs_match_their_digests(tmp_path):
+    want = POOL_DIGESTS.read_text().splitlines()
+    assert len(want) == 456
+    got = pool_digests(tmp_path)
+    changed = [line.split("  ")[1] for line, old in zip(got, want) if line != old]
+    assert got == want, f"{len(changed)} runs changed: {changed[:5]}"
 
 
 class IterationCalled(Exception):
@@ -86,3 +120,5 @@ if __name__ == "__main__":
         for stale in (GOLDEN / (game.stem + ".out.json"), GOLDEN / (game.stem + ".plot.tsv")):
             stale.unlink(missing_ok=True)
         solve(game, GOLDEN)
+    with tempfile.TemporaryDirectory() as scratch:
+        POOL_DIGESTS.write_text("".join(line + "\n" for line in pool_digests(Path(scratch))))
