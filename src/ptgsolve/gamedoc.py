@@ -3,17 +3,23 @@
 Documents are JSON with a fixed schema; every number is carried as an
 exact rational string ("p/q"), an integer, or "inf".  Parsing checks
 JSON types, ids and numbers, and :meth:`GameDocument.to_game` the game's
-rules; either reports a diagnostic code and the offending location, and
-serialization is canonical so identical inputs yield byte-identical
-outputs.
+rules; either reports a diagnostic code and the offending location.
+
+Serialization is canonical, so identical inputs yield byte-identical
+outputs.  Results are written by :func:`_dump` in the bytes of
+``json.dumps(obj, indent=1, sort_keys=True)`` plus a newline, without
+calling it: ``indent`` makes ``json.dumps`` give up its C encoder.  Value
+segments and strategy runs, the bulk of a result, have a fixed schema and
+are written straight to text at their one depth.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
-from .numerics import F0, F1, event_point_count, format_cost, is_inf, parse_cost
+from .numerics import F0, event_point_count, format_cost, is_inf, parse_cost
 from .priced_game import GameError, PAction, PricedGame, clip
 from .ptg import Ptg, PtgResult, TAction
 from .sptg import WAIT, Sptg, SptgSolution
@@ -160,40 +166,116 @@ def parse(text: str | bytes) -> GameDocument:
 # -- serialization ----------------------------------------------------------
 
 
+class _Row(str):
+    """JSON text of one fixed-schema row, already written at its depth in
+    the result: an item of the list under a state's id.  ``_dump`` copies
+    it as it is."""
+
+
+def _row(*keys) -> str:
+    """The text of a row with ``keys``, given in sorted order, and a
+    ``%s`` for each value."""
+    return "{" + ",".join(f'\n    "{key}": %s' for key in keys) + "\n   }"
+
+
+_SEGMENT = _row("left", "right", "slope", "value_at_left")
+_SEGMENT_JUMP = _row("left", "left_jump", "point_value_at_left", "right", "slope", "value_at_left")
+_FINAL = _row("at", "value")
+_FINAL_JUMP = _row("at", "jump", "value")
+_RUN = _row("choice", "left", "right")
+_RUN_END = _row("at", "choice")
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+    """``obj`` as a JSON document: dicts with string keys, lists, strings,
+    ints, booleans and :class:`_Row` text.  Any other type raises
+    ``TypeError``.
+
+    The text is byte for byte ``json.dumps(obj, indent=1, sort_keys=True)``
+    plus a newline, the canonical form that results have always had: keys
+    in sorted order, strings escaped to ASCII by the C routine ``json``
+    itself uses, and each level one more space after a newline.  It is
+    written here because ``indent`` makes ``json.dumps`` use its
+    pure-Python encoder, which was most of the cost of emitting a result.
+    """
+    parts = []
+    _write(obj, "\n", parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _fn_segments(fn):
+def _write(obj, nl, put):
+    """Append the JSON text of ``obj``, at the depth after newline-and-
+    indent ``nl``, through ``put``."""
+    if isinstance(obj, str):
+        put(obj if type(obj) is _Row else _quote(obj))
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"result keys must be str, not {type(key).__name__}")
+            put(sep + _quote(key) + ": ")
+            _write(obj[key], inner, put)
+            sep = "," + inner
+        put(nl + "}")
+    elif isinstance(obj, list):
+        if not obj:
+            put("[]")
+            return
+        inner = nl + " "
+        sep = "[" + inner
+        for item in obj:
+            put(sep)
+            _write(item, inner, put)
+            sep = "," + inner
+        put(nl + "]")
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} into a result")
+
+
+def _num(value) -> str:
+    """A number as a JSON string; ``format_cost`` text needs no escaping."""
+    return '"' + format_cost(value) + '"'
+
+
+def _fn_segments(fn) -> list:
+    """A value function's rows: one per segment, then its value at the
+    domain's end."""
     rows = []
+    point_vals = fn.point_vals
     for i, (lo, hi, val, slope) in enumerate(fn.segments()):
-        row = {
-            "left": format_cost(lo),
-            "right": format_cost(hi),
-            "value_at_left": format_cost(val),
-            "slope": format_cost(slope),
-        }
-        pv = fn.point_vals[i]
-        if pv != val:
-            row["left_jump"] = True
-            row["point_value_at_left"] = format_cost(pv)
-        rows.append(row)
-    last = fn.point_vals[-1]
+        pv = point_vals[i]
+        if pv == val:
+            row = _SEGMENT % (_num(lo), _num(hi), _num(slope), _num(val))
+        else:
+            row = _SEGMENT_JUMP % (_num(lo), "true", _num(pv), _num(hi), _num(slope), _num(val))
+        rows.append(_Row(row))
+    last = point_vals[-1]
     # the left limit at hi, read off the last segment
     end = val if is_inf(val) else val + slope * (hi - lo)
-    final = {"at": format_cost(fn.hi), "value": format_cost(last)}
-    if last != end:
-        final["jump"] = True
-    rows.append(final)
+    if last == end:
+        rows.append(_Row(_FINAL % (_num(fn.hi), _num(last))))
+    else:
+        rows.append(_Row(_FINAL_JUMP % (_num(fn.hi), "true", _num(last))))
     return rows
 
 
 def _strategy_runs(doc: GameDocument, strategy) -> dict:
-    """Each state's choice runs: rows that tile [0,1) with no two
-    neighbours alike, then its choice at 1, read off the cells in one
-    walk."""
-    *cells, (_, _, at_one) = strategy.cells
-    bounds = [format_cost(lo) for lo, _, _ in cells] + [format_cost(F1)]
+    """Each state's choice runs: rows that tile the profile's span
+    ``[lo, hi)`` with no two neighbours alike, then its choice at ``hi``,
+    read off the cells in one walk."""
+    *cells, (_, _, at_end) = strategy.cells
+    bounds = [_num(lo) for lo, _, _ in cells] + [_num(strategy.span[1])]
     prev = cells[0][2]
     starts = [[(0, j)] for j in prev]  # per state: (first cell, choice)
     for i in range(1, len(cells)):
@@ -205,16 +287,16 @@ def _strategy_runs(doc: GameDocument, strategy) -> dict:
             prev = choices
 
     def name(j):
-        return "wait" if j is WAIT else doc.action_ids[j]
+        return '"wait"' if j is WAIT else _quote(doc.action_ids[j])
 
     runs = {}
-    for sid, state_starts, j_one in zip(doc.state_ids, starts, at_one):
+    for sid, state_starts, j_end in zip(doc.state_ids, starts, at_end):
         ends = [i for i, _ in state_starts[1:]] + [len(cells)]
         rows = [
-            {"left": bounds[i], "right": bounds[end], "choice": name(j)}
+            _Row(_RUN % (name(j), bounds[i], bounds[end]))
             for (i, j), end in zip(state_starts, ends)
         ]
-        rows.append({"at": bounds[-1], "choice": name(j_one)})
+        rows.append(_Row(_RUN_END % (bounds[-1], name(j_end))))
         runs[sid] = rows
     return runs
 

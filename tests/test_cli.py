@@ -385,15 +385,16 @@ def test_undecodable_document_exits_two_with_code(tmp_path, capsys, data):
 
 
 def assert_runs_match_cells(doc, sol, strategy):
-    """Every state's rows in ``strategy`` tile [0,1) with no two
-    neighbours alike, close at 1, and name the choice of every cell of
-    ``sol.strategy`` they cover."""
+    """Every state's rows in ``strategy`` tile the profile's span [lo, hi)
+    with no two neighbours alike, close at hi, and name the choice of
+    every cell of ``sol.strategy`` they cover."""
+    start, end = map(format_cost, sol.strategy.span)
     assert sorted(strategy) == sorted(doc.state_ids)
     for k, sid in enumerate(doc.state_ids):
         *rows, closing = strategy[sid]
-        assert closing.keys() == {"at", "choice"} and closing["at"] == "1"
+        assert closing.keys() == {"at", "choice"} and closing["at"] == end
         assert all(row.keys() == {"left", "right", "choice"} for row in rows)
-        assert rows[0]["left"] == "0" and rows[-1]["right"] == "1"
+        assert rows[0]["left"] == start and rows[-1]["right"] == end
         for a, b in zip(rows, rows[1:]):
             assert a["right"] == b["left"] and a["choice"] != b["choice"], (sid, a, b)
         lefts = [Fr(row["left"]) for row in rows]
@@ -446,6 +447,17 @@ class TestEmission:
             assert_runs_match_cells(doc, sol, out["strategy"])
             events += sol.stats.event_points
         assert events >= 100
+
+    def test_strategy_runs_span_the_games_domain(self):
+        g = dataclasses.replace(fan(6), lo=Fr(1, 2), hi=Fr(3, 2))
+        doc = document_for(g, "sptg")
+        sol = solve_sptg(g)
+        assert sol.stats.event_points > 0
+        out = json.loads(gamedoc.emit_sptg_result(doc, sol))
+        for sid in doc.state_ids:
+            runs = out["strategy"][sid]
+            assert runs[0]["left"] == "1/2" and runs[-1]["at"] == "3/2"
+        assert_runs_match_cells(doc, sol, out["strategy"])
 
     def test_fan_strategy_rows_grow_linearly(self):
         """fan(k): k runs at the hub and one wait run per spoke, each
