@@ -172,18 +172,20 @@ class _Row(str):
     it as it is."""
 
 
-def _row(*keys) -> str:
+def _template(*keys) -> str:
     """The text of a row with ``keys``, given in sorted order, and a
     ``%s`` for each value."""
     return "{" + ",".join(f'\n    "{key}": %s' for key in keys) + "\n   }"
 
 
-_SEGMENT = _row("left", "right", "slope", "value_at_left")
-_SEGMENT_JUMP = _row("left", "left_jump", "point_value_at_left", "right", "slope", "value_at_left")
-_FINAL = _row("at", "value")
-_FINAL_JUMP = _row("at", "jump", "value")
-_RUN = _row("choice", "left", "right")
-_RUN_END = _row("at", "choice")
+_SEGMENT = _template("left", "right", "slope", "value_at_left")
+_SEGMENT_JUMP = _template(
+    "left", "left_jump", "point_value_at_left", "right", "slope", "value_at_left"
+)
+_FINAL = _template("at", "value")
+_FINAL_JUMP = _template("at", "jump", "value")
+_RUN = _template("choice", "left", "right")
+_RUN_END = _template("at", "choice")
 
 
 def _dump(obj) -> str:
@@ -192,11 +194,11 @@ def _dump(obj) -> str:
     ``TypeError``.
 
     The text is byte for byte ``json.dumps(obj, indent=1, sort_keys=True)``
-    plus a newline, the canonical form that results have always had: keys
-    in sorted order, strings escaped to ASCII by the C routine ``json``
-    itself uses, and each level one more space after a newline.  It is
-    written here because ``indent`` makes ``json.dumps`` use its
-    pure-Python encoder, which was most of the cost of emitting a result.
+    plus a newline, the canonical form of a result: keys in sorted order,
+    strings escaped to ASCII by the C routine that ``json`` itself uses,
+    and each level one more space after a newline.  It is written here
+    because ``indent`` makes ``json.dumps`` use its pure-Python encoder,
+    which emits a fan-sweep result in about twice the time.
     """
     parts = []
     _write(obj, "\n", parts.append)

@@ -11,7 +11,8 @@ Each tree runs in its own subprocess, from its own ``src`` directory.
 
 A run's outcome is its exit code, stdout, stderr and the bytes of its
 ``--out`` and ``--plot`` files.  The tool prints the first difference of
-each document, then a summary line; it exits 1 when a document differs.
+each document, then a summary line.  It exits 1 when a document
+differs, and 2 when REV cannot be exported or a tree's run fails.
 Both trees solve the documents of this tree: the pools come from this
 tree's ``perfbench/workloads.py`` and the golden inputs from its
 ``tests/golden``, so a difference is the program's, not its inputs'.
@@ -135,12 +136,13 @@ def _worker(tree: Path, docs: Path, runs: Path, result: Path) -> subprocess.Pope
 
 
 def _export(rev: str, dest: Path):
-    tar = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev],
-        check=True,
-        capture_output=True,
-    ).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+    git = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", rev], capture_output=True
+    )
+    if git.returncode != 0:
+        print(f"equivalence: git archive {rev}: {git.stderr.decode().strip()}", file=sys.stderr)
+        raise SystemExit(2)
+    with tarfile.open(fileobj=io.BytesIO(git.stdout)) as archive:
         archive.extractall(dest, filter="data")
 
 
@@ -162,7 +164,9 @@ def first_difference(theirs: tuple, ours: tuple) -> str | None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", required=True, metavar="REV", help="git revision to compare with")
+    parser.add_argument(
+        "--against", required=True, metavar="REV", help="git revision to compare with"
+    )
     args = parser.parse_args(argv)
 
     documents = pool_documents(SEEDS) + golden_documents()
