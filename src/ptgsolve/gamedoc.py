@@ -252,55 +252,47 @@ def _num(value) -> str:
 
 def _fn_segments(fn) -> list:
     """A value function's rows: one per segment, then its value at the
-    domain's end."""
+    domain's end.  Each breakpoint is formatted once, though an interior
+    one is a segment's ``right`` and the next one's ``left``."""
     rows = []
+    bounds = [_num(b) for b in fn.breaks]
     point_vals = fn.point_vals
-    for i, (lo, hi, val, slope) in enumerate(fn.segments()):
+    for i, (val, slope) in enumerate(zip(fn.seg_vals, fn.slopes)):
         pv = point_vals[i]
         if pv == val:
-            row = _SEGMENT % (_num(lo), _num(hi), _num(slope), _num(val))
+            row = _SEGMENT % (bounds[i], bounds[i + 1], _num(slope), _num(val))
         else:
-            row = _SEGMENT_JUMP % (_num(lo), "true", _num(pv), _num(hi), _num(slope), _num(val))
+            row = _SEGMENT_JUMP % (
+                bounds[i], "true", _num(pv), bounds[i + 1], _num(slope), _num(val)
+            )
         rows.append(_Row(row))
     last = point_vals[-1]
     # the left limit at hi, read off the last segment
-    end = val if is_inf(val) else val + slope * (hi - lo)
+    end = val if is_inf(val) else val + slope * (fn.hi - fn.breaks[-2])
     if last == end:
-        rows.append(_Row(_FINAL % (_num(fn.hi), _num(last))))
+        rows.append(_Row(_FINAL % (bounds[-1], _num(last))))
     else:
-        rows.append(_Row(_FINAL_JUMP % (_num(fn.hi), "true", _num(last))))
+        rows.append(_Row(_FINAL_JUMP % (bounds[-1], "true", _num(last))))
     return rows
 
 
 def _strategy_runs(doc: GameDocument, strategy) -> dict:
-    """Each state's choice runs: rows that tile the profile's span
-    ``[lo, hi)`` with no two neighbours alike, then its choice at ``hi``,
-    read off the cells in one walk."""
-    *cells, (_, _, at_end) = strategy.cells
-    bounds = [_num(lo) for lo, _, _ in cells] + [_num(strategy.span[1])]
-    prev = cells[0][2]
-    starts = [[(0, j)] for j in prev]  # per state: (first cell, choice)
-    for i in range(1, len(cells)):
-        choices = cells[i][2]
-        if choices != prev:
-            for k, j in enumerate(choices):
-                if j != prev[k]:
-                    starts[k].append((i, j))
-            prev = choices
+    """Each state's choice runs as the profile holds them: rows that tile
+    its span ``[lo, hi)`` with no two neighbours alike, then its choice at
+    ``hi``.  Each of the profile's clock values is formatted once."""
+    bounds = [_num(x) for x in strategy.clocks]
+    last = len(bounds) - 1
 
     def name(j):
         return '"wait"' if j is WAIT else _quote(doc.action_ids[j])
 
-    runs = {}
-    for sid, state_starts, j_end in zip(doc.state_ids, starts, at_end):
-        ends = [i for i, _ in state_starts[1:]] + [len(cells)]
-        rows = [
-            _Row(_RUN % (name(j), bounds[i], bounds[end]))
-            for (i, j), end in zip(state_starts, ends)
-        ]
-        rows.append(_Row(_RUN_END % (bounds[-1], name(j_end))))
-        runs[sid] = rows
-    return runs
+    out = {}
+    for sid, runs, j_end in zip(doc.state_ids, strategy.runs, strategy.at_hi):
+        ends = [i for i, _ in runs[1:]] + [last]
+        rows = [_Row(_RUN % (name(j), bounds[i], bounds[end])) for (i, j), end in zip(runs, ends)]
+        rows.append(_Row(_RUN_END % (bounds[last], name(j_end))))
+        out[sid] = rows
+    return out
 
 
 def emit_priced_result(doc: GameDocument, values) -> str:

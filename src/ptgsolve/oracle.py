@@ -110,14 +110,13 @@ class Play:
 
 def _step(sptg: Sptg, profile: TimedStrategyProfile, k: int, x: Fraction):
     """One move of the profile's play from ``(k, x)``: waiting runs to the
-    end of the clock's cell.  Returns ``(choice, delay, cost, k', x')``."""
-    lo, hi, choices = profile.cell_at(x)
-    choice = choices[k]
+    end of the state's own run.  Returns ``(choice, delay, cost, k', x')``."""
+    choice, end = profile.run_at(k, x)
     if choice is WAIT:
-        if lo == hi:
+        if end == x:
             raise OracleError(f"profile waits at the horizon in state {k}")
-        delay = hi - x
-        return choice, delay, sptg.rates[k] * delay, k, hi
+        delay = end - x
+        return choice, delay, sptg.rates[k] * delay, k, end
     a = sptg.actions[choice]
     if a.source != k:
         raise OracleError(f"profile picks a foreign action at state {k}")
@@ -190,8 +189,30 @@ def simulate_ptg(game: Ptg, chooser, start) -> Play:
 
 # -- policy evaluation ------------------------------------------------------
 #
-# Within one strategy cell a state's play cost is a line ``C - S*x`` of the
-# clock, held as the pair ``(C, S)``; None is the constant infinite line.
+# A profile's cells are the clock regions where no state's choice changes:
+# [lo, hi) between neighbouring change points of the union of every
+# state's runs, then the point cell at the span's end.  Within one cell a
+# state's play cost is a line ``C - S*x`` of the clock, held as the pair
+# ``(C, S)``; None is the constant infinite line.
+
+
+def _cells(profile: TimedStrategyProfile) -> list:
+    """The profile's cells ``(lo, hi, choices)``, left to right, each
+    with every state's choice there."""
+    clocks = profile.clocks
+    starts = {0: []}  # clock index -> the (state, choice) runs starting there
+    for k, runs in enumerate(profile.runs):
+        for i, j in runs:
+            starts.setdefault(i, []).append((k, j))
+    bounds = sorted(starts) + [len(clocks) - 1]
+    choices = [WAIT] * len(profile.runs)
+    cells = []
+    for i, end in zip(bounds, bounds[1:]):
+        for k, j in starts[i]:
+            choices[k] = j
+        cells.append((clocks[i], clocks[end], tuple(choices)))
+    cells.append((clocks[-1], clocks[-1], profile.at_hi))
+    return cells
 
 _ZERO = (F0, F0)  # the terminal: cost 0 at every clock value
 _UNSEEN, _ON_CHAIN = object(), object()
@@ -219,7 +240,7 @@ def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> tuple:
     """Every state's play cost under the profile, exactly, on all of
     the game's domain: a ``PwlFn`` per state.
 
-    Cells are evaluated right to left.  In the point cell at the domain's
+    The profile's cells are evaluated right to left.  In the point cell at the domain's
     end a state costs the untimed profile's payoff.  In a cell [lo, hi) a
     waiting state costs ``rate*(hi - x) + P(hi)``, its own cost at hi,
     and an acting state the action's cost plus its destination's cost at
@@ -236,7 +257,7 @@ def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> tuple:
     actions, rates, n = sptg.actions, sptg.rates, sptg.num_states
     lines = prev = None  # the lines and choices of the cell to the right
     pieces = [[] for _ in range(n)]  # [lo, hi, line], right to left
-    for lo, hi, choices in reversed(profile.cells):
+    for lo, hi, choices in reversed(_cells(profile)):
         new = [_UNSEEN] * n
         for start in range(n):
             k, chain = start, []
@@ -321,10 +342,10 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
     of the strategy may admit an improving switch for either player.  An
     interval cell [lo, hi) is played in the snapshot game whose waits
     cost the values at hi, with WAIT as the wait exit m + k; the point
-    cell in the untimed game.  A cell failure names the cell by its index
-    in ``sol.strategy.cells``.  ``samples`` is accepted and ignored: the
-    check evaluates the strategy everywhere, so it samples no clock
-    values."""
+    cell in the untimed game.  The cells lie between the change points of
+    the strategy's runs, and a cell failure names a cell by its index,
+    left to right.  ``samples`` is accepted and ignored: the check
+    evaluates the strategy everywhere, so it samples no clock values."""
     report = EquilibriumReport()
     costs = evaluate_policy(sptg, sol.strategy)
     for k in range(sptg.num_states):
@@ -334,7 +355,7 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
             if t is not None:
                 report.probe_failures.append((k, t, got.eval(t), want.eval(t)))
     m = sptg.num_actions
-    for idx, (lo, hi, choices) in enumerate(sol.strategy.cells):
+    for idx, (lo, hi, choices) in enumerate(_cells(sol.strategy)):
         if lo == hi:
             game, profile = sptg, choices
         else:

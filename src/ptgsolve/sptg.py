@@ -48,7 +48,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from operator import itemgetter
 
 from .numerics import F0, F1, PwlFn, event_point_count, frac, is_inf
 from .priced_game import (
@@ -66,7 +66,7 @@ from .priced_game import (
     single_switch_iteration,
 )
 
-WAIT = None  # strategy-cell marker for the waiting choice
+WAIT = None  # the waiting choice in a strategy run
 
 
 def check_rates(owners, rates) -> None:
@@ -109,40 +109,54 @@ class Sptg(GameGraph):
 
 @dataclass(frozen=True)
 class TimedStrategyProfile:
-    """Choices per clock region: cells [lo, hi) that tile the profile's
-    span from left to right, then the point cell at the span's end.
+    """Each state's choice runs over the profile's span [lo, hi), and its
+    point choice at hi.
 
-    Each cell maps every state to an action index or WAIT.
+    ``clocks`` are the clock values where a run may start, strictly
+    increasing from lo to hi.  ``runs[k]`` lists state ``k``'s runs left
+    to right as ``(i, choice)``: the choice holds from ``clocks[i]`` up to
+    the next run's start, or to hi.  The first run starts at lo, and no
+    two neighbouring runs make the same choice.  ``at_hi[k]`` is the
+    choice at hi itself.  A choice is an action index or WAIT.
     """
 
-    cells: tuple  # (lo, hi, choices); lo == hi for the point cell
+    clocks: tuple
+    runs: tuple  # per state: ((i, choice), ...)
+    at_hi: tuple  # per state: the choice at hi
 
     def __post_init__(self):
-        cells = self.cells
-        if len(cells) < 2 or cells[-1][0] != cells[-1][1]:
-            raise ValueError("strategy cells must end in a point cell")
-        for (lo, hi, _), (after, _, _) in zip(cells, cells[1:]):
-            if not lo < hi == after:
-                raise ValueError(f"strategy cells do not tile their span at {hi}")
+        clocks, last = self.clocks, len(self.clocks) - 1
+        if last < 1 or any(a >= b for a, b in zip(clocks, clocks[1:])):
+            raise ValueError("strategy clocks must increase from lo to hi")
+        if len(self.runs) != len(self.at_hi):
+            raise ValueError("strategy runs and point choices disagree on the states")
+        for k, runs in enumerate(self.runs):
+            starts = [i for i, _ in runs]
+            if starts[:1] != [0] or not all(a < b < last for a, b in zip(starts, starts[1:])):
+                raise ValueError(f"runs of state {k} do not tile the span")
+            if any(a[1] == b[1] for a, b in zip(runs, runs[1:])):
+                raise ValueError(f"state {k} has two neighbouring runs alike")
 
     @property
     def span(self) -> tuple:
-        """``(lo, hi)``: the first cell's start and the point cell's clock."""
-        return self.cells[0][0], self.cells[-1][0]
+        """``(lo, hi)``: the first and the last clock value."""
+        return self.clocks[0], self.clocks[-1]
 
-    @cached_property
-    def _los(self) -> tuple:
-        return tuple(lo for lo, _, _ in self.cells)
-
-    def cell_at(self, x):
-        """The cell ``(lo, hi, choices)`` holding clock value ``x``."""
+    def run_at(self, state: int, x):
+        """``(choice, end)`` of state's run holding clock value ``x``: its
+        choice there, and the clock value where that run ends.  At hi
+        this is the point choice, ending at hi."""
         x, (lo, hi) = frac(x), self.span
         if not lo <= x <= hi:
             raise ValueError(f"clock value {x} outside [{lo}, {hi}]")
-        return self.cells[bisect_right(self._los, x) - 1]
+        if x == hi:
+            return self.at_hi[state], hi
+        runs = self.runs[state]
+        r = bisect_right(runs, bisect_right(self.clocks, x) - 1, key=itemgetter(0))
+        return runs[r - 1][1], self.clocks[runs[r][0]] if r < len(runs) else hi
 
     def choice_at(self, state: int, x):
-        return self.cell_at(x)[2][state]
+        return self.run_at(state, x)[0]
 
 
 @dataclass
@@ -431,7 +445,6 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
     observe = _observer(sptg, stats) if instrument else None
 
     v_hi, profile = solve_at_time_one(sptg)
-    cells = [(sptg.hi, sptg.hi, profile)]
     pieces = _Pieces(sptg, v_hi, profile)
     c, rate, choice, lines = pieces.c, pieces.rate, pieces.choice, pieces.lines
     envelopes = pieces.envelopes
@@ -440,9 +453,13 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
     # right end
     segments = [[] for _ in range(n)]
     top = [sptg.hi] * n
+    # the sweep's clock values, right to left, and each state's runs so
+    # far, right to left, as (index in clocks of the run's start, choice)
+    clocks = [sptg.hi]
+    runs = [[] for _ in range(n)]
     x = sptg.hi
     budget = sptg.event_bound() + 1
-    for _ in range(budget):
+    for step in range(budget):
         if observe:
             observe(pieces, x)
         repaired = _repair(sptg, pieces, x, events)
@@ -454,6 +471,9 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
                     f"snapshot value at state {k} broke continuity: {val.payoff} != {at_x}"
                 )
             if pieces.picked[k] != choice[k]:
+                if step:
+                    # the choice so far holds from x rightwards
+                    runs[k].append((step, WAIT if choice[k] >= m else choice[k]))
                 choice[k] = pieces.picked[k]
                 dirty.add(k)
             if val.rate != rate[k]:
@@ -468,10 +488,9 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
                     dirty.add(source)
                     envelopes[source] = None
 
-        x_lo = next_event_point(sptg, pieces, dirty, x)
-        cells.append((x_lo, x, tuple(WAIT if j >= m else j for j in choice)))
+        x = next_event_point(sptg, pieces, dirty, x)
+        clocks.append(x)
         stats.sweep_steps += 1
-        x = x_lo
         if x == sptg.lo:
             break
         events = _events(pieces, x)
@@ -482,7 +501,16 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
         segs.append((sptg.lo, hi, pieces.at(k, sptg.lo), -rate[k]))
     fns = tuple(_value_fn(segs, v) for segs, v in zip(segments, v_hi))
     stats.event_points = event_point_count(fns)
-    strategy = TimedStrategyProfile(tuple(reversed(cells)))
+    last = len(clocks) - 1
+    clocks.reverse()
+    strategy = TimedStrategyProfile(
+        tuple(clocks),
+        tuple(
+            ((0, WAIT if j >= m else j), *((last - i, j) for i, j in reversed(state_runs)))
+            for state_runs, j in zip(runs, choice)
+        ),
+        tuple(profile),
+    )
     return SptgSolution(fns, strategy, stats)
 
 

@@ -20,7 +20,8 @@ from ptgsolve.oracle import (
 )
 from ptgsolve.priced_game import GameError, PAction, PricedGame
 from ptgsolve.ptg import solve_ptg
-from ptgsolve.sptg import WAIT, TimedStrategyProfile, solve_sptg
+from ptgsolve.sptg import WAIT, solve_sptg
+from strategy_cells import cells_of
 from test_sweep_certificates import fan, random_event_rich
 
 
@@ -398,7 +399,7 @@ def assert_runs_match_cells(doc, sol, strategy):
         for a, b in zip(rows, rows[1:]):
             assert a["right"] == b["left"] and a["choice"] != b["choice"], (sid, a, b)
         lefts = [Fr(row["left"]) for row in rows]
-        for lo, hi, choices in sol.strategy.cells:
+        for lo, hi, choices in cells_of(sol.strategy):
             want = "wait" if choices[k] is WAIT else doc.action_ids[choices[k]]
             if lo == hi:
                 assert closing["choice"] == want, sid
@@ -719,11 +720,10 @@ def test_verify_checks_every_reused_interval_certificate(tmp_path, monkeypatch, 
 
 
 def waiting_at_one(sol):
-    """``sol`` with state 0 waiting in the point cell at 1, a strategy
-    the equilibrium check refuses to play."""
-    *cells, (lo, hi, choices) = sol.strategy.cells
-    point = (lo, hi, (WAIT, *choices[1:]))
-    return dataclasses.replace(sol, strategy=TimedStrategyProfile((*cells, point)))
+    """``sol`` with state 0 waiting at 1, a strategy the equilibrium
+    check refuses to play."""
+    at_hi = (WAIT, *sol.strategy.at_hi[1:])
+    return dataclasses.replace(sol, strategy=dataclasses.replace(sol.strategy, at_hi=at_hi))
 
 
 def test_refused_strategy_fails_verification(tmp_path, monkeypatch, capsys):

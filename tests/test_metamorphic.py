@@ -17,7 +17,7 @@ midpoint into two copies that share it: the values stay.  Both change
 the widths of the interval games a PTG solve builds, which the other
 invariants keep.  Moving an SPTG's clock domain from [0,1] to [lo, hi]
 while its rates are multiplied by ``hi - lo`` stretches its values and
-strategy cells along the clock, as the old rescaling of PTG intervals
+strategy runs along the clock, as the old rescaling of PTG intervals
 did; the game on [lo, hi] must also pass the oracles.
 """
 
@@ -159,7 +159,7 @@ def test_cost_scaling_scales_sptg_values_and_keeps_strategies():
     for i, game in enumerate(random_games("sptg")):
         want, got = solution(game), solve_sptg(cost_scaled(game, C))
         assert list(got.values) == [fn_times(f, C) for f in want.values], i
-        assert got.strategy.cells == want.strategy.cells, i
+        assert got.strategy == want.strategy, i
 
 
 def test_cost_scaling_scales_ptg_values_and_keeps_jumps():
@@ -286,7 +286,7 @@ def event_rich_games():
 @pytest.mark.parametrize("lo, hi", DOMAINS, ids=lambda x: str(x))
 def test_domain_shift_stretches_sptg_solutions(lo, hi):
     """``Sptg(o, r, a, lo, hi)`` solves as ``Sptg(o, r*(hi - lo), a)`` on
-    [0,1] remapped onto [lo, hi]: the same values, strategy cells and
+    [0,1] remapped onto [lo, hi]: the same values, strategy runs and
     stats; value iteration and the equilibrium check accept it."""
     width = hi - lo
     for i, game in enumerate(random_games("sptg") + event_rich_games()):
@@ -294,9 +294,8 @@ def test_domain_shift_stretches_sptg_solutions(lo, hi):
         shifted = dataclasses.replace(game, lo=lo, hi=hi)
         got = solve_sptg(shifted)
         assert got.values == tuple(PwlFn.from_segments(remap(f, lo, width)) for f in unit.values), i
-        assert got.strategy.cells == tuple(
-            (lo + a * width, lo + b * width, choices) for a, b, choices in unit.strategy.cells
-        ), i
+        clocks = tuple(lo + x * width for x in unit.strategy.clocks)
+        assert got.strategy == dataclasses.replace(unit.strategy, clocks=clocks), i
         assert got.stats == unit.stats, i
         assert value_iteration_sptg(shifted).values == got.values, i
         assert check_equilibrium(shifted, got).passed, i

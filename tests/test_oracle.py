@@ -23,7 +23,8 @@ from ptgsolve.oracle import (
 )
 from ptgsolve.priced_game import PAction, PricedGame, evaluate_profile, extended_dijkstra
 from ptgsolve.ptg import Ptg, solve_ptg
-from ptgsolve.sptg import Sptg, TimedStrategyProfile, WAIT, solve_sptg
+from ptgsolve.sptg import Sptg, WAIT, solve_sptg
+from strategy_cells import cells_of, profile_of
 from test_sweep_certificates import random_event_rich
 
 
@@ -143,7 +144,7 @@ def probe_times(strategy, samples=50):
     every cell's start and midpoint, and a grid of ``samples + 2`` points
     on the profile's span."""
     times = set()
-    for a, b, _ in strategy.cells:
+    for a, b, _ in cells_of(strategy):
         times.add(a)
         if a < b:
             times.add((a + b) / 2)
@@ -199,16 +200,16 @@ def gap_between_probes(sol):
 # the profiles of TestSimulate that break the rules of play
 HORIZON_WAIT = (
     sptg([1], [0], (0, None, Fr(1))),
-    TimedStrategyProfile(((F0, F1, (WAIT,)), (F1, F1, (WAIT,)))),
+    profile_of(((F0, F1, (WAIT,)), (F1, F1, (WAIT,)))),
 )
 FOREIGN_ACTION = (
     sptg([1, 1], [0, 0], (0, None, Fr(1)), (1, None, Fr(1))),
-    TimedStrategyProfile(((F0, F1, (1, 1)), (F1, F1, (1, 1)))),
+    profile_of(((F0, F1, (1, 1)), (F1, F1, (1, 1)))),
 )
 # a profile that starts at 1/2, on a game over [0,1]
 LATE_START = (
     sptg([1], [0], (0, None, Fr(1))),
-    TimedStrategyProfile(((Fr(1, 2), F1, (0,)), (F1, F1, (0,)))),
+    profile_of(((Fr(1, 2), F1, (0,)), (F1, F1, (0,)))),
 )
 
 
@@ -326,16 +327,19 @@ class TestSimulate:
                 assert play.terminal
                 assert play.cost == sol.values[k].eval(t)
 
-    def test_wait_steps_advance_to_cell_boundaries(self):
+    def test_wait_steps_advance_to_run_boundaries(self):
+        # state 1 waits on [0, 1) in one run, though state 0 changes its
+        # choice at 1/2
         fx = fixture_a()
         sol = solve_sptg(fx.game)
+        assert [lo for lo, _, _ in cells_of(sol.strategy)] == [F0, Fr(1, 2), F1]
         play = simulate(fx.game, sol.strategy, (1, Fr(3, 10)))
         waits = [(s.time, s.delay) for s in play.steps if s.action is None]
-        assert waits == [(Fr(3, 10), Fr(1, 5)), (Fr(1, 2), Fr(1, 2))]
+        assert waits == [(Fr(3, 10), Fr(7, 10))]
 
     def test_revisit_certifies_infinity(self):
         g = sptg([1], [0], (0, 0, Fr(1)), (0, None, Fr(5)))
-        loop = TimedStrategyProfile(((F0, F1, (0,)), (F1, F1, (0,))))
+        loop = profile_of(((F0, F1, (0,)), (F1, F1, (0,))))
         play = simulate(g, loop, (0, Fr(1, 2)))
         assert not play.terminal and is_inf(play.cost)
 
@@ -406,7 +410,7 @@ class TestPlayCost:
 
     def test_revisit_is_infinite_on_every_configuration(self):
         g = sptg([1, 1], [0, 0], (0, 1, Fr(1)), (1, 0, Fr(1)))
-        loop = TimedStrategyProfile(((F0, F1, (0, 1)), (F1, F1, (0, 1))))
+        loop = profile_of(((F0, F1, (0, 1)), (F1, F1, (0, 1))))
         memo = {}
         assert is_inf(play_cost(g, loop, (0, F0), memo))
         assert set(memo) == {(0, F0), (1, F0)} and all(map(is_inf, memo.values()))
@@ -434,9 +438,9 @@ class TestCheckEquilibrium:
         sol = solve_sptg(fx.game)
         # force the minimizer onto the expensive route everywhere
         cells = tuple(
-            (lo, hi, (1,) + choices[1:]) for lo, hi, choices in sol.strategy.cells
+            (lo, hi, (1,) + choices[1:]) for lo, hi, choices in cells_of(sol.strategy)
         )
-        bad = dataclasses.replace(sol, strategy=TimedStrategyProfile(cells))
+        bad = dataclasses.replace(sol, strategy=profile_of(cells))
         assert not check_equilibrium(fx.game, bad).passed
 
     def test_detects_longer_equal_cost_route_in_every_cell(self):
@@ -444,9 +448,9 @@ class TestCheckEquilibrium:
         g = sptg([1, 1], [1, 1], (0, None, Fr(1)), (0, 1, Fr(0)), (1, None, Fr(1)))
         sol = solve_sptg(g)
         assert check_equilibrium(g, sol).passed
-        assert [choices[0] for _, _, choices in sol.strategy.cells] == [0, 0]
-        cells = tuple((lo, hi, (1,) + choices[1:]) for lo, hi, choices in sol.strategy.cells)
-        bad = dataclasses.replace(sol, strategy=TimedStrategyProfile(cells))
+        assert [choices[0] for _, _, choices in cells_of(sol.strategy)] == [0, 0]
+        cells = tuple((lo, hi, (1,) + choices[1:]) for lo, hi, choices in cells_of(sol.strategy))
+        bad = dataclasses.replace(sol, strategy=profile_of(cells))
         report = check_equilibrium(g, bad)
         # the detour costs the same, so only the snapshot re-check sees it,
         # on the interval cell and on the point cell at 1
@@ -463,7 +467,7 @@ class TestCheckEquilibrium:
         assert value_iteration_sptg(g).values == sol.values
         # A -> B, B -> exit costs 1 from both states, their values
         cells = ((F0, F1, (1, 2)), (F1, F1, (1, 2)))
-        bad = dataclasses.replace(sol, strategy=TimedStrategyProfile(cells))
+        bad = dataclasses.replace(sol, strategy=profile_of(cells))
         report = check_equilibrium(g, bad)
         assert report.probe_failures == []
         # B's switch back to A closes a cycle that takes no time and
@@ -517,7 +521,7 @@ class TestCheckEquilibrium:
         monkeypatch.setattr(oracle, "_waiting", counted("lines", oracle._waiting))
         assert check_equilibrium(g, sol).passed
         assert calls["from_segments"] == g.num_states
-        cells = sol.strategy.cells
+        cells = cells_of(sol.strategy)
         assert 0 < calls["lines"] <= g.num_states * len(cells)
         # lines are reused while choices hold: one per state at 1, then
         # about one per choice that changes from cell to cell
@@ -557,7 +561,7 @@ class TestEvaluatePolicy:
                     rng.choice(list(js) + [WAIT]) for js in g.state_actions
                 )))
             cells.append((F1, F1, tuple(rng.choice(js) for js in g.state_actions)))
-            profile = TimedStrategyProfile(tuple(cells))
+            profile = profile_of(tuple(cells))
             costs = evaluate_policy(g, profile)
             memo = {}
             times = probe_times(profile, samples=23)
@@ -570,7 +574,7 @@ class TestEvaluatePolicy:
 
     def test_zero_time_loop(self):
         g = sptg([1, 1], [0, 0], (0, 1, Fr(1)), (1, 0, Fr(1)))
-        loop = TimedStrategyProfile(((F0, F1, (0, 1)), (F1, F1, (0, 1))))
+        loop = profile_of(((F0, F1, (0, 1)), (F1, F1, (0, 1))))
         costs = evaluate_policy(g, loop)
         memo = {}
         for k in range(2):
@@ -583,7 +587,7 @@ class TestEvaluatePolicy:
         # otherwise wait (rate 2 and 3) or exit at cost 1
         g = sptg([1, 2], [2, 3], (0, 1, Fr(0)), (0, None, Fr(1)), (1, 0, Fr(0)), (1, None, Fr(1)))
         h, q = Fr(1, 2), Fr(1, 4)
-        profile = TimedStrategyProfile((
+        profile = profile_of((
             (F0, q, (WAIT, WAIT)),
             (q, h, (0, 2)),
             (h, F1, (1, 3)),

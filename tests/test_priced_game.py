@@ -405,7 +405,7 @@ class TestCanonicalProfile:
             for seed in range(50):
                 g = generate_random("sptg", n, 3, seed, allow_inf=seed % 2 == 0)
                 sol = sptg.solve_sptg(g)
-                for _, hi, _ in sol.strategy.cells[:-1]:
+                for hi in sol.strategy.clocks[1:]:
                     games.append(sptg.build_eps_game(g, [f.eval(hi) for f in sol.values]))
         assert len(games) > 200
         for i, g in enumerate(games):
@@ -635,7 +635,7 @@ class TestIntegerKeyedScan:
             assert all(
                 type(v) is Fr or is_inf(v) for f in plain.values for v in f.point_vals + f.seg_vals
             )
-            return plain.values, plain.strategy.cells, plain.stats, checked.stats
+            return plain.values, plain.strategy, plain.stats, checked.stats
 
         games = [
             generate_random("sptg", 1 + seed % 6, 3, seed, allow_inf=seed % 2 == 0)

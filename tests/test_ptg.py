@@ -361,7 +361,7 @@ class TestLayerFixpoint:
                 assert (a.sptg.lo, a.sptg.hi) == (b.sptg.lo, b.sptg.hi)
                 assert a.sptg == b.sptg
                 assert a.solution.values == b.solution.values
-                assert a.solution.strategy.cells == b.solution.strategy.cells
+                assert a.solution.strategy == b.solution.strategy
             assert full.stats.oracle_calls == res.stats.layers * (len(g.ladder) - 1)
             assert full.stats.reused_intervals == 0
             stopped_early += res.stats.solved_layers < res.stats.layers
@@ -405,7 +405,7 @@ class TestIntervalGameStops:
     def test_ladder_point_stops_solve_like_midpoint_moment_stops(self):
         """Stops worth the right ladder point's values give the interval
         game the solution it has with stops worth the midpoint moment
-        game's values.  Only the point cell at hi may differ, and only
+        game's values.  Only the point choices at hi may differ, and only
         where the reference picks a minimizer's stop: that stop is worth
         exactly its state's value at hi, tying with the action behind it."""
         intervals = 0
@@ -418,8 +418,9 @@ class TestIntervalGameStops:
                     assert sol.values == ref.values
                     assert sol.stats.sweep_steps == ref.stats.sweep_steps
                     assert sol.stats.event_points == ref.stats.event_points
-                    assert sol.strategy.cells[:-1] == ref.strategy.cells[:-1]
-                    got, want = sol.strategy.cells[-1][2], ref.strategy.cells[-1][2]
+                    assert sol.strategy.clocks == ref.strategy.clocks
+                    assert sol.strategy.runs == ref.strategy.runs
+                    got, want = sol.strategy.at_hi, ref.strategy.at_hi
                     for k, (a, b) in enumerate(zip(got, want)):
                         if a != b:
                             assert ref_game.owners[k] == 1

@@ -14,13 +14,14 @@ from ptgsolve.sptg import (
     solve_at_time_one,
     solve_sptg,
 )
+from strategy_cells import cells_of
 
 
 def assert_same_solve(plain, inst, why=None):
     """The instrumented solve observes the plain sweep: the same values,
-    strategy cells, sweep steps and event points."""
+    strategy, sweep steps and event points."""
     assert plain.values == inst.values, why
-    assert plain.strategy.cells == inst.strategy.cells, why
+    assert plain.strategy == inst.strategy, why
     assert plain.stats.sweep_steps == inst.stats.sweep_steps, why
     assert plain.stats.event_points == inst.stats.event_points, why
 
@@ -127,7 +128,7 @@ class TestSweep:
     def test_game_without_states_solves_to_nothing(self, instrument):
         sol = solve_sptg(Sptg((), (), ()), instrument=instrument)
         assert sol.values == ()
-        assert sol.strategy.cells == ((F0, F1, ()), (F1, F1, ()))
+        assert sol.strategy == TimedStrategyProfile((F0, F1), (), ())
         assert sol.stats.sweep_steps == 1
 
     def test_fixture_a_values(self):
@@ -141,7 +142,7 @@ class TestSweep:
         assert sol.values[0].interior_breaks() == (fx.expected["event_point_at"],)
         assert sol.stats.event_points == fx.expected["event_points"]
         # the sweep stops exactly at the switch point before reaching 0
-        assert [lo for lo, _, _ in sol.strategy.cells] == [F0, Fr(1, 2), F1]
+        assert sol.strategy.clocks == (F0, Fr(1, 2), F1)
 
     def test_fixture_a_strategy_cells(self):
         g = fixture_a().game
@@ -185,7 +186,7 @@ class TestSweep:
         for instrument in (False, True):
             sol = solve_sptg(g, instrument=instrument)
             assert all(f.is_constant_inf() for f in sol.values)
-            assert [choices[1] for _, _, choices in sol.strategy.cells] == [1, 1]
+            assert sol.strategy.runs[1] == ((0, 1),) and sol.strategy.at_hi[1] == 1
 
     def test_inner_solvers_agree(self):
         for seed in range(40):
@@ -241,48 +242,60 @@ class TestStrategyProfile:
             sol.strategy.choice_at(0, Fr(3, 2))
 
     @pytest.mark.parametrize(
-        "cells",
+        "clocks, runs, at_hi",
         [
-            (),
-            ((F0, F1, (0,)),),
-            ((F0, Fr(1, 2), (0,)), (F1, F1, (0,))),
-            ((F0, Fr(1, 2), (0,)), (Fr(1, 3), F1, (0,)), (F1, F1, (0,))),
-            ((F0, F0, (0,)), (F0, F1, (0,)), (F1, F1, (0,))),
-            ((F0, F1, (0,)), (F1, F1, (0,)), (F1, F1, (0,))),
-            ((F1, F1, (0,)), (F0, F1, (0,))),
+            ((), (), ()),
+            ((F0, F1), (((0, 0),),), ()),
+            ((F0, Fr(1, 2), F1), (((1, 0),),), (0,)),
+            ((F0, Fr(1, 2), Fr(1, 3), F1), (((0, 0),),), (0,)),
+            ((F0, F0, F1), (((0, 0),),), (0,)),
+            ((F0, Fr(1, 2), F1), (((0, 0), (2, 1)),), (0,)),
+            ((F1, F0), (((0, 0),),), (0,)),
         ],
         ids=["empty", "no-point-cell", "gap", "overlap", "empty-cell",
              "two-point-cells", "point-cell-first"],
     )
-    def test_cells_must_tile(self, cells):
+    def test_cells_must_tile(self, clocks, runs, at_hi):
+        """The clock values must increase from lo to hi, and each state
+        needs a point choice and runs that start at lo and below hi."""
         with pytest.raises(ValueError):
-            TimedStrategyProfile(cells)
+            TimedStrategyProfile(clocks, runs, at_hi)
+
+    def test_neighbouring_runs_must_differ(self):
+        with pytest.raises(ValueError):
+            TimedStrategyProfile((F0, Fr(1, 2), F1), (((0, 0), (1, 0)),), (0,))
 
     def test_cells_tile_their_own_span(self):
-        """A profile may start after 0: its span runs from its first cell
-        to its point cell, and a clock value outside it has no cell.
+        """A profile may start after 0: its span runs from its first clock
+        value to its last, and a clock value outside it has no choice.
         Only a game can say that the span is wrong (``evaluate_policy``)."""
-        profile = TimedStrategyProfile(((Fr(1, 2), F1, (0,)), (F1, F1, (0,))))
+        profile = TimedStrategyProfile((Fr(1, 2), F1), (((0, 0),),), (0,))
         assert profile.span == (Fr(1, 2), F1)
-        assert profile.cell_at(Fr(1, 2)) == profile.cells[0]
+        assert profile.run_at(0, Fr(1, 2)) == (0, F1)
         with pytest.raises(ValueError):
-            profile.cell_at(Fr(1, 4))
+            profile.run_at(0, Fr(1, 4))
 
-    def test_cell_at_matches_a_scan(self):
+    def test_run_at_matches_a_scan(self):
         for seed in range(20):
-            cells = solve_sptg(generate_random("sptg", 3, 3, seed)).strategy.cells
-            profile = TimedStrategyProfile(cells)
+            profile = solve_sptg(generate_random("sptg", 3, 3, seed)).strategy
+            cells = cells_of(profile)
             probes = {Fr(i, 24) for i in range(25)}
-            probes.update(c[0] for c in cells)
+            probes.update(profile.clocks)
             for x in probes:
-                want = next(c for c in cells if c[0] <= x < c[1] or c[:2] == (x, x))
-                assert profile.cell_at(x) == want, (seed, x)
+                _, hi, choices = next(c for c in cells if c[0] <= x < c[1] or c[:2] == (x, x))
+                for k, j in enumerate(choices):
+                    # the run lasts while the state's cells make its choice
+                    end = next((c[0] for c in cells if c[0] >= hi and c[2][k] != j), F1)
+                    assert profile.run_at(k, x) == (j, end), (seed, x, k)
+                    assert profile.choice_at(k, x) == j, (seed, x, k)
 
     def test_cells_tile_the_interval(self):
         for seed in range(20):
             g = generate_random("sptg", 3, 3, seed)
-            cells = solve_sptg(g).strategy.cells
-            assert cells[-1][:2] == (F1, F1)
-            assert cells[0][0] == F0
-            for (lo, hi, _), (lo2, _, _) in zip(cells, cells[1:]):
-                assert hi == lo2 and lo < hi
+            profile = solve_sptg(g).strategy
+            assert profile.span == (F0, F1)
+            assert len(profile.runs) == len(profile.at_hi) == g.num_states
+            for runs in profile.runs:
+                starts = [i for i, _ in runs]
+                assert starts[0] == 0 and starts == sorted(set(starts))
+                assert starts[-1] < len(profile.clocks) - 1

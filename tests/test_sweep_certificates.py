@@ -3,7 +3,7 @@
 ``reference_sweep`` is the sweep without them: every step rebuilds the
 snapshot game, rescans every action of every state for the next crossing
 and emits one segment per state.  ``solve_sptg`` must give the same
-values, strategy cells and stats, plainly and instrumented, on games
+values, strategy and stats, plainly and instrumented, on games
 whose event points move choices and rates at many states.
 
 A state's crossing is found by a scan of its action lines or, once its
@@ -36,6 +36,7 @@ from ptgsolve.sptg import (
     solve_at_time_one,
     solve_sptg,
 )
+from strategy_cells import cells_of, profile_of
 
 
 def _rescan(game, profile, base, rate, x_hi):
@@ -112,7 +113,7 @@ def assert_same_sweep(g):
         sol = solve_sptg(g, instrument=instrument)
         values, cells, stats = reference_sweep(g, instrument)
         assert sol.values == values
-        assert sol.strategy.cells == cells
+        assert sol.strategy == profile_of(cells)
         assert sol.stats == stats
 
 
@@ -261,7 +262,7 @@ def test_nested_fans_keep_the_hub_choice_where_a_center_rate_changes():
         sol = solve_sptg(g)
         dests = {a.dest for a in g.actions if a.source == 0}
         breaks = {b for d in dests for b in sol.values[d].interior_breaks()}
-        cells = sol.strategy.cells
+        cells = cells_of(sol.strategy)
         return any(
             hi in breaks and left[0] == right[0]
             for (_, hi, left), (_, _, right) in zip(cells, cells[1:])
@@ -401,6 +402,34 @@ def test_fan_steps_re_solve_only_the_hub(monkeypatch):
     assert scanned.count(0) == 1
 
 
+def fans(f, k=40):
+    """f disjoint copies of fan(k); copy i's exit costs are multiplied
+    by 1 + i/(7f), so that the copies' event points differ."""
+    owners, rates, actions = [], [], []
+    for i in range(f):
+        g, base, scale = fan(k), len(owners), 1 + Fr(i, 7 * f)
+        owners += g.owners
+        rates += g.rates
+        actions += [
+            PAction(a.source + base, None if a.dest is None else a.dest + base, a.cost * scale)
+            for a in g.actions
+        ]
+    return Sptg(tuple(owners), tuple(rates), tuple(actions))
+
+
+def test_profile_grows_with_choice_changes():
+    """The strategy holds each state's runs and its choice at 1, so it
+    grows with the choice changes, not with states times sweep steps:
+    on 10 copies of fan(40), 775 runs and 410 point choices, against
+    147,600 entries for one choice per state per step."""
+    g = fans(10)
+    sol = solve_sptg(g)
+    n, steps, events = g.num_states, sol.stats.sweep_steps, sol.stats.event_points
+    assert (n, events, steps) == (410, 358, 359)
+    entries = sum(map(len, sol.strategy.runs)) + len(sol.strategy.at_hi)
+    assert entries <= 2 * (n + events) < n * steps
+
+
 def test_one_step_sweeps_build_no_envelope(monkeypatch):
     """A sweep of one step scans each state once, after the repair at 1,
     and never again: an envelope would not pay."""
@@ -520,7 +549,7 @@ def test_state_waits_across_steps_while_its_lines_stay_put():
     g = fan_with_waiting_state()
     assert_same_sweep(g)
     w = 13
-    cells = solve_sptg(g).strategy.cells[:-1]
+    cells = cells_of(solve_sptg(g).strategy)[:-1]
     waiting = [lo for lo, _, choices in cells if choices[w] is WAIT]
     assert min(waiting) == Fr(3, 5) and len(waiting) >= 3
     to_spoke = [j for j, a in enumerate(g.actions) if a.source == w and a.dest is not None]
@@ -560,7 +589,7 @@ def test_concurrent_lines_at_an_event_point_with_a_repaired_destination(monkeypa
         settle(game, offers, pending, vals, profile)
 
     monkeypatch.setattr(sptg_module, "_settle", watched_settle)
-    cells = solve_sptg(g).strategy.cells
+    cells = cells_of(solve_sptg(g).strategy)
     assert [lo for lo, _, _ in cells] == [F0, Fr(1, 2), Fr(4, 5), F1]
     assert settled[-1] == {0, 5}
     to_spoke = {a.dest: j for j, a in enumerate(g.actions) if a.source == 0}

@@ -7,15 +7,23 @@ exports git revision REV with ``git archive`` into a temporary directory
 and runs ``ptgsolve solve`` of each tree on the same 926 runs: every
 document of the benchmark pools for seeds 1, 2, 3 and 7177, and the
 golden inputs in ``tests/golden``, each with and without ``--verify``.
-Each tree runs in its own subprocess, from its own ``src`` directory.
+Each tree also solves the random pools in memory: 600 SPTGs and 400
+PTGs from ``generate_random``, with infinite costs on even seeds.  Each
+tree runs in its own subprocess, from its own ``src`` directory.
 
 A run's outcome is its exit code, stdout, stderr and the bytes of its
-``--out`` and ``--plot`` files.  The tool prints the first difference of
-each document, then a summary line.  It exits 1 when a document
-differs, and 2 when REV cannot be exported or a tree's run fails.
-Both trees solve the documents of this tree: the pools come from this
-tree's ``perfbench/workloads.py`` and the golden inputs from its
-``tests/golden``, so a difference is the program's, not its inputs'.
+``--out`` and ``--plot`` files.  Both trees solve the documents of this
+tree: the pools come from this tree's ``perfbench/workloads.py`` and the
+golden inputs from its ``tests/golden``, so a difference is the
+program's, not its inputs'.  A random game's outcome is canonical text
+(:func:`game_text`): its result document, its solve statistics and, for
+a PTG, the result document of each interval game, since in-memory types
+may change between the trees where their meaning does not.
+
+The tool prints the first difference of each document and of the first
+differing random game, then a summary line.  It exits 1 when a document
+or a game differs, and 2 when REV cannot be exported or a tree's run
+fails.
 
 ``tests/test_golden.py`` uses :func:`pool_documents`, :func:`outcome`
 and :func:`digest` for its pool digests, ``tests/golden/pools.sha256``.
@@ -25,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -93,6 +102,64 @@ def outcome(game: Path, verify: bool, scratch: Path) -> tuple:
     return (code, stdout.getvalue(), stderr.getvalue(), *files)
 
 
+def random_games() -> list:
+    """``(name, game)`` of the random pools: SPTGs with 2 to 7 states and
+    PTGs with 2 to 5, 100 seeds each, with infinite costs on even seeds.
+    Each tree generates them with its own ``generate_random``."""
+    from ptgsolve.oracle import generate_random
+
+    return [
+        (f"{kind}/{n}/{seed}", generate_random(kind, n, 3, seed, allow_inf=seed % 2 == 0))
+        for kind, sizes in (("sptg", range(2, 8)), ("ptg", range(2, 6)))
+        for n in sizes
+        for seed in range(100)
+    ]
+
+
+def _document(kind: str, game):
+    """``game`` as a document with state ids ``s{k}`` and action ids ``a{j}``."""
+    from ptgsolve.gamedoc import GameDocument
+
+    return GameDocument(
+        kind,
+        tuple(f"s{k}" for k in range(game.num_states)),
+        tuple(f"a{j}" for j in range(len(game.actions))),
+        game.owners,
+        game.rates,
+        game.actions,
+    )
+
+
+def _stats(stats) -> str:
+    """One ``Class.field value`` line per field of a statistics record."""
+    name = type(stats).__name__
+    return "".join(f"{name}.{f.name} {getattr(stats, f.name)}\n" for f in dataclasses.fields(stats))
+
+
+def game_text(name: str, game) -> str:
+    """The canonical text of a random game's solve, as :func:`random_games`
+    names it.  An SPTG's is its result document and the statistics of a
+    plain and an instrumented solve; a PTG's is its result document, its
+    statistics and each interval game's result document, right to left.
+    A solve that raises gives its exception's type and message."""
+    from ptgsolve.gamedoc import emit_ptg_result, emit_sptg_result
+    from ptgsolve.ptg import solve_ptg
+    from ptgsolve.sptg import solve_sptg
+
+    try:
+        if name.startswith("sptg/"):
+            sol, instrumented = solve_sptg(game), solve_sptg(game, instrument=True)
+            text = emit_sptg_result(_document("sptg", game), sol)
+            return text + _stats(sol.stats) + _stats(instrumented.stats)
+        res = solve_ptg(game)
+        return "".join(
+            [emit_ptg_result(_document("ptg", game), res), _stats(res.stats)]
+            + [emit_sptg_result(_document("sptg", c.sptg), c.solution) for c in res.trace]
+        )
+    except Exception as exc:
+        return f"raised {type(exc).__name__}: {exc}\n"
+
+
 def digest(parts: tuple) -> str:
     """SHA-256 over the parts of an outcome, each prefixed by its length,
     so that no two different outcomes share one byte string."""
@@ -108,7 +175,8 @@ def digest(parts: tuple) -> str:
 
 def solve_all(docs: Path, runs: Path, result: Path):
     """Run every ``[name, verify]`` listed in ``runs`` on the document
-    ``docs/name``, and write the outcomes to ``result`` as JSON, bytes
+    ``docs/name``, and solve every random game, and write the outcomes to
+    ``result`` as JSON: ``{"runs": ..., "games": ...}``, with bytes
     decoded as latin-1 so that they round-trip."""
     scratch = result.parent / (result.stem + "-scratch")
     scratch.mkdir()
@@ -118,7 +186,8 @@ def solve_all(docs: Path, runs: Path, result: Path):
         outcomes[run_id(name, verify)] = [
             p.decode("latin-1") if isinstance(p, bytes) else p for p in parts
         ]
-    result.write_text(json.dumps(outcomes))
+    games = {name: game_text(name, game) for name, game in random_games()}
+    result.write_text(json.dumps({"runs": outcomes, "games": games}))
 
 
 def _worker(tree: Path, docs: Path, runs: Path, result: Path) -> subprocess.Popen:
@@ -146,10 +215,10 @@ def _export(rev: str, dest: Path):
         archive.extractall(dest, filter="data")
 
 
-def first_difference(theirs: tuple, ours: tuple) -> str | None:
+def first_difference(theirs: tuple, ours: tuple, parts=PARTS) -> str | None:
     """The first part in which two outcomes differ, and its first
     differing line, or None when they are equal."""
-    for part, a, b in zip(PARTS, theirs, ours):
+    for part, a, b in zip(parts, theirs, ours):
         if a == b:
             continue
         if not isinstance(a, str) or not isinstance(b, str):
@@ -194,16 +263,22 @@ def main(argv=None) -> int:
     for name, _ in documents:
         for verify in (False, True):
             run = run_id(name, verify)
-            diff = first_difference(tuple(rev[run]), tuple(here[run]))
+            diff = first_difference(tuple(rev["runs"][run]), tuple(here["runs"][run]))
             if diff is not None:
                 print(f"DIFF {run}: {diff}")
                 differing += 1
                 break
+    games = [name for name in here["games"] if rev["games"].get(name) != here["games"][name]]
+    if games:
+        name = games[0]
+        diff = first_difference((rev["games"].get(name),), (here["games"][name],), ("text",))
+        print(f"DIFF random {name}: {diff}")
     print(
-        f"{len(runs)} runs over {len(documents)} documents, {args.against} -> working tree: "
-        f"{differing} documents differ"
+        f"{len(runs)} runs over {len(documents)} documents and {len(here['games'])} random games, "
+        f"{args.against} -> working tree: {differing} documents and {len(games)} random games "
+        "differ"
     )
-    return 1 if differing else 0
+    return 1 if differing or games else 0
 
 
 if __name__ == "__main__":
