@@ -189,30 +189,27 @@ def simulate_ptg(game: Ptg, chooser, start) -> Play:
 
 # -- policy evaluation ------------------------------------------------------
 #
-# A profile's cells are the clock regions where no state's choice changes:
-# [lo, hi) between neighbouring change points of the union of every
-# state's runs, then the point cell at the span's end.  Within one cell a
-# state's play cost is a line ``C - S*x`` of the clock, held as the pair
-# ``(C, S)``; None is the constant infinite line.
+# Within one strategy cell a state's play cost is a line ``C - S*x`` of the
+# clock, held as the pair ``(C, S)``; None is the constant infinite line.
 
 
 def _cells(profile: TimedStrategyProfile) -> list:
-    """The profile's cells ``(lo, hi, choices)``, left to right, each
-    with every state's choice there."""
-    clocks = profile.clocks
-    starts = {0: []}  # clock index -> the (state, choice) runs starting there
+    """The profile's cells ``(lo, hi, choices)`` left to right: each
+    region [lo, hi) between neighbouring change points of the union of
+    every state's runs, with every state's choice there, then the point
+    cell at hi."""
+    clocks, starts = profile.clocks, {0: []}  # clock index -> (state, choice)
     for k, runs in enumerate(profile.runs):
         for i, j in runs:
             starts.setdefault(i, []).append((k, j))
     bounds = sorted(starts) + [len(clocks) - 1]
-    choices = [WAIT] * len(profile.runs)
-    cells = []
+    choices, cells = [WAIT] * len(profile.runs), []
     for i, end in zip(bounds, bounds[1:]):
         for k, j in starts[i]:
             choices[k] = j
         cells.append((clocks[i], clocks[end], tuple(choices)))
-    cells.append((clocks[-1], clocks[-1], profile.at_hi))
-    return cells
+    return cells + [(clocks[-1], clocks[-1], profile.at_hi)]
+
 
 _ZERO = (F0, F0)  # the terminal: cost 0 at every clock value
 _UNSEEN, _ON_CHAIN = object(), object()
@@ -240,8 +237,8 @@ def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> tuple:
     """Every state's play cost under the profile, exactly, on all of
     the game's domain: a ``PwlFn`` per state.
 
-    The profile's cells are evaluated right to left.  In the point cell at the domain's
-    end a state costs the untimed profile's payoff.  In a cell [lo, hi) a
+    The profile's cells are evaluated right to left.  In the point cell at
+    the domain's end a state costs the untimed profile's payoff.  In a cell [lo, hi) a
     waiting state costs ``rate*(hi - x) + P(hi)``, its own cost at hi,
     and an acting state the action's cost plus its destination's cost at
     the same clock value, resolved along the cell's chains of choices; a

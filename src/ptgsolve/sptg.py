@@ -109,33 +109,27 @@ class Sptg(GameGraph):
 
 @dataclass(frozen=True)
 class TimedStrategyProfile:
-    """Each state's choice runs over the profile's span [lo, hi), and its
-    point choice at hi.
+    """Each state's choice runs over the span [lo, hi), then its choice at hi.
 
-    ``clocks`` are the clock values where a run may start, strictly
-    increasing from lo to hi.  ``runs[k]`` lists state ``k``'s runs left
-    to right as ``(i, choice)``: the choice holds from ``clocks[i]`` up to
-    the next run's start, or to hi.  The first run starts at lo, and no
-    two neighbouring runs make the same choice.  ``at_hi[k]`` is the
-    choice at hi itself.  A choice is an action index or WAIT.
+    ``runs[k]`` lists state ``k``'s runs left to right as ``(i, choice)``:
+    the choice, an action index or WAIT, holds from ``clocks[i]`` up to
+    the next run's start, or to hi.  ``clocks`` increase from lo to hi.
     """
 
     clocks: tuple
-    runs: tuple  # per state: ((i, choice), ...)
+    runs: tuple  # per state: ((i, choice), ...) from i = 0, neighbours unalike
     at_hi: tuple  # per state: the choice at hi
 
     def __post_init__(self):
-        clocks, last = self.clocks, len(self.clocks) - 1
-        if last < 1 or any(a >= b for a, b in zip(clocks, clocks[1:])):
+        last = len(self.clocks) - 1
+        if last < 1 or any(a >= b for a, b in zip(self.clocks, self.clocks[1:])):
             raise ValueError("strategy clocks must increase from lo to hi")
         if len(self.runs) != len(self.at_hi):
             raise ValueError("strategy runs and point choices disagree on the states")
         for k, runs in enumerate(self.runs):
-            starts = [i for i, _ in runs]
-            if starts[:1] != [0] or not all(a < b < last for a, b in zip(starts, starts[1:])):
+            tiled = all(i < j < last and a != b for (i, a), (j, b) in zip(runs, runs[1:]))
+            if not runs or runs[0][0] or not tiled:
                 raise ValueError(f"runs of state {k} do not tile the span")
-            if any(a[1] == b[1] for a, b in zip(runs, runs[1:])):
-                raise ValueError(f"state {k} has two neighbouring runs alike")
 
     @property
     def span(self) -> tuple:
@@ -453,8 +447,8 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
     # right end
     segments = [[] for _ in range(n)]
     top = [sptg.hi] * n
-    # the sweep's clock values, right to left, and each state's runs so
-    # far, right to left, as (index in clocks of the run's start, choice)
+    # the sweep's clock values and each state's runs so far, right to
+    # left, as (index in clocks of the run's start, choice)
     clocks = [sptg.hi]
     runs = [[] for _ in range(n)]
     x = sptg.hi
@@ -471,9 +465,8 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
                     f"snapshot value at state {k} broke continuity: {val.payoff} != {at_x}"
                 )
             if pieces.picked[k] != choice[k]:
-                if step:
-                    # the choice so far holds from x rightwards
-                    runs[k].append((step, WAIT if choice[k] >= m else choice[k]))
+                if step:  # the choice so far holds from x rightwards
+                    runs[k].append((step, choice[k]))
                 choice[k] = pieces.picked[k]
                 dirty.add(k)
             if val.rate != rate[k]:
@@ -502,15 +495,10 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
     fns = tuple(_value_fn(segs, v) for segs, v in zip(segments, v_hi))
     stats.event_points = event_point_count(fns)
     last = len(clocks) - 1
-    clocks.reverse()
-    strategy = TimedStrategyProfile(
-        tuple(clocks),
-        tuple(
-            ((0, WAIT if j >= m else j), *((last - i, j) for i, j in reversed(state_runs)))
-            for state_runs, j in zip(runs, choice)
-        ),
-        tuple(profile),
-    )
+    for state_runs, j in zip(runs, choice):
+        state_runs.append((last, j))  # the last choice holds from lo
+    runs = tuple(tuple((last - i, WAIT if j >= m else j) for i, j in reversed(r)) for r in runs)
+    strategy = TimedStrategyProfile(tuple(reversed(clocks)), runs, tuple(profile))
     return SptgSolution(fns, strategy, stats)
 
 

@@ -1,8 +1,10 @@
-"""Strategy profiles as cells, for tests: a cell ``(lo, hi, choices)``
-maps every state to its choice on the clock region [lo, hi), and the
-last cell, with lo == hi, holds the point choices at the span's end.
-Cells are the clearest way to write a profile by hand, and to compare
-one with a sweep that records every state's choice at every step."""
+"""Strategy profiles written as cells, for tests.
+
+A cell ``(lo, hi, choices)`` maps every state to its choice on the clock
+region [lo, hi), and the last cell, with lo == hi, holds the choices at
+the span's end.  Cells are the clearest way to write a profile by hand,
+and to compare one with a sweep that records every state's choice at
+every step.  ``oracle._cells`` reads a profile's cells back."""
 
 from ptgsolve.sptg import TimedStrategyProfile
 
@@ -21,20 +23,3 @@ def profile_of(cells) -> TimedStrategyProfile:
                 runs[k].append((i, j))
     clocks = tuple(lo for lo, _, _ in intervals) + (at,)
     return TimedStrategyProfile(clocks, tuple(map(tuple, runs)), tuple(at_hi))
-
-
-def cells_of(profile: TimedStrategyProfile) -> tuple:
-    """The profile's cells, one per pair of neighbouring clock values,
-    then the point cell."""
-    clocks, n = profile.clocks, len(profile.at_hi)
-    choices = [None] * n
-    starts = {}
-    for k, runs in enumerate(profile.runs):
-        for i, j in runs:
-            starts.setdefault(i, []).append((k, j))
-    cells = []
-    for i, (lo, hi) in enumerate(zip(clocks, clocks[1:])):
-        for k, j in starts.get(i, ()):
-            choices[k] = j
-        cells.append((lo, hi, tuple(choices)))
-    return (*cells, (clocks[-1], clocks[-1], profile.at_hi))

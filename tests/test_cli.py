@@ -14,6 +14,7 @@ from ptgsolve.fixtures import delayed_exit_jump, fixture_a
 from ptgsolve.numerics import F0, F1, DigitLimitError, format_cost, is_inf
 from ptgsolve.oracle import (
     EquilibriumReport,
+    _cells,
     check_equilibrium,
     generate_random,
     value_iteration_sptg,
@@ -21,7 +22,6 @@ from ptgsolve.oracle import (
 from ptgsolve.priced_game import GameError, PAction, PricedGame
 from ptgsolve.ptg import solve_ptg
 from ptgsolve.sptg import WAIT, solve_sptg
-from strategy_cells import cells_of
 from test_sweep_certificates import fan, random_event_rich
 
 
@@ -399,7 +399,7 @@ def assert_runs_match_cells(doc, sol, strategy):
         for a, b in zip(rows, rows[1:]):
             assert a["right"] == b["left"] and a["choice"] != b["choice"], (sid, a, b)
         lefts = [Fr(row["left"]) for row in rows]
-        for lo, hi, choices in cells_of(sol.strategy):
+        for lo, hi, choices in _cells(sol.strategy):
             want = "wait" if choices[k] is WAIT else doc.action_ids[choices[k]]
             if lo == hi:
                 assert closing["choice"] == want, sid

@@ -11,6 +11,7 @@ from ptgsolve.fixtures import ALL_FIXTURES, fixture_a, maximizer_reset_loop
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf, max_envelope, min_envelope, wait_closure
 from ptgsolve.oracle import (
     OracleError,
+    _cells,
     _step,
     brute_force_priced,
     check_equilibrium,
@@ -24,7 +25,7 @@ from ptgsolve.oracle import (
 from ptgsolve.priced_game import PAction, PricedGame, evaluate_profile, extended_dijkstra
 from ptgsolve.ptg import Ptg, solve_ptg
 from ptgsolve.sptg import Sptg, WAIT, solve_sptg
-from strategy_cells import cells_of, profile_of
+from strategy_cells import profile_of
 from test_sweep_certificates import random_event_rich
 
 
@@ -144,7 +145,7 @@ def probe_times(strategy, samples=50):
     every cell's start and midpoint, and a grid of ``samples + 2`` points
     on the profile's span."""
     times = set()
-    for a, b, _ in cells_of(strategy):
+    for a, b, _ in _cells(strategy):
         times.add(a)
         if a < b:
             times.add((a + b) / 2)
@@ -332,7 +333,7 @@ class TestSimulate:
         # choice at 1/2
         fx = fixture_a()
         sol = solve_sptg(fx.game)
-        assert [lo for lo, _, _ in cells_of(sol.strategy)] == [F0, Fr(1, 2), F1]
+        assert [lo for lo, _, _ in _cells(sol.strategy)] == [F0, Fr(1, 2), F1]
         play = simulate(fx.game, sol.strategy, (1, Fr(3, 10)))
         waits = [(s.time, s.delay) for s in play.steps if s.action is None]
         assert waits == [(Fr(3, 10), Fr(7, 10))]
@@ -438,7 +439,7 @@ class TestCheckEquilibrium:
         sol = solve_sptg(fx.game)
         # force the minimizer onto the expensive route everywhere
         cells = tuple(
-            (lo, hi, (1,) + choices[1:]) for lo, hi, choices in cells_of(sol.strategy)
+            (lo, hi, (1,) + choices[1:]) for lo, hi, choices in _cells(sol.strategy)
         )
         bad = dataclasses.replace(sol, strategy=profile_of(cells))
         assert not check_equilibrium(fx.game, bad).passed
@@ -448,8 +449,8 @@ class TestCheckEquilibrium:
         g = sptg([1, 1], [1, 1], (0, None, Fr(1)), (0, 1, Fr(0)), (1, None, Fr(1)))
         sol = solve_sptg(g)
         assert check_equilibrium(g, sol).passed
-        assert [choices[0] for _, _, choices in cells_of(sol.strategy)] == [0, 0]
-        cells = tuple((lo, hi, (1,) + choices[1:]) for lo, hi, choices in cells_of(sol.strategy))
+        assert [choices[0] for _, _, choices in _cells(sol.strategy)] == [0, 0]
+        cells = tuple((lo, hi, (1,) + choices[1:]) for lo, hi, choices in _cells(sol.strategy))
         bad = dataclasses.replace(sol, strategy=profile_of(cells))
         report = check_equilibrium(g, bad)
         # the detour costs the same, so only the snapshot re-check sees it,
@@ -521,7 +522,7 @@ class TestCheckEquilibrium:
         monkeypatch.setattr(oracle, "_waiting", counted("lines", oracle._waiting))
         assert check_equilibrium(g, sol).passed
         assert calls["from_segments"] == g.num_states
-        cells = cells_of(sol.strategy)
+        cells = _cells(sol.strategy)
         assert 0 < calls["lines"] <= g.num_states * len(cells)
         # lines are reused while choices hold: one per state at 1, then
         # about one per choice that changes from cell to cell

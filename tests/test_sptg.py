@@ -4,7 +4,7 @@ import pytest
 
 from ptgsolve.fixtures import fixture_a
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
-from ptgsolve.oracle import generate_random
+from ptgsolve.oracle import _cells, generate_random
 from ptgsolve.priced_game import GameError, PAction, PricedGame
 from ptgsolve.sptg import (
     Sptg,
@@ -14,7 +14,6 @@ from ptgsolve.sptg import (
     solve_at_time_one,
     solve_sptg,
 )
-from strategy_cells import cells_of
 
 
 def assert_same_solve(plain, inst, why=None):
@@ -278,7 +277,7 @@ class TestStrategyProfile:
     def test_run_at_matches_a_scan(self):
         for seed in range(20):
             profile = solve_sptg(generate_random("sptg", 3, 3, seed)).strategy
-            cells = cells_of(profile)
+            cells = _cells(profile)
             probes = {Fr(i, 24) for i in range(25)}
             probes.update(profile.clocks)
             for x in probes:

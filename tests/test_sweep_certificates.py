@@ -18,7 +18,7 @@ import pytest
 
 from ptgsolve import sptg as sptg_module
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
-from ptgsolve.oracle import generate_random
+from ptgsolve.oracle import _cells, generate_random
 from ptgsolve.priced_game import (
     PAction,
     evaluate_profile,
@@ -36,7 +36,7 @@ from ptgsolve.sptg import (
     solve_at_time_one,
     solve_sptg,
 )
-from strategy_cells import cells_of, profile_of
+from strategy_cells import profile_of
 
 
 def _rescan(game, profile, base, rate, x_hi):
@@ -262,7 +262,7 @@ def test_nested_fans_keep_the_hub_choice_where_a_center_rate_changes():
         sol = solve_sptg(g)
         dests = {a.dest for a in g.actions if a.source == 0}
         breaks = {b for d in dests for b in sol.values[d].interior_breaks()}
-        cells = cells_of(sol.strategy)
+        cells = _cells(sol.strategy)
         return any(
             hi in breaks and left[0] == right[0]
             for (_, hi, left), (_, _, right) in zip(cells, cells[1:])
@@ -549,7 +549,7 @@ def test_state_waits_across_steps_while_its_lines_stay_put():
     g = fan_with_waiting_state()
     assert_same_sweep(g)
     w = 13
-    cells = cells_of(solve_sptg(g).strategy)[:-1]
+    cells = _cells(solve_sptg(g).strategy)[:-1]
     waiting = [lo for lo, _, choices in cells if choices[w] is WAIT]
     assert min(waiting) == Fr(3, 5) and len(waiting) >= 3
     to_spoke = [j for j, a in enumerate(g.actions) if a.source == w and a.dest is not None]
@@ -589,7 +589,7 @@ def test_concurrent_lines_at_an_event_point_with_a_repaired_destination(monkeypa
         settle(game, offers, pending, vals, profile)
 
     monkeypatch.setattr(sptg_module, "_settle", watched_settle)
-    cells = cells_of(solve_sptg(g).strategy)
+    cells = _cells(solve_sptg(g).strategy)
     assert [lo for lo, _, _ in cells] == [F0, Fr(1, 2), Fr(4, 5), F1]
     assert settled[-1] == {0, 5}
     to_spoke = {a.dest: j for j, a in enumerate(g.actions) if a.source == 0}
