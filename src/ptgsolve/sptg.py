@@ -127,8 +127,9 @@ class TimedStrategyProfile:
         if len(self.runs) != len(self.at_hi):
             raise ValueError("strategy runs and point choices disagree on the states")
         for k, runs in enumerate(self.runs):
-            tiled = all(i < j < last and a != b for (i, a), (j, b) in zip(runs, runs[1:]))
-            if not runs or runs[0][0] or not tiled:
+            if not runs or runs[0][0] or len(runs) > 1 and not all(
+                i < j < last and a != b for (i, a), (j, b) in zip(runs, runs[1:])
+            ):
                 raise ValueError(f"runs of state {k} do not tile the span")
 
     @property
@@ -447,10 +448,11 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
     # right end
     segments = [[] for _ in range(n)]
     top = [sptg.hi] * n
-    # the sweep's clock values and each state's runs so far, right to
-    # left, as (index in clocks of the run's start, choice)
+    # the sweep's clock values, right to left, and for each state whose
+    # choice has changed, the runs so far, right to left, as (index in
+    # clocks of the run's start, choice)
     clocks = [sptg.hi]
-    runs = [[] for _ in range(n)]
+    changed = {}
     x = sptg.hi
     budget = sptg.event_bound() + 1
     for step in range(budget):
@@ -466,7 +468,7 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
                 )
             if pieces.picked[k] != choice[k]:
                 if step:  # the choice so far holds from x rightwards
-                    runs[k].append((step, choice[k]))
+                    changed.setdefault(k, []).append((step, choice[k] if choice[k] < m else WAIT))
                 choice[k] = pieces.picked[k]
                 dirty.add(k)
             if val.rate != rate[k]:
@@ -495,10 +497,10 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
     fns = tuple(_value_fn(segs, v) for segs, v in zip(segments, v_hi))
     stats.event_points = event_point_count(fns)
     last = len(clocks) - 1
-    for state_runs, j in zip(runs, choice):
-        state_runs.append((last, j))  # the last choice holds from lo
-    runs = tuple(tuple((last - i, WAIT if j >= m else j) for i, j in reversed(r)) for r in runs)
-    strategy = TimedStrategyProfile(tuple(reversed(clocks)), runs, tuple(profile))
+    runs = [((0, WAIT if j >= m else j),) for j in choice]  # the last choice holds from lo
+    for k, state_runs in changed.items():
+        runs[k] += tuple((last - i, j) for i, j in reversed(state_runs))
+    strategy = TimedStrategyProfile(tuple(reversed(clocks)), tuple(runs), tuple(profile))
     return SptgSolution(fns, strategy, stats)
 
 
