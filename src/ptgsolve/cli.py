@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import gamedoc
 from .numerics import DigitLimitError
@@ -125,7 +126,9 @@ def _positive_int(text) -> int:
     return n
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ptgsolve", description="Exact solver for one-clock priced timed games"
     )
@@ -143,8 +146,11 @@ def main(argv=None) -> int:
     p_fuzz.add_argument("--count", type=_positive_int, default=20)
     p_fuzz.add_argument("--size", type=_positive_int, default=4)
     p_fuzz.set_defaults(func=_cmd_fuzz)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

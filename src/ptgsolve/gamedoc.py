@@ -337,14 +337,16 @@ def emit_ptg_result(doc: GameDocument, res: PtgResult) -> str:
 
 
 def emit_plot(doc: GameDocument, values) -> str:
-    """Tab-separated segment table: state, x_left, x_right, v_left, v_right."""
+    """Tab-separated segment table: state, x_left, x_right, v_left, v_right.
+    Each breakpoint, and each value where the function is continuous, is
+    formatted once."""
     lines = ["state\tx_left\tx_right\tv_left\tv_right"]
     for sid, fn in zip(doc.state_ids, values):
-        for lo, hi, val, slope in fn.segments():
+        bounds = [format_cost(b) for b in fn.breaks]
+        v_right = v_right_text = None
+        for i, (lo, hi, val, slope) in enumerate(fn.segments()):
+            v_left_text = v_right_text if val == v_right else format_cost(val)
             v_right = val if is_inf(val) else val + slope * (hi - lo)
-            lines.append(
-                "\t".join(
-                    (sid, format_cost(lo), format_cost(hi), format_cost(val), format_cost(v_right))
-                )
-            )
+            v_right_text = format_cost(v_right)
+            lines.append("\t".join((sid, bounds[i], bounds[i + 1], v_left_text, v_right_text)))
     return "\n".join(lines) + "\n"

@@ -8,7 +8,8 @@ force over the maximizer's strategies that answers each with the
 minimizer's best response, and seeded random instance generation.  Two
 solver routines are still shared: the equilibrium check builds its
 snapshot games with ``build_eps_game`` and looks for switches with
-``improving_switches``.
+``improving_switches``.  A game's boundary prices state k's stop, its
+choice m + k at hi and never below, at its boundary value.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ def value_iteration_sptg(sptg: Sptg, cap: Optional[int] = None) -> ValueIteratio
     Starts from the all-infinite vector and applies one round of
     best-action envelopes followed by waiting closure per iteration,
     stopping at an exact fixpoint.  Raises when the cap is hit first.
+    A boundary offers each state k waiting until hi to stop there,
+    ``b_k + rate_k*(hi - x)``, which the waiting closure keeps as it is.
 
     A round's function for state k depends only on the functions of k's
     destinations in the previous round.  So the first round computes
@@ -68,11 +71,13 @@ def value_iteration_sptg(sptg: Sptg, cap: Optional[int] = None) -> ValueIteratio
         cap = n * sptg.profile_bound() + 1
     sides = [(min_envelope, "min") if o == 1 else (max_envelope, "max") for o in sptg.owners]
     fns = [PwlFn.constant(sptg.lo, sptg.hi, INF)] * n
+    lo, hi, boundary = sptg.lo, sptg.hi, sptg.boundary or ()
+    stops = [PwlFn.affine(lo, hi, b + r * (hi - lo), -r) for b, r in zip(boundary, sptg.rates)]
     todo = range(n)
     for it in range(1, cap + 1):
         new = {}
         for k in todo:
-            cands = []
+            cands = stops[k : k + 1]
             for j in sptg.state_actions[k]:
                 a = sptg.actions[j]
                 if a.dest is None:
@@ -108,6 +113,14 @@ class Play:
     cost: object  # Fraction | INF
 
 
+def _stop(sptg: Sptg, k: int, j: int, x) -> PAction:
+    """State ``k``'s choice ``j`` past the actions at clock ``x``: its stop,
+    an exit worth its boundary value, if ``j`` is m + k and ``x`` is hi."""
+    if sptg.boundary is None or j != sptg.num_actions + k or x != sptg.hi:
+        raise OracleError(f"profile picks {j} at state {k}, clock {x}: no action, no stop")
+    return PAction(k, None, sptg.boundary[k])
+
+
 def _step(sptg: Sptg, profile: TimedStrategyProfile, k: int, x: Fraction):
     """One move of the profile's play from ``(k, x)``: waiting runs to the
     end of the state's own run.  Returns ``(choice, delay, cost, k', x')``."""
@@ -117,7 +130,7 @@ def _step(sptg: Sptg, profile: TimedStrategyProfile, k: int, x: Fraction):
             raise OracleError(f"profile waits at the horizon in state {k}")
         delay = end - x
         return choice, delay, sptg.rates[k] * delay, k, end
-    a = sptg.actions[choice]
+    a = sptg.actions[choice] if choice < sptg.num_actions else _stop(sptg, k, choice, x)
     if a.source != k:
         raise OracleError(f"profile picks a foreign action at state {k}")
     return choice, F0, a.cost, a.dest, x
@@ -238,7 +251,8 @@ def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> tuple:
     the game's domain: a ``PwlFn`` per state.
 
     The profile's cells are evaluated right to left.  In the point cell at
-    the domain's end a state costs the untimed profile's payoff.  In a cell [lo, hi) a
+    the domain's end a state costs the untimed profile's payoff, a stop
+    its state's boundary value.  In a cell [lo, hi) a
     waiting state costs ``rate*(hi - x) + P(hi)``, its own cost at hi,
     and an acting state the action's cost plus its destination's cost at
     the same clock value, resolved along the cell's chains of choices; a
@@ -246,12 +260,13 @@ def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> tuple:
     infinity.  A state keeps its line object while its choice and its
     successor's line are unchanged, so a piece of its cost spans every
     cell where its line holds.  Raises :class:`OracleError` on a profile
-    whose span is not the game's domain, or that waits at its end or
-    picks an action of another state, as :func:`simulate` does."""
+    whose span is not the game's domain, or that waits at its end, stops
+    before it or picks an action of another state, as :func:`simulate`
+    does."""
     if profile.span != (sptg.lo, sptg.hi):
         lo, hi = profile.span
         raise OracleError(f"profile spans [{lo}, {hi}], the game [{sptg.lo}, {sptg.hi}]")
-    actions, rates, n = sptg.actions, sptg.rates, sptg.num_states
+    actions, rates, n, m = sptg.actions, sptg.rates, sptg.num_states, sptg.num_actions
     lines = prev = None  # the lines and choices of the cell to the right
     pieces = [[] for _ in range(n)]  # [lo, hi, line], right to left
     for lo, hi, choices in reversed(_cells(profile)):
@@ -266,7 +281,7 @@ def evaluate_policy(sptg: Sptg, profile: TimedStrategyProfile) -> tuple:
                     # a state that keeps waiting keeps its line
                     new[k] = lines[k] if prev[k] is WAIT else _waiting(rates[k], hi, lines[k])
                     break
-                a = actions[j]
+                a = actions[j] if j < m else _stop(sptg, k, j, lo)
                 if a.source != k:
                     raise OracleError(f"profile picks a foreign action at state {k}")
                 if a.dest is None:
@@ -339,7 +354,8 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
     of the strategy may admit an improving switch for either player.  An
     interval cell [lo, hi) is played in the snapshot game whose waits
     cost the values at hi, with WAIT as the wait exit m + k; the point
-    cell in the untimed game.  The cells lie between the change points of
+    cell in the untimed game at hi, with a boundary's stops as the exits
+    m + k.  The cells lie between the change points of
     the strategy's runs, and a cell failure names a cell by its index,
     left to right.  ``samples`` is accepted and ignored: the check
     evaluates the strategy everywhere, so it samples no clock values."""
@@ -354,7 +370,8 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
     m = sptg.num_actions
     for idx, (lo, hi, choices) in enumerate(_cells(sol.strategy)):
         if lo == hi:
-            game, profile = sptg, choices
+            stops = tuple(PAction(k, None, b) for k, b in enumerate(sptg.boundary or ()))
+            game, profile = PricedGame(sptg.owners, sptg.actions + stops), choices
         else:
             game = build_eps_game(sptg, [f.eval(hi) for f in sol.values])
             profile = tuple(m + k if j is WAIT else j for k, j in enumerate(choices))

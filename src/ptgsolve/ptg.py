@@ -5,9 +5,9 @@ endpoints, and may reset the clock to 0.  Solving proceeds by three
 reductions: resets are unfolded into layers counted by reset uses,
 the time axis is cut at the interval endpoints into homogeneous pieces,
 and each piece [lo, hi] is a simple priced timed game on that domain,
-in the game's own clock, whose waiting exits are rerouted through an
-auxiliary maximizer state, with stops worth the values at hi; its
-sweep's untimed solve at hi is then the piece's moment game, so each
+in the game's own clock, that ends at its boundary: each state may stop
+at hi, and only there, for its value at hi.  The piece's sweep solves
+its untimed game at hi, which is then the piece's moment game, so each
 piece is solved once.
 All layers share the one game: a reset is priced where its action is
 converted to an untimed one, as a terminal exit worth the next layer's
@@ -193,30 +193,11 @@ def build_moment_game(game: Ptg, v, actions) -> PricedGame:
 
 
 def build_interval_sptg(game: Ptg, v_hi, lo, hi, actions) -> Sptg:
-    """One homogeneous availability interval as an SPTG on [lo, hi].
-
-    The untimed ``actions`` available inside the interval survive with
-    their original destinations; each state gains a stop action worth
-    its entry of ``v_hi``, the values at the interval's right end, so the
-    untimed game at hi is the moment game at any interior point.  For
-    minimizer states the stop action routes through a fresh maximizer
-    state with the top rate and a free exit, which prices early stopping
-    out of the optimum; maximizer stop actions go to the terminal directly
-    and pay no more than waiting until hi.
-    """
-    n = game.num_states
-    max_state = n
-    stops = tuple(
-        PAction(k, max_state if game.owners[k] == 1 else None, v_hi[k])
-        for k in range(n)
-    )
-    return Sptg(
-        owners=game.owners + (2,),
-        rates=game.rates + (max(game.rates, default=F0),),
-        actions=actions + stops + (PAction(max_state, None, F0),),
-        lo=lo,
-        hi=hi,
-    )
+    """One homogeneous availability interval as an SPTG on [lo, hi]: the
+    untimed ``actions`` available inside it, and the values ``v_hi`` at
+    hi as the boundary, so the untimed game at hi is the moment game at
+    any interior point.  A state with no action there waits to stop."""
+    return Sptg(game.owners, game.rates, actions, lo, hi, v_hi)
 
 
 def _point_values(
@@ -248,7 +229,6 @@ def _solve_layer(game: Ptg, available: dict, reset_values, stats: PtgStats, memo
     the untimed actions that ``available[x]`` converts to in this layer,
     and only a miss converts them.
     """
-    n = game.num_states
     ladder = game.ladder
     top = ladder[0]
     point_vals = {top: _point_values(game, available, reset_values, top, None, stats, memo)}
@@ -266,7 +246,7 @@ def _solve_layer(game: Ptg, available: dict, reset_values, stats: PtgStats, memo
         else:
             stats.reused_intervals += 1
         trace.append(cert)
-        lo_vals = tuple(cert.solution.values[k].point_vals[0] for k in range(n))
+        lo_vals = tuple(f.point_vals[0] for f in cert.solution.values)
         point_vals[lo] = _point_values(game, available, reset_values, lo, lo_vals, stats, memo)
     return point_vals, trace
 

@@ -1,12 +1,16 @@
 """Simple priced timed games: one clock on [lo, hi], no resets or guards.
 
 States accrue cost at a per-state rate while time advances; actions are
-instantaneous priced transitions, always available.  Values as functions
-of the clock are piecewise linear with rational breakpoints and are
-computed exactly by a right-to-left sweep over event points.
+instantaneous priced transitions, always available.  A game may have a
+boundary: each state may stop at hi, and only there, for its boundary
+value, so it needs no action.  Values as functions of the clock are
+piecewise linear with rational breakpoints and are computed exactly by
+a right-to-left sweep over event points.
 
-The untimed game at hi is solved by one lexicographic extended Dijkstra
-scan, whose choices are switch-free by construction.  At each event
+The untimed game at hi, whose action m + k is state k's stop, is solved
+by one lexicographic extended Dijkstra scan, whose choices are
+switch-free by construction.  m + k is also k's waiting exit, and the
+sweep reads a stop as waiting, which pays the same at hi.  At each event
 point, the one at hi included, the sweep solves the snapshot game, whose
 waiting exits cost the states' values there plus an infinitesimal rate
 charge, without building it: :func:`_repair` re-solves the states whose
@@ -48,6 +52,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 
 from .numerics import F0, F1, PwlFn, event_point_count, frac, is_inf
@@ -86,6 +91,7 @@ class Sptg(GameGraph):
     actions: tuple  # PAction with Fraction or infinite costs
     lo: Fraction = F0  # the clock domain [lo, hi], [0,1] unless given
     hi: Fraction = F1
+    boundary: tuple | None = None  # per state: the cost of stopping at hi
 
     def __post_init__(self):
         if not F0 <= self.lo < self.hi:
@@ -95,11 +101,22 @@ class Sptg(GameGraph):
         for j, a in enumerate(self.actions):
             if a.wait_rate:
                 raise GameError("wait-rate", f"actions[{j}]", f"wait rate {a.wait_rate}")
-        check_graph(self.owners, self.actions)
+        if self.boundary is None:
+            check_graph(self.owners, self.actions)
+        elif len(self.boundary) != len(self.owners):
+            raise GameError("state-count", "boundary", "boundary and owners disagree")
+        else:
+            self.at_hi  # checked as a priced game, in which every state can stop
 
     @property
     def num_actions(self) -> int:
         return len(self.actions)
+
+    @cached_property
+    def at_hi(self) -> PricedGame:
+        """The untimed game at hi: the actions, then state k's stop as m + k."""
+        stops = tuple(PAction(k, None, b) for k, b in enumerate(self.boundary))
+        return PricedGame(self.owners, self.actions + stops)
 
     def event_bound(self) -> int:
         """Bound on the number of event points of the value functions."""
@@ -182,8 +199,8 @@ def build_eps_game(sptg: Sptg, wait_costs) -> PricedGame:
 
 
 def solve_at_time_one(sptg: Sptg):
-    """Values and a switch-free profile of the untimed game."""
-    return extended_dijkstra(sptg)
+    """Values and a switch-free profile of the untimed game at hi."""
+    return extended_dijkstra(sptg if sptg.boundary is None else sptg.at_hi)
 
 
 def _line(a: PAction, c, rate):
@@ -391,7 +408,10 @@ def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> dict:
     the untimed choice: a minimizer's is its lowest-id exit at its value
     if it has one, as one hop is the fewest, and a maximizer's is either
     that exit or an action into R, with a rate of at least 0 and at
-    least two hops.
+    least two hops.  A stop has the highest id of its state's exits, so
+    it is chosen only where no exit ties with it; then the waiting exit,
+    at the stop's payoff, beats every exit left out.  The snapshot game
+    has no stops: below hi, a state stops by waiting until hi.
     """
     c, lines, m = pieces.c, pieces.lines, sptg.num_actions
     actions, incoming = sptg.actions, sptg.incoming

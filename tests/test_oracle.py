@@ -212,6 +212,13 @@ LATE_START = (
     sptg([1], [0], (0, None, Fr(1))),
     profile_of(((Fr(1, 2), F1, (0,)), (F1, F1, (0,)))),
 )
+# a stop, choice m + k = 1, is a choice at hi of a game with a boundary
+BOUNDED = dataclasses.replace(sptg([1], [1], (0, None, Fr(3))), boundary=(Fr(2),))
+EARLY_STOP = (BOUNDED, profile_of(((F0, F1, (1,)), (F1, F1, (1,)))))
+STOP_WITHOUT_BOUNDARY = (
+    sptg([1], [1], (0, None, Fr(3))),
+    profile_of(((F0, F1, (WAIT,)), (F1, F1, (1,)))),
+)
 
 
 def full_rounds_sptg(g):
@@ -354,6 +361,15 @@ class TestSimulate:
         with pytest.raises(OracleError):
             simulate(g, bad, (0, F0))
 
+    def test_a_stop_ends_the_play_at_hi_only(self):
+        waits = profile_of(((F0, F1, (WAIT,)), (F1, F1, (1,))))
+        play = simulate(BOUNDED, waits, (0, Fr(1, 4)))
+        assert play.terminal and play.cost == Fr(3, 4) + 2
+        assert [s.action for s in play.steps] == [None, 1]
+        for g, bad in (EARLY_STOP, STOP_WITHOUT_BOUNDARY):
+            with pytest.raises(OracleError, match="no action, no stop"):
+                simulate(g, bad, (0, F0))
+
 
 class TestSimulatePtg:
     """Plays of the maximizer reset loop: one rate-1 state with a free
@@ -494,8 +510,8 @@ class TestCheckEquilibrium:
 
     @pytest.mark.parametrize(
         "case",
-        [HORIZON_WAIT, FOREIGN_ACTION, LATE_START],
-        ids=["horizon-wait", "foreign-action", "late-start"],
+        [HORIZON_WAIT, FOREIGN_ACTION, LATE_START, EARLY_STOP, STOP_WITHOUT_BOUNDARY],
+        ids=["horizon-wait", "foreign-action", "late-start", "early-stop", "unbounded-stop"],
     )
     def test_rules_of_play_enforced(self, case):
         g, profile = case

@@ -10,7 +10,7 @@ import pytest
 from ptgsolve import gamedoc, ptg
 from ptgsolve.fixtures import delayed_exit_jump, maximizer_reset_loop
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
-from ptgsolve.oracle import generate_random, simulate_ptg
+from ptgsolve.oracle import check_equilibrium, generate_random, simulate_ptg, value_iteration_sptg
 from ptgsolve.priced_game import GameError, PAction, extended_dijkstra
 from ptgsolve.ptg import (
     Ptg,
@@ -26,7 +26,7 @@ from ptgsolve.ptg import (
     build_moment_game,
     solve_ptg,
 )
-from ptgsolve.sptg import solve_sptg
+from ptgsolve.sptg import WAIT, solve_sptg
 
 GOLDEN_RESETS = Path(__file__).parent / "golden" / "ptg-resets.json"
 
@@ -161,29 +161,33 @@ class TestIntervalSptg:
 
     def test_width_one_fields(self):
         g = self.game()
-        s = build_interval_sptg(g, [Fr(4), Fr(6)], F0, F1, untimed_at(g, Fr(1, 2)))
+        s = build_interval_sptg(g, (Fr(4), Fr(6)), F0, F1, untimed_at(g, Fr(1, 2)))
         assert (s.lo, s.hi) == (F0, F1)
-        assert s.owners == (1, 2, 2)
-        assert s.rates == (Fr(2), Fr(3), Fr(3))
-        # available actions survive, the point-[1,1] exit does not; then
-        # a stop per state and the added maximizer's exit
-        assert s.actions == (
-            PAction(0, 1, F1),
-            PAction(1, None, Fr(5)),
-            PAction(0, 2, Fr(4)),  # minimizer stop, routed via the maximizer
-            PAction(1, None, Fr(6)),  # maximizer stop, straight to the terminal
-            PAction(2, None, F0),
-        )
+        # the game's own states, and no other
+        assert (s.owners, s.rates) == ((1, 2), (Fr(2), Fr(3)))
+        # available actions survive, the point-[1,1] exit does not, and
+        # nothing is added: the values at hi are the boundary
+        assert s.actions == (PAction(0, 1, F1), PAction(1, None, Fr(5)))
+        assert s.boundary == (Fr(4), Fr(6))
+        # at hi each state k stops through action m + k, straight to the
+        # terminal whatever its owner
+        assert s.at_hi.actions == s.actions + (PAction(0, None, Fr(4)), PAction(1, None, Fr(6)))
 
     def test_rates_are_the_games_own_on_a_narrow_interval(self):
-        """On [1/3, 2/3] the game keeps its clock: the rates, the gadget's
-        top rate and the stops are those of a width-one interval."""
+        """On [1/3, 2/3] the game keeps its clock: the rates, the actions
+        and the boundary are those of a width-one interval."""
         g = self.game()
-        wide = build_interval_sptg(g, [Fr(4), Fr(6)], F0, F1, untimed_at(g, Fr(1, 2)))
-        s = build_interval_sptg(g, [Fr(4), Fr(6)], Fr(1, 3), Fr(2, 3), untimed_at(g, Fr(1, 2)))
+        wide = build_interval_sptg(g, (Fr(4), Fr(6)), F0, F1, untimed_at(g, Fr(1, 2)))
+        s = build_interval_sptg(g, (Fr(4), Fr(6)), Fr(1, 3), Fr(2, 3), untimed_at(g, Fr(1, 2)))
         assert (s.lo, s.hi) == (Fr(1, 3), Fr(2, 3))
-        assert s.rates == (Fr(2), Fr(3), Fr(3))
-        assert (s.owners, s.rates, s.actions) == (wide.owners, wide.rates, wide.actions)
+        assert s.rates == g.rates == (Fr(2), Fr(3))
+        assert (s.owners, s.rates, s.actions, s.boundary) == (
+            wide.owners, wide.rates, wide.actions, wide.boundary
+        )
+        # so the values are those of the wide game, shifted in the clock
+        for narrow, full in zip(solve_sptg(s).values, solve_sptg(wide).values):
+            for x in (Fr(1, 3), Fr(1, 2), Fr(2, 3)):
+                assert narrow.eval(x) == full.eval(x + Fr(1, 3))
 
     def test_nonpositive_width_rejected(self):
         g = self.game()
@@ -209,22 +213,30 @@ class TestIntervalSptg:
 
     def point_exits(self, owner):
         """Exits at 1/4 and 3/4 only, at rate 2: the interval game on
-        [1/4, 3/4] has no action but its stops, worth 0 at 3/4."""
+        [1/4, 3/4] has no action, and a boundary of 0 at 3/4."""
         g = simple(act(0, None, 0, Fr(1, 4), Fr(1, 4)), act(0, None, 0, Fr(3, 4), Fr(3, 4)),
                    owners=(owner,), rates=(2,))
-        return build_interval_sptg(g, [F0], Fr(1, 4), Fr(3, 4), untimed_at(g, Fr(1, 2)))
+        s = build_interval_sptg(g, (F0,), Fr(1, 4), Fr(3, 4), untimed_at(g, Fr(1, 2)))
+        assert (s.num_states, s.actions, s.boundary) == (1, (), (F0,))
+        return s
+
+    def assert_waits_then_stops(self, s):
+        """The only play: wait at rate 2 until 3/4, then stop there, for 1
+        at 1/4 falling to 0; the stop is action m + 0 = 0 at hi, as the
+        wait is the choice below hi.  The oracles agree."""
+        sol = solve_sptg(s)
+        assert sol.values[0] == PwlFn.affine(Fr(1, 4), Fr(3, 4), F1, Fr(-2))
+        assert sol.strategy.runs == (((0, WAIT),),) and sol.strategy.at_hi == (0,)
+        assert check_equilibrium(s, sol).passed
+        assert value_iteration_sptg(s).values == sol.values
 
     def test_minimizer_point_exit_prices_the_wait(self):
-        s = self.point_exits(1)
-        assert s.actions[0].dest == 1
-        sol = solve_sptg(s)
-        # waiting at rate 2 until 3/4: 1 at 1/4, falling to 0
-        assert sol.values[0] == PwlFn.affine(Fr(1, 4), Fr(3, 4), F1, Fr(-2))
+        self.assert_waits_then_stops(self.point_exits(1))
 
     def test_maximizer_point_exit_stays_terminal(self):
         s = self.point_exits(2)
-        assert s.actions[0].dest is None
-        assert solve_sptg(s).values[0] == PwlFn.affine(Fr(1, 4), Fr(3, 4), F1, Fr(-2))
+        assert s.at_hi.actions == (PAction(0, None, F0),)
+        self.assert_waits_then_stops(s)
 
 
 class TestSolvePtg:
@@ -424,8 +436,8 @@ class TestIntervalGameStops:
                     for k, (a, b) in enumerate(zip(got, want)):
                         if a != b:
                             assert ref_game.owners[k] == 1
-                            # stop k: after the untimed actions, before the exit
-                            assert b == ref_game.num_actions - 1 - g.num_states + k
+                            # stop k: action m + k of the untimed game at hi
+                            assert b == ref_game.num_actions + k
                     intervals += 1
         assert intervals > 1500
 
@@ -590,7 +602,7 @@ class TestAssemble:
             for path in sorted(GOLDEN_RESETS.parent.glob("*.json"))
             if '"ptg"' in path.read_text() and not path.name.endswith(".out.json")
         ]
-        assert len(golden) == 3
+        assert len(golden) == 4
         randoms = [generate_random("ptg", 2 + s % 4, 3, s, allow_inf=True) for s in range(400)]
         seen = {"jumps": 0, "merged": 0, "kept": 0}
 

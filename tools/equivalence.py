@@ -4,7 +4,7 @@
     python tools/equivalence.py --against REV
 
 exports git revision REV with ``git archive`` into a temporary directory
-and runs ``ptgsolve solve`` of each tree on the same 926 runs: every
+and runs ``ptgsolve solve`` of each tree on the same 928 runs: every
 document of the benchmark pools for seeds 1, 2, 3 and 7177, and the
 golden inputs in ``tests/golden``, each with and without ``--verify``.
 Each tree also solves the random pools in memory: 600 SPTGs and 400
@@ -117,13 +117,18 @@ def random_games() -> list:
 
 
 def _document(kind: str, game):
-    """``game`` as a document with state ids ``s{k}`` and action ids ``a{j}``."""
+    """``game`` as a document with state ids ``s{k}`` and action ids
+    ``a{j}``.  An interval game of a PTG ends at its boundary: its point
+    choices at hi may name a state's stop there, action m + k, which is
+    named ``stop``."""
     from ptgsolve.gamedoc import GameDocument
 
+    # an SPTG of the other tree may have no boundary field at all
+    stops = () if getattr(game, "boundary", None) is None else ("stop",) * game.num_states
     return GameDocument(
         kind,
         tuple(f"s{k}" for k in range(game.num_states)),
-        tuple(f"a{j}" for j in range(len(game.actions))),
+        tuple(f"a{j}" for j in range(len(game.actions))) + stops,
         game.owners,
         game.rates,
         game.actions,
