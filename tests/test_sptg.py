@@ -66,6 +66,21 @@ class TestConstruction:
         shifted = Sptg(g.owners, g.rates, g.actions, Fr(2), Fr(5))
         assert solve_sptg(shifted).values == (PwlFn.affine(Fr(2), Fr(5), Fr(3), Fr(-1)),)
 
+    def test_boundary_lets_a_state_have_no_action(self):
+        """Without a boundary every state needs an action; with one, a
+        state may have none and stop at hi, and the boundary must give a
+        value to every state."""
+        owners, rates, actions = (1, 2), (F1, F1), (PAction(0, None, F0),)
+        with pytest.raises(GameError) as exc:
+            Sptg(owners, rates, actions)
+        assert (exc.value.code, exc.value.where) == ("no-actions", "states[1]")
+        g = Sptg(owners, rates, actions, boundary=(F1, INF))
+        assert g.state_actions == ((0,), ())
+        assert solve_at_time_one(g) == ([F0, INF], (0, 2))
+        with pytest.raises(GameError) as exc:
+            Sptg(owners, rates, actions, boundary=(F1,))
+        assert (exc.value.code, exc.value.where) == ("state-count", "boundary")
+
     def test_event_bound(self):
         g = fixture_a().game
         # 3 states with 2, 1, 1 actions: profile bound (2+1)(1+1)(1+1) = 12
