@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -39,19 +40,23 @@ def is_inf(value) -> bool:
     return value.__class__ is float
 
 
+# A number in a document: optional ASCII whitespace around "inf", or an
+# optional sign and then digits, "p/q" or a decimal ("2.5", ".5", "1.").
+_NUMBER = re.compile(r"\s*(?:(inf)|[+-]?(?:\d+(?:/\d+|\.\d*)?|\.\d+))\s*", re.ASCII)
+
+
 def parse_cost(text):
-    """Parse "p/q", an integer literal, a decimal, or "inf" into an
-    extended cost.  Exponents are refused: ``Fraction("1eN")`` computes
-    ``10**N``, so a short string could take unbounded time."""
+    """Parse a string of the :data:`_NUMBER` grammar, or an integer, into
+    an extended cost.  The grammar is ours: ``Fraction``'s own changed in
+    Python 3.12, and every string of ours means the same to each version
+    of it.  It has no exponents: ``Fraction("1eN")`` computes ``10**N``,
+    so a short string could take unbounded time."""
     if type(text) is int:  # not bool: JSON true is no number
         return Fraction(text)
-    if isinstance(text, str):
-        if text.strip() == "inf":
-            return INF
-        if "e" in text or "E" in text:
-            raise ValueError(f"exponent in cost {text!r}")
-        return Fraction(text)
-    raise ValueError(f"cannot parse cost {text!r}")
+    match = _NUMBER.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"cannot parse cost {text!r}")
+    return INF if match[1] else Fraction(text)
 
 
 class DigitLimitError(ValueError):

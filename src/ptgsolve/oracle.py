@@ -15,6 +15,7 @@ choice m + k at hi and never below, at its boundary value.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -448,9 +449,7 @@ def brute_force_priced(game: PricedGame, budget: int = 10**6):
     fewest hops), and every positional play that never reaches the
     terminal costs infinity, so that is the minimum over all the
     minimizer's positional strategies."""
-    total = 1
-    for js in game.state_actions:
-        total *= len(js)
+    total = math.prod(len(js) for js in game.state_actions)
     if total > budget:
         raise OracleError(f"{total} profiles exceed the budget {budget}")
     p2_states = [k for k in range(game.num_states) if game.owners[k] == 2]
@@ -465,10 +464,6 @@ def brute_force_priced(game: PricedGame, budget: int = 10**6):
 
 
 # -- random instances -------------------------------------------------------
-
-
-def _rng(kind, n, max_actions, seed):
-    return random.Random(f"{kind}/{n}/{max_actions}/{seed}")
 
 
 def generate_random(
@@ -489,7 +484,7 @@ def generate_random(
     """
     if n < 1:
         raise ValueError("need at least one state")
-    rng = _rng(kind, n, max_actions, seed)
+    rng = random.Random(f"{kind}/{n}/{max_actions}/{seed}")
 
     def owner():
         return 1 if one_player else rng.choice((1, 2))
@@ -538,17 +533,13 @@ def generate_random(
                     lo_c, hi_c = rng.random() < 0.8 or lo == hi, True
                 else:
                     lo, hi = sorted(rng.sample(pool, 2)) if len(pool) > 1 else (F0, horizon)
-                    lo = Fraction(lo)
-                    hi = Fraction(hi)
                     lo_c = rng.random() < 0.8 or lo == hi
                     hi_c = rng.random() < 0.8 or lo == hi
                 reset = False
                 if d is not None and reset_budget > 0 and rng.random() < 0.2:
                     reset = True
                     reset_budget -= 1
-                actions.append(
-                    TAction(k, d, cost(), Fraction(lo), Fraction(hi), lo_c, hi_c, reset)
-                )
+                actions.append(TAction(k, d, cost(), lo, hi, lo_c, hi_c, reset))
         return Ptg(owners, rates, tuple(actions))
 
     raise ValueError(f"unknown kind {kind!r}")

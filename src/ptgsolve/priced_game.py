@@ -70,7 +70,7 @@ def check_graph(owners, actions) -> None:
         if a.dest is not None and not 0 <= a.dest < n:
             raise GameError("dangling-reference", f"actions[{j}]", f"to {a.dest}")
         if not is_inf(a.cost) and a.cost < 0:
-            raise GameError("negative-cost", f"actions[{j}]", str(a.cost))
+            raise GameError("negative-cost", f"actions[{j}]", clip(str(a.cost)))
         idle.discard(a.source)
     if idle:
         k = min(idle)

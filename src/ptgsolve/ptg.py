@@ -34,7 +34,9 @@ from functools import cached_property
 from typing import Optional
 
 from .numerics import F0, INF, PwlFn, is_inf
-from .priced_game import GameError, GameGraph, PAction, PricedGame, check_graph, extended_dijkstra
+from .priced_game import (
+    GameError, GameGraph, PAction, PricedGame, check_graph, clip, extended_dijkstra
+)
 from .sptg import Sptg, SptgSolution, check_rates, solve_sptg
 
 
@@ -70,7 +72,7 @@ class Ptg(GameGraph):
         check_graph(self.owners, self.actions)
         for j, a in enumerate(self.actions):
             if a.lo < 0 or a.lo > a.hi:
-                raise GameError("bad-interval", f"actions[{j}]", f"[{a.lo}, {a.hi}]")
+                raise GameError("bad-interval", f"actions[{j}]", clip(f"[{a.lo}, {a.hi}]"))
             if a.lo == a.hi and not (a.lo_closed and a.hi_closed):
                 raise GameError("bad-interval", f"actions[{j}]", f"action {j} is empty")
             if a.reset and a.dest is None:
@@ -186,9 +188,7 @@ def build_moment_game(game: Ptg, v, actions) -> PricedGame:
     """Snapshot priced game at a ladder point: its untimed ``actions``
     plus a stop action per state collecting that state's entry of ``v``;
     where ``v`` is None (the top of the ladder), the actions alone."""
-    stops = () if v is None else tuple(
-        PAction(k, None, v[k]) for k in range(game.num_states)
-    )
+    stops = tuple(PAction(k, None, b) for k, b in enumerate(v or ()))
     return PricedGame(game.owners, actions + stops)
 
 

@@ -63,7 +63,7 @@ from .priced_game import (
     PAction,
     PricedGame,
     _settle,
-    check_graph,
+    clip,
     extended_dijkstra,
     potential_less,
     potential_matrix,
@@ -81,7 +81,7 @@ def check_rates(owners, rates) -> None:
         raise GameError("state-count", "states", "rates and owners disagree")
     for k, r in enumerate(rates):
         if is_inf(r) or r < 0:
-            raise GameError("negative-rate", f"states[{k}]", str(r))
+            raise GameError("negative-rate", f"states[{k}]", clip(str(r)))
 
 
 @dataclass(frozen=True)
@@ -95,18 +95,15 @@ class Sptg(GameGraph):
 
     def __post_init__(self):
         if not F0 <= self.lo < self.hi:
-            raise GameError("bad-interval", "domain", f"[{self.lo}, {self.hi}]")
+            raise GameError("bad-interval", "domain", clip(f"[{self.lo}, {self.hi}]"))
         check_rates(self.owners, self.rates)
         # only snapshot waits (build_eps_game) carry a wait rate
         for j, a in enumerate(self.actions):
             if a.wait_rate:
                 raise GameError("wait-rate", f"actions[{j}]", f"wait rate {a.wait_rate}")
-        if self.boundary is None:
-            check_graph(self.owners, self.actions)
-        elif len(self.boundary) != len(self.owners):
+        if self.boundary is not None and len(self.boundary) != len(self.owners):
             raise GameError("state-count", "boundary", "boundary and owners disagree")
-        else:
-            self.at_hi  # checked as a priced game, in which every state can stop
+        self.at_hi  # checked as a priced game, in which a boundary lets every state stop
 
     @property
     def num_actions(self) -> int:
@@ -114,8 +111,9 @@ class Sptg(GameGraph):
 
     @cached_property
     def at_hi(self) -> PricedGame:
-        """The untimed game at hi: the actions, then state k's stop as m + k."""
-        stops = tuple(PAction(k, None, b) for k, b in enumerate(self.boundary))
+        """The untimed game at hi: the actions, then, given a boundary,
+        state k's stop as m + k."""
+        stops = tuple(PAction(k, None, b) for k, b in enumerate(self.boundary or ()))
         return PricedGame(self.owners, self.actions + stops)
 
     def event_bound(self) -> int:
@@ -200,7 +198,7 @@ def build_eps_game(sptg: Sptg, wait_costs) -> PricedGame:
 
 def solve_at_time_one(sptg: Sptg):
     """Values and a switch-free profile of the untimed game at hi."""
-    return extended_dijkstra(sptg if sptg.boundary is None else sptg.at_hi)
+    return extended_dijkstra(sptg.at_hi)
 
 
 def _line(a: PAction, c, rate):
@@ -361,9 +359,11 @@ def _crossing(sptg: Sptg, pieces: _Pieces, k: int, x_hi):
 
 
 def next_event_point(sptg: Sptg, pieces: _Pieces, dirty, x_hi):
-    """Largest clock value strictly below ``x_hi`` where some available
-    action's line meets the chosen action's line, given they differ at
-    ``x_hi`` itself; the domain's ``lo`` when no such crossing exists.
+    """``(x, events)``: the largest clock value x strictly below ``x_hi``
+    where some available action's line meets the chosen action's line,
+    given they differ at ``x_hi`` itself, and the states whose
+    certificate is x, taken off the heap; ``(lo, set())`` when no such
+    crossing exists.
 
     ``pieces.certs[k]`` caches state ``k``'s own largest such crossing;
     only the states in ``dirty`` are rescanned.
@@ -373,20 +373,13 @@ def next_event_point(sptg: Sptg, pieces: _Pieces, dirty, x_hi):
         cert = certs[k] = _crossing(sptg, pieces, k, x_hi)
         if cert != sptg.lo:
             heapq.heappush(heap, (-cert, k))
-    while heap and certs[heap[0][1]] != -heap[0][0]:
-        heapq.heappop(heap)
-    return -heap[0][0] if heap else sptg.lo
-
-
-def _events(pieces: _Pieces, x):
-    """The states whose certificate is ``x``, taken off the heap."""
-    heap, certs, top = pieces.heap, pieces.certs, -x
-    events = set()
-    while heap and heap[0][0] == top:
-        _, k = heapq.heappop(heap)
-        if certs[k] == x:
+    top, events = None, set()
+    while heap and (not events or heap[0][0] == top):
+        key, k = heapq.heappop(heap)
+        if certs[k] == -key:  # not an outdated entry
+            top = key
             events.add(k)
-    return events
+    return (-top, events) if events else (sptg.lo, events)
 
 
 def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> dict:
@@ -503,12 +496,11 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
                     dirty.add(source)
                     envelopes[source] = None
 
-        x = next_event_point(sptg, pieces, dirty, x)
+        x, events = next_event_point(sptg, pieces, dirty, x)
         clocks.append(x)
         stats.sweep_steps += 1
         if x == sptg.lo:
             break
-        events = _events(pieces, x)
     else:
         raise RuntimeError("sweep exceeded its event-point budget")
 

@@ -243,6 +243,10 @@ def edit(body, path, value):
         (("actions", 0, "to"), None, "bad-type"),
         (("actions", 0, "cost"), "1e3", "bad-number"),
         (("actions", 1, "cost"), "2E-1", "bad-number"),
+        # Fraction reads these, the first from Python 3.12 on; the grammar does not
+        (("actions", 1, "cost"), "1 / 2", "bad-number"),
+        (("actions", 1, "cost"), "1_000", "bad-number"),
+        (("states", 0, "rate"), "\u0661", "bad-number"),
     ],
 )
 def test_mistyped_document_exits_two_with_code(tmp_path, capsys, path, value, code):
@@ -325,22 +329,29 @@ def test_every_rejection_names_its_code_and_location(tmp_path, capsys, case):
         assert err == line + message[0] + "\n"
 
 
+BIG = "1" * 4000  # within the digits an integer converts to a string
+
+
 @pytest.mark.parametrize(
-    "path, value, code",
+    "path, value, code, where",
     [
-        (("states", 0, "rate"), "1" * 5000, "bad-number"),
-        (("states", 0, "id"), [1] * 5000, "bad-type"),
+        (("states", 0, "rate"), "1" * 5000, "bad-number", "states[0]"),
+        (("states", 0, "id"), [1] * 5000, "bad-type", "states[0]"),
+        (("actions", 1, "cost"), "-" + BIG, "negative-cost", "actions[1]"),
+        (("states", 0, "rate"), "-" + BIG, "negative-rate", "states[0]"),
+        (("actions", 1, "interval", "lo"), "-" + BIG, "bad-interval", "actions[1]"),
+        (("actions", 1, "interval", "lo"), BIG, "bad-interval", "actions[1]"),
     ],
-    ids=["rate", "id"],
+    ids=["rate", "id", "negative-cost", "negative-rate", "negative-lo", "reversed-interval"],
 )
-def test_long_input_is_not_echoed_whole(tmp_path, capsys, path, value, code):
+def test_long_input_is_not_echoed_whole(tmp_path, capsys, path, value, code, where):
     body = ptg_body()
     edit(body, path, value)
     game = tmp_path / "game.json"
     game.write_text(json.dumps(body))
     assert cli.main(["solve", str(game)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"input-error: {code} at states[0]: ")
+    assert err.startswith(f"input-error: {code} at {where}: ")
     assert err.endswith("…\n") and len(err) < 120
 
 

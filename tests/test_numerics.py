@@ -45,6 +45,27 @@ class TestScalars:
         assert format_cost(Fr(-2)) == "-2"
         assert parse_cost(format_cost(Fr(22, 7))) == Fr(22, 7)
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("7", Fr(7)), (" -3 ", Fr(-3)), ("+3", Fr(3)), ("\t10/4\n", Fr(5, 2)),
+            ("2.5", Fr(5, 2)), (".5", Fr(1, 2)), ("1.", F1), ("-0.125", Fr(-1, 8)),
+            (" inf ", INF),
+        ],
+    )
+    def test_cost_grammar(self, text, value):
+        assert parse_cost(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1 / 2", "1/ 2", "1_000", "1/1_0", "\u0661", "\u0665.5", "\u20035", "5\u00a0",
+         "1e3", "2E-1", "-inf", "+inf", "Infinity", "nan", "", ".", "-", "1/-2", "1.5/2",
+         "2/.5", "- 1", "0x10", 1.5, True, None],
+    )
+    def test_outside_the_cost_grammar(self, text):
+        with pytest.raises(ValueError):
+            parse_cost(text)
+
     def test_is_inf(self):
         assert is_inf(INF)
         assert not is_inf(Fr(10**9))

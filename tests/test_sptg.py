@@ -5,7 +5,7 @@ import pytest
 from ptgsolve.fixtures import fixture_a
 from ptgsolve.numerics import F0, F1, INF, PwlFn, is_inf
 from ptgsolve.oracle import _cells, generate_random
-from ptgsolve.priced_game import GameError, PAction, PricedGame
+from ptgsolve.priced_game import GameError, PAction, PricedGame, check_graph, extended_dijkstra
 from ptgsolve.sptg import (
     Sptg,
     TimedStrategyProfile,
@@ -51,13 +51,14 @@ class TestConstruction:
             sptg([1], [0], (0, None, Fr(3)), (0, None, Fr(3), Fr(1, 2)))
 
     @pytest.mark.parametrize(
-        "lo, hi", [(Fr(1, 2), Fr(1, 2)), (F1, Fr(1, 2)), (Fr(-1), F1)],
-        ids=["empty", "reversed", "negative"],
+        "lo, hi", [(Fr(1, 2), Fr(1, 2)), (F1, Fr(1, 2)), (Fr(-1), F1), (Fr(-int("1" * 4000)), F1)],
+        ids=["empty", "reversed", "negative", "long"],
     )
     def test_bad_domain_rejected(self, lo, hi):
         with pytest.raises(GameError) as exc:
             Sptg((1,), (F1,), (PAction(0, None, F0),), lo, hi)
         assert (exc.value.code, exc.value.where) == ("bad-interval", "domain")
+        assert len(str(exc.value)) < 100  # a long number is not echoed whole
 
     def test_domain_defaults_to_the_unit_interval(self):
         g = sptg([2], [1], (0, None, Fr(0)))
@@ -80,6 +81,33 @@ class TestConstruction:
         with pytest.raises(GameError) as exc:
             Sptg(owners, rates, actions, boundary=(F1,))
         assert (exc.value.code, exc.value.where) == ("state-count", "boundary")
+
+    def test_at_hi_without_boundary_is_the_game(self):
+        g = fixture_a().game
+        assert (g.at_hi.owners, g.at_hi.actions) == (g.owners, g.actions)
+        assert solve_at_time_one(g) == extended_dijkstra(PricedGame(g.owners, g.actions))
+
+    @pytest.mark.parametrize(
+        "owners, actions",
+        [
+            ((1, 3), ((0, None, F0), (1, None, F0))),
+            ((1, 2), ((0, None, F0), (1, 2, F0))),
+            ((1, 2), ((0, None, F0), (-1, None, F0))),
+            ((1, 2), ((0, None, F0), (1, None, Fr(-1)))),
+            ((1, 2, 1), ((0, None, F0), (2, 0, F0))),
+        ],
+        ids=["bad-owner", "dangling-to", "dangling-from", "negative-cost", "no-actions"],
+    )
+    def test_graph_faults_are_those_of_check_graph(self, owners, actions):
+        """Validated through its untimed game at hi, a game without a
+        boundary breaks the rules as its owners and actions do."""
+        actions = tuple(PAction(*a) for a in actions)
+        with pytest.raises(GameError) as want:
+            check_graph(owners, actions)
+        with pytest.raises(GameError) as got:
+            Sptg(owners, (F1,) * len(owners), actions)
+        assert (got.value.code, got.value.where) == (want.value.code, want.value.where)
+        assert str(got.value) == str(want.value)
 
     def test_event_bound(self):
         g = fixture_a().game

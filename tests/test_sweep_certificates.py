@@ -463,6 +463,49 @@ def crossing_both_ways(owner, lines, chosen, c, s, x_hi):
     return results
 
 
+def pieces_by_hand(n, exits=1, lo=Fr(1, 8)):
+    """``(game, pieces)``: n minimizers with ``exits`` free exits each on
+    [lo, 1], state k's i-th as action ``i*n + k``, and their sweep pieces
+    as the untimed solve leaves them: each state chooses its first."""
+    actions = tuple(PAction(k, None, F0) for _ in range(exits) for k in range(n))
+    g = Sptg((1,) * n, (F0,) * n, actions, lo, F1)
+    v1, profile = solve_at_time_one(g)
+    return g, sptg_module._Pieces(g, v1, profile)
+
+
+def test_next_event_point_takes_each_event_state_once():
+    """The query that finds x also takes every state whose certificate
+    is x off the heap, once however often it is listed, skips the
+    outdated entries, and leaves the lower certificates."""
+    g, pieces = pieces_by_hand(4)
+    half, quarter = Fr(1, 2), Fr(1, 4)
+    pieces.certs[:] = [half, half, quarter, half]
+    # state 0 twice; state 2's entry at 3/4 and state 3's at 1/4 outdated
+    entries = [(half, 0), (half, 0), (half, 1), (Fr(3, 4), 2), (quarter, 2), (quarter, 3)]
+    entries.append((half, 3))
+    pieces.heap[:] = sorted((-x, k) for x, k in entries)
+    assert sptg_module.next_event_point(g, pieces, (), F1) == (half, {0, 1, 3})
+    assert pieces.heap == [(-quarter, 2), (-quarter, 3)]
+    assert sptg_module.next_event_point(g, pieces, (), half) == (quarter, {2})
+    assert sptg_module.next_event_point(g, pieces, (), quarter) == (g.lo, set())
+    assert pieces.heap == []
+
+
+def test_next_event_point_rescans_the_dirty_states():
+    """States 0 and 1 choose the line 2 - 2t, which their other exit's
+    line 1 crosses at 1/2; state 2's line 3 - 2t meets it at 1 only, so
+    its certificate is the domain's lo and it stays off the heap.  The
+    entries from before the rescan are all outdated."""
+    g, pieces = pieces_by_hand(3, exits=2)
+    pieces.certs[:] = [Fr(3, 4)] * 3
+    pieces.heap[:] = [(-Fr(3, 4), k) for k in range(3)]
+    pieces.c[:], pieces.rate[:] = [Fr(2), Fr(2), Fr(3)], [Fr(2)] * 3
+    pieces.lines[:] = [(c, Fr(2)) for c in pieces.c] + [(F1, F0)] * 3
+    assert sptg_module.next_event_point(g, pieces, {0, 1, 2}, F1) == (Fr(1, 2), {0, 1})
+    assert pieces.certs == [Fr(1, 2), Fr(1, 2), g.lo] and pieces.heap == []
+    assert sptg_module.next_event_point(g, pieces, (), Fr(1, 2)) == (g.lo, set())
+
+
 def random_crossing_case(rng):
     """A minimizer's action lines and chosen line that it prefers at
     ``x_hi``: lines through points of the chosen line (at 0, at
