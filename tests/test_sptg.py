@@ -51,7 +51,8 @@ class TestConstruction:
             sptg([1], [0], (0, None, Fr(3)), (0, None, Fr(3), Fr(1, 2)))
 
     @pytest.mark.parametrize(
-        "lo, hi", [(Fr(1, 2), Fr(1, 2)), (F1, Fr(1, 2)), (Fr(-1), F1), (Fr(-int("1" * 4000)), F1)],
+        "lo, hi",
+        [(Fr(1, 2), Fr(1, 2)), (F1, Fr(1, 2)), (Fr(-1), F1), (Fr(-int("1" * 4000)), F1)],
         ids=["empty", "reversed", "negative", "long"],
     )
     def test_bad_domain_rejected(self, lo, hi):

@@ -481,8 +481,9 @@ def test_next_event_point_takes_each_event_state_once():
     half, quarter = Fr(1, 2), Fr(1, 4)
     pieces.certs[:] = [half, half, quarter, half]
     # state 0 twice; state 2's entry at 3/4 and state 3's at 1/4 outdated
-    entries = [(half, 0), (half, 0), (half, 1), (Fr(3, 4), 2), (quarter, 2), (quarter, 3)]
-    entries.append((half, 3))
+    entries = [
+        (half, 0), (half, 0), (half, 1), (Fr(3, 4), 2), (quarter, 2), (quarter, 3), (half, 3)
+    ]
     pieces.heap[:] = sorted((-x, k) for x, k in entries)
     assert sptg_module.next_event_point(g, pieces, (), F1) == (half, {0, 1, 3})
     assert pieces.heap == [(-quarter, 2), (-quarter, 3)]
