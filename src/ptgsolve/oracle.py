@@ -5,9 +5,9 @@ backward-induction value iteration over piecewise linear functions, exact
 evaluation of a timed strategy profile's play costs, play simulation
 under explicit strategies, value iteration for untimed games, a brute
 force over the maximizer's strategies that answers each with the
-minimizer's best response, and seeded random instance generation.  Two
-solver routines are still shared: the equilibrium check builds its
-snapshot games with ``build_eps_game`` and looks for switches with
+minimizer's best response, and seeded random instance generation.  One
+solver routine is still shared: the equilibrium check builds its cell
+games itself and looks for switches in them with
 ``improving_switches``.  A game's boundary prices state k's stop, its
 choice m + k at hi and never below, at its boundary value.
 """
@@ -34,7 +34,7 @@ from .numerics import (
 )
 from .priced_game import PAction, PricedGame, improving_switches
 from .ptg import Ptg, TAction
-from .sptg import WAIT, Sptg, SptgSolution, TimedStrategyProfile, build_eps_game
+from .sptg import WAIT, Sptg, SptgSolution, TimedStrategyProfile
 
 
 class OracleError(RuntimeError):
@@ -352,11 +352,12 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
     under ``sol.strategy`` (:func:`evaluate_policy`) must equal its
     value function on all of the game's domain, point values included; a
     failure names the first clock value where they differ.  And no cell
-    of the strategy may admit an improving switch for either player.  An
-    interval cell [lo, hi) is played in the snapshot game whose waits
-    cost the values at hi, with WAIT as the wait exit m + k; the point
-    cell in the untimed game at hi, with a boundary's stops as the exits
-    m + k.  The cells lie between the change points of
+    of the strategy may admit an improving switch for either player.
+    Each cell is played in a game built here: the actions, then state
+    k's exit as m + k.  In an interval cell [lo, hi) that exit is the
+    wait, WAIT, worth the state's value at hi and charged at its rate;
+    in the point cell at hi it is a boundary's stop, and there is none
+    without a boundary.  The cells lie between the change points of
     the strategy's runs, and a cell failure names a cell by its index,
     left to right.  ``samples`` is accepted and ignored: the check
     evaluates the strategy everywhere, so it samples no clock values."""
@@ -371,11 +372,13 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
     m = sptg.num_actions
     for idx, (lo, hi, choices) in enumerate(_cells(sol.strategy)):
         if lo == hi:
-            stops = tuple(PAction(k, None, b) for k, b in enumerate(sptg.boundary or ()))
-            game, profile = PricedGame(sptg.owners, sptg.actions + stops), choices
+            exits = [PAction(k, None, b) for k, b in enumerate(sptg.boundary or ())]
+            profile = choices
         else:
-            game = build_eps_game(sptg, [f.eval(hi) for f in sol.values])
+            at_hi = [f.eval(hi) for f in sol.values]
+            exits = [PAction(k, None, at_hi[k], r) for k, r in enumerate(sptg.rates)]
             profile = tuple(m + k if j is WAIT else j for k, j in enumerate(choices))
+        game = PricedGame(sptg.owners, sptg.actions + tuple(exits))
         for player in (1, 2):
             for j in improving_switches(game, profile, player):
                 report.cell_failures.append((idx, player, j))

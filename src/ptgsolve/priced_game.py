@@ -255,7 +255,9 @@ def _settle(game: GameGraph, offers, pending, vals, profile):
     """The scan of :func:`extended_dijkstra`, also run by the SPTG sweep
     on the states it repairs: settle the states of ``game`` whose
     ``vals`` entry is None, writing their valuations into ``vals`` and
-    their choices into ``profile``.
+    their choices into ``profile``.  ``profile`` and ``pending`` are
+    only indexed by state, so the sweep passes dicts of the states it
+    repairs.
 
     ``offers`` holds the candidates ``(state, action, payoff, rate,
     hops)`` known up front; the game's ``incoming[d]`` lists the actions

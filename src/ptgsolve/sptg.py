@@ -13,9 +13,10 @@ switch-free by construction.  m + k is also k's waiting exit, and the
 sweep reads a stop as waiting, which pays the same at hi.  At each event
 point, the one at hi included, the sweep solves the snapshot game, whose
 waiting exits cost the states' values there plus an infinitesimal rate
-charge, without building it: :func:`_repair` re-solves the states whose
-crossing fixed the event point and the finite-valued states upstream of
-them, and every other state keeps its choice.  At hi that is every
+charge, without building it: :func:`_repair` re-solves, on ``at_hi``,
+the states whose crossing fixed the event point and the finite-valued
+states whose chosen action, or an action coinciding with it, leads into
+those, and every other state keeps its choice.  At hi that is every
 finite-valued state; an infinite-valued state keeps the untimed choice
 throughout.
 
@@ -112,7 +113,9 @@ class Sptg(GameGraph):
     @cached_property
     def at_hi(self) -> PricedGame:
         """The untimed game at hi: the actions, then, given a boundary,
-        state k's stop as m + k."""
+        state k's stop as m + k.  The sweep also reads the actions into
+        each state from it and settles every repair on it, so a solve
+        indexes them once."""
         stops = tuple(PAction(k, None, b) for k, b in enumerate(self.boundary or ()))
         return PricedGame(self.owners, self.actions + stops)
 
@@ -188,8 +191,7 @@ def build_eps_game(sptg: Sptg, wait_costs) -> PricedGame:
     """Snapshot game at a clock value: the untimed game extended with a
     waiting exit per state whose cost is the state's current value and
     whose infinitesimal charge (``wait_rate``) is the state's rate.  The
-    sweep never builds one; its instrumented run and
-    :func:`~ptgsolve.oracle.check_equilibrium` do."""
+    sweep never builds one; its instrumented run does."""
     waits = tuple(
         PAction(k, None, cost, sptg.rates[k]) for k, cost in enumerate(wait_costs)
     )
@@ -229,8 +231,8 @@ class _Pieces:
     ``envelopes[k]`` is None when state ``k``'s lines have moved since
     its last crossing scan, False when one scan has seen them, and then
     their :class:`_Envelope`.  ``heap`` holds ``(-certificate, state)``
-    entries, some outdated.  ``picked`` and ``pending`` are the repair
-    scan's working lists.
+    entries, some outdated.  All of it persists from one event point to
+    the next.
 
     The pieces start flat through the untimed ``payoffs`` at hi, with the
     untimed solve's choices, and every valuation starts infinite: the
@@ -250,8 +252,6 @@ class _Pieces:
         self.envelopes = [None] * n
         self.heap = []
         self.vals = [INFINITE] * n
-        self.picked = list(profile)
-        self.pending = [-1] * n
 
     def at(self, k, x):
         """State ``k``'s value at ``x`` on its open piece."""
@@ -382,19 +382,29 @@ def next_event_point(sptg: Sptg, pieces: _Pieces, dirty, x_hi):
     return (-top, events) if events else (sptg.lo, events)
 
 
-def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> dict:
+def _repair(sptg: Sptg, pieces: _Pieces, x, events):
     """Re-solve the snapshot game at ``x`` on the repaired set R alone,
-    into ``pieces.vals`` and ``pieces.picked``; returns R as a dict from
-    each of its states to that state's value at ``x`` on its open piece.
+    settling ``sptg.at_hi`` into ``pieces.vals``; returns ``(R,
+    picked)``: R as a dict from each of its states to that state's value
+    at ``x`` on its open piece, and the choice picked at each of them.
 
-    R is ``events`` plus every finite-valued state with any action into
-    R.  Outside R each state keeps its choice, rate and hop count, and
-    its payoff is its value at ``x``.  A state in R is offered its
-    waiting exit, its actions into R through the scan, and, among its
-    other actions, only those whose lines meet its chosen line at ``x``:
-    the chosen action, the actions coinciding with it and, for an event
-    state, those crossing it there.  Every other candidate is strictly
-    worse at ``x``, so the scan settles R as the full scan would.
+    R is ``events`` closed under one rule: a finite-valued state enters
+    R when its chosen action, or an action coinciding with it
+    (``pieces.tight[k][0]``), leads into R.  Outside R each state keeps
+    its choice, rate and hop count, and its payoff is its value at
+    ``x``.  The values are continuous, so an action into R offers at
+    ``x`` what its line offers there.  A state left outside R therefore
+    finds each of its other actions into R strictly worse at ``x``, with
+    one exception: an action whose line crosses the chosen line exactly
+    at ``x``.  But that makes ``x`` the state's certificate, so the
+    state is an event and in R anyway.
+
+    A state in R is offered its waiting exit, its actions into R through
+    the scan, and, among its other actions, only those whose lines meet
+    its chosen line at ``x``: the chosen action, the actions coinciding
+    with it and, for an event state, those crossing it there.  Every
+    other candidate is strictly worse at ``x``, so the scan settles R as
+    the full scan would.
 
     At hi no crossing has been scanned, R holds every finite-valued state,
     and the finite candidates left out are terminal exits.  None beats
@@ -404,26 +414,29 @@ def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> dict:
     least two hops.  A stop has the highest id of its state's exits, so
     it is chosen only where no exit ties with it; then the waiting exit,
     at the stop's payoff, beats every exit left out.  The snapshot game
-    has no stops: below hi, a state stops by waiting until hi.
+    has no stops: below hi, a state stops by waiting until hi.  Stops
+    lead nowhere, so ``at_hi`` has the game's ``incoming`` and the scan
+    offers none of them.
     """
     c, lines, m = pieces.c, pieces.lines, sptg.num_actions
-    actions, incoming = sptg.actions, sptg.incoming
+    choice, tight = pieces.choice, pieces.tight
+    actions, incoming = sptg.actions, sptg.at_hi.incoming
     repaired = dict.fromkeys(events)
     todo = list(events)
     while todo:
         for j in incoming[todo.pop()]:
             k = actions[j].source
-            if k not in repaired and not is_inf(c[k]):
+            if k not in repaired and not is_inf(c[k]) and (j == choice[k] or j in tight[k][0]):
                 repaired[k] = None
                 todo.append(k)
-    vals, pending, offers = pieces.vals, pieces.pending, []
+    vals, pending, picked, offers = pieces.vals, {}, {}, []
     for k in repaired:
         vals[k] = None
         first = len(offers)
         at_x = repaired[k] = pieces.at(k, x)
         offers.append((k, m + k, at_x, sptg.rates[k], 1))
-        coinciding, crossing = pieces.tight[k]
-        for j in (pieces.choice[k], *coinciding, *(crossing if k in events else ())):
+        coinciding, crossing = tight[k]
+        for j in (choice[k], *coinciding, *(crossing if k in events else ())):
             if j >= m:
                 continue  # the old waiting exit
             d = actions[j].dest
@@ -434,8 +447,8 @@ def _repair(sptg: Sptg, pieces: _Pieces, x, events) -> dict:
         if sptg.owners[k] == 2:
             inside = sum(actions[j].dest in repaired for j in sptg.state_actions[k])
             pending[k] = len(offers) - first + inside
-    _settle(sptg, offers, pending, vals, pieces.picked)
-    return repaired
+    _settle(sptg.at_hi, offers, pending, vals, picked)
+    return repaired, picked
 
 
 def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
@@ -471,7 +484,7 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
     for step in range(budget):
         if observe:
             observe(pieces, x)
-        repaired = _repair(sptg, pieces, x, events)
+        repaired, picked = _repair(sptg, pieces, x, events)
         dirty = events
         for k, at_x in repaired.items():
             val = pieces.vals[k]
@@ -479,10 +492,10 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
                 raise AssertionError(
                     f"snapshot value at state {k} broke continuity: {val.payoff} != {at_x}"
                 )
-            if pieces.picked[k] != choice[k]:
+            if picked[k] != choice[k]:
                 if step:  # the choice so far holds from x rightwards
                     changed.setdefault(k, []).append((step, choice[k] if choice[k] < m else WAIT))
-                choice[k] = pieces.picked[k]
+                choice[k] = picked[k]
                 dirty.add(k)
             if val.rate != rate[k]:
                 if top[k] != x:
@@ -490,7 +503,7 @@ def solve_sptg(sptg: Sptg, instrument: bool = False) -> SptgSolution:
                     top[k] = x
                 rate[k] = val.rate
                 c[k] = at_x + val.rate * x
-                for j in sptg.incoming[k]:
+                for j in sptg.at_hi.incoming[k]:
                     lines[j] = _line(sptg.actions[j], c, rate)
                     source = sptg.actions[j].source
                     dirty.add(source)

@@ -149,3 +149,13 @@ class TestGadgetReference:
             g = Sptg(g.owners, g.rates, g.actions, boundary=boundary)
             assert_same_as_gadget(g, monkeypatch)
         assert infinite > 10
+        # boundary denominators that no cost or rate shares: the sweep
+        # settles on the untimed game at hi, whose stops they price
+        g = Sptg(
+            (1, 2, 2),
+            (Fr(5, 3), Fr(1, 3), Fr(4, 3)),
+            (PAction(0, 1, F0), PAction(0, 2, F0)),
+            boundary=(INF, Fr(3, 11), Fr(1, 7)),
+        )
+        assert_same_as_gadget(g, monkeypatch)
+        assert solve_sptg(g).values[0].interior_breaks() == (Fr(67, 77),)

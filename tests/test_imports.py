@@ -58,15 +58,16 @@ def test_no_unused_local_functions(path):
     assert unused_local_functions(ast.parse(path.read_text())) == []
 
 
-# What the oracle may still take from the solver modules.  ROADMAP item 3
-# shrinks this list to data types; a new solver routine fails the test.
-# The shrink waits on the benchmark change of ROADMAP item 15, as do the
-# deletions of the four names in UNREFERENCED_BUT_PINNED below: the
-# benchmark's self-test of its tracer reads ``oracle.improving_switches``
-# and installs the probe bound only in ``ptgsolve.oracle``.
+# What the oracle may still take from the solver modules: data types, and
+# one solver routine, ``improving_switches``.  ROADMAP item 3 shrinks this
+# list to data types; a new solver routine fails the test.  The routine
+# stays shared until the benchmark change of ROADMAP item 15, as do the
+# four names in UNREFERENCED_BUT_PINNED below: the benchmark's self-test
+# of its tracer reads ``oracle.improving_switches`` and installs the
+# probe bound only in ``ptgsolve.oracle``.
 ORACLE_SOLVER_IMPORTS = {
     "priced_game": {"PAction", "PricedGame", "improving_switches"},
-    "sptg": {"WAIT", "Sptg", "SptgSolution", "TimedStrategyProfile", "build_eps_game"},
+    "sptg": {"WAIT", "Sptg", "SptgSolution", "TimedStrategyProfile"},
 }
 
 

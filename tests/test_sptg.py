@@ -231,6 +231,17 @@ class TestSweep:
             assert all(f.is_constant_inf() for f in sol.values)
             assert sol.strategy.runs[1] == ((0, 1),) and sol.strategy.at_hi[1] == 1
 
+    def test_a_solve_indexes_the_game_once(self):
+        """The sweep reads the actions into each state, and settles, on
+        the untimed game at hi that the untimed solve indexed, so the
+        game itself holds no second index, with a boundary or without."""
+        g = fixture_a().game
+        bounded = Sptg(g.owners, g.rates, g.actions, boundary=(Fr(1, 7), Fr(3, 11), INF))
+        for game in (g, bounded):
+            assert solve_sptg(game).stats.sweep_steps > 1
+            assert not {"incoming", "cost_denominator"} & set(vars(game))
+            assert {"at_hi", "state_actions"} <= set(vars(game))
+
     def test_inner_solvers_agree(self):
         for seed in range(40):
             g = generate_random("sptg", 3, 3, seed, allow_inf=(seed % 3 == 0))

@@ -402,6 +402,41 @@ def test_fan_steps_re_solve_only_the_hub(monkeypatch):
     assert scanned.count(0) == 1
 
 
+def fan_with_bystanders(k, b):
+    """fan(k) plus b rate-1 minimizer bystanders, each with a free exit
+    and an action of cost 100 into the hub."""
+    g = fan(k)
+    owners, rates, actions = list(g.owners), list(g.rates), list(g.actions)
+    for s in range(k + 1, k + 1 + b):
+        owners.append(1)
+        rates.append(F1)
+        actions += [PAction(s, None, F0), PAction(s, 0, Fr(100))]
+    return Sptg(tuple(owners), tuple(rates), tuple(actions))
+
+
+@pytest.mark.parametrize("k, b", [(20, 5), (80, 250)])
+def test_fan_repairs_skip_the_bystanders(monkeypatch, k, b):
+    """A state joins a repair only through its chosen action or one
+    coinciding with it.  The bystanders exit freely, so after the step
+    at 1, which repairs every state, each step repairs the hub alone:
+    2k + b repairs in all, where any action into the hub would count
+    every bystander at every step."""
+    if k < 40:  # the full-rescan reference is slow on larger games
+        assert_same_sweep(fan_with_bystanders(k, b))
+    sizes, repair = [], sptg_module._repair
+
+    def counted_repair(*args):
+        repaired, picked = repair(*args)
+        sizes.append(len(repaired))
+        return repaired, picked
+
+    monkeypatch.setattr(sptg_module, "_repair", counted_repair)
+    sol = solve_sptg(fan_with_bystanders(k, b))
+    assert sol.stats.sweep_steps == k
+    assert sizes == [k + 1 + b] + [1] * (k - 1)
+    assert sum(sizes) == 2 * k + b
+
+
 def fans(f, k=40):
     """f disjoint copies of fan(k); copy i's exit costs are multiplied
     by 1 + i/(7f), so that the copies' event points differ."""
