@@ -80,7 +80,39 @@ def check_graph(owners, actions) -> None:
 class GameGraph:
     """What every game type derives from its ``owners`` and ``actions``:
     the actions leaving and entering each state.  The untimed solvers
-    read a :class:`PricedGame`, or an SPTG as its untimed game at hi."""
+    read a :class:`PricedGame`, or an SPTG as its untimed game at hi.
+
+    A game type's constructor checks the game's rules.  A game that a
+    solver builds from a checked game is :meth:`derived` instead, with no
+    checks and, where it extends a game, with that game's index."""
+
+    @classmethod
+    def derived(cls, base: GameGraph | None = None, exits: tuple = (), **fields):
+        """A game of parts that are valid already, built with no checks.
+
+        ``fields`` are its fields.  Given a ``base`` game, it has base's
+        owners and base's actions followed by ``exits``, none or one per
+        state, state k's as action m + k, with m base's action count.
+        Each exit is terminal, so the game reuses base's ``incoming`` as
+        it is, and base's ``state_actions`` with m + k appended to state
+        k's entry; with no exits, the same tuple.
+
+        The caller vouches for the parts: a solver builds each game it
+        derives from a checked game's actions and states, and from exits
+        whose costs are values of that game or their sums with its costs,
+        which are never negative.
+        """
+        game = object.__new__(cls)
+        if base is not None:
+            m, index = len(base.actions), base.state_actions
+            fields.update(
+                owners=base.owners,
+                actions=base.actions + exits,
+                state_actions=tuple(js + (m + k,) for k, js in enumerate(index)) if exits else index,
+                incoming=base.incoming,
+            )
+        vars(game).update(fields)
+        return game
 
     @property
     def num_states(self) -> int:

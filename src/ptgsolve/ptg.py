@@ -24,6 +24,20 @@ only the steps whose inputs changed, and only a solved step converts
 its entry to untimed actions.  The top game is the moment game with no
 stops.  The piecewise-linear value functions are assembled once, for the
 layer returned.
+
+The game is validated once, as the ``Ptg`` is built.  Every game a solve
+builds from it, the top and moment games and each interval game with its
+untimed game at hi, is derived (:meth:`GameGraph.derived`) with no
+checks, because each is valid by construction.  Its states are the
+game's, with their owners and rates.  Its actions are the game's actions
+available at one clock value, between the game's states at their
+nonnegative or infinite costs, and resets converted to terminal exits
+at such a cost plus a clock-0 value.  Its stops are terminal exits worth
+values, and a value is a sum of costs and rates times durations, so it
+is nonnegative or infinite too.  Every state can act: below the top, each
+state has its stop, and at the top, its action at the horizon, which the
+``Ptg`` checks.  An interval game's domain lies between consecutive
+ladder points, so it is nonempty.
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ from .numerics import F0, INF, PwlFn, is_inf
 from .priced_game import (
     GameError, GameGraph, PAction, PricedGame, check_graph, clip, extended_dijkstra
 )
-from .sptg import Sptg, SptgSolution, check_rates, solve_sptg
+from .sptg import Sptg, SptgSolution, check_domain, check_rates, solve_sptg
 
 
 @dataclass(frozen=True)
@@ -187,17 +201,27 @@ def _untimed(pairs, reset_values) -> tuple:
 def build_moment_game(game: Ptg, v, actions) -> PricedGame:
     """Snapshot priced game at a ladder point: its untimed ``actions``
     plus a stop action per state collecting that state's entry of ``v``;
-    where ``v`` is None (the top of the ladder), the actions alone."""
+    where ``v`` is None (the top of the ladder), the actions alone.
+    Derived, so valid by construction (see the module docstring); it
+    indexes its own actions."""
     stops = tuple(PAction(k, None, b) for k, b in enumerate(v or ()))
-    return PricedGame(game.owners, actions + stops)
+    return PricedGame.derived(owners=game.owners, actions=actions + stops)
 
 
 def build_interval_sptg(game: Ptg, v_hi, lo, hi, actions) -> Sptg:
     """One homogeneous availability interval as an SPTG on [lo, hi]: the
     untimed ``actions`` available inside it, and the values ``v_hi`` at
     hi as the boundary, so the untimed game at hi is the moment game at
-    any interior point.  A state with no action there waits to stop."""
-    return Sptg(game.owners, game.rates, actions, lo, hi, v_hi)
+    any interior point.  A state with no action there waits to stop.
+
+    Derived, so valid by construction (see the module docstring), but for
+    its domain, which is checked: consecutive ladder points always give a
+    nonempty one.  It indexes its actions once, for itself and its
+    untimed game at hi."""
+    check_domain(lo, hi)
+    return Sptg.derived(
+        owners=game.owners, rates=game.rates, actions=actions, lo=lo, hi=hi, boundary=v_hi
+    )
 
 
 def _point_values(

@@ -64,6 +64,7 @@ from .priced_game import (
     PAction,
     PricedGame,
     _settle,
+    check_graph,
     clip,
     extended_dijkstra,
     potential_less,
@@ -73,6 +74,12 @@ from .priced_game import (
 )
 
 WAIT = None  # the waiting choice in a strategy run
+
+
+def check_domain(lo, hi) -> None:
+    """The rule of a clock domain [lo, hi]: 0 <= lo < hi."""
+    if not F0 <= lo < hi:
+        raise GameError("bad-interval", "domain", clip(f"[{lo}, {hi}]"))
 
 
 def check_rates(owners, rates) -> None:
@@ -95,8 +102,7 @@ class Sptg(GameGraph):
     boundary: tuple | None = None  # per state: the cost of stopping at hi
 
     def __post_init__(self):
-        if not F0 <= self.lo < self.hi:
-            raise GameError("bad-interval", "domain", clip(f"[{self.lo}, {self.hi}]"))
+        check_domain(self.lo, self.hi)
         check_rates(self.owners, self.rates)
         # only snapshot waits (build_eps_game) carry a wait rate
         for j, a in enumerate(self.actions):
@@ -104,20 +110,31 @@ class Sptg(GameGraph):
                 raise GameError("wait-rate", f"actions[{j}]", f"wait rate {a.wait_rate}")
         if self.boundary is not None and len(self.boundary) != len(self.owners):
             raise GameError("state-count", "boundary", "boundary and owners disagree")
-        self.at_hi  # checked as a priced game, in which a boundary lets every state stop
+        # checked as its untimed game at hi, in which a boundary lets every state stop
+        check_graph(self.owners, self.actions + self._stops())
 
     @property
     def num_actions(self) -> int:
         return len(self.actions)
 
+    def _stops(self) -> tuple:
+        """Given a boundary, each state's stop at hi, a terminal exit
+        worth its boundary value."""
+        return tuple(PAction(k, None, b) for k, b in enumerate(self.boundary or ()))
+
     @cached_property
     def at_hi(self) -> PricedGame:
         """The untimed game at hi: the actions, then, given a boundary,
-        state k's stop as m + k.  The sweep also reads the actions into
-        each state from it and settles every repair on it, so a solve
-        indexes them once."""
-        stops = tuple(PAction(k, None, b) for k, b in enumerate(self.boundary or ()))
-        return PricedGame(self.owners, self.actions + stops)
+        state k's stop as m + k.  It is derived from the game, which its
+        constructor checked as this priced game, or which is derived and
+        so valid by construction.  So it shares the game's index: the
+        same ``state_actions`` without a boundary, each entry with its
+        stop appended with one, and the same ``incoming``, as stops lead
+        nowhere.  The sweep reads the actions into each state from it and
+        settles every repair on it; the crossing scans and
+        :meth:`event_bound` read the game's own ``state_actions``, without
+        stops.  So a solve indexes the actions once."""
+        return PricedGame.derived(self, self._stops())
 
     def event_bound(self) -> int:
         """Bound on the number of event points of the value functions."""
@@ -191,11 +208,19 @@ def build_eps_game(sptg: Sptg, wait_costs) -> PricedGame:
     """Snapshot game at a clock value: the untimed game extended with a
     waiting exit per state whose cost is the state's current value and
     whose infinitesimal charge (``wait_rate``) is the state's rate.  The
-    sweep never builds one; its instrumented run does."""
+    sweep never builds one; its instrumented run does.
+
+    It is derived from ``sptg``, whose index it extends by the waits,
+    state k's as action m + k.  Their costs are the sweep's values, which
+    the instrumented run checks, so a negative one is rejected as a
+    priced game rejects a negative cost."""
+    for k, cost in enumerate(wait_costs):
+        if not is_inf(cost) and cost < 0:
+            raise GameError("negative-cost", f"actions[{sptg.num_actions + k}]", clip(str(cost)))
     waits = tuple(
         PAction(k, None, cost, sptg.rates[k]) for k, cost in enumerate(wait_costs)
     )
-    return PricedGame(sptg.owners, sptg.actions + waits)
+    return PricedGame.derived(sptg, waits)
 
 
 def solve_at_time_one(sptg: Sptg):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ptgsolve
+import ptgsolve.priced_game
 
 SOURCES = sorted(Path(ptgsolve.__file__).parent.glob("*.py"))
 
@@ -84,6 +85,18 @@ def test_oracle_solver_imports_within_allow_list():
             imported[module] |= names
     for module, names in imported.items():
         assert not names - ORACLE_SOLVER_IMPORTS[module], module
+
+
+def test_oracle_never_derives():
+    """The oracle builds every game it checks through the checking
+    constructors: it never names ``GameGraph.derived``, the solvers' way
+    to build a game with no checks."""
+    tree = ast.parse((Path(ptgsolve.__file__).parent / "oracle.py").read_text())
+    name = ptgsolve.priced_game.GameGraph.derived.__name__
+    for node in ast.walk(tree):
+        assert name not in (
+            getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "value", None)
+        ), f"line {node.lineno}"
 
 
 # Defined in the package but used only from outside it.  Each is pinned

@@ -233,14 +233,27 @@ class TestSweep:
 
     def test_a_solve_indexes_the_game_once(self):
         """The sweep reads the actions into each state, and settles, on
-        the untimed game at hi that the untimed solve indexed, so the
-        game itself holds no second index, with a boundary or without."""
+        the untimed game at hi, which shares the game's one index: the
+        same ``incoming``, and the same ``state_actions`` without a
+        boundary, each entry with its stop m + k appended with one.  The
+        crossing scans read the game's own entries, without stops.  So
+        no index is built twice, with a boundary or without."""
         g = fixture_a().game
         bounded = Sptg(g.owners, g.rates, g.actions, boundary=(Fr(1, 7), Fr(3, 11), INF))
+        m = g.num_actions
         for game in (g, bounded):
             assert solve_sptg(game).stats.sweep_steps > 1
-            assert not {"incoming", "cost_denominator"} & set(vars(game))
-            assert {"at_hi", "state_actions"} <= set(vars(game))
+            assert "cost_denominator" not in vars(game)
+            assert {"at_hi", "state_actions", "incoming"} <= set(vars(game))
+            assert game.at_hi.incoming is game.incoming
+            fresh = PricedGame(game.owners, game.at_hi.actions)
+            assert game.at_hi.state_actions == fresh.state_actions
+            assert game.at_hi.incoming == fresh.incoming
+        assert g.at_hi.state_actions is g.state_actions
+        assert bounded.at_hi.state_actions == tuple(
+            js + (m + k,) for k, js in enumerate(bounded.state_actions)
+        )
+        assert all(j < m for js in bounded.state_actions for j in js)
 
     def test_inner_solvers_agree(self):
         for seed in range(40):
