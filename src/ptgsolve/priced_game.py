@@ -111,7 +111,10 @@ class GameGraph:
                 state_actions=tuple(js + (m + k,) for k, js in enumerate(index)) if exits else index,
                 incoming=base.incoming,
             )
-        vars(game).update(fields)
+        # one at a time, as a constructor sets them, so that the games
+        # share their attribute keys (a filled __dict__ holds its own)
+        for name, value in fields.items():
+            object.__setattr__(game, name, value)
         return game
 
     @property
