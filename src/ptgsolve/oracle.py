@@ -388,6 +388,63 @@ def check_equilibrium(sptg: Sptg, sol: SptgSolution, samples: int = 50) -> Equil
 # -- untimed games ----------------------------------------------------------
 
 
+def _scaled_moves(game: PricedGame):
+    """``(den, moves)``: den, the least common multiple of the finite
+    costs' denominators, and each action as a move ``(cost, dest)`` whose
+    finite cost is scaled by den, an integer.  An infinite-cost action is
+    worth infinity whatever its destination, so its move is an exit at
+    ``INF``."""
+    den = math.lcm(*(a.cost.denominator for a in game.actions if not is_inf(a.cost)))
+    return den, [
+        (INF, None) if is_inf(a.cost) else (a.cost.numerator * (den // a.cost.denominator), a.dest)
+        for a in game.actions
+    ]
+
+
+def _upstream(moves) -> list:
+    """The states with a move into each state."""
+    upstream = [set() for _ in moves]
+    for k, ms in enumerate(moves):
+        for _, dest in ms:
+            if dest is not None:
+                upstream[dest].add(k)
+    return upstream
+
+
+def _rounds(owners, moves, upstream) -> list:
+    """The rounds of :func:`untimed_value_iteration` over scaled moves,
+    ``moves[k]`` those of state k, owned by ``owners[k]``.
+    ``upstream`` may list more states than have a move into a state: a
+    state recomputed while its destinations stand still gets its value
+    again, so the rounds are the same.  Every infinity here is the object
+    ``INF``, and none is added to: a scaled cost may be an integer too
+    large for a float."""
+    n = len(moves)
+    pick = [min if o == 1 else max for o in owners]
+    v = [INF] * n
+    todo = range(n)
+    for _ in range(n):
+        new = {}
+        for k in todo:
+            new[k] = pick[k](
+                [
+                    cost if dest is None else INF if v[dest] is INF else cost + v[dest]
+                    for cost, dest in moves[k]
+                ]
+            )
+        changed = [k for k, x in new.items() if x != v[k]]
+        if not changed:
+            break
+        for k in changed:
+            v[k] = new[k]
+        todo = {u for k in changed for u in upstream[k]}
+    return v
+
+
+def _unscaled(v, den) -> list:
+    return [x if x is INF else Fraction(x, den) for x in v]
+
+
 def untimed_value_iteration(game: PricedGame, allowed) -> list:
     """Value of every state of an untimed game in which state k may use
     only the actions ``allowed[k]``.
@@ -406,36 +463,15 @@ def untimed_value_iteration(game: PricedGame, allowed) -> list:
     destinations in the previous round, so after the first round only
     the states with an allowed move into a state that changed in the
     round before are recomputed; every other state would get its value
-    again, and the rounds are those of recomputing every state."""
-    n = game.num_states
-    moves = [[(game.actions[j].cost, game.actions[j].dest) for j in js] for js in allowed]
-    upstream = [set() for _ in range(n)]
-    for k, ms in enumerate(moves):
-        for _, dest in ms:
-            if dest is not None:
-                upstream[dest].add(k)
-    pick = [min if o == 1 else max for o in game.owners]
-    v = [INF] * n
-    todo = range(n)
-    for _ in range(n):
-        new = {}
-        for k in todo:
-            cands = []
-            for cost, dest in moves[k]:
-                if dest is None:
-                    cands.append(cost)
-                elif is_inf(cost) or is_inf(v[dest]):
-                    cands.append(INF)
-                else:
-                    cands.append(cost + v[dest])
-            new[k] = pick[k](cands)
-        changed = [k for k, x in new.items() if x != v[k]]
-        if not changed:
-            break
-        for k in changed:
-            v[k] = new[k]
-        todo = {u for k in changed for u in upstream[k]}
-    return v
+    again, and the rounds are those of recomputing every state.
+
+    The rounds run over integers: every finite value is a sum of costs,
+    so an integer multiple of 1/den, den the least common multiple of the
+    finite costs' denominators.  Costs are scaled by den once, and each
+    finite value is returned as a ``Fraction``, infinite ones as INF."""
+    den, scaled = _scaled_moves(game)
+    moves = [[scaled[j] for j in js] for js in allowed]
+    return _unscaled(_rounds(game.owners, moves, _upstream(moves)), den)
 
 
 def brute_force_priced(game: PricedGame, budget: int = 10**6):
@@ -446,24 +482,34 @@ def brute_force_priced(game: PricedGame, budget: int = 10**6):
     The budget counts the profiles of both players, and the game is
     refused past it.  With the maximizer's states pinned to one strategy
     the minimizer faces a shortest-path problem with nonnegative costs,
-    which :func:`untimed_value_iteration` solves exactly in n rounds: each
-    state's least cost over plays that reach the terminal within n moves.
-    A positional strategy attains it (the shortest-path tree with the
-    fewest hops), and every positional play that never reaches the
-    terminal costs infinity, so that is the minimum over all the
-    minimizer's positional strategies."""
+    which the rounds of :func:`untimed_value_iteration` solve exactly in n
+    rounds: each state's least cost over plays that reach the terminal
+    within n moves.  A positional strategy attains it (the shortest-path
+    tree with the fewest hops), and every positional play that never
+    reaches the terminal costs infinity, so that is the minimum over all
+    the minimizer's positional strategies.
+
+    Each pinned game's values are sums of the game's costs, so the costs
+    are scaled to integers over their common denominator once, as in
+    :func:`untimed_value_iteration`, and the moves and ``upstream`` are
+    built once: each pinning swaps in only the pinned maximizer states'
+    single moves, and keeps the whole game's ``upstream``, a superset of
+    the pinned game's, which the rounds allow."""
     total = math.prod(len(js) for js in game.state_actions)
     if total > budget:
         raise OracleError(f"{total} profiles exceed the budget {budget}")
+    den, scaled = _scaled_moves(game)
+    moves = [[scaled[j] for j in js] for js in game.state_actions]
+    upstream = _upstream(moves)
     p2_states = [k for k in range(game.num_states) if game.owners[k] == 2]
-    allowed = list(game.state_actions)
+    single = [[m] for m in scaled]
     best = None
     for picks in itertools.product(*[game.state_actions[k] for k in p2_states]):
         for k, j in zip(p2_states, picks):
-            allowed[k] = (j,)
-        inner = untimed_value_iteration(game, allowed)
+            moves[k] = single[j]
+        inner = _rounds(game.owners, moves, upstream)
         best = inner if best is None else [max(b, u) for b, u in zip(best, inner)]
-    return best
+    return _unscaled(best, den)
 
 
 # -- random instances -------------------------------------------------------

@@ -140,6 +140,40 @@ def random_priced_games():
             )
 
 
+PRIMES = (2, 3, 5, 7, 11, 999_983, 1_000_003, 1_000_033, 1_000_037)
+
+
+def fractional_priced_games():
+    """240 random priced games, n = 1..6, each finite cost divided by a
+    prime drawn for its action, some above 10**6, with infinite costs on
+    even seeds: games whose costs share no denominator."""
+    for n in range(1, 7):
+        for seed in range(40):
+            g = generate_random("priced", n, 3, seed, allow_inf=seed % 2 == 0)
+            rng = random.Random(f"{n}/{seed}")
+            actions = tuple(
+                a if is_inf(a.cost) else dataclasses.replace(a, cost=a.cost / rng.choice(PRIMES))
+                for a in g.actions
+            )
+            yield PricedGame(g.owners, actions)
+
+
+def pinnings(g):
+    """The allowed subsets brute force hands over: every maximizer state
+    pinned to one action, every minimizer state free."""
+    p2 = [k for k in range(g.num_states) if g.owners[k] == 2]
+    for picks in itertools.product(*(g.state_actions[k] for k in p2)):
+        allowed = list(g.state_actions)
+        for k, j in zip(p2, picks):
+            allowed[k] = (j,)
+        yield allowed
+
+
+def assert_exact(values):
+    """Every finite value is a ``Fraction``, not an ``int``."""
+    assert all(is_inf(v) or isinstance(v, Fr) for v in values), values
+
+
 def probe_times(strategy, samples=50):
     """Clock values a sampling equilibrium check would probe, ascending:
     every cell's start and midpoint, and a grid of ``samples + 2`` points
@@ -738,24 +772,59 @@ class TestUntimedGames:
         g = PricedGame((1,), (PAction(0, None, INF),))
         assert is_inf(self.values(g)[0])
 
+    def test_costs_past_the_float_range(self):
+        # 60 distinct prime denominators above 10**6: each cost scaled by
+        # their lcm is an integer too large for a float, and a move into a
+        # state still at infinity must stay infinite, not overflow
+        primes = [p for p in range(10**6, 10**6 + 2000) if all(p % d for d in range(2, 1001))]
+        p = primes[:60]
+        g = PricedGame(
+            (1, 2),
+            (PAction(0, 1, Fr(1, p[0])), PAction(0, None, F1))
+            + tuple(PAction(1, None, Fr(1, q)) for q in p[1:]),
+        )
+        assert self.values(g) == [Fr(1, p[0]) + Fr(1, p[1]), Fr(1, p[1])]
+        assert g.cost_denominator > 10**308
+
     def test_value_iteration_matches_dijkstra_on_randoms(self):
         for g in random_priced_games():
             dv, _ = extended_dijkstra(g)
             assert untimed_value_iteration(g, g.state_actions) == dv, g
 
     def test_matches_full_rounds_with_pinned_maximizer_choices(self):
-        # the allowed subsets brute force hands over: every maximizer
-        # state pinned to one action, every minimizer state free
         for n in range(1, 7):
             for seed in range(30):
                 g = generate_random("priced", n, 3, seed, allow_inf=seed % 2 == 0)
-                p2 = [k for k in range(n) if g.owners[k] == 2]
-                for picks in itertools.product(*(g.state_actions[k] for k in p2)):
-                    allowed = list(g.state_actions)
-                    for k, j in zip(p2, picks):
-                        allowed[k] = (j,)
+                for allowed in pinnings(g):
                     want = full_rounds_untimed(g, allowed)
                     assert untimed_value_iteration(g, allowed) == want, (g, allowed)
+
+    def test_fractional_costs_match_full_rounds(self):
+        # the rounds run over integers scaled by the costs' common
+        # denominator, and hand back exact Fractions
+        finite = infinite = 0
+        for g in fractional_priced_games():
+            for allowed in [g.state_actions, *pinnings(g)]:
+                got = untimed_value_iteration(g, allowed)
+                assert got == full_rounds_untimed(g, allowed), (g, allowed)
+                assert_exact(got)
+                finite += sum(not is_inf(v) and v.denominator > 10**6 for v in got)
+                infinite += sum(map(is_inf, got))
+        assert finite > 100 and infinite > 100
+
+    def test_scaling_every_cost_scales_the_values(self):
+        lam = Fr(7, 3)
+        for g in fractional_priced_games():
+            scaled = PricedGame(
+                g.owners,
+                tuple(
+                    a if is_inf(a.cost) else dataclasses.replace(a, cost=a.cost * lam)
+                    for a in g.actions
+                ),
+            )
+            for values in (brute_force_priced, lambda h: untimed_value_iteration(h, h.state_actions)):
+                want = [v if is_inf(v) else v * lam for v in values(g)]
+                assert values(scaled) == want, g
 
 
 class TestBruteForce:
@@ -786,6 +855,16 @@ class TestBruteForce:
             infinite += any(map(is_inf, want))
             assert brute_force_priced(g) == want, g
         assert infinite > 100
+
+    def test_fractional_costs_match_full_enumeration(self):
+        finite = infinite = 0
+        for g in fractional_priced_games():
+            got = brute_force_priced(g)
+            assert got == full_enumeration(g), g
+            assert_exact(got)
+            finite += sum(not is_inf(v) and v.denominator > 10**6 for v in got)
+            infinite += sum(map(is_inf, got))
+        assert finite > 50 and infinite > 50
 
 
 class TestProfilePayoffs:

@@ -8,8 +8,11 @@ and runs ``ptgsolve solve`` of each tree on the same 928 runs: every
 document of the benchmark pools for seeds 1, 2, 3 and 7177, and the
 golden inputs in ``tests/golden``, each with and without ``--verify``.
 Each tree also solves the random pools in memory: 600 SPTGs and 400
-PTGs from ``generate_random``, with infinite costs on even seeds.  Each
-tree runs in its own subprocess, from its own ``src`` directory.
+PTGs from ``generate_random``, with infinite costs on even seeds, and
+runs the untimed oracles, ``brute_force_priced`` and
+``untimed_value_iteration``, on 300 random priced games whose finite
+costs are divided by primes, some above 10**6.  Each tree runs in its
+own subprocess, from its own ``src`` directory.
 
 A run's outcome is its exit code, stdout, stderr and the bytes of its
 ``--out`` and ``--plot`` files.  Both trees solve the documents of this
@@ -17,8 +20,9 @@ tree: the pools come from this tree's ``perfbench/workloads.py`` and the
 golden inputs from its ``tests/golden``, so a difference is the
 program's, not its inputs'.  A random game's outcome is canonical text
 (:func:`game_text`): its result document, its solve statistics and, for
-a PTG, the result document of each interval game, since in-memory types
-may change between the trees where their meaning does not.
+a PTG, the result document of each interval game, or for a priced game
+the oracles' values, since in-memory types may change between the trees
+where their meaning does not.
 
 The tool prints the first difference of each document and of the first
 differing random game, then a summary line.  It exits 1 when a document
@@ -38,6 +42,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import random
 import subprocess
 import sys
 import tarfile
@@ -102,18 +107,41 @@ def outcome(game: Path, verify: bool, scratch: Path) -> tuple:
     return (code, stdout.getvalue(), stderr.getvalue(), *files)
 
 
+PRIMES = (2, 3, 5, 7, 11, 999_983, 1_000_003, 1_000_033, 1_000_037)
+
+
+def _fractional(name: str, game):
+    """``game`` with each finite cost divided by a prime drawn for its
+    action from a generator seeded by ``name``."""
+    from ptgsolve.numerics import is_inf
+
+    rng = random.Random(name)
+    actions = tuple(
+        a if is_inf(a.cost) else dataclasses.replace(a, cost=a.cost / rng.choice(PRIMES))
+        for a in game.actions
+    )
+    return type(game)(game.owners, actions)
+
+
 def random_games() -> list:
     """``(name, game)`` of the random pools: SPTGs with 2 to 7 states and
-    PTGs with 2 to 5, 100 seeds each, with infinite costs on even seeds.
-    Each tree generates them with its own ``generate_random``."""
+    PTGs with 2 to 5, 100 seeds each, and priced games with 1 to 6, 50
+    seeds each and fractional costs, all with infinite costs on even
+    seeds.  Each tree generates them with its own ``generate_random``."""
     from ptgsolve.oracle import generate_random
 
-    return [
+    games = [
         (f"{kind}/{n}/{seed}", generate_random(kind, n, 3, seed, allow_inf=seed % 2 == 0))
         for kind, sizes in (("sptg", range(2, 8)), ("ptg", range(2, 6)))
         for n in sizes
         for seed in range(100)
     ]
+    for n in range(1, 7):
+        for seed in range(50):
+            name = f"priced/{n}/{seed}"
+            game = generate_random("priced", n, 3, seed, allow_inf=seed % 2 == 0)
+            games.append((name, _fractional(name, game)))
+    return games
 
 
 def _document(kind: str, game):
@@ -146,12 +174,26 @@ def game_text(name: str, game) -> str:
     names it.  An SPTG's is its result document and the statistics of a
     plain and an instrumented solve; a PTG's is its result document, its
     statistics and each interval game's result document, right to left.
-    A solve that raises gives its exception's type and message."""
+    A priced game's is the values of ``brute_force_priced``, and of
+    ``untimed_value_iteration`` with every action allowed and with each
+    maximizer state pinned to its first action.  A solve that raises
+    gives its exception's type and message."""
     from ptgsolve.gamedoc import emit_ptg_result, emit_sptg_result
+    from ptgsolve.oracle import brute_force_priced, untimed_value_iteration
     from ptgsolve.ptg import solve_ptg
     from ptgsolve.sptg import solve_sptg
 
     try:
+        if name.startswith("priced/"):
+            pinned = [
+                js[:1] if owner == 2 else js for owner, js in zip(game.owners, game.state_actions)
+            ]
+            runs = {
+                "brute_force_priced": brute_force_priced(game),
+                "untimed_value_iteration": untimed_value_iteration(game, game.state_actions),
+                "untimed_value_iteration pinned": untimed_value_iteration(game, pinned),
+            }
+            return "".join(f"{run} {' '.join(map(str, v))}\n" for run, v in runs.items())
         if name.startswith("sptg/"):
             sol, instrumented = solve_sptg(game), solve_sptg(game, instrument=True)
             text = emit_sptg_result(_document("sptg", game), sol)
