@@ -22,8 +22,13 @@ them change, with their prices.  So one memo keyed by the clock value,
 the values and the reset prices serves the whole solve, a layer solves
 only the steps whose inputs changed, and only a solved step converts
 its entry to untimed actions.  The top game is the moment game with no
-stops.  The piecewise-linear value functions are assembled once, for the
-layer returned.
+stops.  Below the top, a ladder point is first certified, before any
+memo lookup: the values of the interval game just above it already meet
+the Bellman inequality of every action available there but those whose
+window closes there, so where each closing action meets it too, strictly
+for a maximizer, those values are the point's and no moment game is
+built (:func:`_certified`).  The piecewise-linear value functions are
+assembled once, for the layer returned.
 
 The game is validated once, as the ``Ptg`` is built.  Every game a solve
 builds from it, the top and moment games and each interval game with its
@@ -131,9 +136,15 @@ class IntervalCert:
 
 @dataclass
 class PtgStats:
+    """What a solve did.  A lower ladder point is either certified from
+    the interval values just above it, counted in ``certified_points``,
+    or its moment game is looked up in the memo and, on a miss, built
+    and solved, counted in ``priced_solves`` with the top games."""
+
     oracle_calls: int = 0  # interval games solved
     reused_intervals: int = 0  # interval games taken from a deeper layer
-    priced_solves: int = 0  # ladder-point games solved: the top game and the moment games
+    priced_solves: int = 0  # ladder-point games built and solved: the top and moment games
+    certified_points: int = 0  # lower ladder points certified, no moment game built
     layers: int = 1  # layers of the unfolding: reset_depth + 1
     solved_layers: int = 0  # layers solved, up to the first that repeats its input
 
@@ -224,13 +235,60 @@ def build_interval_sptg(game: Ptg, v_hi, lo, hi, actions) -> Sptg:
     )
 
 
+def _certified(game: Ptg, pairs, reset_values, x, w) -> bool:
+    """Whether ``w``, the values at ladder point x of the interval game
+    just above it, are the values of the moment game at x of ``pairs``,
+    the actions available there, with stops worth ``w``.
+
+    Only the actions closing at x (``a.hi == x``, point actions included)
+    are checked; each offers its cost plus its destination's entry of
+    ``w``, a terminal exit its cost alone and a reset its price
+    (:func:`_price`).  A minimizer's offer must be at least its source's
+    entry; a maximizer's must be finite and below it, unless that entry
+    is infinite.  Every other action available at x is available just
+    above x, in the interval game, so ``w`` already meets its Bellman
+    inequality; with the closing ones, ``w`` is a fixed point of the
+    moment game, each state's stop attaining it.  The strict test keeps
+    every closing action below its maximizer's value, so a maximizer
+    cycle of actions that attain ``w``, which would be worth infinity, is
+    one the interval game has too, and the fixed point is the moment
+    game's value.
+    """
+    owners = game.owners
+    for a, untimed in pairs:
+        if a.hi != x:
+            continue
+        if untimed is None:
+            offer = _price(a, reset_values)
+        elif a.dest is None:
+            offer = a.cost
+        else:
+            extra = w[a.dest]
+            offer = INF if is_inf(a.cost) or is_inf(extra) else a.cost + extra
+        own = w[a.source]
+        if owners[a.source] == 1:
+            if offer < own:
+                return False
+        elif not (is_inf(own) or offer < own):
+            return False
+    return True
+
+
 def _point_values(
     game: Ptg, available: dict, reset_values, x, v, stats: PtgStats, memo: dict
 ) -> tuple:
     """Values at ladder point x: of the moment game of the actions
     available there, with stops worth ``v`` (none at the top, where ``v``
-    is None)."""
+    is None).
+
+    Below the top, ``v`` holds the values at x of the interval game just
+    above x, and where :func:`_certified` shows that they are the moment
+    game's, they are returned as they are, counted in
+    ``stats.certified_points``, with no memo key and no game built."""
     pairs = available[x]
+    if v is not None and _certified(game, pairs, reset_values, x, v):
+        stats.certified_points += 1
+        return v
     key = (x, v, _reset_prices(pairs, reset_values))
     vals = memo.get(key)
     if vals is None:
@@ -329,8 +387,12 @@ def solve_ptg(game: Ptg) -> PtgResult:
     a step whose inputs a deeper layer already met (its untimed actions
     unchanged) reuses that layer's solution, counted in
     ``stats.reused_intervals`` for interval games and not in
-    ``stats.oracle_calls``.  The value functions are assembled once, for
-    the layer returned.
+    ``stats.oracle_calls``.  A lower ladder point whose interval values
+    pass the certificate (:func:`_certified`) takes them as they are:
+    they are exactly its moment game's values, so the game is neither
+    built nor looked up, and the point is counted in
+    ``stats.certified_points``, not in ``stats.priced_solves``.  The
+    value functions are assembled once, for the layer returned.
     """
     stats = PtgStats(layers=game.reset_depth + 1)
     available = _availability(game)

@@ -8,7 +8,7 @@ from pathlib import Path
 from ptgsolve import gamedoc, priced_game, ptg, sptg
 from ptgsolve.numerics import INF
 from ptgsolve.oracle import generate_random
-from ptgsolve.priced_game import PAction, PricedGame
+from ptgsolve.priced_game import PAction, PricedGame, extended_dijkstra
 from ptgsolve.sptg import Sptg
 from test_boundary_games import interval_games
 from test_ptg import ladder_pool_games
@@ -45,9 +45,18 @@ def test_derived_games_are_the_checked_ones(monkeypatch):
     and every top game that ``solve_ptg`` derives is accepted, and built
     alike, by the checking constructors: on the golden PTGs, the
     ptg-ladder pools of seeds 1 and 7177, and 400 random reset PTGs with
-    infinite costs."""
-    build_moment = ptg.build_moment_game
+    infinite costs.  So is the moment game of each ladder point that the
+    certificate passes, built here as the solve would have built it, and
+    its values are exactly the certified ones."""
+    build_moment, certified = ptg.build_moment_game, ptg._certified
     moments = []
+
+    def checked_certificate(game, pairs, reset_values, x, w):
+        passed = certified(game, pairs, reset_values, x, w)
+        if passed:
+            moment = ptg.build_moment_game(game, w, ptg._untimed(pairs, reset_values))
+            assert tuple(extended_dijkstra(moment)[0]) == w
+        return passed
 
     def rebuilt_moment(game, v, actions):
         moment = build_moment(game, v, actions)
@@ -56,6 +65,7 @@ def test_derived_games_are_the_checked_ones(monkeypatch):
         return moment
 
     monkeypatch.setattr(ptg, "build_moment_game", rebuilt_moment)
+    monkeypatch.setattr(ptg, "_certified", checked_certificate)
     randoms = [generate_random("ptg", 2 + s % 4, 3, s, allow_inf=True) for s in range(400)]
     games = interval_games(golden_ptgs() + ladder_pool_games() + randoms)
     for g in games:

@@ -115,6 +115,21 @@ def test_plain_solves_run_no_strategy_iteration(tmp_path, monkeypatch, capsys):
         solve_sptg(sptg, instrument=True)
 
 
+def test_equivalence_tallies_differing_lines_by_part():
+    """The equivalence tool counts the lines in which two texts of a random
+    game differ by part: the result documents' lines, and each statistics
+    field's, a field that one side lacks included."""
+    text = equivalence.game_text("ptg/3/1", generate_random("ptg", 3, 3, 1))
+    assert +equivalence.differing_lines(text, text) == {}
+    lines = [
+        "changed" if k == 1 else line + "9" * line.startswith("PtgStats.priced_solves")
+        for k, line in enumerate(text.splitlines())
+        if not line.startswith("PtgStats.certified_points")
+    ]
+    tally = equivalence.differing_lines("\n".join(lines), text)
+    assert +tally == {"documents": 1, "PtgStats.certified_points": 1, "PtgStats.priced_solves": 1}
+
+
 if __name__ == "__main__":
     for game in GAMES:
         for stale in (GOLDEN / (game.stem + ".out.json"), GOLDEN / (game.stem + ".plot.tsv")):

@@ -448,9 +448,17 @@ class TestIntervalGameStops:
         entry keyed by the very ``v`` it was given (a fresh tuple for
         each step below the top, None at the top), and it is given the
         untimed actions a fresh scan finds there under its layer's reset
-        values."""
-        calls, memos, layer = [], [], {}
+        values.  Every lower ladder point a layer visits is checked by the
+        certificate once, ``stats.certified_points`` counts those that
+        pass, and none of their values is given to a build."""
+        calls, memos, layer, checks = [], [], {}, []
         build_moment, solve_layer = ptg.build_moment_game, ptg._solve_layer
+        certified = ptg._certified
+
+        def recording_certificate(game, pairs, reset_values, x, w):
+            passed = certified(game, pairs, reset_values, x, w)
+            checks.append((w, passed))
+            return passed
 
         def recording_build(game, v, actions):
             calls.append((v, actions, layer["reset_values"]))
@@ -463,11 +471,18 @@ class TestIntervalGameStops:
 
         monkeypatch.setattr(ptg, "build_moment_game", recording_build)
         monkeypatch.setattr(ptg, "_solve_layer", recording_layer)
-        built = 0
+        monkeypatch.setattr(ptg, "_certified", recording_certificate)
+        built = passed = 0
         for g in random_ptgs(range(20)) + [golden_resets_game()]:
             calls.clear()
             memos.clear()
+            checks.clear()
             res = solve_ptg(g)
+            assert len(checks) == res.stats.solved_layers * (len(g.ladder) - 1)
+            assert res.stats.certified_points == sum(ok for _, ok in checks)
+            skipped = {id(w) for w, ok in checks if ok}
+            assert not any(id(v) in skipped for v, _, _ in calls)
+            passed += res.stats.certified_points
             assert all(m is memos[0] for m in memos)
             clock = {}
             for x, v, _ in memos[0]:
@@ -479,7 +494,57 @@ class TestIntervalGameStops:
                 assert x in g.ladder
                 assert actions == tuple(scan(g, x, reset_values))
             built += len(calls)
-        assert built > 0
+        assert built > 0 and passed > 0
+
+
+class TestLadderCertificate:
+    def test_a_new_zero_cost_maximizer_cycle_fails_the_certificate(self):
+        """Two rate-0 maximizers exit for 5 and move to each other for
+        free, A to B only up to clock 1.  Just above 1 both are worth 5,
+        and A's move to B offers exactly 5: a maximizer's offer must fall
+        strictly below its value, as at 1 the free cycle is worth INF."""
+        g = simple(
+            act(0, None, 5, 0, 2),
+            act(1, None, 5, 0, 2),
+            act(1, 0, 0, 0, 2),
+            act(0, 1, 0, 0, 1),
+            owners=(2, 2),
+            rates=(0, 0),
+        )
+        res = solve_ptg(g)
+        for f in res.values:
+            assert [f.eval(Fr(t, 2)) for t in range(5)] == [INF, INF, INF, 5, 5]
+        # solved at the top and at 1; certified at 0, where both are INF
+        assert (res.stats.priced_solves, res.stats.certified_points) == (2, 1)
+
+    def test_a_reset_is_certified_at_its_price(self):
+        """A minimizer exits for 10 or, up to clock 1, resets for free
+        into B, worth 1 at clock 0 and 20 from clock 1/2 on.  At clock 1
+        the reset is worth its price 1, not 20, the value of B there."""
+        g = simple(
+            act(0, None, 10, 0, 2),
+            act(0, 1, 0, 0, 1, reset=True),
+            act(1, None, 1, 0, Fr(1, 2)),
+            act(1, None, 20, 0, 2),
+            owners=(1, 1),
+            rates=(1, 0),
+        )
+        res = solve_ptg(g)
+        assert [res.values[0].eval(Fr(t, 2)) for t in range(5)] == [1, 1, 1, 10, 10]
+        assert res.values[1].eval(F1) == 20
+
+    def test_most_ladder_pool_points_are_certified(self):
+        """The certificate spares at least 70% of the lower ladder point
+        visits of the ptg-ladder pools' solves, each pool on its own."""
+        games = ladder_pool_games()
+        half = len(games) // 2
+        for pool in (games[:half], games[half:]):
+            visits = certified = 0
+            for g in pool:
+                stats = solve_ptg(g).stats
+                visits += stats.solved_layers * (len(g.ladder) - 1)
+                certified += stats.certified_points
+            assert certified >= 0.7 * visits, (certified, visits)
 
 
 def scan(game, x, reset_values):
@@ -500,9 +565,10 @@ def scan(game, x, reset_values):
 class TestActionMemo:
     def test_memo_equals_a_scan_in_every_layer(self):
         """Every step of a layer, one per ladder point and one per
-        interval, is keyed by the prices of the resets a fresh scan finds
-        at its clock value under the layer's reset values, and its entry
-        converts to the untimed actions of that scan."""
+        interval, is certified or memoized.  A memoized one is keyed by
+        the prices of the resets a fresh scan finds at its clock value
+        under the layer's reset values, and its entry converts to the
+        untimed actions of that scan."""
         resets_seen = 0
         for seed in range(20):
             g = generate_random("ptg", 3, 3, seed)
@@ -517,9 +583,9 @@ class TestActionMemo:
                 None,
             )
             for reset_values in layers:
-                memo = {}
-                _solve_layer(g, available, reset_values, PtgStats(), memo)
-                assert len(memo) == 2 * len(g.ladder) - 1, seed
+                memo, stats = {}, PtgStats()
+                _solve_layer(g, available, reset_values, stats, memo)
+                assert len(memo) + stats.certified_points == 2 * len(g.ladder) - 1, seed
                 for x, _, prices in memo:
                     want = tuple(scan(g, x, reset_values))
                     resets = [a.reset for a in g.actions if a.available_at(x)]

@@ -25,9 +25,12 @@ the oracles' values, since in-memory types may change between the trees
 where their meaning does not.
 
 The tool prints the first difference of each document and of the first
-differing random game, then a summary line.  It exits 1 when a document
-or a game differs, and 2 when REV cannot be exported or a tree's run
-fails.
+differing random game, then a summary line, and then the lines in which
+all the differing random games differ, tallied by part: the lines of
+result documents, and each statistics field (:func:`differing_lines`).
+So a change meant to move one counter shows that it moved that counter
+alone.  The tool exits 1 when a document or a game differs, and 2 when
+REV cannot be exported or a tree's run fails.
 
 ``tests/test_golden.py`` uses :func:`pool_documents`, :func:`outcome`
 and :func:`digest` for its pool digests, ``tests/golden/pools.sha256``.
@@ -36,13 +39,16 @@ and :func:`digest` for its pool digests, ``tests/golden/pools.sha256``.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
+import difflib
 import hashlib
 import importlib.util
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 import tarfile
@@ -54,6 +60,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 SEEDS = (1, 2, 3, 7177)
 PARTS = ("exit code", "stdout", "stderr", "--out", "--plot")
+STATS_LINE = re.compile(r"(\w+Stats\.\w+) ")  # as :func:`_stats` writes them
 
 
 def pool_documents(seeds) -> list:
@@ -207,6 +214,34 @@ def game_text(name: str, game) -> str:
         return f"raised {type(exc).__name__}: {exc}\n"
 
 
+def _text_parts(text: str) -> dict:
+    """A random game's text split into its parts, in order: the lines of
+    its result documents, under ``documents``, and the lines of each
+    statistics field, under its ``Class.field`` name."""
+    parts = {}
+    for line in text.splitlines():
+        match = STATS_LINE.match(line)
+        parts.setdefault(match[1] if match else "documents", []).append(line)
+    return parts
+
+
+def differing_lines(theirs: str, ours: str) -> collections.Counter:
+    """The lines in which two texts of a random game differ, counted by
+    part (:func:`_text_parts`): for each part, the lines of the longer
+    side of each block in which the two sides' lines differ.  A field
+    that one side lacks differs in all its lines."""
+    a, b = _text_parts(theirs), _text_parts(ours)
+    tally = collections.Counter()
+    for part in a.keys() | b.keys():
+        matcher = difflib.SequenceMatcher(None, a.get(part, []), b.get(part, []), autojunk=False)
+        tally[part] = sum(
+            max(i2 - i1, j2 - j1)
+            for op, i1, i2, j1, j2 in matcher.get_opcodes()
+            if op != "equal"
+        )
+    return tally
+
+
 def digest(parts: tuple) -> str:
     """SHA-256 over the parts of an outcome, each prefixed by its length,
     so that no two different outcomes share one byte string."""
@@ -320,11 +355,17 @@ def main(argv=None) -> int:
         name = games[0]
         diff = first_difference((rev["games"].get(name),), (here["games"][name],), ("text",))
         print(f"DIFF random {name}: {diff}")
+    lines = sum(
+        (differing_lines(rev["games"].get(name) or "", here["games"][name]) for name in games),
+        collections.Counter(),
+    )
     print(
         f"{len(runs)} runs over {len(documents)} documents and {len(here['games'])} random games, "
         f"{args.against} -> working tree: {differing} documents and {len(games)} random games "
         "differ"
     )
+    parts = ["documents", *sorted(set(lines) - {"documents"})]
+    print("random-game lines differing, by part: " + ", ".join(f"{p} {lines[p]}" for p in parts))
     return 1 if differing or games else 0
 
 
